@@ -1,15 +1,12 @@
 """Explicit variational quadratic splines and integral-equation solvers.
 
 The interpolating spline needs no linear solve: its piece coefficients come
-from one product with a matrix depending only on the grid shape. On top of
-it sit collocation solvers for Fredholm (second-kind and eigenvalue) and
-Volterra (second- and first-kind) equations, a benchmark registry, and a
-CLI (`quadspline`) that reproduces the published error tables.
-
-Hot kernels run through a compiled extension when available; see
-backend_name(). Set QUADSPLINE_PURE=1 to force the numpy fallback.
+in closed form from one prefix sum over the second differences, in O(n).
+On top of it sit collocation solvers for Fredholm (second-kind and
+eigenvalue) and Volterra (second- and first-kind) equations, a benchmark
+registry, and a CLI (`quadspline`) that reproduces the published error
+tables. Everything is numpy; there is no compiled extension.
 """
-from ._backend import backend_name
 from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction,
                    make_grid, sample)
 from .integral_eq import (DegenerateProblemError, IntegralProblem, Kernel,
@@ -42,6 +39,5 @@ __all__ = [
     "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError",
     "kernel_piece_weights", "assemble_fredholm", "solve_fredholm",
     "solve_fredholm_eigen", "solve_volterra2", "solve_volterra1",
-    "backend_name",
     "__version__",
 ]

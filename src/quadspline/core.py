@@ -5,7 +5,9 @@ all real, so complex-valued data is a documented non-goal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -40,9 +42,14 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     """Build the grid with nodes a + k*h, k = 0..n, h = (b-a)/n.
 
     Nodes are computed directly from the index (no cumulative addition) and
-    the last node is forced to exactly b. Requires a < b and n >= 2: the
-    coefficient recursion needs at least one interior node.
+    the last node is forced to exactly b. Requires finite a < b and an
+    integer n >= 2: the coefficient recursion needs at least one interior
+    node.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidDomainError(f"need finite endpoints, got a={a}, b={b}")
+    if not isinstance(n, Integral):
+        raise InvalidDomainError(f"need an integer n, got n={n!r}")
     if not a < b:
         raise InvalidDomainError(f"need a < b, got a={a}, b={b}")
     if n < 2:

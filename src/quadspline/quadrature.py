@@ -8,7 +8,7 @@ integral_eq.SolveReport.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
 
-@lru_cache(maxsize=None)
+@cache
 def gauss_legendre(order: int) -> QuadratureRule:
     """Standard Gauss-Legendre rule of the given order (1..32)."""
     if not 1 <= order <= MAX_ORDER:

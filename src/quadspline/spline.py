@@ -5,25 +5,24 @@ On each subinterval I_k = [x_{k-1}, x_k] the spline is the chord through
 a_k * (x - x_{k-1}) * (x - x_k). Slope continuity at interior nodes forces
 the recursion a_{k+1} = d_k - a_k on the scaled second differences
 d_k = (y_{k-1} - 2 y_k + y_{k+1}) / h^2, leaving a single free parameter:
-the first coefficient. It is fixed in closed form by minimizing the
-fluctuation energy (h^5/30) * sum(a_k^2), i.e. the squared L2 gap between
-the spline and the piecewise-linear interpolant. No linear system is ever
-solved: interpolation costs one matrix-vector product with a matrix that
-depends only on n and h.
+the first coefficient. It is fixed by minimizing the fluctuation energy
+(h^5/30) * sum(a_k^2), i.e. the squared L2 gap between the spline and the
+piecewise-linear interpolant. No linear system is ever solved: with
+b_k = (-1)^{k+1} a_k the recursion is a prefix sum and the energy is
+minimal when the b_k sum to zero, so all n coefficients cost one cumsum.
 
-Three mathematically equivalent coefficient paths are exposed (recursion,
-closed form, matrix product); the test suite holds them to 1e-10 of each
-other, which pins down the matrix entries against the recursion oracle.
+build_spline uses that closed form (coeffs_closed_form) as its only path.
+coeffs_by_recursion with optimal_first_coefficient is kept as the test
+oracle it is held to. coefficient_matrix applies the same closed form to
+unit sample vectors, giving the linear operator collocation needs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from . import _backend
 from .core import Grid, OutOfDomainError, ScalarFunction, eval_many, make_grid, sample
 
 
@@ -36,7 +35,11 @@ def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
     if y.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    return (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (grid.h * grid.h)
+    return _second_differences(y, grid.h)
+
+
+def _second_differences(y: np.ndarray, h: float) -> np.ndarray:
+    return (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (h * h)
 
 
 def optimal_first_coefficient(deltas: np.ndarray, n: int) -> float:
@@ -56,7 +59,8 @@ def optimal_first_coefficient(deltas: np.ndarray, n: int) -> float:
 def coeffs_by_recursion(first: float, deltas: np.ndarray) -> np.ndarray:
     """Propagate a_{k+1} = d_k - a_k from the given first coefficient.
 
-    This is the ground-truth path the other two are validated against.
+    Test oracle for coeffs_closed_form, together with
+    optimal_first_coefficient.
     """
     d = np.asarray(deltas, dtype=float)
     a = np.empty(d.size + 1)
@@ -67,27 +71,29 @@ def coeffs_by_recursion(first: float, deltas: np.ndarray) -> np.ndarray:
 
 
 def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
-    """All n coefficients directly, without the recursion.
+    """All n energy-minimizing coefficients in O(n), without the recursion.
 
-    a_k = (-1)^{k+1} * sum_j w_j(k) (-1)^j d_j with w_j(k) = j/n - 1 for
-    j > k-1 and j/n otherwise; k = 1 reduces to the energy minimizer.
+    b_k = (-1)^{k+1} a_k satisfies b_{k+1} = b_k + (-1)^k d_k, so
+    b = b_1 + c with c = [0, cumsum((-1)^j d_j)]. sum(b_k^2) is minimal
+    exactly when sum(b_k) = 0, hence b = c - mean(c). Works along axis 0:
+    a (n-1) x m array of second differences gives an n x m result.
     """
     d = np.asarray(deltas, dtype=float)
-    if d.shape != (n - 1,):
+    if d.shape[:1] != (n - 1,):
         raise ValueError(f"expected {n - 1} second differences, got {d.shape}")
-    k = np.arange(1, n + 1)[:, None]
-    j = np.arange(1, n)[None, :]
-    w = j / n - (j > k - 1)
-    signs = (-1.0) ** (k + 1) * (-1.0) ** j
-    return (signs * w) @ d
+    signs = np.where(np.arange(1, n) % 2 == 0, 1.0, -1.0)
+    c = np.zeros((n,) + d.shape[1:])
+    np.cumsum(signs.reshape((-1,) + (1,) * (d.ndim - 1)) * d, axis=0, out=c[1:])
+    coeffs = c - c.mean(axis=0)
+    coeffs[1::2] *= -1.0
+    return coeffs
 
 
 @dataclass(frozen=True)
 class CoeffMatrix:
     """Data-independent n x (n+1) matrix mapping node samples to coefficients.
 
-    Depends only on n and h, so it is built once per grid shape and reused
-    for every sample vector. Rows sum to zero: constant data has no
+    Depends only on n and h. Rows sum to zero: constant data has no
     curvature, hence all coefficients vanish.
     """
 
@@ -99,21 +105,20 @@ class CoeffMatrix:
         return self.entries @ np.asarray(samples, dtype=float)
 
 
-@lru_cache(maxsize=64)
-def _coeff_matrix_cached(n: int, h: float) -> CoeffMatrix:
-    entries = np.empty((n, n + 1))
-    _backend.coeff_matrix_fill(n, h, entries)
-    entries.setflags(write=False)
-    return CoeffMatrix(n, h, entries)
-
-
 def coefficient_matrix(n: int, h: float) -> CoeffMatrix:
-    """Build (or fetch from cache) the coefficient matrix for n pieces of width h."""
+    """Coefficient matrix for n pieces of width h.
+
+    Column j is coeffs_closed_form of the second differences of the j-th
+    unit sample vector, so C @ y matches build_spline up to roundoff.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not h > 0:
         raise ValueError(f"need h > 0, got {h}")
-    return _coeff_matrix_cached(int(n), float(h))
+    n, h = int(n), float(h)
+    entries = coeffs_closed_form(_second_differences(np.eye(n + 1), h), n)
+    entries.setflags(write=False)
+    return CoeffMatrix(n, h, entries)
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,22 @@ class SplineModel:
     def _eval(self, x, deriv: int):
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
-        xs = np.ascontiguousarray(np.atleast_1d(xs))
+        xs = np.atleast_1d(xs)
         g = self.grid
-        if np.any(xs < g.a) or np.any(xs > g.b):
-            bad = xs[(xs < g.a) | (xs > g.b)][0]
-            raise OutOfDomainError(f"x={bad} outside [{g.a}, {g.b}]")
-        out = np.empty_like(xs)
-        _backend.eval_batch(xs, g.a, g.h, g.n, self.samples, self.coeffs, deriv, out)
+        outside = ~((xs >= g.a) & (xs <= g.b))  # NaN counts as outside
+        if np.any(outside):
+            raise OutOfDomainError(f"x={xs[outside][0]} outside [{g.a}, {g.b}]")
+        # piece index min(n, 1 + floor((x - a)/h)): a node between two pieces
+        # takes the right-hand one, and both agree there by construction
+        k = np.clip(np.floor((xs - g.a) / g.h).astype(np.int64) + 1, 1, g.n)
+        xk1 = g.a + (k - 1) * g.h
+        xk = g.a + k * g.h
+        y, ak = self.samples, self.coeffs[k - 1]
+        if deriv:
+            out = (y[k] - y[k - 1]) / g.h + ak * (2.0 * xs - xk1 - xk)
+        else:
+            out = ((xs - xk1) * y[k] - (xs - xk) * y[k - 1]) / g.h \
+                + ak * ((xs - xk1) * (xs - xk))
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -151,11 +165,18 @@ class SplineModel:
 
 
 def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
-    """Interpolating spline through the samples, coefficients via the matrix path."""
+    """Interpolating spline through the samples, coefficients in closed form.
+
+    Raises ValueError naming the first non-finite sample.
+    """
     y = np.array(samples, dtype=float)  # own copy: the model freezes it
     if y.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    coeffs = coefficient_matrix(grid.n, grid.h).apply(y)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sample {i} at x={grid.nodes[i]} is not finite: {y[i]}")
+    coeffs = coeffs_closed_form(second_differences(y, grid), grid.n)
     y.setflags(write=False)
     coeffs.setflags(write=False)
     return SplineModel(grid, y, coeffs)

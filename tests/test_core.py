@@ -33,10 +33,19 @@ class TestMakeGrid:
         with pytest.raises(InvalidDomainError):
             make_grid(a, b, n)
 
-    @pytest.mark.parametrize("a,b", [(1, 0), (2, 2)])
+    @pytest.mark.parametrize("a,b", [(1, 0), (2, 2), (0, np.inf), (-np.inf, 1),
+                                     (np.nan, 1), (0, np.nan)])
     def test_bad_interval(self, a, b):
         with pytest.raises(InvalidDomainError):
             make_grid(a, b, 4)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    def test_non_integer_n(self, n):
+        with pytest.raises(InvalidDomainError):
+            make_grid(0, 1, n)
+
+    def test_numpy_integer_n(self):
+        assert make_grid(0, 1, np.int64(4)) == make_grid(0, 1, 4)
 
     def test_equality_ignores_derived_fields(self):
         assert make_grid(0, 1, 4) == make_grid(0, 1, 4)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,21 @@ class TestCoefficientPaths:
         np.testing.assert_allclose(coeffs_closed_form(d, n), expected,
                                    rtol=1e-10, atol=1e-10 * (1 + np.abs(expected).max()))
 
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_large_n_matches_exact_arithmetic(self, n):
+        # the recursion oracle evaluated exactly on the float samples; the
+        # 1/h^2 scaling of the second differences punishes any cancellation
+        g = make_grid(0.0, 1.0, n)
+        y = sample(lambda x: np.sin(2 * np.pi * x), g)
+        ys, h2 = [Fraction(v) for v in y], Fraction(g.h) ** 2
+        d = [(ys[j - 1] - 2 * ys[j] + ys[j + 1]) / h2 for j in range(1, n)]
+        exact = [-sum((n - j) * (-1) ** j * d[j - 1] for j in range(1, n)) / n]
+        for dk in d:
+            exact.append(dk - exact[-1])
+        expected = np.array([float(v) for v in exact])
+        np.testing.assert_allclose(build_spline(g, y).coeffs, expected,
+                                   rtol=0, atol=1e-9 * np.abs(expected).max())
+
 
 class TestCoefficientMatrix:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 30])
@@ -119,9 +136,6 @@ class TestCoefficientMatrix:
             np.testing.assert_allclose(
                 C.apply(y), expected,
                 rtol=1e-10, atol=1e-10 * (1 + np.abs(expected).max()))
-
-    def test_cached_per_shape(self):
-        assert coefficient_matrix(5, 0.25) is coefficient_matrix(5, 0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +199,22 @@ class TestSplineModel:
                 m(bad)
             with pytest.raises(OutOfDomainError):
                 m.derivative(bad)
+
+    def test_nan_point_rejected(self):
+        _, m = spline_for(np.cos, 0, 1, 4)
+        for bad in (np.nan, np.array([0.2, np.nan, 0.7])):
+            with pytest.raises(OutOfDomainError):
+                m(bad)
+            with pytest.raises(OutOfDomainError):
+                m.derivative(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, bad):
+        g = make_grid(0, 1, 4)
+        y = np.zeros(5)
+        y[2] = y[4] = bad
+        with pytest.raises(ValueError, match=r"sample 2 at x=0\.5 "):
+            build_spline(g, y)
 
     def test_scalar_and_array_calls_agree(self):
         _, m = spline_for(np.exp, 0, 1, 6)
