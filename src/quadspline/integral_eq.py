@@ -1,10 +1,15 @@
 """Spline-collocation solvers for Fredholm and Volterra integral equations.
 
 The unknown is replaced by the interpolating quadratic spline and the
-equation is enforced at the grid nodes. Because every piece's quadratic
-coefficient is a linear functional of ALL node samples (through the
-coefficient matrix), the collocation systems are dense even for Volterra
-problems; they stay small, so that costs nothing.
+equation is enforced at the grid nodes. All four solvers get their rows
+from one integral operator, int_a^upper K(x, s) S(s) ds as a linear map of
+the node samples; Fredholm rows integrate up to b, Volterra rows up to
+their own point. Because every piece's quadratic coefficient is a linear
+functional of ALL node samples (through the coefficient matrix), the
+collocation systems are dense even for Volterra problems; they stay
+small, so that costs nothing. `kernel_piece_weights` is the per-piece
+form of the same integral, kept as the oracle the operator is tested
+against.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -27,7 +32,8 @@ import numpy as np
 
 from .core import Grid, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
-from .quadrature import QuadratureRule, gauss_legendre, integrate_panels, l2_error
+from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
+                         panel_points)
 from .spline import CoeffMatrix, SplineModel, build_spline, coefficient_matrix
 
 Kernel = Callable[[float, float], float]
@@ -58,14 +64,15 @@ class IntegralProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
+        make_grid(*self.interval, self.n)
         if _NEEDS_FORCING[self.kind] != (self.forcing is not None):
             raise ValueError(f"kind {self.kind!r}: forcing "
                              f"{'required' if _NEEDS_FORCING[self.kind] else 'not allowed'}")
         if _NEEDS_LAMBDA[self.kind] != (self.lam is not None):
             raise ValueError(f"kind {self.kind!r}: lam "
                              f"{'required' if _NEEDS_LAMBDA[self.kind] else 'not allowed'}")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ValueError(f"need a finite lam, got {self.lam!r}")
         if self.kind == "volterra1" and self.interval[0] != 0.0:
             raise ValueError("first-kind Volterra problems must start at x = 0")
 
@@ -92,15 +99,23 @@ class SolveReport:
     eigen: Optional[tuple[tuple[float, "SolveReport"], ...]] = None
 
 
-def _kernel_values(kernel: Kernel, x: float, s: np.ndarray) -> np.ndarray:
+def _kernel_values(kernel: Kernel, x, s) -> np.ndarray:
+    """K on the broadcast of x and s: one vectorised call, else point by point.
+
+    A vectorised result that broadcasts to the full shape (a constant kernel
+    returning a scalar, say) is broadcast.
+    """
+    x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
+    shape = np.broadcast_shapes(x.shape, s.shape)
     try:
         v = np.asarray(kernel(x, s), dtype=float)
-        if v.shape == s.shape:
-            return v
+        if np.broadcast_shapes(v.shape, shape) == shape:
+            return np.broadcast_to(v, shape)
     except Exception:
         pass
-    return np.array([float(kernel(x, si)) for si in s])
+    xs, ss = np.broadcast_arrays(x, s)
+    return np.array([float(kernel(xi, si)) for xi, si in zip(xs.flat, ss.flat)]).reshape(shape)
 
 
 def kernel_piece_weights(
@@ -117,7 +132,9 @@ def kernel_piece_weights(
     Works for ANY sample vector y: the chord part of piece k contributes
     only to nodes k-1 and k, while the quadratic correction spreads across
     all nodes through row k of the coefficient matrix. `upper` truncates
-    the integration to [x_{k-1}, upper] (used for partial last pieces).
+    the integration to [x_{k-1}, upper]. The solvers use _integral_operator;
+    this per-piece form is the oracle it is tested against, `upper` serving
+    the truncated rows.
     """
     if not 1 <= k <= grid.n:
         raise ValueError(f"piece index {k} outside 1..{grid.n}")
@@ -138,15 +155,34 @@ def kernel_piece_weights(
     return w
 
 
-def _alpha_matrix(problem: IntegralProblem, grid: Grid,
-                  coeffs: CoeffMatrix, rule: QuadratureRule) -> np.ndarray:
-    n = grid.n
-    alpha = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        for k in range(1, n + 1):
-            alpha[j] += kernel_piece_weights(problem.kernel, grid.nodes[j],
-                                             grid, k, coeffs, rule)
-    return alpha
+def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
+                       xs: np.ndarray, upper) -> np.ndarray:
+    """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
+
+    S is the spline through any samples y. Every piece is integrated with
+    `rule` over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], so pieces beyond
+    upper_i have zero width. The kernel is evaluated once per quadrature
+    node, on the len(xs) x n grid of (row, piece) pairs, and the moments
+    are accumulated as in kernel_piece_weights.
+    """
+    xs = np.asarray(xs, dtype=float)[:, None]
+    upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
+    h = grid.h
+    starts = grid.nodes[:-1]
+    half = 0.5 * (np.clip(upper, starts, grid.nodes[1:]) - starts)
+    left = np.zeros_like(half)
+    right = np.zeros_like(half)
+    quad = np.zeros_like(half)
+    for t, weight in zip(rule.nodes, rule.weights):
+        dl = half * (1.0 + t)  # s - x_{k-1}
+        kw = weight * half * _kernel_values(kernel, xs, starts + dl)
+        left += kw * dl
+        right += kw * (dl - h)
+        quad += kw * dl * (dl - h)
+    W = quad @ coefficient_matrix(grid.n, h).entries
+    W[:, 1:] += left / h
+    W[:, :-1] -= right / h
+    return W
 
 
 def assemble_fredholm(
@@ -155,14 +191,14 @@ def assemble_fredholm(
     """Collocation system for a Fredholm problem.
 
     Second kind: returns (I - lam*alpha, f at nodes). Eigenvalue case:
-    returns (alpha, zeros) so the caller can scan det(I - lam*alpha).
+    returns (alpha, zeros); the characteristic values are the roots of
+    det(I - lam*alpha).
     """
     if problem.kind not in ("fredholm2", "fredholm_eigen"):
         raise ValueError(f"not a Fredholm problem: {problem.kind!r}")
     rule = rule or gauss_legendre(8)
     grid = problem.grid()
-    coeffs = coefficient_matrix(grid.n, grid.h)
-    alpha = _alpha_matrix(problem, grid, coeffs, rule)
+    alpha = _integral_operator(problem.kernel, grid, rule, grid.nodes, grid.b)
     if problem.kind == "fredholm_eigen":
         return alpha, np.zeros(grid.n + 1)
     return np.eye(grid.n + 1) - problem.lam * alpha, sample(problem.forcing, grid)
@@ -220,7 +256,6 @@ def solve_fredholm_eigen(
     lo: float,
     hi: float,
     rule: Optional[QuadratureRule] = None,
-    scan_points: int = 2000,
 ) -> SolveReport:
     """Characteristic values of the homogeneous problem in [lo, hi].
 
@@ -235,7 +270,7 @@ def solve_fredholm_eigen(
     grid = problem.grid()
     a, b = problem.interval
     pairs = []
-    for res in find_real_eigenvalues(alpha, lo, hi, scan_points):
+    for res in find_real_eigenvalues(alpha, lo, hi):
         vec = res.vector
         if problem.reference is not None:
             vec = _rescale_to_reference(problem, grid, vec)
@@ -268,38 +303,12 @@ def solve_volterra2(
         raise ValueError(f"expected kind 'volterra2', got {problem.kind!r}")
     rule = rule or gauss_legendre(8)
     grid = problem.grid()
-    n = grid.n
-    coeffs = coefficient_matrix(n, grid.h)
-    A = np.eye(n + 1)
-    rhs = sample(problem.forcing, grid)
-    for j in range(1, n + 1):
-        acc = np.zeros(n + 1)
-        for k in range(1, j + 1):
-            acc += kernel_piece_weights(problem.kernel, grid.nodes[j],
-                                        grid, k, coeffs, rule)
-        A[j] -= problem.lam * acc
-    y = solve_dense(A, rhs)
+    A = np.eye(grid.n + 1) - problem.lam * _integral_operator(
+        problem.kernel, grid, rule, grid.nodes, grid.nodes)
+    y = solve_dense(A, sample(problem.forcing, grid))
     model = build_spline(grid, y)
     e2, emax = _metrics(problem, model, y, grid)
     return SolveReport(problem, model.samples, model, e2, emax)
-
-
-def _volterra_accumulated(problem: IntegralProblem, model: SplineModel,
-                          x: float, rule: QuadratureRule) -> float:
-    """int_0^x K(x, s) S(s) ds for x inside the last piece."""
-    grid = model.grid
-    total = 0.0
-    for k in range(1, grid.n):
-        xk1, xk = grid.nodes[k - 1], grid.nodes[k]
-        mid, half = 0.5 * (xk1 + xk), 0.5 * (xk - xk1)
-        s = mid + half * rule.nodes
-        total += half * float(np.sum(rule.weights * _kernel_values(problem.kernel, x, s) * model(s)))
-    xk1 = grid.nodes[grid.n - 1]
-    if x > xk1:
-        mid, half = 0.5 * (xk1 + x), 0.5 * (x - xk1)
-        s = mid + half * rule.nodes
-        total += half * float(np.sum(rule.weights * _kernel_values(problem.kernel, x, s) * model(s)))
-    return total
 
 
 def solve_volterra1(
@@ -319,28 +328,21 @@ def solve_volterra1(
         raise ValueError(f"expected kind 'volterra1', got {problem.kind!r}")
     rule = rule or gauss_legendre(8)
     grid = problem.grid()
-    n = grid.n
-    coeffs = coefficient_matrix(n, grid.h)
-    B = np.zeros((n, n + 1))
-    for row, j in enumerate(range(1, n + 1)):
-        for k in range(1, j + 1):
-            B[row] += kernel_piece_weights(problem.kernel, grid.nodes[j],
-                                           grid, k, coeffs, rule)
-    f_nodes = eval_many(problem.forcing, grid.nodes[1:])
-    u = np.concatenate(([0.0], solve_dense(B[:, 1:], f_nodes)))
+    nodes = grid.nodes[1:]
+    B = _integral_operator(problem.kernel, grid, rule, nodes, nodes)
+    u = np.concatenate(([0.0], solve_dense(B[:, 1:], eval_many(problem.forcing, nodes))))
     w = np.concatenate(([1.0], solve_dense(B[:, 1:], -B[:, 0])))
-    model_u = build_spline(grid, u)
-    model_w = build_spline(grid, w)
 
-    def defect_u(x: float) -> float:
-        return -float(problem.forcing(x)) + _volterra_accumulated(problem, model_u, x, rule)
-
-    def defect_w(x: float) -> float:
-        return _volterra_accumulated(problem, model_w, x, rule)
-
-    x_lo, x_hi = grid.nodes[n - 1], grid.nodes[n]
-    num = integrate_panels(lambda x: defect_u(x) * defect_w(x), x_lo, x_hi, 4, rule)
-    den = integrate_panels(lambda x: defect_w(x) ** 2, x_lo, x_hi, 4, rule)
+    # the defect int_0^x K(x, s) S(s) ds - f(x) over the last piece, at the
+    # points of a 4-panel composite rule
+    pts, half = panel_points(grid.nodes[-2], grid.b, 4, rule)
+    pts = pts.ravel()
+    R = _integral_operator(problem.kernel, grid, rule, pts, pts)
+    defect_u = R @ u - eval_many(problem.forcing, pts)
+    defect_w = R @ w
+    weights = np.outer(half, rule.weights).ravel()
+    num = float(weights @ (defect_u * defect_w))
+    den = float(weights @ defect_w**2)
     if den < 1e-14:
         raise DegenerateProblemError(
             f"defect is insensitive to the endpoint value (integral {den!r})")

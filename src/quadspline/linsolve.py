@@ -1,11 +1,13 @@
-"""Dense solves, determinants, and real-eigenvalue search by determinant roots.
+"""Dense solves, determinants, and the real characteristic values of a matrix.
 
 Matrices are plain 2-D float arrays. The solver is LU with partial pivoting,
 written out here (rather than delegated) because the contract fixes the
-pivot-underflow threshold and the determinant needs sign-tracked elimination
-that degrades to 0 instead of raising; numpy.linalg serves as the oracle in
-the tests. Sizes stay small (collocation on a few dozen nodes), so there is
-nothing to gain from LAPACK anyway.
+pivot-underflow threshold, and inverse iteration needs the same elimination
+with underflowing pivots clamped instead of rejected; numpy.linalg serves
+as the oracle in the tests. Characteristic values, the roots of
+det(I - lambda*alpha), come from the eigenvalues of alpha (LAPACK);
+`determinant` stays as the sign-tracked oracle those roots are tested
+against.
 """
 from __future__ import annotations
 
@@ -22,6 +24,13 @@ class SingularMatrixError(ArithmeticError):
 
 def _inf_norm(A: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
+
+
+def _require_finite(name: str, A: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
 def _pivoted_solve(A: np.ndarray, b: np.ndarray, pivot_floor) -> np.ndarray:
@@ -59,17 +68,22 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by LU with partial pivoting.
 
     Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL * ||A||_inf.
+    PIVOT_RTOL * ||A||_inf, and ValueError naming the first non-finite
+    entry of A or b.
     """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _require_finite("A", A)
+    _require_finite("b", b)
     return _pivoted_solve(A, b, None)
 
 
 def determinant(A: np.ndarray) -> float:
     """Determinant via pivoted elimination with sign tracking.
 
-    No pivot threshold here: the eigenvalue scan needs det to pass smoothly
-    through zero, so an exactly-zero pivot returns 0 and anything else is
-    eliminated as-is.
+    No pivot threshold here: as the oracle for the roots of
+    det(I - lam*alpha) it must pass smoothly through zero, so an
+    exactly-zero pivot returns 0 and anything else is eliminated as-is.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -102,42 +116,6 @@ class EigenResult:
     residual: float
 
 
-def _char_det(alpha: np.ndarray, lam: float) -> float:
-    return determinant(np.eye(alpha.shape[0]) - lam * alpha)
-
-
-def _bisect_root(alpha, lo, hi, glo, tol=1e-10):
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = _char_det(alpha, mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
-
-
-def _refine_min(alpha, lo, hi, tol=1e-10):
-    # golden-section search on |det(I - lam*alpha)|
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = abs(_char_det(alpha, x1))
-    f2 = abs(_char_det(alpha, x2))
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = abs(_char_det(alpha, x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = abs(_char_det(alpha, x2))
-    return 0.5 * (lo + hi)
-
-
 def _null_vector(alpha: np.ndarray, lam: float, seed: int = 20240901):
     """Inverse iteration on (I - lam*alpha): 3 solves from a random start.
 
@@ -158,52 +136,31 @@ def _null_vector(alpha: np.ndarray, lam: float, seed: int = 20240901):
     return v, residual
 
 
-def find_real_eigenvalues(
-    alpha: np.ndarray, lo: float, hi: float, scan_points: int = 2000
-) -> list[EigenResult]:
+def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[EigenResult]:
     """All real roots of det(I - lambda*alpha) in [lo, hi].
 
-    Scans a uniform mesh for sign changes (bisected to 1e-10) and refines
-    every strict local minimum of |det| as well, keeping those whose refined
-    value drops below 1e-8 of the scan maximum: near-double roots need not
-    produce a sign change on the mesh. Each root is paired with a null
-    vector from inverse iteration; candidates whose residual exceeds
-    1e-8 * ||alpha||_inf are discarded as spurious.
+    The roots are lambda = 1/mu for the nonzero eigenvalues mu of alpha.
+    Eigenvalues with |Im mu| <= 1e-6 |mu| count as real, and sorted values
+    within 1e-6 (1 + |lambda|) of each other merge into their mean: LAPACK
+    returns a defective double root as a pair split by about sqrt(eps),
+    and the pair's mean is far more accurate than either member. Each root
+    is paired with a null vector from inverse iteration; candidates whose
+    residual exceeds 1e-8 * ||alpha||_inf are discarded as spurious.
+    Raises ValueError naming the first non-finite entry of alpha.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError(f"matrix not square: {alpha.shape}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if scan_points < 10:
-        raise ValueError(f"need scan_points >= 10, got {scan_points}")
+    _require_finite("alpha", alpha)
 
-    lams = np.linspace(lo, hi, scan_points)
-    g = np.array([_char_det(alpha, lam) for lam in lams])
-    gmax = float(np.max(np.abs(g)))
-    if gmax == 0.0:
-        return []
-
-    candidates: list[float] = []
-    for i in range(scan_points - 1):
-        if g[i] == 0.0:
-            candidates.append(float(lams[i]))
-        elif g[i] * g[i + 1] < 0:
-            candidates.append(_bisect_root(alpha, lams[i], lams[i + 1], g[i]))
-    if g[-1] == 0.0:
-        candidates.append(float(lams[-1]))
-
-    ag = np.abs(g)
-    for i in range(1, scan_points - 1):
-        if ag[i] < ag[i - 1] and ag[i] < ag[i + 1]:
-            lam = _refine_min(alpha, lams[i - 1], lams[i + 1])
-            if abs(_char_det(alpha, lam)) <= 1e-8 * gmax:
-                candidates.append(lam)
-
-    roots: list[float] = []
-    for lam in sorted(candidates):
-        if not any(abs(lam - r) <= 1e-6 * (1.0 + abs(r)) for r in roots):
-            roots.append(lam)
+    mu = np.linalg.eigvals(alpha)
+    mu = mu[(mu != 0) & (np.abs(mu.imag) <= 1e-6 * np.abs(mu))]
+    lams = np.sort(1.0 / mu.real)
+    lams = lams[(lams >= lo) & (lams <= hi)]
+    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * (1.0 + np.abs(lams[:-1]))) + 1
+    roots = [float(c.mean()) for c in np.split(lams, breaks) if c.size]
 
     tol = 1e-8 * _inf_norm(alpha)
     results = []
@@ -211,5 +168,5 @@ def find_real_eigenvalues(
         vector, residual = _null_vector(alpha, lam)
         if residual <= tol:
             vector.setflags(write=False)
-            results.append(EigenResult(float(lam), vector, residual))
+            results.append(EigenResult(lam, vector, residual))
     return results

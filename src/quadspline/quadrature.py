@@ -51,12 +51,22 @@ def integrate_panels(
         raise ValueError(f"need panels >= 1, got {panels}")
     if hi == lo:
         return 0.0
+    pts, half = panel_points(lo, hi, panels, rule)
+    vals = eval_many(f, pts.ravel()).reshape(pts.shape)
+    return float(np.sum(half * (vals @ rule.weights)))
+
+
+def panel_points(
+    lo: float, hi: float, panels: int, rule: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the composite rule, shape (panels, order), and each panel's half-width.
+
+    The integral of f is sum(half * (f(nodes) @ rule.weights)).
+    """
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    vals = eval_many(f, pts).reshape(panels, rule.order)
-    return float(np.sum(half * (vals @ rule.weights)))
+    return mid[:, None] + half[:, None] * rule.nodes[None, :], half
 
 
 def l2_error(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from quadspline import (DegenerateProblemError, IntegralProblem,
-                        assemble_fredholm, build_spline, coefficient_matrix,
-                        gauss_legendre, integrate_panels, kernel_piece_weights,
-                        l2_error, make_grid, solve_fredholm,
-                        solve_fredholm_eigen, solve_volterra1, solve_volterra2)
+                        InvalidDomainError, assemble_fredholm, build_spline,
+                        coefficient_matrix, gauss_legendre, integrate_panels,
+                        kernel_piece_weights, l2_error, make_grid,
+                        solve_fredholm, solve_fredholm_eigen, solve_volterra1,
+                        solve_volterra2)
+from quadspline.integral_eq import _integral_operator
 
 RULE8 = gauss_legendre(8)
 
@@ -54,6 +56,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="lam not allowed"):
             IntegralProblem("volterra1", lambda x, s: 0.0, (0, 1), 4,
                             forcing=np.sin, lam=2.0)
+
+    @pytest.mark.parametrize("interval,n", [((0, 1), 2.5), ((0, 1), 4.0),
+                                            ((0, np.inf), 4), ((np.nan, 1), 4),
+                                            ((1, 0), 4)])
+    def test_grid_validated_at_construction(self, interval, n):
+        with pytest.raises(InvalidDomainError):
+            IntegralProblem("fredholm2", lambda x, s: 0.0, interval, n,
+                            forcing=np.sin, lam=1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite lam"):
+            IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1), 4,
+                            forcing=np.sin, lam=lam)
 
     def test_volterra1_starts_at_zero(self):
         with pytest.raises(ValueError, match="start at x = 0"):
@@ -106,6 +122,52 @@ class TestKernelPieceWeights:
         C = coefficient_matrix(4, g.h)
         with pytest.raises(ValueError):
             kernel_piece_weights(lambda x, s: 1.0, 0.3, g, 5, C, RULE8)
+
+
+def summed_piece_weights(kernel, grid, xs, upper):
+    """Oracle for _integral_operator: row i sums the piece weights of
+    kernel_piece_weights over [a, upper_i], truncating the last piece."""
+    C = coefficient_matrix(grid.n, grid.h)
+    rows = np.zeros((len(xs), grid.n + 1))
+    for i, (x, hi) in enumerate(zip(xs, upper)):
+        for k in range(1, grid.n + 1):
+            if hi <= grid.nodes[k - 1]:
+                break
+            rows[i] += kernel_piece_weights(kernel, x, grid, k, C, RULE8,
+                                            upper=min(hi, grid.nodes[k]))
+    return rows
+
+
+class TestIntegralOperator:
+    KERNELS = {
+        "polynomial": random_poly_kernel(np.random.default_rng(41)),
+        "constant": lambda x, s: 1.0,
+        "scalar_only": lambda x, s: math.exp(x * s),
+    }
+
+    @pytest.mark.parametrize("rows", ["full", "causal", "mid_last_piece"])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_rows_match_summed_piece_weights(self, rows, name, n):
+        kernel = self.KERNELS[name]
+        g = make_grid(-0.5, 1.5, n)
+        if rows == "full":
+            xs, upper = g.nodes, np.full(n + 1, g.b)
+        elif rows == "causal":
+            xs = upper = g.nodes
+        else:
+            xs = upper = g.nodes[-2] + g.h * np.array([0.1, 0.5, 0.9])
+        W = _integral_operator(kernel, g, RULE8, xs, upper)
+        oracle = summed_piece_weights(kernel, g, xs, upper)
+        scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+        assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
+
+    def test_scalar_upper_broadcasts(self):
+        g = make_grid(0, 1, 5)
+        kernel = self.KERNELS["polynomial"]
+        np.testing.assert_array_equal(
+            _integral_operator(kernel, g, RULE8, g.nodes, g.b),
+            _integral_operator(kernel, g, RULE8, g.nodes, np.full(6, g.b)))
 
 
 class TestAssembleFredholm:
@@ -231,6 +293,22 @@ class TestSolveFredholmEigen:
         assert len(r.eigen) == 1
         assert r.eigen[0][0] == pytest.approx(3.0, abs=1e-6)
         assert r.eigen[0][1].error_max < 1e-8
+
+    @pytest.mark.parametrize("n,roots", [
+        (5, (-3.21785007528, -2.80138069399)),
+        (9, (-3.06507607284, -2.93675319549)),
+        (11, (-3.04335666668, -2.95746300547))])
+    def test_split_roots_at_odd_n(self, n, roots):
+        # an odd piece count does not reproduce x^2, so the double root -3
+        # splits into two simple ones
+        r = solve_fredholm_eigen(self.problem(n), -10, 0)
+        np.testing.assert_allclose([v for v, _ in r.eigen], roots, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [20, 40, 60, 100])
+    def test_double_root_at_even_n(self, n):
+        r = solve_fredholm_eigen(self.problem(n), -10, 0)
+        assert len(r.eigen) == 1
+        assert abs(r.eigen[0][0] + 3.0) <= 1e-9
 
     def test_empty_bracket(self):
         r = solve_fredholm_eigen(self.problem(5), 5, 10)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from quadspline import (SingularMatrixError, determinant,
+from quadspline import (SingularMatrixError, assemble_fredholm, determinant,
                         find_real_eigenvalues, solve_dense)
 from quadspline.linsolve import _inf_norm
+from quadspline.registry import get_problem
 
 
 def random_well_conditioned(rng, n):
@@ -51,6 +52,19 @@ class TestSolveDense:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_dense(np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_named(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match=r"A\[1, 2\] is not finite"):
+            solve_dense(A, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_named(self, bad):
+        b = np.array([1.0, 2.0, bad])
+        with pytest.raises(ValueError, match=r"b\[2\] is not finite"):
+            solve_dense(np.eye(3), b)
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(77)
@@ -100,6 +114,20 @@ class TestDeterminant:
             assert determinant(A) == pytest.approx(np.linalg.det(A), rel=1e-9)
 
 
+def assert_sign_changes_are_roots(alpha, lo, hi, mesh=500):
+    """Determinant oracle: every sign change of det(I - lam*alpha) on a
+    uniform mesh of [lo, hi] lies within 1e-6 of a returned root."""
+    roots = np.array([r.value for r in find_real_eigenvalues(alpha, lo, hi)])
+    lams = np.linspace(lo, hi, mesh)
+    eye = np.eye(alpha.shape[0])
+    dets = np.array([determinant(eye - lam * alpha) for lam in lams])
+    changes = np.flatnonzero(dets[:-1] * dets[1:] < 0)
+    assert changes.size
+    for i in changes:
+        assert np.any((roots >= lams[i] - 1e-6) & (roots <= lams[i + 1] + 1e-6)), \
+            (lams[i], lams[i + 1], roots)
+
+
 class TestFindRealEigenvalues:
     def test_scalar_case(self):
         results = find_real_eigenvalues(np.array([[0.25]]), 0, 10)
@@ -140,10 +168,26 @@ class TestFindRealEigenvalues:
         assert len(results) == 1
         assert results[0].value == pytest.approx(2.0, abs=1e-6)
 
+    def test_non_finite_alpha_named(self):
+        alpha = np.eye(3)
+        alpha[2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"alpha\[2, 0\] is not finite"):
+            find_real_eigenvalues(alpha, -5, 5)
+
+    def test_determinant_oracle_random_symmetric(self):
+        rng = np.random.default_rng(11)
+        alpha = rng.standard_normal((6, 6))
+        alpha = alpha + alpha.T
+        assert_sign_changes_are_roots(alpha, -5.0, 5.0)
+
+    @pytest.mark.parametrize("n", [5, 9, 11])
+    def test_determinant_oracle_krasnov2(self, n):
+        entry = get_problem("krasnov2")
+        alpha, _ = assemble_fredholm(entry.problem(n))
+        assert_sign_changes_are_roots(alpha, *entry.bracket)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             find_real_eigenvalues(np.eye(2), 1, 1)
-        with pytest.raises(ValueError):
-            find_real_eigenvalues(np.eye(2), 0, 1, scan_points=5)
         with pytest.raises(ValueError):
             find_real_eigenvalues(np.ones((2, 3)), 0, 1)
