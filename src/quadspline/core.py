@@ -76,7 +76,8 @@ def eval_many(f: ScalarFunction, xs: np.ndarray) -> np.ndarray:
 def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:
     """Evaluate f at every grid node, returning the length-(n+1) sample vector.
 
-    Evaluation failures are re-raised with the offending node attached.
+    An evaluation failure is raised as a ValueError naming the offending
+    node, chained to the original exception.
     """
     try:
         values = np.asarray(f(grid.nodes), dtype=float)
@@ -89,5 +90,5 @@ def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:
         try:
             out[i] = f(x)
         except Exception as exc:
-            raise type(exc)(f"evaluation failed at node x={x}: {exc}") from exc
+            raise ValueError(f"evaluation failed at node x={x}: {exc!r}") from exc
     return out

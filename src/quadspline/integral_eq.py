@@ -33,7 +33,7 @@ import numpy as np
 from .core import Grid, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
-                         panel_points)
+                         max_error, panel_points)
 from .spline import CoeffMatrix, SplineModel, build_spline, coefficient_matrix
 
 Kernel = Callable[[float, float], float]
@@ -279,8 +279,7 @@ def solve_fredholm_eigen(
         if problem.reference is not None:
             e2 = math.sqrt(max(l2_error(model, problem.reference, a, b,
                                         grid.n, gauss_legendre(8)), 0.0))
-            xs = np.linspace(a, b, 2001)
-            emax = float(np.max(np.abs(model(xs) - eval_many(problem.reference, xs))))
+            emax = max_error(model, problem.reference, a, b)
         pairs.append((res.value,
                       SolveReport(problem, model.samples, model, e2, emax)))
     if not pairs:
@@ -318,11 +317,12 @@ def solve_volterra1(
     closure for the undetermined left-endpoint value.
 
     Collocating at x_1..x_n gives n equations in n+1 unknowns; the solution
-    is affine in y_0, obtained from two solves of the trailing n x n
-    subsystem. y_0 is then chosen to minimize the integral of the squared
-    equation defect over the last piece, a quadratic with a closed-form
-    minimizer. Raises DegenerateProblemError when the defect does not
-    depend on y_0 (e.g. a kernel that annihilates the first piece).
+    is affine in y_0, obtained from one two-column solve of the trailing
+    n x n subsystem. y_0 is then chosen to minimize the integral of the
+    squared equation defect over the last piece, a quadratic with a
+    closed-form minimizer. Raises DegenerateProblemError when the defect
+    does not depend on y_0 (e.g. a kernel that annihilates the first
+    piece).
     """
     if problem.kind != "volterra1":
         raise ValueError(f"expected kind 'volterra1', got {problem.kind!r}")
@@ -330,8 +330,10 @@ def solve_volterra1(
     grid = problem.grid()
     nodes = grid.nodes[1:]
     B = _integral_operator(problem.kernel, grid, rule, nodes, nodes)
-    u = np.concatenate(([0.0], solve_dense(B[:, 1:], eval_many(problem.forcing, nodes))))
-    w = np.concatenate(([1.0], solve_dense(B[:, 1:], -B[:, 0])))
+    u, w = solve_dense(B[:, 1:], np.column_stack((eval_many(problem.forcing, nodes),
+                                                  -B[:, 0]))).T
+    u = np.concatenate(([0.0], u))
+    w = np.concatenate(([1.0], w))
 
     # the defect int_0^x K(x, s) S(s) ds - f(x) over the last piece, at the
     # points of a 4-panel composite rule

@@ -22,17 +22,12 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
 
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            d = xi - nodes
-            hit = np.flatnonzero(d == 0.0)
-            if hit.size:
-                out[i] = values[hit[0]]
-            else:
-                q = weights / d
-                out[i] = np.sum(q * values) / np.sum(q)
-        return float(out[0]) if scalar else out
+        d = xs.reshape(-1, 1) - nodes
+        hit = d == 0.0
+        q = weights / np.where(hit, 1.0, d)
+        out = (q @ values) / q.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        out[rows] = values[cols]
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     return evaluate

@@ -1,11 +1,11 @@
 """Dense solves, determinants, and the real characteristic values of a matrix.
 
-Matrices are plain 2-D float arrays. The solver is LU with partial pivoting,
-written out here (rather than delegated) because the contract fixes the
-pivot-underflow threshold, and inverse iteration needs the same elimination
-with underflowing pivots clamped instead of rejected; numpy.linalg serves
-as the oracle in the tests. Characteristic values, the roots of
-det(I - lambda*alpha), come from the eigenvalues of alpha (LAPACK);
+Matrices are plain 2-D float arrays, and every factorization is LAPACK's
+through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
+condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
+does not depend on the pivot order. Characteristic values, the roots of
+det(I - lambda*alpha), come from the eigenvalues of alpha, and each null
+vector is the last right singular vector of I - lambda*alpha.
 `determinant` stays as the sign-tracked oracle those roots are tested
 against.
 """
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PIVOT_RTOL = 1e-13
+RCOND_MIN = 1e-13
 
 
 class SingularMatrixError(ArithmeticError):
-    """A pivot underflowed PIVOT_RTOL times the matrix inf-norm."""
+    """The matrix is singular, or 1/cond_inf(A) is at most RCOND_MIN."""
 
 
 def _inf_norm(A: np.ndarray) -> float:
@@ -33,49 +33,28 @@ def _require_finite(name: str, A: np.ndarray) -> None:
         raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
-def _pivoted_solve(A: np.ndarray, b: np.ndarray, pivot_floor) -> np.ndarray:
-    """Forward elimination + back substitution with partial pivoting.
-
-    pivot_floor=None raises on an underflowing pivot; a float clamps the
-    pivot to that magnitude instead (the classic inverse-iteration device
-    for solving against an intentionally near-singular matrix).
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    norm = _inf_norm(A)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) <= PIVOT_RTOL * norm:
-            if pivot_floor is None:
-                raise SingularMatrixError(f"pivot {A[p, k]!r} at column {k}")
-            A[p, k] = pivot_floor if A[p, k] >= 0 else -pivot_floor
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        m = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(m, A[k, k + 1:])
-        b[k + 1:] -= m * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
-    return x
-
-
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting.
+    """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
-    Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL * ||A||_inf, and ValueError naming the first non-finite
-    entry of A or b.
+    Raises SingularMatrixError when LAPACK finds an exactly singular factor
+    or 1/cond_inf(A) <= RCOND_MIN, and ValueError naming the first
+    non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _require_finite("A", A)
     _require_finite("b", b)
-    return _pivoted_solve(A, b, None)
+    if (A.ndim != 2 or A.shape[0] != A.shape[1]
+            or b.ndim not in (1, 2) or b.shape[0] != A.shape[0]):
+        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
+    rcond = 1.0 / np.linalg.cond(A, np.inf)
+    if rcond <= RCOND_MIN:
+        raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
+    return x
 
 
 def determinant(A: np.ndarray) -> float:
@@ -116,24 +95,13 @@ class EigenResult:
     residual: float
 
 
-def _null_vector(alpha: np.ndarray, lam: float, seed: int = 20240901):
-    """Inverse iteration on (I - lam*alpha): 3 solves from a random start.
-
-    The matrix is near-singular on purpose; underflowing pivots are clamped
-    rather than rejected, which keeps the iteration working even exactly at
-    (multiple) roots.
-    """
-    n = alpha.shape[0]
-    eye = np.eye(n)
-    shifted = eye - lam * alpha
-    floor = max(PIVOT_RTOL * _inf_norm(shifted), 1e-300)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    for _ in range(3):
-        v = _pivoted_solve(shifted, v, floor)
-        v = v / np.max(np.abs(v))
-    residual = float(np.max(np.abs(shifted @ v)))
-    return v, residual
+def _null_vector(alpha: np.ndarray, lam: float):
+    """Last right singular vector of (I - lam*alpha), largest entry scaled
+    to +1, with its residual ||(I - lam*alpha) v||_inf."""
+    shifted = np.eye(alpha.shape[0]) - lam * alpha
+    v = np.linalg.svd(shifted)[2][-1]
+    v = v / v[np.argmax(np.abs(v))]
+    return v, float(np.max(np.abs(shifted @ v)))
 
 
 def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[EigenResult]:
@@ -144,7 +112,7 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
     within 1e-6 (1 + |lambda|) of each other merge into their mean: LAPACK
     returns a defective double root as a pair split by about sqrt(eps),
     and the pair's mean is far more accurate than either member. Each root
-    is paired with a null vector from inverse iteration; candidates whose
+    is paired with its null vector (see _null_vector); candidates whose
     residual exceeds 1e-8 * ||alpha||_inf are discarded as spurious.
     Raises ValueError naming the first non-finite entry of alpha.
     """

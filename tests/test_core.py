@@ -81,6 +81,22 @@ class TestSample:
         with pytest.raises(ValueError, match="x=0.75"):
             sample(bad, g)
 
+    def test_failure_with_two_argument_exception_keeps_cause(self):
+        class LookupFailed(Exception):
+            def __init__(self, key, reason):
+                super().__init__(key, reason)
+
+        def bad(x):
+            if np.ndim(x) or x > 0.5:
+                raise LookupFailed(x, "no data")
+            return x
+
+        g = make_grid(0, 1, 4)
+        with pytest.raises(ValueError, match="x=0.75") as info:
+            sample(bad, g)
+        assert isinstance(info.value.__cause__, LookupFailed)
+        assert info.value.__cause__.args[1] == "no data"
+
     @given(st.floats(-10, 10), st.floats(0.01, 10), st.integers(2, 60))
     @settings(max_examples=50, deadline=None)
     def test_coordinate_roundtrip(self, a, width, n):

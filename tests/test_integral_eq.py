@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from quadspline import (DegenerateProblemError, IntegralProblem,
-                        InvalidDomainError, assemble_fredholm, build_spline,
+                        InvalidDomainError, SingularMatrixError,
+                        assemble_fredholm, build_spline,
                         coefficient_matrix, gauss_legendre, integrate_panels,
                         kernel_piece_weights, l2_error, make_grid,
                         solve_fredholm, solve_fredholm_eigen, solve_volterra1,
                         solve_volterra2)
 from quadspline.integral_eq import _integral_operator
+from quadspline.registry import get_problem
 
 RULE8 = gauss_legendre(8)
 
@@ -470,8 +472,8 @@ class TestSolveVolterra1:
             solve_volterra1(p)
 
     def test_degenerate_closure_detected(self):
-        # scaling the kernel down leaves the subsystem regular (the pivot
-        # threshold is relative) but pushes the defect's sensitivity to y_0
+        # scaling the kernel down leaves the subsystem regular (the condition
+        # gate is scale-invariant) but pushes the defect's sensitivity to y_0
         # below the absolute cutoff
         p = IntegralProblem("volterra1",
                             lambda x, s: 1e-7 * (x - s) ** 2, (0.0, 1.0), 4,
@@ -484,3 +486,11 @@ class TestSolveVolterra1:
                             forcing=np.sin, lam=1.0)
         with pytest.raises(ValueError):
             solve_volterra1(p)
+
+    def test_krasnov4_breaks_down_between_n20_and_n30(self):
+        # the trailing subsystem's 1/cond_inf falls from 2.2e-13 at n = 21 to
+        # 8.1e-14 at n = 22; n = 20 and n = 30 sit well clear of that edge
+        entry = get_problem("krasnov4")
+        assert solve_volterra1(entry.problem(20)).error_max < 1e-4
+        with pytest.raises(SingularMatrixError):
+            solve_volterra1(entry.problem(30))

@@ -1,0 +1,65 @@
+from math import comb
+
+import numpy as np
+import pytest
+
+from quadspline import gauss_legendre, make_grid
+from quadspline.lagrange import lagrange_interpolant
+from quadspline.quadrature import panel_points
+
+
+def barycentric_reference(nodes, values, weights, x):
+    """Oracle: the second barycentric form, one point at a time."""
+    out = []
+    for xi in x:
+        d = xi - nodes
+        if np.any(d == 0.0):
+            out.append(values[np.flatnonzero(d == 0.0)[0]])
+        else:
+            q = weights / d
+            out.append(np.sum(q * values) / np.sum(q))
+    return np.array(out)
+
+
+def equidistant_weights(n):
+    return np.array([(-1.0) ** j * comb(n, j) for j in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [10, 15, 20])
+def test_matches_per_point_reference(n):
+    # 8,640 Gauss points (720 panels of a 12-point rule, as many as table 1
+    # evaluates over n = 10, 15, 20), the kink at 0 and the nodes
+    grid = make_grid(-1.0, 1.0, n)
+    values = np.abs(grid.nodes)
+    pts, _ = panel_points(-1.0, 1.0, 720, gauss_legendre(12))
+    x = np.concatenate((pts.ravel(), [0.0], grid.nodes))
+    got = lagrange_interpolant(grid.nodes, values)(x)
+    want = barycentric_reference(grid.nodes, values, equidistant_weights(n), x)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_node_hit_returns_sample_exactly():
+    grid = make_grid(0.0, 1.0, 12)
+    values = np.sin(7.0 * grid.nodes) + 0.1
+    f = lagrange_interpolant(grid.nodes, values)
+    np.testing.assert_array_equal(f(grid.nodes), values)
+    np.testing.assert_array_equal(f(grid.nodes[::-1]), values[::-1])
+    mixed = np.array([grid.nodes[3], 0.51, grid.nodes[3]])
+    out = f(mixed)
+    assert out[0] == out[2] == values[3]
+
+
+def test_scalar_in_scalar_out():
+    grid = make_grid(-1.0, 1.0, 10)
+    f = lagrange_interpolant(grid.nodes, grid.nodes**2)
+    for x in (0.3, grid.nodes[4], np.float64(-0.7)):
+        y = f(x)
+        assert isinstance(y, float)
+        assert y == pytest.approx(x * x, rel=1e-12, abs=1e-14)
+
+
+def test_array_shape_preserved():
+    grid = make_grid(0.0, 2.0, 6)
+    f = lagrange_interpolant(grid.nodes, 3.0 * grid.nodes - 1.0)
+    x = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    np.testing.assert_allclose(f(x), 3.0 * x - 1.0, rtol=1e-12, atol=1e-12)

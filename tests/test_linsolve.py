@@ -3,7 +3,7 @@ import pytest
 
 from quadspline import (SingularMatrixError, assemble_fredholm, determinant,
                         find_real_eigenvalues, solve_dense)
-from quadspline.linsolve import _inf_norm
+from quadspline.linsolve import _inf_norm, _null_vector
 from quadspline.registry import get_problem
 
 
@@ -49,9 +49,38 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError):
             solve_dense(A, [1.0, 1.0])
 
+    def test_exactly_singular_chains_lapack_error(self):
+        with pytest.raises(SingularMatrixError) as info:
+            solve_dense(np.zeros((3, 3)), np.ones(3))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_ill_conditioned_unit_triangular_raises(self):
+        # every pivot is 1, so no pivot threshold sees it, but 1/cond_inf is
+        # about 2.9e-20 and a solve loses all accuracy
+        A = np.eye(60) - np.triu(np.ones((60, 60)), 1)
+        x_true = np.random.default_rng(0).standard_normal(60)
+        with pytest.raises(SingularMatrixError, match="cond"):
+            solve_dense(A, A @ x_true)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_dense(np.eye(3), np.ones(4))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((3, 3), (4, 2)), ((3, 3), (3, 2, 1)),
+                                                 ((3, 3), ()), ((3, 2), (3,)), ((3,), (3,))])
+    def test_shape_mismatch_cases(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_dense(np.ones(a_shape), np.ones(b_shape))
+
+    def test_columns_match_columnwise_solves(self):
+        rng = np.random.default_rng(12)
+        A = random_well_conditioned(rng, 9)
+        B = rng.standard_normal((9, 2))
+        X = solve_dense(A, B)
+        assert X.shape == (9, 2)
+        for j in range(2):
+            np.testing.assert_allclose(X[:, j], solve_dense(A, B[:, j]),
+                                       rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_named(self, bad):
@@ -160,13 +189,30 @@ class TestFindRealEigenvalues:
 
     def test_defective_double_root_found_without_sign_change(self):
         # similarity transform of a Jordan block: det(I - lam*A) = (1 - lam/2)^2
-        # never changes sign, so only the |det|-minimum fallback can see it
+        # never changes sign; eigvals splits the double root into a pair
+        # about sqrt(eps) apart, which merges into one value
         J = np.array([[0.5, 1.0], [0.0, 0.5]])
         T = np.array([[1.0, 2.0], [-1.0, 1.0]])
         A = T @ J @ np.linalg.inv(T)
         results = find_real_eigenvalues(A, 0, 5)
         assert len(results) == 1
         assert results[0].value == pytest.approx(2.0, abs=1e-6)
+
+    def test_null_vector_exactly_at_a_double_root(self):
+        # I - 2*J = [[0, -2], [0, 0]] has the null vector e_0, residual 0
+        J = np.array([[0.5, 1.0], [0.0, 0.5]])
+        v, residual = _null_vector(J, 2.0)
+        np.testing.assert_array_equal(v, [1.0, 0.0])
+        assert residual == 0.0
+
+    def test_null_vector_largest_entry_is_plus_one(self):
+        rng = np.random.default_rng(13)
+        alpha = rng.standard_normal((7, 7))
+        alpha = alpha + alpha.T
+        lam = 1.0 / np.linalg.eigvalsh(alpha)[0]
+        v, residual = _null_vector(alpha, lam)
+        assert np.max(v) == 1.0 and np.max(np.abs(v)) == 1.0
+        assert residual <= 1e-12 * _inf_norm(alpha)
 
     def test_non_finite_alpha_named(self):
         alpha = np.eye(3)
