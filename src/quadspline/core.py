@@ -5,6 +5,7 @@ all real, so complex-valued data is a documented non-goal.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -13,6 +14,8 @@ from typing import Callable
 import numpy as np
 
 ScalarFunction = Callable[[float], float]
+
+_log = logging.getLogger("quadspline")
 
 
 class InvalidDomainError(ValueError):
@@ -62,33 +65,54 @@ def make_grid(a: float, b: float, n: int) -> Grid:
 
 
 def eval_many(f: ScalarFunction, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f at an array of points, vectorized when f supports it."""
+    """Evaluate f at an array of points, vectorized when f supports it.
+
+    f is called point by point, logged at DEBUG, when the array call raises
+    TypeError or ValueError (what a scalar-only callable raises on an array)
+    or returns another shape. Any other exception propagates.
+    """
     xs = np.asarray(xs, dtype=float)
     try:
         vals = np.asarray(f(xs), dtype=float)
+    except (TypeError, ValueError) as exc:
+        _log.debug("eval_many: %r on an array raised %r; calling it per point", f, exc)
+    else:
         if vals.shape == xs.shape:
             return vals
-    except Exception:
-        pass
+        _log.debug("eval_many: %r on an array gave shape %s, not %s; calling it per point",
+                   f, vals.shape, xs.shape)
     return np.array([float(f(x)) for x in xs])
 
 
 def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:
     """Evaluate f at every grid node, returning the length-(n+1) sample vector.
 
-    An evaluation failure is raised as a ValueError naming the offending
-    node, chained to the original exception.
+    f is called node by node, logged at DEBUG, when the call on the node
+    array raises or returns another shape. A failure of a per-node call is
+    raised as a ValueError naming the offending node, chained to the
+    original exception. An array-call exception other than TypeError or
+    ValueError (what a scalar-only callable raises on an array) is re-raised
+    when no single node fails, so it is located, never swallowed.
     """
+    array_error = None
     try:
         values = np.asarray(f(grid.nodes), dtype=float)
+    except (TypeError, ValueError) as exc:
+        _log.debug("sample: %r on the nodes raised %r; calling it per node", f, exc)
+    except Exception as exc:
+        _log.debug("sample: %r on the nodes raised %r; locating the node", f, exc)
+        array_error = exc
+    else:
         if values.shape == grid.nodes.shape:
             return values
-    except Exception:
-        pass
+        _log.debug("sample: %r on the nodes gave shape %s, not %s; calling it per node",
+                   f, values.shape, grid.nodes.shape)
     out = np.empty(grid.n + 1)
     for i, x in enumerate(grid.nodes):
         try:
             out[i] = f(x)
         except Exception as exc:
             raise ValueError(f"evaluation failed at node x={x}: {exc!r}") from exc
+    if array_error is not None:
+        raise array_error
     return out

@@ -24,6 +24,7 @@ after rescaling to match the reference at the first interior node).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,6 +38,8 @@ from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_er
 from .spline import CoeffMatrix, SplineModel, build_spline, coefficient_matrix
 
 Kernel = Callable[[float, float], float]
+
+_log = logging.getLogger("quadspline")
 
 KINDS = ("fredholm2", "fredholm_eigen", "volterra2", "volterra1")
 _NEEDS_FORCING = {"fredholm2": True, "fredholm_eigen": False,
@@ -103,7 +106,9 @@ def _kernel_values(kernel: Kernel, x, s) -> np.ndarray:
     """K on the broadcast of x and s: one vectorised call, else point by point.
 
     A vectorised result that broadcasts to the full shape (a constant kernel
-    returning a scalar, say) is broadcast.
+    returning a scalar, say) is broadcast. The per-point fallback, logged at
+    DEBUG, runs when the vectorised call raises TypeError or ValueError or
+    gives a shape that does not broadcast; any other exception propagates.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -112,8 +117,11 @@ def _kernel_values(kernel: Kernel, x, s) -> np.ndarray:
         v = np.asarray(kernel(x, s), dtype=float)
         if np.broadcast_shapes(v.shape, shape) == shape:
             return np.broadcast_to(v, shape)
-    except Exception:
-        pass
+    except (TypeError, ValueError) as exc:
+        _log.debug("kernel %r on arrays raised %r; calling it per point", kernel, exc)
+    else:
+        _log.debug("kernel %r on arrays gave shape %s, not %s; calling it per point",
+                   kernel, v.shape, shape)
     xs, ss = np.broadcast_arrays(x, s)
     return np.array([float(kernel(xi, si)) for xi, si in zip(xs.flat, ss.flat)]).reshape(shape)
 

@@ -15,6 +15,9 @@ import numpy as np
 from .core import ScalarFunction, eval_many
 
 MAX_ORDER = 32
+# Points per slice of a sup-norm sweep: the spline's and f's temporaries for
+# one slice stay in cache instead of streaming mesh-length arrays.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,5 +98,17 @@ def max_error(
     """Max absolute deviation over `samples` equispaced points incl. endpoints."""
     if samples < 2:
         raise ValueError(f"need samples >= 2, got {samples}")
-    xs = np.linspace(lo, hi, samples)
-    return float(np.max(np.abs(eval_many(approx, xs) - eval_many(reference, xs))))
+    return _max_abs_deviation(approx, reference, np.linspace(lo, hi, samples))
+
+
+def _max_abs_deviation(approx: ScalarFunction, reference: ScalarFunction, xs: np.ndarray) -> float:
+    """max |approx - reference| over xs, evaluated _BLOCK points at a time.
+
+    Bit-identical to the unblocked np.max(np.abs(...)): max is exact and
+    np.maximum carries a NaN through. 0.0 for an empty xs.
+    """
+    dev = 0.0
+    for lo in range(0, xs.size, _BLOCK):
+        block = xs[lo:lo + _BLOCK]
+        dev = np.maximum(dev, np.max(np.abs(eval_many(approx, block) - eval_many(reference, block))))
+    return float(dev)

@@ -339,8 +339,13 @@ def cell_passes(cell: TableCell, computed: Optional[float]) -> bool:
 
 
 def compute_cell(cell: TableCell,
-                 rule: Optional[QuadratureRule] = None) -> Optional[float]:
-    """Recompute the quantity a table cell publishes (None for external rows)."""
+                 rule: Optional[QuadratureRule] = None,
+                 solve: Optional[Callable[[str, int], SolveReport]] = None) -> Optional[float]:
+    """Recompute the quantity a table cell publishes (None for external rows).
+
+    solve(entry_id, n), when given, stands in for solve_entry with this rule,
+    so that cells sharing an equation solve can share one report.
+    """
     if cell.check == "external":
         return None
     if cell.metric == "squared_l2_error(lagrange)":
@@ -349,7 +354,10 @@ def compute_cell(cell: TableCell,
         return interpolation_error(cell.entry_id, cell.n, rule=rule)
     if cell.metric not in ("eigenvalue", "l2_norm_error", "max_error"):
         raise ValueError(f"unknown metric {cell.metric!r}")
-    report = solve_entry(cell.entry_id, cell.n, rule=rule)
+    if solve is None:
+        report = solve_entry(cell.entry_id, cell.n, rule=rule)
+    else:
+        report = solve(cell.entry_id, cell.n)
     if cell.metric == "eigenvalue":
         if not report.eigen:
             return None

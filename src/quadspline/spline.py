@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Grid, OutOfDomainError, ScalarFunction, eval_many, make_grid, sample
+from .core import Grid, OutOfDomainError, ScalarFunction, make_grid, sample
+from .quadrature import _max_abs_deviation
 
 
 def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
@@ -139,20 +140,46 @@ class SplineModel:
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         g = self.grid
-        outside = ~((xs >= g.a) & (xs <= g.b))  # NaN counts as outside
-        if np.any(outside):
+        # min/max carry a NaN, so NaN points fail the check too
+        if xs.size and not (xs.min() >= g.a and xs.max() <= g.b):
+            outside = ~((xs >= g.a) & (xs <= g.b))
             raise OutOfDomainError(f"x={xs[outside][0]} outside [{g.a}, {g.b}]")
-        # piece index min(n, 1 + floor((x - a)/h)): a node between two pieces
-        # takes the right-hand one, and both agree there by construction
-        k = np.clip(np.floor((xs - g.a) / g.h).astype(np.int64) + 1, 1, g.n)
-        xk1 = g.a + (k - 1) * g.h
-        xk = g.a + k * g.h
-        y, ak = self.samples, self.coeffs[k - 1]
+        # piece index k = min(n, 1 + floor((x - a)/h)), >= 1 as x >= a: a node
+        # between two pieces takes the right-hand one, and both agree there
+        # by construction. t holds k - 1 as a float, so x_{k-1} = a + (k-1) h
+        # and x_k = a + k h need no integer conversion (integers this small
+        # are exact). The arithmetic below is, operation for operation and
+        # operand for operand, on reused buffers:
+        #   value  ((x - x_{k-1}) y_k - (x - x_k) y_{k-1}) / h + a_k (x - x_{k-1})(x - x_k)
+        #   slope  (y_k - y_{k-1}) / h + a_k (2x - x_{k-1} - x_k)
+        t = xs - g.a
+        t /= g.h
+        np.floor(t, out=t)
+        np.minimum(t, g.n - 1, out=t)
+        km1 = t.astype(np.intp)
+        xk1 = t * g.h
+        xk1 += g.a
+        t += 1.0
+        xk = np.multiply(t, g.h, out=t)
+        xk += g.a
+        y, ak = self.samples, self.coeffs[km1]
+        out, prev = y[1:][km1], y[km1]
         if deriv:
-            out = (y[k] - y[k - 1]) / g.h + ak * (2.0 * xs - xk1 - xk)
+            out -= prev
+            out /= g.h
+            np.multiply(xs, 2.0, out=prev)
+            prev -= xk1
+            prev -= xk
         else:
-            out = ((xs - xk1) * y[k] - (xs - xk) * y[k - 1]) / g.h \
-                + ak * ((xs - xk1) * (xs - xk))
+            np.subtract(xs, xk1, out=xk1)
+            np.subtract(xs, xk, out=xk)
+            out *= xk1
+            prev *= xk
+            out -= prev
+            out /= g.h
+            np.multiply(xk1, xk, out=prev)
+        prev *= ak
+        out += prev
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -226,14 +253,17 @@ def convergence_study(
 
     The bound M*h*(b-a-h/2) holds whenever fpp_bound >= sup |f''|; the
     deviation is measured over 1000*n equispaced points plus all nodes
-    (piecewise-quadratic extrema are cheap to bracket densely).
+    (piecewise-quadratic extrema are cheap to bracket densely). The sweep
+    walks the mesh in fixed-size blocks, so no other mesh-length array is
+    made; the result is bit-identical to the unblocked max over the mesh.
     """
     records = []
     for n in ns:
         grid = make_grid(a, b, int(n))
         model = build_spline(grid, sample(f, grid))
-        xs = np.concatenate([np.linspace(a, b, 1000 * int(n)), grid.nodes])
-        d = float(np.max(np.abs(model(xs) - eval_many(f, xs))))
+        mesh = np.linspace(a, b, 1000 * int(n))
+        d = float(np.maximum(_max_abs_deviation(model, f, mesh),
+                             _max_abs_deviation(model, f, grid.nodes)))
         bound = fpp_bound * grid.h * ((b - a) - grid.h / 2.0)
         records.append(ConvergenceRecord(int(n), grid.h, d, bound))
     return ConvergenceReport(fpp_bound, tuple(records))

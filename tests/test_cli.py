@@ -136,6 +136,27 @@ class TestReproduce:
         code, _, err = run_cli(capsys, "reproduce", "--table", "9")
         assert code == 2
 
+    def test_all_tables_solve_each_entry_once(self, capsys, monkeypatch):
+        solve_entry, compute_cell = registry.solve_entry, registry.compute_cell
+        calls = []
+
+        def counting(pid, n, *args, **kwargs):
+            calls.append((pid, n))
+            return solve_entry(pid, n, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "solve_entry", counting)
+        code, shared, _ = run_cli(capsys, "reproduce", "--table", "all")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 11
+        # a fresh solve for every cell gives the same bytes
+        calls.clear()
+        monkeypatch.setattr(registry, "compute_cell",
+                            lambda cell, rule, solve: compute_cell(cell, rule))
+        code, per_cell, _ = run_cli(capsys, "reproduce", "--table", "all")
+        assert code == 0
+        assert len(calls) == 25
+        assert per_cell == shared
+
     def test_all_tables_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["reproduce", "--table", "all", "--out", str(f1)]) == 0

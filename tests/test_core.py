@@ -1,3 +1,6 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,3 +117,45 @@ class TestEvalMany:
 
         xs = np.linspace(0, 1, 7)
         np.testing.assert_allclose(eval_many(math.sin, xs), np.sin(xs), rtol=1e-15)
+
+
+def array_hostile(calls, exc_type):
+    """A callable whose array call raises exc_type; scalar calls give exp(x)."""
+    def f(x):
+        calls.append(x)
+        if np.ndim(x):
+            raise exc_type("vectorised path broken")
+        return math.exp(x)
+    return f
+
+
+class TestScalarFallback:
+    def test_eval_many_runtime_error_propagates(self):
+        calls = []
+        with pytest.raises(RuntimeError, match="vectorised path broken"):
+            eval_many(array_hostile(calls, RuntimeError), np.linspace(0, 1, 7))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("exc_type", [TypeError, ValueError])
+    def test_eval_many_falls_back_and_logs(self, exc_type, caplog):
+        xs = np.linspace(0, 1, 7)
+        with caplog.at_level(logging.DEBUG, logger="quadspline"):
+            got = eval_many(array_hostile([], exc_type), xs)
+        np.testing.assert_array_equal(got, [math.exp(x) for x in xs])
+        assert "per point" in caplog.text
+
+    def test_eval_many_math_exp(self):
+        xs = np.linspace(0, 1, 7)
+        np.testing.assert_array_equal(eval_many(math.exp, xs), [math.exp(x) for x in xs])
+
+    def test_sample_runtime_error_not_swallowed(self):
+        # every single node succeeds, so the array call's error is the failure
+        with pytest.raises(RuntimeError, match="vectorised path broken"):
+            sample(array_hostile([], RuntimeError), make_grid(0, 1, 4))
+
+    def test_sample_math_exp_logs(self, caplog):
+        g = make_grid(0, 1, 4)
+        with caplog.at_level(logging.DEBUG, logger="quadspline"):
+            got = sample(math.exp, g)
+        np.testing.assert_array_equal(got, [math.exp(x) for x in g.nodes])
+        assert "per node" in caplog.text

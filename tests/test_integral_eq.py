@@ -171,6 +171,26 @@ class TestIntegralOperator:
             _integral_operator(kernel, g, RULE8, g.nodes, g.b),
             _integral_operator(kernel, g, RULE8, g.nodes, np.full(6, g.b)))
 
+    def test_runtime_error_from_array_call_propagates(self):
+        calls = []
+
+        def kernel(x, s):
+            calls.append(x)
+            if np.ndim(x):
+                raise RuntimeError("vectorised kernel broken")
+            return math.exp(x * s)
+
+        with pytest.raises(RuntimeError, match="vectorised kernel broken"):
+            _integral_operator(kernel, make_grid(0, 1, 4), RULE8, np.linspace(0, 1, 5), 1.0)
+        assert len(calls) == 1
+
+    def test_scalar_only_kernel_matches_vectorised(self):
+        g = make_grid(0, 1, 4)
+        args = (g, RULE8, g.nodes, 1.0)
+        np.testing.assert_allclose(
+            _integral_operator(lambda x, s: math.exp(x * s), *args),
+            _integral_operator(lambda x, s: np.exp(x * s), *args), rtol=1e-15)
+
 
 class TestAssembleFredholm:
     def test_zero_lambda_gives_identity(self):

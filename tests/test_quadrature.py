@@ -6,6 +6,7 @@ import pytest
 from quadspline import (build_spline, gauss_legendre, integrate_panels,
                         l2_error, make_grid, max_error, sample, solve_fredholm)
 from quadspline.integral_eq import IntegralProblem
+from quadspline.quadrature import _BLOCK, _max_abs_deviation
 
 
 class TestGaussLegendre:
@@ -114,6 +115,20 @@ class TestMaxError:
     def test_constant_offset(self):
         assert max_error(lambda x: np.cos(x) - 0.2, np.cos, 0, 1) \
             == pytest.approx(0.2, rel=1e-13)
+
+    @pytest.mark.parametrize("samples", [2001, 3 * _BLOCK + 5])
+    def test_equals_unblocked_max(self, samples):
+        g = make_grid(0, 3, 40)
+        m = build_spline(g, sample(np.exp, g))
+        xs = np.linspace(0, 3, samples)
+        assert max_error(m, np.exp, 0, 3, samples=samples) \
+            == float(np.max(np.abs(m(xs) - np.exp(xs))))
+
+    def test_nan_deviation_in_a_later_block_propagates(self):
+        xs = np.linspace(0, 1, 3 * _BLOCK)
+        hole = xs[2 * _BLOCK + 1]
+        assert math.isnan(_max_abs_deviation(
+            lambda x: np.where(x == hole, np.nan, np.cos(x)), np.cos, xs))
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):

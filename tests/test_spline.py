@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from quadspline import (OutOfDomainError, build_spline, coefficient_matrix,
                         coeffs_by_recursion, coeffs_closed_form,
                         convergence_study, fluctuation_energy, make_grid,
                         optimal_first_coefficient, sample, second_differences)
+from quadspline.quadrature import _BLOCK, _max_abs_deviation
 
 
 def spline_for(f, a, b, n):
@@ -216,6 +218,20 @@ class TestSplineModel:
         with pytest.raises(ValueError, match=r"sample 2 at x=0\.5 "):
             build_spline(g, y)
 
+    def test_empty_input_gives_empty_output(self):
+        _, m = spline_for(np.cos, 0, 1, 4)
+        assert m(np.empty(0)).shape == (0,)
+        assert m.derivative(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.25, -0.5])
+    def test_bad_point_in_a_later_block_named(self, bad):
+        _, m = spline_for(np.cos, 0, 1, 4)
+        xs = np.linspace(0, 1, 3 * _BLOCK)
+        xs[_BLOCK + 7] = bad
+        for call in (m, m.derivative, lambda x: _max_abs_deviation(m, np.cos, x)):
+            with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
+                call(xs)
+
     def test_scalar_and_array_calls_agree(self):
         _, m = spline_for(np.exp, 0, 1, 6)
         xs = np.linspace(0, 1, 13)
@@ -307,9 +323,50 @@ class TestConvergence:
         ds = [r.max_deviation for r in rep.records]
         assert all(d2 <= d1 for d1, d2 in zip(ds, ds[1:]))
 
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: np.sin(2 * np.pi * x), 0.0, 1.0),
+        (np.abs, -1.0, 1.0),
+    ], ids=["sin2pix", "abs"])
+    @pytest.mark.parametrize("n", [33, 97, 1300])
+    def test_blocked_sweep_equals_unblocked_max(self, f, lo, hi, n):
+        # n = 33 is one full block and a ragged one; 97 and 1300 take several
+        g, m = spline_for(f, lo, hi, n)
+        xs = np.concatenate([np.linspace(lo, hi, 1000 * n), g.nodes])
+        want = float(np.max(np.abs(m(xs) - f(xs))))
+        rep = convergence_study(f, 1e3, lo, hi, [n])
+        assert rep.records[0].max_deviation == want
+
     def test_kink_at_node_oscillates_at_quarter_h(self):
         # |x| with the kink on a node: one nonzero second difference of 2/h
         # makes every coefficient +-1/h, so the deviation is exactly h/4
         rep = convergence_study(np.abs, 0.0, -1, 1, [10, 20])
         for r in rep.records:
             assert r.max_deviation == pytest.approx(r.h / 4, rel=1e-3)
+
+
+def closed_form_at(model, x, deriv):
+    """The spline's closed form at one point, in scalar Python arithmetic."""
+    g, y = model.grid, model.samples
+    k = min(max(math.floor((x - g.a) / g.h) + 1, 1), g.n)
+    xk1, xk, ak = g.a + (k - 1) * g.h, g.a + k * g.h, model.coeffs[k - 1]
+    if deriv:
+        return (y[k] - y[k - 1]) / g.h + ak * (2.0 * x - xk1 - xk)
+    return ((x - xk1) * y[k] - (x - xk) * y[k - 1]) / g.h + ak * ((x - xk1) * (x - xk))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_eval_matches_scalar_closed_form_bit_for_bit(data):
+    # nodes are included: each belongs to the piece on its right (the last
+    # node to piece n), and the array path must pick the same piece
+    a = data.draw(st.floats(-10, 10), label="a")
+    width = data.draw(st.floats(0.01, 10), label="width")
+    n = data.draw(st.integers(2, 60), label="n")
+    g = make_grid(a, a + width, n)
+    y = data.draw(arrays(np.float64, n + 1, elements=st.floats(-1e3, 1e3)), label="y")
+    m = build_spline(g, y)
+    ts = data.draw(st.lists(st.floats(0, 1), max_size=40), label="t")
+    xs = np.clip(np.concatenate([g.a + np.array(ts) * width, g.nodes]), g.a, g.b)
+    for deriv, call in ((0, m), (1, m.derivative)):
+        want = [closed_form_at(m, float(x), deriv) for x in xs]
+        np.testing.assert_array_equal(call(xs), want)
