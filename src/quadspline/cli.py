@@ -20,7 +20,7 @@ from . import registry
 from .core import InvalidDomainError, eval_many, make_grid, sample
 from .integral_eq import DegenerateProblemError
 from .linsolve import SingularMatrixError
-from .quadrature import gauss_legendre
+from .quadrature import MAX_ORDER, gauss_legendre
 from .spline import build_spline, convergence_study
 
 CSV_HEADER = ("id", "n", "metric", "value", "published", "ratio")
@@ -66,7 +66,20 @@ def _parse_bracket(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bracket must be 'lo,hi', got {text!r}") from None
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"bracket needs lo < hi, got {text!r}")
     return lo, hi
+
+
+def _parse_quad_order(text):
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if not 1 <= order <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"quadrature order must be an integer in 1..{MAX_ORDER}, got {text!r}")
+    return order
 
 
 def _parse_int_list(text):
@@ -108,7 +121,6 @@ def cmd_lagrange(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    entry = registry.get_problem(args.problem)
     rule = gauss_legendre(args.quad_order)
     report = registry.solve_entry(args.problem, args.n, rule, args.bracket)
     rows = []
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True,
                            help="number of subintervals")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--quad-order", type=int, default=8,
+        p.add_argument("--quad-order", type=_parse_quad_order, default=8,
                        help="Gauss-Legendre order (default 8)")
         p.add_argument("--pretty", action="store_true",
                        help="aligned text table instead of CSV")
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "tables and compare")
     p.add_argument("--table", default="all", help="table number 1..8 or 'all'")
     p.add_argument("--out", default=None)
-    p.add_argument("--quad-order", type=int, default=8)
+    p.add_argument("--quad-order", type=_parse_quad_order, default=8)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 

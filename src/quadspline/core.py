@@ -1,4 +1,4 @@
-"""Equidistant grids and function sampling.
+"""Equidistant grids, function sampling, and the one rule for calling user functions.
 
 Everything here is real-valued: the solvers and the benchmark problems are
 all real, so complex-valued data is a documented non-goal.
@@ -64,55 +64,47 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     return Grid(float(a), float(b), int(n), h, nodes)
 
 
-def eval_many(f: ScalarFunction, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f at an array of points, vectorized when f supports it.
+def eval_many(f: Callable[..., float], *args) -> np.ndarray:
+    """f on the broadcast of args: one array call, else one call per point.
 
-    f is called point by point, logged at DEBUG, when the array call raises
-    TypeError or ValueError (what a scalar-only callable raises on an array)
-    or returns another shape. Any other exception propagates.
+    The args are made float arrays and f is called once on them. A result of
+    the full broadcast shape is returned as it is; one that only broadcasts
+    to it (a constant function returning 3.0, say) is materialised as a
+    writeable array. f is called per point, logged at DEBUG, only when the
+    array call raises TypeError or ValueError (what a scalar-only callable
+    raises on an array) or gives a shape that does not broadcast. The
+    package's own OutOfDomainError and InvalidDomainError, and any other
+    exception, propagate after that one call.
     """
-    xs = np.asarray(xs, dtype=float)
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
     try:
-        vals = np.asarray(f(xs), dtype=float)
+        vals = np.asarray(f(*args), dtype=float)
+        return vals if vals.shape == shape else np.array(np.broadcast_to(vals, shape))
+    except (OutOfDomainError, InvalidDomainError):
+        raise
     except (TypeError, ValueError) as exc:
-        _log.debug("eval_many: %r on an array raised %r; calling it per point", f, exc)
-    else:
-        if vals.shape == xs.shape:
-            return vals
-        _log.debug("eval_many: %r on an array gave shape %s, not %s; calling it per point",
-                   f, vals.shape, xs.shape)
-    return np.array([float(f(x)) for x in xs])
+        _log.debug("%r on arrays of shape %s failed with %r; calling it per point "
+                   "(per node when sampling a grid)", f, shape, exc)
+    points = zip(*(a.flat for a in np.broadcast_arrays(*args)))
+    return np.array([float(f(*p)) for p in points]).reshape(shape)
 
 
 def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:
-    """Evaluate f at every grid node, returning the length-(n+1) sample vector.
+    """f at every grid node, the length-(n+1) sample vector: eval_many(f, grid.nodes).
 
-    f is called node by node, logged at DEBUG, when the call on the node
-    array raises or returns another shape. A failure of a per-node call is
-    raised as a ValueError naming the offending node, chained to the
-    original exception. An array-call exception other than TypeError or
-    ValueError (what a scalar-only callable raises on an array) is re-raised
-    when no single node fails, so it is located, never swallowed.
+    When that fails, f is called node by node to locate the failure, which
+    is raised as a ValueError naming the offending node, chained to the
+    original exception. When no single node fails, the array call's
+    exception is re-raised, so it is located, never swallowed.
     """
-    array_error = None
     try:
-        values = np.asarray(f(grid.nodes), dtype=float)
-    except (TypeError, ValueError) as exc:
-        _log.debug("sample: %r on the nodes raised %r; calling it per node", f, exc)
+        return eval_many(f, grid.nodes)
     except Exception as exc:
-        _log.debug("sample: %r on the nodes raised %r; locating the node", f, exc)
-        array_error = exc
-    else:
-        if values.shape == grid.nodes.shape:
-            return values
-        _log.debug("sample: %r on the nodes gave shape %s, not %s; calling it per node",
-                   f, values.shape, grid.nodes.shape)
-    out = np.empty(grid.n + 1)
-    for i, x in enumerate(grid.nodes):
+        error = exc
+    for x in grid.nodes:
         try:
-            out[i] = f(x)
+            float(f(x))
         except Exception as exc:
             raise ValueError(f"evaluation failed at node x={x}: {exc!r}") from exc
-    if array_error is not None:
-        raise array_error
-    return out
+    raise error

@@ -11,6 +11,11 @@ small, so that costs nothing. `kernel_piece_weights` is the per-piece
 form of the same integral, kept as the oracle the operator is tested
 against.
 
+Kernels, forcings and references are called through core.eval_many: the
+kernel once per quadrature node on arrays x (a column) and s that
+broadcast together, a broadcastable result such as a constant accepted,
+and per point only when the array call raises TypeError or ValueError.
+
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
 y(x) = f(x) + lam * int_a^x K(x,s) y(s) ds; Volterra first kind is
@@ -24,7 +29,6 @@ after rescaling to match the reference at the first interior node).
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,8 +42,6 @@ from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_er
 from .spline import CoeffMatrix, SplineModel, build_spline, coefficient_matrix
 
 Kernel = Callable[[float, float], float]
-
-_log = logging.getLogger("quadspline")
 
 KINDS = ("fredholm2", "fredholm_eigen", "volterra2", "volterra1")
 _NEEDS_FORCING = {"fredholm2": True, "fredholm_eigen": False,
@@ -102,30 +104,6 @@ class SolveReport:
     eigen: Optional[tuple[tuple[float, "SolveReport"], ...]] = None
 
 
-def _kernel_values(kernel: Kernel, x, s) -> np.ndarray:
-    """K on the broadcast of x and s: one vectorised call, else point by point.
-
-    A vectorised result that broadcasts to the full shape (a constant kernel
-    returning a scalar, say) is broadcast. The per-point fallback, logged at
-    DEBUG, runs when the vectorised call raises TypeError or ValueError or
-    gives a shape that does not broadcast; any other exception propagates.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    shape = np.broadcast_shapes(x.shape, s.shape)
-    try:
-        v = np.asarray(kernel(x, s), dtype=float)
-        if np.broadcast_shapes(v.shape, shape) == shape:
-            return np.broadcast_to(v, shape)
-    except (TypeError, ValueError) as exc:
-        _log.debug("kernel %r on arrays raised %r; calling it per point", kernel, exc)
-    else:
-        _log.debug("kernel %r on arrays gave shape %s, not %s; calling it per point",
-                   kernel, v.shape, shape)
-    xs, ss = np.broadcast_arrays(x, s)
-    return np.array([float(kernel(xi, si)) for xi, si in zip(xs.flat, ss.flat)]).reshape(shape)
-
-
 def kernel_piece_weights(
     kernel: Kernel,
     x_eval: float,
@@ -153,7 +131,7 @@ def kernel_piece_weights(
     mid = 0.5 * (xk1 + hi)
     half = 0.5 * (hi - xk1)
     s = mid + half * rule.nodes
-    kv = _kernel_values(kernel, x_eval, s)
+    kv = eval_many(kernel, x_eval, s)
     left = half * np.sum(rule.weights * kv * (s - xk1))
     right = half * np.sum(rule.weights * kv * (s - xk))
     quad = half * np.sum(rule.weights * kv * (s - xk1) * (s - xk))
@@ -183,7 +161,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     quad = np.zeros_like(half)
     for t, weight in zip(rule.nodes, rule.weights):
         dl = half * (1.0 + t)  # s - x_{k-1}
-        kw = weight * half * _kernel_values(kernel, xs, starts + dl)
+        kw = weight * half * eval_many(kernel, xs, starts + dl)
         left += kw * dl
         right += kw * (dl - h)
         quad += kw * dl * (dl - h)
@@ -253,7 +231,7 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     model = build_spline(grid, vector)
     a, b = problem.interval
     rule = gauss_legendre(8)
-    num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, np.atleast_1d(x)),
+    num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
                            a, b, grid.n, rule)
     den = integrate_panels(lambda x: model(x) ** 2, a, b, grid.n, rule)
     return vector * (num / den)
@@ -331,6 +309,15 @@ def solve_volterra1(
     closed-form minimizer. Raises DegenerateProblemError when the defect
     does not depend on y_0 (e.g. a kernel that annihilates the first
     piece).
+
+    Usable only for small n: C1 quadratic spline collocation of first-kind
+    Volterra equations is unstable (Brunner, Collocation Methods for
+    Volterra Integral and Related Functional Equations, CUP 2004, ch. 2).
+    On krasnov4 (y = 3, inside the spline space) 1/cond_inf of the
+    trailing system is 2.2e-13 at n = 21 and 8.1e-14 at n = 22, so
+    solve_dense accepts n <= 21 at RCOND_MIN = 1e-13 and raises
+    SingularMatrixError beyond; the L2 error grows about 2.5x per unit of
+    n, from 1.3e-13 at n = 5 to 3.5e-7 at n = 21.
     """
     if problem.kind != "volterra1":
         raise ValueError(f"expected kind 'volterra1', got {problem.kind!r}")

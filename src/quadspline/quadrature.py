@@ -83,7 +83,7 @@ def l2_error(
     """Integral of (approx - reference)^2 over [lo, hi] (the squared L2 norm)."""
 
     def sq_diff(x):
-        return (eval_many(approx, np.atleast_1d(x)) - eval_many(reference, np.atleast_1d(x))) ** 2
+        return (eval_many(approx, x) - eval_many(reference, x)) ** 2
 
     return integrate_panels(sq_diff, lo, hi, panels, rule)
 

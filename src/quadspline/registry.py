@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ScalarFunction, make_grid, sample
+from .core import ScalarFunction, eval_many, make_grid, sample
 from .integral_eq import (IntegralProblem, Kernel, SolveReport, solve_fredholm,
                           solve_fredholm_eigen, solve_volterra1, solve_volterra2)
 from .lagrange import lagrange_interpolant
@@ -380,7 +380,7 @@ def _equation_residual(entry: ProblemEntry, x: float,
     a, b = entry.interval
 
     def ky(s):
-        return _as_float_array(K, x, s) * np.asarray(y(s), dtype=float)
+        return eval_many(K, x, s) * eval_many(y, s)
 
     if entry.kind == "fredholm2":
         integral = integrate_panels(ky, a, b, panels, rule)
@@ -393,12 +393,6 @@ def _equation_residual(entry: ProblemEntry, x: float,
         return float(y(x)) - float(entry.forcing(x)) - entry.lam * integral
     integral = integrate_panels(ky, 0.0, x, panels, rule) if x > 0 else 0.0
     return integral - float(entry.forcing(x))
-
-
-def _as_float_array(K, x, s):
-    s = np.asarray(s, dtype=float)
-    v = np.asarray(K(x, s), dtype=float)
-    return np.broadcast_to(v, s.shape)
 
 
 def verify_reference_solutions(tol: float = 1e-8) -> None:

@@ -233,7 +233,20 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_bracket_format(self, capsys):
+    @pytest.mark.parametrize("bracket", [["--bracket", "oops"], ["--bracket=0,-10"]],
+                             ids=["oops", "reversed"])
+    def test_bad_bracket_format(self, capsys, bracket):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "-p", "krasnov2", "--n", "5", "--bracket", "oops"])
+            main(["solve", "-p", "krasnov2", "--n", "5", *bracket])
         assert exc.value.code == 2
+        assert "error: argument --bracket" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["0", "33"])
+    @pytest.mark.parametrize("command", [["solve", "-p", "krasnov1", "--n", "5"],
+                                         ["interpolate", "-p", "abs", "--n", "5"],
+                                         ["reproduce"]], ids=lambda c: c[0])
+    def test_quad_order_out_of_range(self, capsys, command, order):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--quad-order", order])
+        assert exc.value.code == 2
+        assert "error: argument --quad-order" in capsys.readouterr().err

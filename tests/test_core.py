@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadspline import InvalidDomainError, make_grid, sample
+from quadspline import InvalidDomainError, OutOfDomainError, build_spline, make_grid, sample
 from quadspline.core import eval_many
+from quadspline.quadrature import max_error
 
 
 class TestMakeGrid:
@@ -159,3 +160,67 @@ class TestScalarFallback:
             got = sample(math.exp, g)
         np.testing.assert_array_equal(got, [math.exp(x) for x in g.nodes])
         assert "per node" in caplog.text
+
+
+def counting(f, calls):
+    def wrapped(*args):
+        calls.append(args)
+        return f(*args)
+    return wrapped
+
+
+class TestCallPolicy:
+    def test_out_of_domain_raises_after_one_call(self):
+        # the spline rejects the whole first block; retrying it point by
+        # point would call it once per point up to the first outside one
+        g = make_grid(0, 1, 10)
+        calls = []
+        model = counting(build_spline(g, np.cos(g.nodes)), calls)
+        with pytest.raises(OutOfDomainError):
+            max_error(model, np.cos, 0, 1.001, samples=30000)
+        assert len(calls) == 1
+
+    def test_invalid_domain_raises_after_one_call(self):
+        def refuses(x):
+            raise InvalidDomainError("no grid here")
+
+        calls = []
+        with pytest.raises(InvalidDomainError, match="no grid here"):
+            eval_many(counting(refuses, calls), np.linspace(0, 1, 7))
+        assert len(calls) == 1
+
+    def test_constant_result_is_broadcast_writeable(self):
+        calls = []
+        xs = np.linspace(0, 1, 12).reshape(3, 4)
+        got = eval_many(counting(lambda x: 3.0, calls), xs)
+        assert len(calls) == 1
+        assert got.shape == xs.shape and got.flags.writeable
+        np.testing.assert_array_equal(got, np.full(xs.shape, 3.0))
+
+    def test_full_shape_result_is_not_copied(self):
+        xs = np.linspace(0, 1, 7)
+        out = np.sin(xs)
+        assert eval_many(lambda x: out, xs) is out
+
+    def test_scalar_only_kernel_on_broadcast_arguments(self, caplog):
+        x = np.linspace(0, 1, 4)[:, None]
+        s = np.linspace(-1, 1, 5)
+        with caplog.at_level(logging.DEBUG, logger="quadspline"):
+            got = eval_many(lambda x, s: math.exp(x * s), x, s)
+        assert "per point" in caplog.text
+        expected = [[math.exp(xi * si) for si in s] for xi in x[:, 0]]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_shape_that_does_not_broadcast_falls_back(self):
+        calls = []
+        xs = np.linspace(0, 1, 7)
+        got = eval_many(counting(lambda x: 2.0 * (x[:3] if np.ndim(x) else x), calls), xs)
+        np.testing.assert_array_equal(got, 2.0 * xs)
+        assert len(calls) == 1 + xs.size
+
+    def test_sample_names_the_node_outside_a_spline(self):
+        g = make_grid(0, 2, 4)
+        narrow = build_spline(make_grid(0, 1, 4), np.zeros(5))
+        with pytest.raises(ValueError, match="x=1.5") as info:
+            sample(narrow, g)
+        assert isinstance(info.value.__cause__, OutOfDomainError)
