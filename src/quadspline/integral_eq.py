@@ -5,11 +5,11 @@ equation is enforced at the grid nodes. All four solvers get their rows
 from one integral operator, int_a^upper K(x, s) S(s) ds as a linear map of
 the node samples; Fredholm rows integrate up to b, Volterra rows up to
 their own point. Because every piece's quadratic coefficient is a linear
-functional of ALL node samples (through the coefficient matrix), the
-collocation systems are dense even for Volterra problems; they stay
-small, so that costs nothing. `kernel_piece_weights` is the per-piece
-form of the same integral, kept as the oracle the operator is tested
-against.
+functional of ALL node samples (the closed form of spline.py applied to
+the columns of the identity), the collocation systems are dense even for
+Volterra problems; they stay small, so that costs nothing. The per-piece
+form of the same integral, which the operator is tested against, lives
+in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per quadrature node on arrays x (a column) and s that
@@ -39,7 +39,7 @@ from .core import Grid, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
-from .spline import CoeffMatrix, SplineModel, build_spline, coefficient_matrix
+from .spline import SplineModel, build_spline, coeffs_closed_form, second_differences
 
 Kernel = Callable[[float, float], float]
 
@@ -104,43 +104,6 @@ class SolveReport:
     eigen: Optional[tuple[tuple[float, "SolveReport"], ...]] = None
 
 
-def kernel_piece_weights(
-    kernel: Kernel,
-    x_eval: float,
-    grid: Grid,
-    k: int,
-    coeffs: CoeffMatrix,
-    rule: QuadratureRule,
-    upper: Optional[float] = None,
-) -> np.ndarray:
-    """Node weights w with sum_i w_i y_i = int over piece k of K(x_eval, s) S(s) ds.
-
-    Works for ANY sample vector y: the chord part of piece k contributes
-    only to nodes k-1 and k, while the quadratic correction spreads across
-    all nodes through row k of the coefficient matrix. `upper` truncates
-    the integration to [x_{k-1}, upper]. The solvers use _integral_operator;
-    this per-piece form is the oracle it is tested against, `upper` serving
-    the truncated rows.
-    """
-    if not 1 <= k <= grid.n:
-        raise ValueError(f"piece index {k} outside 1..{grid.n}")
-    h = grid.h
-    xk1 = grid.nodes[k - 1]
-    xk = grid.nodes[k]
-    hi = xk if upper is None else upper
-    mid = 0.5 * (xk1 + hi)
-    half = 0.5 * (hi - xk1)
-    s = mid + half * rule.nodes
-    kv = eval_many(kernel, x_eval, s)
-    left = half * np.sum(rule.weights * kv * (s - xk1))
-    right = half * np.sum(rule.weights * kv * (s - xk))
-    quad = half * np.sum(rule.weights * kv * (s - xk1) * (s - xk))
-    w = coeffs.entries[k - 1] * quad
-    w[k] += left / h
-    w[k - 1] -= right / h
-    return w
-
-
 def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
                        xs: np.ndarray, upper) -> np.ndarray:
     """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
@@ -148,8 +111,9 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     S is the spline through any samples y. Every piece is integrated with
     `rule` over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], so pieces beyond
     upper_i have zero width. The kernel is evaluated once per quadrature
-    node, on the len(xs) x n grid of (row, piece) pairs, and the moments
-    are accumulated as in kernel_piece_weights.
+    node, on the len(xs) x n grid of (row, piece) pairs. The chord moments
+    go to the piece's two end nodes; the quadratic moments go to every
+    node through the closed-form coefficients of the unit sample vectors.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
@@ -165,7 +129,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
         left += kw * dl
         right += kw * (dl - h)
         quad += kw * dl * (dl - h)
-    W = quad @ coefficient_matrix(grid.n, h).entries
+    W = quad @ coeffs_closed_form(second_differences(np.eye(grid.n + 1), grid), grid.n)
     W[:, 1:] += left / h
     W[:, :-1] -= right / h
     return W

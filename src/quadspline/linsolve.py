@@ -1,13 +1,13 @@
-"""Dense solves, determinants, and the real characteristic values of a matrix.
+"""Dense solves and the real characteristic values of a matrix.
 
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
 does not depend on the pivot order. Characteristic values, the roots of
 det(I - lambda*alpha), come from the eigenvalues of alpha, and each null
-vector is the last right singular vector of I - lambda*alpha.
-`determinant` stays as the sign-tracked oracle those roots are tested
-against.
+vector is the last right singular vector of I - lambda*alpha. The
+sign-tracked determinant those roots are tested against lives in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -55,31 +55,6 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if rcond <= RCOND_MIN:
         raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
     return x
-
-
-def determinant(A: np.ndarray) -> float:
-    """Determinant via pivoted elimination with sign tracking.
-
-    No pivot threshold here: as the oracle for the roots of
-    det(I - lam*alpha) it must pass smoothly through zero, so an
-    exactly-zero pivot returns 0 and anything else is eliminated as-is.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"matrix not square: {A.shape}")
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            det = -det
-        det *= A[k, k]
-        m = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(m, A[k, k + 1:])
-    return float(det)
 
 
 @dataclass(frozen=True)

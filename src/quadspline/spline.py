@@ -11,10 +11,10 @@ piecewise-linear interpolant. No linear system is ever solved: with
 b_k = (-1)^{k+1} a_k the recursion is a prefix sum and the energy is
 minimal when the b_k sum to zero, so all n coefficients cost one cumsum.
 
-build_spline uses that closed form (coeffs_closed_form) as its only path.
-coeffs_by_recursion with optimal_first_coefficient is kept as the test
-oracle it is held to. coefficient_matrix applies the same closed form to
-unit sample vectors, giving the linear operator collocation needs.
+build_spline uses that closed form (coeffs_closed_form) as its only path,
+and the collocation operator in integral_eq applies it to the columns of
+the identity. The recursion it is held to, and the dense coefficient
+matrix, live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -31,44 +31,13 @@ def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Scaled second differences d_k = (y_{k-1} - 2 y_k + y_{k+1}) / h^2.
 
     Returns the n-1 interior values, d_1..d_{n-1}. Linear data gives zeros;
-    samples of x**2 give the constant 2.
+    samples of x**2 give the constant 2. Works along axis 0: an (n+1) x m
+    array of samples gives an (n-1) x m result.
     """
     y = np.asarray(samples, dtype=float)
-    if y.shape != (grid.n + 1,):
+    if y.shape[:1] != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    return _second_differences(y, grid.h)
-
-
-def _second_differences(y: np.ndarray, h: float) -> np.ndarray:
-    return (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (h * h)
-
-
-def optimal_first_coefficient(deltas: np.ndarray, n: int) -> float:
-    """First quadratic coefficient minimizing the fluctuation energy.
-
-    Closed form: -(1/n) * sum_{j=1}^{n-1} (n-j) (-1)^j d_j. This is the
-    unique stationary point and a strict minimum (the energy is a convex
-    quadratic in the first coefficient with curvature n h^5 / 15 > 0).
-    """
-    d = np.asarray(deltas, dtype=float)
-    if d.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} second differences, got {d.shape}")
-    j = np.arange(1, n)
-    return float(-(1.0 / n) * np.sum((n - j) * (-1.0) ** j * d))
-
-
-def coeffs_by_recursion(first: float, deltas: np.ndarray) -> np.ndarray:
-    """Propagate a_{k+1} = d_k - a_k from the given first coefficient.
-
-    Test oracle for coeffs_closed_form, together with
-    optimal_first_coefficient.
-    """
-    d = np.asarray(deltas, dtype=float)
-    a = np.empty(d.size + 1)
-    a[0] = first
-    for k in range(d.size):
-        a[k + 1] = d[k] - a[k]
-    return a
+    return (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (grid.h * grid.h)
 
 
 def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
@@ -88,38 +57,6 @@ def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
     coeffs = c - c.mean(axis=0)
     coeffs[1::2] *= -1.0
     return coeffs
-
-
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Data-independent n x (n+1) matrix mapping node samples to coefficients.
-
-    Depends only on n and h. Rows sum to zero: constant data has no
-    curvature, hence all coefficients vanish.
-    """
-
-    n: int
-    h: float
-    entries: np.ndarray = field(repr=False)
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(samples, dtype=float)
-
-
-def coefficient_matrix(n: int, h: float) -> CoeffMatrix:
-    """Coefficient matrix for n pieces of width h.
-
-    Column j is coeffs_closed_form of the second differences of the j-th
-    unit sample vector, so C @ y matches build_spline up to roundoff.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not h > 0:
-        raise ValueError(f"need h > 0, got {h}")
-    n, h = int(n), float(h)
-    entries = coeffs_closed_form(_second_differences(np.eye(n + 1), h), n)
-    entries.setflags(write=False)
-    return CoeffMatrix(n, h, entries)
 
 
 @dataclass(frozen=True)
@@ -146,9 +83,10 @@ class SplineModel:
             raise OutOfDomainError(f"x={xs[outside][0]} outside [{g.a}, {g.b}]")
         # piece index k = min(n, 1 + floor((x - a)/h)), >= 1 as x >= a: a node
         # between two pieces takes the right-hand one, and both agree there
-        # by construction. t holds k - 1 as a float, so x_{k-1} = a + (k-1) h
-        # and x_k = a + k h need no integer conversion (integers this small
-        # are exact). The arithmetic below is, operation for operation and
+        # by construction. The piece ends are read from the grid, so the last
+        # piece ends at b exactly; km1 is in range, so take's mode="clip"
+        # changes no index and only skips the copy the default mode makes
+        # for out=. The arithmetic below is, operation for operation and
         # operand for operand, on reused buffers:
         #   value  ((x - x_{k-1}) y_k - (x - x_k) y_{k-1}) / h + a_k (x - x_{k-1})(x - x_k)
         #   slope  (y_k - y_{k-1}) / h + a_k (2x - x_{k-1} - x_k)
@@ -157,11 +95,8 @@ class SplineModel:
         np.floor(t, out=t)
         np.minimum(t, g.n - 1, out=t)
         km1 = t.astype(np.intp)
-        xk1 = t * g.h
-        xk1 += g.a
-        t += 1.0
-        xk = np.multiply(t, g.h, out=t)
-        xk += g.a
+        xk1 = g.nodes.take(km1, out=t, mode="clip")
+        xk = g.nodes[1:].take(km1, mode="clip")
         y, ak = self.samples, self.coeffs[km1]
         out, prev = y[1:][km1], y[km1]
         if deriv:

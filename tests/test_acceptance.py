@@ -15,12 +15,14 @@ import time
 import numpy as np
 import pytest
 
-from quadspline import (build_spline, coefficient_matrix, coeffs_by_recursion,
-                        coeffs_closed_form, convergence_study, gauss_legendre,
-                        integrate_panels, kernel_piece_weights, make_grid,
-                        optimal_first_coefficient, sample, second_differences)
+from quadspline import (build_spline, coeffs_closed_form, convergence_study,
+                        gauss_legendre, integrate_panels, make_grid, sample,
+                        second_differences)
 from quadspline import registry
 from quadspline.core import eval_many
+
+from oracles import (coefficient_matrix, coeffs_by_recursion, kernel_piece_weights,
+                     optimal_first_coefficient)
 
 
 def report(criterion, ok, detail):

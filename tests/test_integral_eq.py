@@ -5,13 +5,13 @@ import pytest
 
 from quadspline import (DegenerateProblemError, IntegralProblem,
                         InvalidDomainError, SingularMatrixError,
-                        assemble_fredholm, build_spline,
-                        coefficient_matrix, gauss_legendre, integrate_panels,
-                        kernel_piece_weights, l2_error, make_grid,
-                        solve_fredholm, solve_fredholm_eigen, solve_volterra1,
-                        solve_volterra2)
+                        assemble_fredholm, build_spline, gauss_legendre,
+                        integrate_panels, l2_error, make_grid, solve_fredholm,
+                        solve_fredholm_eigen, solve_volterra1, solve_volterra2)
 from quadspline.integral_eq import _integral_operator
 from quadspline.registry import get_problem
+
+from oracles import coefficient_matrix, kernel_piece_weights, summed_piece_weights
 
 RULE8 = gauss_legendre(8)
 
@@ -124,20 +124,6 @@ class TestKernelPieceWeights:
         C = coefficient_matrix(4, g.h)
         with pytest.raises(ValueError):
             kernel_piece_weights(lambda x, s: 1.0, 0.3, g, 5, C, RULE8)
-
-
-def summed_piece_weights(kernel, grid, xs, upper):
-    """Oracle for _integral_operator: row i sums the piece weights of
-    kernel_piece_weights over [a, upper_i], truncating the last piece."""
-    C = coefficient_matrix(grid.n, grid.h)
-    rows = np.zeros((len(xs), grid.n + 1))
-    for i, (x, hi) in enumerate(zip(xs, upper)):
-        for k in range(1, grid.n + 1):
-            if hi <= grid.nodes[k - 1]:
-                break
-            rows[i] += kernel_piece_weights(kernel, x, grid, k, C, RULE8,
-                                            upper=min(hi, grid.nodes[k]))
-    return rows
 
 
 class TestIntegralOperator:
@@ -378,7 +364,7 @@ class TestSolveVolterra2:
         kernel = random_poly_kernel(rng)
         p = IntegralProblem("volterra2", kernel, (0, 1), 5,
                             forcing=np.sin, lam=2.0)
-        from quadspline.integral_eq import kernel_piece_weights as kpw
+        from oracles import kernel_piece_weights as kpw
         g = p.grid()
         C = coefficient_matrix(5, g.h)
         y = rng.standard_normal(6)

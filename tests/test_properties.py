@@ -1,7 +1,8 @@
-"""Property tests of the spline over random grids and random sample vectors.
+"""Property tests of the spline and the collocation operator over random grids.
 
 Grids are [a, a + width] with n pieces, drawn as in the other suites:
-a in [-10, 10], width in [0.01, 10], n in [2, 60].
+a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
+operator, whose oracle is a Python loop over rows and pieces).
 """
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadspline import OutOfDomainError, build_spline, make_grid
+from quadspline.integral_eq import _integral_operator
+
+from oracles import RULE8, summed_piece_weights
 
 SAMPLES = st.floats(-1e3, 1e3)
 
@@ -109,3 +113,34 @@ def test_nan_or_outside_point_raises_out_of_domain(grid_y, data):
         m(bad)
     with pytest.raises(OutOfDomainError):
         m.derivative(xs)
+
+
+@st.composite
+def grid_and_kernel(draw):
+    """A grid with n in [2, 30] and K(x, s) = sum c_pq x^p s^q, p, q <= 2."""
+    a = draw(st.floats(-10, 10), label="a")
+    width = draw(st.floats(0.01, 10), label="width")
+    n = draw(st.integers(2, 30), label="n")
+    c = draw(arrays(np.float64, (3, 3), elements=st.floats(-1, 1)), label="c")
+    p = np.arange(3)
+    kernel = lambda x, s: (np.power.outer(x, p) @ c * np.power.outer(s, p)).sum(-1)  # noqa: E731
+    return make_grid(a, a + width, n), kernel
+
+
+@pytest.mark.parametrize("rows", ["fredholm", "volterra"])
+@given(grid_and_kernel())
+@settings(max_examples=60, deadline=None)
+def test_operator_rows_match_summed_piece_weights(rows, grid_kernel):
+    # row i of the operator is the sum of the oracle's piece weights over
+    # the pieces that [a, upper_i] covers: all of them for Fredholm rows
+    # (upper = b), pieces 1..i for Volterra rows (upper = x_i)
+    g, kernel = grid_kernel
+    upper = np.full(g.n + 1, g.b) if rows == "fredholm" else g.nodes
+    W = _integral_operator(kernel, g, RULE8, g.nodes, upper)
+    oracle = summed_piece_weights(kernel, g, g.nodes, upper)
+    # the oracle takes s - x_{k-1} from absolute positions, so its roundoff
+    # grows like eps |x| / h; the operator builds the offsets directly.
+    # Subnormal moments (from tiny drawn coefficients) round absolutely.
+    rtol = 1e-12 + 1e-14 * max(abs(g.a), abs(g.b)) / g.h
+    scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+    assert np.all(np.abs(W - oracle) <= rtol * scale + 1e3 * np.finfo(float).tiny)

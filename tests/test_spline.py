@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import (OutOfDomainError, build_spline, coefficient_matrix,
-                        coeffs_by_recursion, coeffs_closed_form,
+from quadspline import (OutOfDomainError, build_spline, coeffs_closed_form,
                         convergence_study, fluctuation_energy, make_grid,
-                        optimal_first_coefficient, sample, second_differences)
+                        sample, second_differences)
 from quadspline.quadrature import _BLOCK, _max_abs_deviation
+
+from oracles import coefficient_matrix, coeffs_by_recursion, optimal_first_coefficient
 
 
 def spline_for(f, a, b, n):
@@ -40,6 +41,18 @@ class TestSecondDifferences:
         g = make_grid(0, 1, 4)
         with pytest.raises(ValueError):
             second_differences(np.zeros(4), g)
+
+    def test_columns_along_axis_0(self):
+        # one column per sample vector, each as if passed alone; the length
+        # check applies to axis 0
+        g = make_grid(-1, 2, 6)
+        ys = np.random.default_rng(8).standard_normal((7, 3))
+        d = second_differences(ys, g)
+        assert d.shape == (5, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(d[:, j], second_differences(ys[:, j], g))
+        with pytest.raises(ValueError):
+            second_differences(np.zeros((6, 3)), g)
 
 
 class TestFirstCoefficient:
@@ -232,6 +245,16 @@ class TestSplineModel:
             with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
                 call(xs)
 
+    def test_value_at_right_end_is_last_sample_exactly(self):
+        # the last piece ends at the grid's b, not at a + n h, so its
+        # quadratic term vanishes there; a + n h misses b by an ulp here
+        g = make_grid(0, 3.125, 39)
+        y = np.zeros(40)
+        y[36] = 49.0
+        m = build_spline(g, y)
+        assert m(g.b) == 0.0
+        assert m(g.nodes)[-1] == 0.0
+
     def test_scalar_and_array_calls_agree(self):
         _, m = spline_for(np.exp, 0, 1, 6)
         xs = np.linspace(0, 1, 13)
@@ -348,7 +371,7 @@ def closed_form_at(model, x, deriv):
     """The spline's closed form at one point, in scalar Python arithmetic."""
     g, y = model.grid, model.samples
     k = min(max(math.floor((x - g.a) / g.h) + 1, 1), g.n)
-    xk1, xk, ak = g.a + (k - 1) * g.h, g.a + k * g.h, model.coeffs[k - 1]
+    xk1, xk, ak = g.nodes[k - 1], g.nodes[k], model.coeffs[k - 1]
     if deriv:
         return (y[k] - y[k - 1]) / g.h + ak * (2.0 * x - xk1 - xk)
     return ((x - xk1) * y[k] - (x - xk) * y[k - 1]) / g.h + ak * ((x - xk1) * (x - xk))
