@@ -205,7 +205,12 @@ def cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    parse_args keeps nothing between calls: each returns a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="quadspline",
         description="Variational quadratic splines and integral-equation "

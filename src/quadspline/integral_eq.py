@@ -7,14 +7,16 @@ the node samples; Fredholm rows integrate up to b, Volterra rows up to
 their own point. Because every piece's quadratic coefficient is a linear
 functional of ALL node samples (the closed form of spline.py applied to
 the columns of the identity), the collocation systems are dense even for
-Volterra problems; they stay small, so that costs nothing. The per-piece
-form of the same integral, which the operator is tested against, lives
-in tests/oracles.py.
+Volterra problems; they stay small, so that costs nothing. The operator
+applies that closed form transposed to its rows of moments, so the
+coefficient matrix itself is never built. The per-piece form of the same
+integral, which the operator is tested against, lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
-kernel once per quadrature node on arrays x (a column) and s that
-broadcast together, a broadcastable result such as a constant accepted,
-and per point only when the array call raises TypeError or ValueError.
+kernel once per quadrature node and block of operator rows, on arrays x
+(a column) and s that broadcast together, a broadcastable result such as
+a constant accepted, and per point only when the array call raises
+TypeError or ValueError.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -39,9 +41,13 @@ from .core import Grid, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
-from .spline import SplineModel, build_spline, coeffs_closed_form, second_differences
+from .spline import SplineModel, _closed_form_adjoint, build_spline
 
 Kernel = Callable[[float, float], float]
+
+# Doubles in _integral_operator's (q, rows, n) buffer of kernel values, about
+# 2 MB; rows are taken in blocks of that size, so large n needs no more.
+_OPERATOR_BLOCK = 1 << 18
 
 KINDS = ("fredholm2", "fredholm_eigen", "volterra2", "volterra1")
 _NEEDS_FORCING = {"fredholm2": True, "fredholm_eigen": False,
@@ -110,28 +116,42 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
 
     S is the spline through any samples y. Every piece is integrated with
     `rule` over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], so pieces beyond
-    upper_i have zero width. The kernel is evaluated once per quadrature
-    node, on the len(xs) x n grid of (row, piece) pairs. The chord moments
-    go to the piece's two end nodes; the quadratic moments go to every
-    node through the closed-form coefficients of the unit sample vectors.
+    upper_i have zero width and a piece that upper_i cuts is integrated
+    over its part. With half the clipped half-width and (t, w) the rule,
+    s - x_{k-1} = half (1 + t), so the three moments of every (row, piece)
+    pair, full, empty or cut, follow from m_p = sum w (1 + t)^p K(xs_i, s),
+    p = 0, 1, 2: one matrix product per block of rows, after the kernel is
+    evaluated once per quadrature node on the block's (row, piece) grid.
+    The chord moments go to the piece's two end nodes; the quadratic
+    moments go to every node through the transposed closed form of the
+    coefficients (spline._closed_form_adjoint), so no coefficient matrix
+    is built.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
-    h = grid.h
+    n, h, q = grid.n, grid.h, rule.order
     starts = grid.nodes[:-1]
-    half = 0.5 * (np.clip(upper, starts, grid.nodes[1:]) - starts)
-    left = np.zeros_like(half)
-    right = np.zeros_like(half)
-    quad = np.zeros_like(half)
-    for t, weight in zip(rule.nodes, rule.weights):
-        dl = half * (1.0 + t)  # s - x_{k-1}
-        kw = weight * half * eval_many(kernel, xs, starts + dl)
-        left += kw * dl
-        right += kw * (dl - h)
-        quad += kw * dl * (dl - h)
-    W = quad @ coeffs_closed_form(second_differences(np.eye(grid.n + 1), grid), grid.n)
-    W[:, 1:] += left / h
-    W[:, :-1] -= right / h
+    tp = 1.0 + rule.nodes
+    moments = np.stack((rule.weights, rule.weights * tp, rule.weights * tp**2))
+    rows = max(1, _OPERATOR_BLOCK // (q * n))
+    K = np.empty((q, min(rows, len(xs)), n))
+    W = np.empty((len(xs), n + 1))
+    for lo in range(0, len(xs), rows):
+        x = xs[lo:lo + rows]
+        half = 0.5 * (np.clip(upper[lo:lo + rows], starts, grid.nodes[1:]) - starts)
+        Kb = K[:, :len(x)]
+        for j, t in enumerate(tp):
+            # s goes into the row that its kernel values then overwrite
+            np.multiply(half, t, out=Kb[j])
+            Kb[j] += starts
+            Kb[j] = eval_many(kernel, x, Kb[j])
+        m0, m1, m2 = (moments @ Kb.reshape(q, -1)).reshape(3, len(x), n)
+        left = half * half * m1
+        right = left - h * half * m0
+        Wb = _closed_form_adjoint(half * half * (half * m2 - h * m1), h)
+        Wb[:, 1:] += left / h
+        Wb[:, :-1] -= right / h
+        W[lo:lo + rows] = Wb
     return W
 
 
@@ -281,7 +301,7 @@ def solve_volterra1(
     trailing system is 2.2e-13 at n = 21 and 8.1e-14 at n = 22, so
     solve_dense accepts n <= 21 at RCOND_MIN = 1e-13 and raises
     SingularMatrixError beyond; the L2 error grows about 2.5x per unit of
-    n, from 1.3e-13 at n = 5 to 3.5e-7 at n = 21.
+    n, from 4.3e-14 at n = 5 to 1.8e-7 at n = 21.
     """
     if problem.kind != "volterra1":
         raise ValueError(f"expected kind 'volterra1', got {problem.kind!r}")

@@ -3,10 +3,11 @@
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
-does not depend on the pivot order. Characteristic values, the roots of
-det(I - lambda*alpha), come from the eigenvalues of alpha, and each null
-vector is the last right singular vector of I - lambda*alpha. The
-sign-tracked determinant those roots are tested against lives in
+does not depend on the pivot order; A is factored once, and one solve
+gives both x and the inverse the gate needs. Characteristic values, the
+roots of det(I - lambda*alpha), come from the eigenvalues of alpha, and
+each null vector is the last right singular vector of I - lambda*alpha.
+The sign-tracked determinant those roots are tested against lives in
 tests/oracles.py.
 """
 from __future__ import annotations
@@ -36,25 +37,33 @@ def _require_finite(name: str, A: np.ndarray) -> None:
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
+    One LU factorization serves both the solve and the condition gate: the
+    columns of b and of the identity are solved together, which gives x
+    and the inverse, and 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf) is the
+    value numpy.linalg.cond(A, inf) computes from that same inverse.
     Raises SingularMatrixError when LAPACK finds an exactly singular factor
-    or 1/cond_inf(A) <= RCOND_MIN, and ValueError naming the first
-    non-finite entry of A or b.
+    or 1/cond_inf(A) <= RCOND_MIN, and ValueError for an empty A, a shape
+    mismatch, or naming the first non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _require_finite("A", A)
     _require_finite("b", b)
-    if (A.ndim != 2 or A.shape[0] != A.shape[1]
+    if (A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size
             or b.ndim not in (1, 2) or b.shape[0] != A.shape[0]):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    k = 1 if b.ndim == 1 else b.shape[1]
     try:
-        x = np.linalg.solve(A, b)
+        X = np.linalg.solve(A, np.column_stack((b, np.eye(len(A)))))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
-    rcond = 1.0 / np.linalg.cond(A, np.inf)
+    # an inverse near the overflow threshold gives rcond 0, as cond does
+    with np.errstate(over="ignore"):
+        rcond = 1.0 / (_inf_norm(A) * _inf_norm(X[:, k:]))
     if rcond <= RCOND_MIN:
         raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
-    return x
+    # copies, so that x does not keep the inverse alive
+    return X[:, 0].copy() if b.ndim == 1 else X[:, :k].copy()
 
 
 @dataclass(frozen=True)

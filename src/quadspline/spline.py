@@ -12,9 +12,9 @@ b_k = (-1)^{k+1} a_k the recursion is a prefix sum and the energy is
 minimal when the b_k sum to zero, so all n coefficients cost one cumsum.
 
 build_spline uses that closed form (coeffs_closed_form) as its only path,
-and the collocation operator in integral_eq applies it to the columns of
-the identity. The recursion it is held to, and the dense coefficient
-matrix, live in tests/oracles.py.
+and the collocation operator in integral_eq applies it transposed
+(_closed_form_adjoint) to rows of moments. The recursion it is held to,
+and the dense coefficient matrix, live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -57,6 +57,27 @@ def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
     coeffs = c - c.mean(axis=0)
     coeffs[1::2] *= -1.0
     return coeffs
+
+
+def _closed_form_adjoint(r: np.ndarray, h: float) -> np.ndarray:
+    """r @ C for the n x (n+1) map C from node samples to coefficients.
+
+    C is coeffs_closed_form of second_differences, so r @ C runs its steps
+    transposed and in reverse, in O(n) per row of the m x n array r,
+    without forming C: the sign flip of every other coefficient, the mean
+    removal, the prefix sum (a reverse cumsum), its signs, and the
+    scattering of each second difference to its three nodes. Overwrites r.
+    """
+    r[:, 1::2] *= -1.0
+    r -= r.mean(axis=1, keepdims=True)
+    v = np.cumsum(r[:, :0:-1], axis=1)[:, ::-1]
+    v[:, 0::2] *= -1.0
+    v /= h * h
+    out = np.zeros((r.shape[0], r.shape[1] + 1))
+    out[:, :-2] += v
+    out[:, 1:-1] -= 2.0 * v
+    out[:, 2:] += v
+    return out
 
 
 @dataclass(frozen=True)

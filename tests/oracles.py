@@ -9,7 +9,8 @@ route to a result the package computes another way:
                               sum behind build_spline)
   CoeffMatrix,                the dense n x (n+1) map from node samples to
   coefficient_matrix          coefficients; checks that the closed form is
-                              linear in the samples, and feeds
+                              linear in the samples, checks its transpose
+                              spline._closed_form_adjoint, and feeds
                               kernel_piece_weights
   kernel_piece_weights,       one piece of the collocation integral at a
   summed_piece_weights        time, and its sum over the pieces of each

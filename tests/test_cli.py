@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from quadspline import registry
-from quadspline.cli import main
+from quadspline.cli import build_parser, main
+
+from test_imports import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -250,3 +252,48 @@ class TestUsage:
             main([*command, "--quad-order", order])
         assert exc.value.code == 2
         assert "error: argument --quad-order" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main parses with one parser built once per process; no call may leak
+    into the next, so each output equals a fresh interpreter's."""
+
+    @staticmethod
+    def fresh(*argv):
+        return run_fresh("import sys; from quadspline.cli import main; "
+                         f"sys.exit(main({list(argv)!r}))")
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_bracket_does_not_stick(self, capsys):
+        # [-3, -2.5] holds one of the two default roots, so a leaked
+        # bracket would drop a row
+        command = ["solve", "-p", "krasnov2", "--n", "5"]
+        code, bracketed, _ = run_cli(capsys, *command, "--bracket=-3,-2.5")
+        assert code == 0
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert out.strip() == self.fresh(*command)
+        assert out != bracketed
+
+    def test_quad_order_does_not_stick(self, capsys):
+        command = ["solve", "-p", "krasnov1", "--n", "5"]
+        # order 4 already prints the default's digits at n = 5; order 2 does not
+        for order in ("4", "2"):
+            code, low_order, _ = run_cli(capsys, *command, "--quad-order", order)
+            assert code == 0
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert out.strip() == self.fresh(*command)
+        assert out != low_order
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-p", "krasnov3", "--n", "five"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        command = ["solve", "-p", "krasnov3", "--n", "5"]
+        code, out, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert out.strip() == self.fresh(*command)

@@ -8,6 +8,7 @@ from quadspline import (DegenerateProblemError, IntegralProblem,
                         assemble_fredholm, build_spline, gauss_legendre,
                         integrate_panels, l2_error, make_grid, solve_fredholm,
                         solve_fredholm_eigen, solve_volterra1, solve_volterra2)
+from quadspline import integral_eq
 from quadspline.integral_eq import _integral_operator
 from quadspline.registry import get_problem
 
@@ -149,6 +150,26 @@ class TestIntegralOperator:
         oracle = summed_piece_weights(kernel, g, xs, upper)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("rows", ["full", "causal", "interior"])
+    @pytest.mark.parametrize("block_rows", [1, 13])
+    def test_row_blocks_agree_with_one_block(self, monkeypatch, rows, block_rows):
+        # at n = 40 a row holds 8 x 40 kernel values; its 41 (or 50) rows go
+        # in blocks of 13 rows or of 1, and a last block of 13 is shorter
+        g = make_grid(-0.5, 1.5, 40)
+        kernel = self.KERNELS["polynomial"]
+        if rows == "full":
+            xs, upper = g.nodes, g.b
+        elif rows == "causal":
+            xs = upper = g.nodes
+        else:
+            xs = upper = np.sort(np.random.default_rng(7).uniform(g.a, g.b, 50))
+        one = _integral_operator(kernel, g, RULE8, xs, upper)
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", block_rows * RULE8.order * g.n)
+        blocked = _integral_operator(kernel, g, RULE8, xs, upper)
+        assert len(xs) > 3 * block_rows
+        scale = np.max(np.abs(one), axis=1, keepdims=True)
+        assert np.all(np.abs(blocked - one) <= 1e-14 * scale)
 
     def test_scalar_upper_broadcasts(self):
         g = make_grid(0, 1, 5)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from quadspline import (SingularMatrixError, assemble_fredholm,
-                        find_real_eigenvalues, solve_dense)
-from quadspline.linsolve import _inf_norm, _null_vector
+                        find_real_eigenvalues, linsolve, solve_dense)
+from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
 from quadspline.registry import get_problem
 
 from oracles import determinant
@@ -69,7 +69,8 @@ class TestSolveDense:
             solve_dense(np.eye(3), np.ones(4))
 
     @pytest.mark.parametrize("a_shape,b_shape", [((3, 3), (4, 2)), ((3, 3), (3, 2, 1)),
-                                                 ((3, 3), ()), ((3, 2), (3,)), ((3,), (3,))])
+                                                 ((3, 3), ()), ((3, 2), (3,)), ((3,), (3,)),
+                                                 ((0, 0), (0,))])
     def test_shape_mismatch_cases(self, a_shape, b_shape):
         with pytest.raises(ValueError, match="shape mismatch"):
             solve_dense(np.ones(a_shape), np.ones(b_shape))
@@ -96,6 +97,67 @@ class TestSolveDense:
         b = np.array([1.0, 2.0, bad])
         with pytest.raises(ValueError, match=r"b\[2\] is not finite"):
             solve_dense(np.eye(3), b)
+
+    def test_one_factorization_per_call(self, monkeypatch):
+        # the gate reads the inverse from the solve itself: neither cond nor
+        # inv runs, and numpy.linalg.solve runs once, for (2, 1) and (2, k) b
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second factorization")
+
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "cond", forbidden)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        A = np.array([[4.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_allclose(solve_dense(A, [5.0, 5.0]), [1.0, 1.0], rtol=1e-15)
+        assert len(calls) == 1
+        assert solve_dense(A, np.ones((2, 3))).shape == (2, 3)
+        assert len(calls) == 2
+        with pytest.raises(SingularMatrixError):
+            solve_dense(np.diag([1.0, 1e-14]), np.ones(2))
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1.0, 1 + 1e-6])
+    @pytest.mark.parametrize("shape", ["diag", "scaled", "permuted"])
+    def test_gate_boundary_is_cond_inf(self, factor, shape):
+        # 1/cond_inf of diag(1, s) is s: just below, at and just above
+        # RCOND_MIN the system is refused exactly when 1/cond(A, inf) says so
+        s = RCOND_MIN * factor
+        A = {"diag": np.diag([1.0, s]),
+             "scaled": 3e5 * np.diag([1.0, s]),
+             "permuted": np.diag([1.0, s, 0.5])[[2, 0, 1]]}[shape]
+        b = np.ones(len(A))
+        if 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN:
+            with pytest.raises(SingularMatrixError, match="cond"):
+                solve_dense(A, b)
+        else:
+            np.testing.assert_allclose(A @ solve_dense(A, b), b, rtol=1e-15)
+
+    def test_gate_value_is_inverse_cond_inf(self, monkeypatch):
+        # with RCOND_MIN moved to just above or just below 1/cond(A, inf),
+        # the gate must refuse or accept: its value matches cond to 1e-12
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 20, 60):
+            A = random_well_conditioned(rng, n)
+            b = rng.standard_normal(n)
+            rcond = 1.0 / np.linalg.cond(A, np.inf)
+            monkeypatch.setattr(linsolve, "RCOND_MIN", rcond * (1 - 1e-12))
+            solve_dense(A, b)
+            monkeypatch.setattr(linsolve, "RCOND_MIN", rcond * (1 + 1e-12))
+            with pytest.raises(SingularMatrixError):
+                solve_dense(A, b)
+
+    def test_inverse_overflow_is_refused_without_warning(self):
+        # the inverse's row sums overflow: rcond is 0, as cond makes it, and
+        # no RuntimeWarning escapes
+        A = 2.5e-308 * (np.eye(5) - np.eye(5, k=1))
+        with pytest.raises(SingularMatrixError, match="cond"):
+            solve_dense(A, np.ones(5))
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(77)

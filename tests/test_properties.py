@@ -127,17 +127,24 @@ def grid_and_kernel(draw):
     return make_grid(a, a + width, n), kernel
 
 
-@pytest.mark.parametrize("rows", ["fredholm", "volterra"])
-@given(grid_and_kernel())
+@pytest.mark.parametrize("rows", ["fredholm", "volterra", "interior"])
+@given(grid_and_kernel(), st.lists(st.floats(0, 1), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
-def test_operator_rows_match_summed_piece_weights(rows, grid_kernel):
+def test_operator_rows_match_summed_piece_weights(rows, grid_kernel, fractions):
     # row i of the operator is the sum of the oracle's piece weights over
     # the pieces that [a, upper_i] covers: all of them for Fredholm rows
-    # (upper = b), pieces 1..i for Volterra rows (upper = x_i)
+    # (upper = b), pieces 1..i for Volterra rows (upper = x_i), and for
+    # interior rows (xs = upper, sorted points of [a, b], as in the
+    # Volterra-1 closure) the pieces before upper_i plus part of its own
     g, kernel = grid_kernel
-    upper = np.full(g.n + 1, g.b) if rows == "fredholm" else g.nodes
-    W = _integral_operator(kernel, g, RULE8, g.nodes, upper)
-    oracle = summed_piece_weights(kernel, g, g.nodes, upper)
+    if rows == "fredholm":
+        xs, upper = g.nodes, np.full(g.n + 1, g.b)
+    elif rows == "volterra":
+        xs = upper = g.nodes
+    else:
+        xs = upper = np.sort(np.minimum(g.a + np.array(fractions) * (g.b - g.a), g.b))
+    W = _integral_operator(kernel, g, RULE8, xs, upper)
+    oracle = summed_piece_weights(kernel, g, xs, upper)
     # the oracle takes s - x_{k-1} from absolute positions, so its roundoff
     # grows like eps |x| / h; the operator builds the offsets directly.
     # Subnormal moments (from tiny drawn coefficients) round absolutely.

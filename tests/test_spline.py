@@ -11,6 +11,7 @@ from quadspline import (OutOfDomainError, build_spline, coeffs_closed_form,
                         convergence_study, fluctuation_energy, make_grid,
                         sample, second_differences)
 from quadspline.quadrature import _BLOCK, _max_abs_deviation
+from quadspline.spline import _closed_form_adjoint
 
 from oracles import coefficient_matrix, coeffs_by_recursion, optimal_first_coefficient
 
@@ -151,6 +152,19 @@ class TestCoefficientMatrix:
             np.testing.assert_allclose(
                 C.apply(y), expected,
                 rtol=1e-10, atol=1e-10 * (1 + np.abs(expected).max()))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 301])
+    def test_adjoint_is_product_with_matrix(self, n):
+        # the collocation operator applies the closed form transposed, to
+        # rows of moments, instead of multiplying by the dense matrix
+        rng = np.random.default_rng(300 + n)
+        h = float(rng.uniform(0.01, 2.0))
+        r = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4, (5, 1))
+        expected = r @ coefficient_matrix(n, h).entries
+        got = _closed_form_adjoint(r.copy(), h)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert got.shape == (5, n + 1)
+        assert np.all(np.abs(got - expected) <= 1e-13 * scale)
 
     def test_validation(self):
         with pytest.raises(ValueError):
