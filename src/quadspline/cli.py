@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
-from .core import InvalidDomainError, eval_many, make_grid, sample
+from .core import InvalidDomainError, eval_many, sample
 from .integral_eq import DegenerateProblemError
 from .linsolve import SingularMatrixError
 from .quadrature import MAX_ORDER, gauss_legendre
@@ -39,7 +39,7 @@ def _fmt(x) -> str:
 
 
 def _emit(rows, header, args) -> None:
-    if getattr(args, "pretty", False):
+    if args.pretty:
         widths = [max(len(str(header[i])),
                       max((len(_fmt(r[i])) for r in rows), default=0))
                   for i in range(len(header))]
@@ -91,17 +91,14 @@ def _parse_int_list(text):
 
 
 def cmd_interpolate(args) -> int:
-    entry = registry.get_function(args.problem)
-    a = entry.a if args.a is None else args.a
-    b = entry.b if args.b is None else args.b
     rule = gauss_legendre(args.quad_order)
-    err = registry.interpolation_error(args.problem, args.n, a, b, rule)
+    err = registry.interpolation_error(args.problem, args.n, args.a, args.b, rule)
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        grid = make_grid(a, b, args.n)
+        entry, grid = registry._function_grid(args.problem, args.n, args.a, args.b)
         model = build_spline(grid, sample(entry.fn, grid))
-        xs = np.linspace(a, b, 20 * args.n + 1)
+        xs = np.linspace(grid.a, grid.b, 20 * args.n + 1)
         for tag, values in (("spline", model(xs)), ("exact", eval_many(entry.fn, xs))):
             path = plot_dir / f"{args.problem}_n{args.n}_{tag}.txt"
             path.write_text("".join(f"{x:.10e} {v:.10e}\n" for x, v in zip(xs, values)))
@@ -111,10 +108,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_lagrange(args) -> int:
-    entry = registry.get_function(args.problem)
-    a = entry.a if args.a is None else args.a
-    b = entry.b if args.b is None else args.b
-    err = registry.lagrange_error(args.problem, args.n, a, b)
+    err = registry.lagrange_error(args.problem, args.n, args.a, args.b)
     _emit([(args.problem, args.n, "squared_l2_error(lagrange)", err, None, None)],
           CSV_HEADER, args)
     return 0
@@ -191,7 +185,11 @@ def cmd_converge(args) -> int:
     if sorted(args.ns) != args.ns:
         print("error: --ns must be ascending", file=sys.stderr)
         return 2
-    report = convergence_study(entry.fn, fpp, entry.a, entry.b, args.ns)
+    try:
+        report = convergence_study(entry.fn, fpp, entry.a, entry.b, args.ns)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     by_n = {r.n: r for r in report.records}
     rows = []
     for rec in report.records:
@@ -217,57 +215,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmarks (CSV output).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        p.add_argument("--problem", "-p", required=True, help="registry id")
-        if with_n:
-            p.add_argument("--n", type=int, required=True,
-                           help="number of subintervals")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--quad-order", type=_parse_quad_order, default=8,
-                       help="Gauss-Legendre order (default 8)")
-        p.add_argument("--pretty", action="store_true",
-                       help="aligned text table instead of CSV")
+    # each shared option is declared once, on the parent parser of its group
+    problem, n, interval, output, quad = (argparse.ArgumentParser(add_help=False)
+                                          for _ in range(5))
+    problem.add_argument("--problem", "-p", required=True, help="registry id")
+    n.add_argument("--n", type=int, required=True, help="number of subintervals")
+    interval.add_argument("--a", type=float, default=None, help="override left endpoint")
+    interval.add_argument("--b", type=float, default=None, help="override right endpoint")
+    output.add_argument("--out", default=None, help="output path (default stdout)")
+    output.add_argument("--pretty", action="store_true",
+                        help="aligned text table instead of CSV")
+    quad.add_argument("--quad-order", type=_parse_quad_order, default=8,
+                      help="Gauss-Legendre order (default 8)")
 
-    p = sub.add_parser("interpolate", help="spline interpolation error of a "
-                                           "registered function")
-    common(p)
-    p.add_argument("--a", type=float, default=None, help="override left endpoint")
-    p.add_argument("--b", type=float, default=None, help="override right endpoint")
+    p = sub.add_parser("interpolate", parents=[problem, n, output, quad, interval],
+                       help="spline interpolation error of a registered function")
     p.add_argument("--plot-dir", default=None,
                    help="also write two-column (x, value) series files here")
     p.set_defaults(func=cmd_interpolate)
 
-    p = sub.add_parser("lagrange", help="error of the single global Lagrange "
-                                        "interpolant, for comparison")
-    common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p = sub.add_parser("lagrange", parents=[problem, n, output, quad, interval],
+                       help="error of the single global Lagrange interpolant, "
+                            "for comparison")
     p.set_defaults(func=cmd_lagrange)
 
-    p = sub.add_parser("solve", help="run the solver for a registered "
-                                     "integral equation")
-    common(p)
+    p = sub.add_parser("solve", parents=[problem, n, output, quad],
+                       help="run the solver for a registered integral equation")
     p.add_argument("--bracket", type=_parse_bracket, default=None,
                    help="eigenvalue search bracket 'lo,hi' (default: entry's)")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reproduce", help="recompute published benchmark "
-                                         "tables and compare")
+    p = sub.add_parser("reproduce", parents=[output, quad],
+                       help="recompute published benchmark tables and compare")
     p.add_argument("--table", default="all", help="table number 1..8 or 'all'")
-    p.add_argument("--out", default=None)
-    p.add_argument("--quad-order", type=_parse_quad_order, default=8)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("converge", help="measured max deviation vs the "
-                                        "analytic bound over a list of n")
-    p.add_argument("--problem", "-p", required=True)
+    p = sub.add_parser("converge", parents=[problem, output],
+                       help="measured max deviation vs the analytic bound "
+                            "over a list of n")
     p.add_argument("--ns", type=_parse_int_list, required=True,
                    help="ascending comma-separated n values")
     p.add_argument("--fpp-bound", type=float, default=None,
                    help="certified bound on |f''| (default: entry's, if any)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_converge)
 
     return parser

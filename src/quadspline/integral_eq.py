@@ -23,16 +23,17 @@ y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
 y(x) = f(x) + lam * int_a^x K(x,s) y(s) ds; Volterra first kind is
 f(x) = int_0^x K(x,s) y(s) ds (no lam).
 
-Reported error metrics follow the published benchmark tables these solvers
-reproduce: `error_l2` is the L2 NORM of (spline - reference), i.e. the
-square root of quadrature.l2_error, and `error_max` is the max deviation
-at the collocation nodes (for eigenfunctions: over 2001 equispaced points,
-after rescaling to match the reference at the first interior node).
+Every solver reports through _report, whose error metrics follow the
+published tables: `error_l2` is the L2 NORM of (spline - reference), the
+square root of quadrature.l2_error with the 8-point rule, and `error_max`
+the max deviation at the nodes. Eigenfunctions are first rescaled to match
+the reference at the first interior node, and their `error_max` is then
+replaced by the max over 2001 equispaced points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,11 +50,9 @@ Kernel = Callable[[float, float], float]
 # 2 MB; rows are taken in blocks of that size, so large n needs no more.
 _OPERATOR_BLOCK = 1 << 18
 
-KINDS = ("fredholm2", "fredholm_eigen", "volterra2", "volterra1")
-_NEEDS_FORCING = {"fredholm2": True, "fredholm_eigen": False,
-                  "volterra2": True, "volterra1": True}
-_NEEDS_LAMBDA = {"fredholm2": True, "fredholm_eigen": False,
-                 "volterra2": True, "volterra1": False}
+# kind: whether it takes (forcing, lam)
+_FIELDS = {"fredholm2": (True, True), "fredholm_eigen": (False, False),
+           "volterra2": (True, True), "volterra1": (True, False)}
 
 
 class DegenerateProblemError(ArithmeticError):
@@ -73,15 +72,13 @@ class IntegralProblem:
     reference: Optional[ScalarFunction] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _FIELDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         make_grid(*self.interval, self.n)
-        if _NEEDS_FORCING[self.kind] != (self.forcing is not None):
-            raise ValueError(f"kind {self.kind!r}: forcing "
-                             f"{'required' if _NEEDS_FORCING[self.kind] else 'not allowed'}")
-        if _NEEDS_LAMBDA[self.kind] != (self.lam is not None):
-            raise ValueError(f"kind {self.kind!r}: lam "
-                             f"{'required' if _NEEDS_LAMBDA[self.kind] else 'not allowed'}")
+        for name, needed in zip(("forcing", "lam"), _FIELDS[self.kind]):
+            if needed != (getattr(self, name) is not None):
+                raise ValueError(f"kind {self.kind!r}: {name} "
+                                 f"{'required' if needed else 'not allowed'}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"need a finite lam, got {self.lam!r}")
         if self.kind == "volterra1" and self.interval[0] != 0.0:
@@ -174,14 +171,16 @@ def assemble_fredholm(
     return np.eye(grid.n + 1) - problem.lam * alpha, sample(problem.forcing, grid)
 
 
-def _metrics(problem: IntegralProblem, spline: SplineModel,
-             samples: np.ndarray, grid: Grid) -> tuple[Optional[float], Optional[float]]:
+def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
+    """The spline through the solved samples y, with its errors against the
+    reference when there is one (conventions in the module docstring)."""
+    model = build_spline(grid, y)
     if problem.reference is None:
-        return None, None
+        return SolveReport(problem, model.samples, model)
     a, b = problem.interval
-    e2 = l2_error(spline, problem.reference, a, b, grid.n, gauss_legendre(8))
-    nodal = float(np.max(np.abs(samples - eval_many(problem.reference, grid.nodes))))
-    return math.sqrt(max(e2, 0.0)), nodal
+    e2 = l2_error(model, problem.reference, a, b, grid.n, gauss_legendre(8))
+    nodal = float(np.max(np.abs(y - eval_many(problem.reference, grid.nodes))))
+    return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), nodal)
 
 
 def solve_fredholm(
@@ -192,11 +191,7 @@ def solve_fredholm(
     if problem.kind != "fredholm2":
         raise ValueError(f"expected kind 'fredholm2', got {problem.kind!r}")
     A, rhs = assemble_fredholm(problem, rule)
-    y = solve_dense(A, rhs)
-    grid = problem.grid()
-    model = build_spline(grid, y)
-    e2, emax = _metrics(problem, model, y, grid)
-    return SolveReport(problem, model.samples, model, e2, emax)
+    return _report(problem, problem.grid(), solve_dense(A, rhs))
 
 
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
@@ -241,22 +236,15 @@ def solve_fredholm_eigen(
     a, b = problem.interval
     pairs = []
     for res in find_real_eigenvalues(alpha, lo, hi):
-        vec = res.vector
-        if problem.reference is not None:
-            vec = _rescale_to_reference(problem, grid, vec)
-        model = build_spline(grid, vec)
-        e2 = emax = None
-        if problem.reference is not None:
-            e2 = math.sqrt(max(l2_error(model, problem.reference, a, b,
-                                        grid.n, gauss_legendre(8)), 0.0))
-            emax = max_error(model, problem.reference, a, b)
-        pairs.append((res.value,
-                      SolveReport(problem, model.samples, model, e2, emax)))
+        if problem.reference is None:
+            pairs.append((res.value, _report(problem, grid, res.vector)))
+            continue
+        sub = _report(problem, grid, _rescale_to_reference(problem, grid, res.vector))
+        pairs.append((res.value, replace(
+            sub, error_max=max_error(sub.spline, problem.reference, a, b))))
     if not pairs:
         return SolveReport(problem, eigen=())
-    first = pairs[0][1]
-    return SolveReport(problem, first.samples, first.spline, first.error_l2,
-                       first.error_max, tuple(pairs))
+    return replace(pairs[0][1], eigen=tuple(pairs))
 
 
 def solve_volterra2(
@@ -274,10 +262,7 @@ def solve_volterra2(
     grid = problem.grid()
     A = np.eye(grid.n + 1) - problem.lam * _integral_operator(
         problem.kernel, grid, rule, grid.nodes, grid.nodes)
-    y = solve_dense(A, sample(problem.forcing, grid))
-    model = build_spline(grid, y)
-    e2, emax = _metrics(problem, model, y, grid)
-    return SolveReport(problem, model.samples, model, e2, emax)
+    return _report(problem, grid, solve_dense(A, sample(problem.forcing, grid)))
 
 
 def solve_volterra1(
@@ -328,7 +313,4 @@ def solve_volterra1(
         raise DegenerateProblemError(
             f"defect is insensitive to the endpoint value (integral {den!r})")
     y0 = -num / den
-    y = u + y0 * w
-    model = build_spline(grid, y)
-    e2, emax = _metrics(problem, model, y, grid)
-    return SolveReport(problem, model.samples, model, e2, emax)
+    return _report(problem, grid, u + y0 * w)

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ScalarFunction, eval_many, make_grid, sample
+from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
 from .integral_eq import (IntegralProblem, Kernel, SolveReport, solve_fredholm,
                           solve_fredholm_eigen, solve_volterra1, solve_volterra2)
 from .lagrange import lagrange_interpolant
@@ -177,17 +177,20 @@ def get_problem(pid: str) -> ProblemEntry:
 # computations behind each table cell
 
 
+def _function_grid(fid: str, n: int, a: Optional[float],
+                   b: Optional[float]) -> tuple[FunctionEntry, Grid]:
+    """A registered function and n pieces of [a, b]; an end left None is the entry's."""
+    entry = get_function(fid)
+    return entry, make_grid(entry.a if a is None else a, entry.b if b is None else b, n)
+
+
 def interpolation_error(fid: str, n: int, a: Optional[float] = None,
                         b: Optional[float] = None,
                         rule: Optional[QuadratureRule] = None) -> float:
     """squared_l2_error of the spline interpolant of a registered function."""
-    entry = get_function(fid)
-    a = entry.a if a is None else a
-    b = entry.b if b is None else b
-    rule = rule or gauss_legendre(8)
-    grid = make_grid(a, b, n)
+    entry, grid = _function_grid(fid, n, a, b)
     model = build_spline(grid, sample(entry.fn, grid))
-    return l2_error(model, entry.fn, a, b, n, rule)
+    return l2_error(model, entry.fn, grid.a, grid.b, n, rule or gauss_legendre(8))
 
 
 def lagrange_error(fid: str, n: int, a: Optional[float] = None,
@@ -198,24 +201,24 @@ def lagrange_error(fid: str, n: int, a: Optional[float] = None,
     a deliberately fine composite rule; the blow-up rows are genuine, not
     quadrature noise.
     """
-    entry = get_function(fid)
-    a = entry.a if a is None else a
-    b = entry.b if b is None else b
-    grid = make_grid(a, b, n)
+    entry, grid = _function_grid(fid, n, a, b)
     interp = lagrange_interpolant(grid.nodes, sample(entry.fn, grid))
-    return l2_error(interp, entry.fn, a, b, 16 * n, gauss_legendre(12))
+    return l2_error(interp, entry.fn, grid.a, grid.b, 16 * n, gauss_legendre(12))
 
 
 def solve_entry(pid: str, n: int, rule: Optional[QuadratureRule] = None,
                 bracket: Optional[tuple[float, float]] = None) -> SolveReport:
-    """Run the matching solver for a registered problem."""
+    """Run the matching solver for a registered problem; only fredholm_eigen
+    problems take a bracket (default: the entry's)."""
     entry = get_problem(pid)
     problem = entry.problem(n)
+    if entry.kind == "fredholm_eigen":
+        return solve_fredholm_eigen(problem, *(bracket or entry.bracket), rule)
+    if bracket is not None:
+        raise InvalidDomainError(f"problem {pid!r} is of kind {entry.kind!r}; "
+                                 "only 'fredholm_eigen' problems take a bracket")
     if entry.kind == "fredholm2":
         return solve_fredholm(problem, rule)
-    if entry.kind == "fredholm_eigen":
-        lo, hi = bracket or entry.bracket
-        return solve_fredholm_eigen(problem, lo, hi, rule)
     if entry.kind == "volterra2":
         return solve_volterra2(problem, rule)
     return solve_volterra1(problem, rule)
@@ -358,13 +361,9 @@ def compute_cell(cell: TableCell,
         report = solve_entry(cell.entry_id, cell.n, rule=rule)
     else:
         report = solve(cell.entry_id, cell.n)
+    # an eigen report's top-level fields are those of its smallest value
     if cell.metric == "eigenvalue":
-        if not report.eigen:
-            return None
-        return min(value for value, _ in report.eigen)
-    if report.eigen:
-        _, sub = min(report.eigen, key=lambda pair: pair[0])
-        report = sub
+        return report.eigen[0][0] if report.eigen else None
     if cell.metric == "l2_norm_error":
         return report.error_l2
     return report.error_max

@@ -18,6 +18,7 @@ and the dense coefficient matrix, live in tests/oracles.py.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -212,7 +213,10 @@ def convergence_study(
     (piecewise-quadratic extrema are cheap to bracket densely). The sweep
     walks the mesh in fixed-size blocks, so no other mesh-length array is
     made; the result is bit-identical to the unblocked max over the mesh.
+    Raises ValueError for a non-finite or negative fpp_bound.
     """
+    if not (math.isfinite(fpp_bound) and fpp_bound >= 0.0):
+        raise ValueError(f"need a finite fpp_bound >= 0, got {fpp_bound!r}")
     records = []
     for n in ns:
         grid = make_grid(a, b, int(n))

@@ -103,6 +103,13 @@ class TestSolve:
         assert len(values) == 1
         assert -3.0 < values[0] < -2.5
 
+    def test_bracket_refused_for_other_kinds(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "-p", "krasnov1", "--n", "5",
+                                 "--bracket=0,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'fredholm2'" in err
+
     def test_identity_passthrough(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "-p", "identity", "--n", "6")
         _, rows = parse_csv(out)
@@ -196,6 +203,14 @@ class TestConverge:
                                "--fpp-bound", "100.0")
         assert code == 0
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+    def test_rejects_unusable_bound(self, capsys, bound):
+        code, out, err = run_cli(capsys, "converge", "-p", "sin2pix", "--ns", "10,20",
+                                 f"--fpp-bound={bound}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "fpp_bound" in err
+
     def test_rejects_unsorted(self, capsys):
         code, _, _ = run_cli(capsys, "converge", "-p", "sin2pix", "--ns", "20,10")
         assert code == 2
@@ -252,6 +267,20 @@ class TestUsage:
             main([*command, "--quad-order", order])
         assert exc.value.code == 2
         assert "error: argument --quad-order" in capsys.readouterr().err
+
+
+class TestHelp:
+    # argparse formats help text only when --help asks for it
+    @pytest.mark.parametrize("command", ["interpolate", "lagrange", "solve",
+                                         "reproduce", "converge"])
+    def test_every_subcommand_help_renders(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: quadspline {command}")
+        assert "output path (default stdout)" in out
+        assert "aligned text table instead of CSV" in out
 
 
 class TestParserReuse:

@@ -1,8 +1,11 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import quadspline
 
@@ -20,6 +23,9 @@ PUBLIC = [
     "solve_volterra2", "solve_volterra1",
     "__version__",
 ]
+
+PACKAGE = Path(quadspline.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 # reference implementations that live in tests/oracles.py, not the package
 ORACLES = ("CoeffMatrix", "coefficient_matrix", "coeffs_by_recursion",
@@ -59,3 +65,58 @@ def test_oracles_are_not_in_the_package():
     files = Path(quadspline.__file__).parent.glob("*.py")
     assert loaded == sorted(f"quadspline.{p.stem}".removesuffix(".__init__") for p in files)
     assert hits == []
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree):
+    """Names that the module-level imports of `tree` bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def referenced_names(tree):
+    """Identifiers `tree` reads: names, attributes and names imported from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and assignments named _name."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = parsed(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [n for n in imported_names(tree) if n not in used] == []
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.stem: parsed(path) for path in MODULES}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = [f"{stem}.{name}" for stem, tree in trees.items()
+            for name in private_definitions(tree) if name not in referenced]
+    assert dead == []

@@ -344,6 +344,35 @@ class TestSolveFredholmEigen:
         assert r.eigen == ()
         assert r.spline is None
 
+    def test_least_squares_rescale(self, monkeypatch):
+        # at n = 2 the first interior node is 0.5, where the reference
+        # x(1 - 2x) vanishes, so the scale comes from the least-squares fit
+        # (two integrate_panels calls: numerator and denominator)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_panels(*args)
+
+        monkeypatch.setattr(integral_eq, "integrate_panels", counted)
+        r = solve_fredholm_eigen(get_problem("krasnov2").problem(2), -10, 0)
+        assert len(calls) == 2
+        assert [abs(v + 3.0) <= 1e-12 for v, _ in r.eigen] == [True]
+        assert r.error_l2 <= 1e-12
+        assert r.error_max <= 1e-12
+
+    def test_one_l2_error_per_root(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return l2_error(*args)
+
+        monkeypatch.setattr(integral_eq, "l2_error", counted)
+        r = solve_fredholm_eigen(self.problem(5), -10, 0)
+        assert len(r.eigen) == 2
+        assert len(calls) == 2
+
     def test_eigen_max_error_is_global(self):
         r = solve_fredholm_eigen(self.problem(5), -10, 0)
         _, sub = min(r.eigen, key=lambda p: p[0])

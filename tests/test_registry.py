@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadspline import registry
+from quadspline import InvalidDomainError, registry
 
 
 class TestEntries:
@@ -60,6 +60,12 @@ class TestChecks:
         r = registry.solve_entry("identity", 6)
         assert r.error_max <= 1e-12
 
+    @pytest.mark.parametrize("pid", ["krasnov1", "krasnov3", "krasnov4"])
+    def test_bracket_only_for_eigen_problems(self, pid):
+        kind = registry.get_problem(pid).kind
+        with pytest.raises(InvalidDomainError, match=f"'{kind}'"):
+            registry.solve_entry(pid, 5, bracket=(0.0, 1.0))
+
     def test_interpolation_error_linear_is_zero(self):
         assert registry.interpolation_error("linear", 5) <= 1e-20
 
@@ -77,6 +83,14 @@ class TestComputeCell:
         cell = registry.TableCell("krasnov2", 5, "eigenvalue", -3.21785, "sigfigs4")
         got = registry.compute_cell(cell)
         assert registry.cell_passes(cell, got)
+
+    @pytest.mark.parametrize("metric", ["eigenvalue", "l2_norm_error", "max_error"])
+    def test_eigen_cells_read_the_smallest_value(self, metric):
+        # krasnov2 at n = 5 has two roots in its bracket
+        value, sub = min(registry.solve_entry("krasnov2", 5).eigen, key=lambda p: p[0])
+        want = {"eigenvalue": value, "l2_norm_error": sub.error_l2,
+                "max_error": sub.error_max}[metric]
+        assert registry.compute_cell(registry.TableCell("krasnov2", 5, metric, 1.0)) == want
 
     def test_interpolation_cell(self):
         cell = registry.TableCell("abs", 10, "squared_l2_error", 2.6e-3)

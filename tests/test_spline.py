@@ -340,6 +340,11 @@ class TestParity:
 
 
 class TestConvergence:
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
+    def test_rejects_unusable_fpp_bound(self, bound):
+        with pytest.raises(ValueError, match="fpp_bound"):
+            convergence_study(np.sin, bound, 0, 1, [4])
+
     def test_linear_deviation_zero(self):
         # any M >= sup|f''| = 0 is admissible; a tiny one absorbs roundoff
         rep = convergence_study(lambda x: 3 * x - 1, 1e-12, 0, 1, [4, 8, 16])
