@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write two-column (x, value) series files here")
     p.set_defaults(func=cmd_interpolate)
 
-    p = sub.add_parser("lagrange", parents=[problem, n, output, quad, interval],
+    # lagrange_error has a fixed composite rule, so lagrange takes no --quad-order
+    p = sub.add_parser("lagrange", parents=[problem, n, output, interval],
                        help="error of the single global Lagrange interpolant, "
                             "for comparison")
     p.set_defaults(func=cmd_lagrange)

@@ -77,7 +77,7 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     exception, propagate after that one call.
     """
     args = [np.asarray(a, dtype=float) for a in args]
-    shape = np.broadcast_shapes(*(a.shape for a in args))
+    shape = np.broadcast(*args).shape
     try:
         vals = np.asarray(f(*args), dtype=float)
         return vals if vals.shape == shape else np.array(np.broadcast_to(vals, shape))

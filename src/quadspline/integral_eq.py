@@ -13,10 +13,11 @@ coefficient matrix itself is never built. The per-piece form of the same
 integral, which the operator is tested against, lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
-kernel once per quadrature node and block of operator rows, on arrays x
-(a column) and s that broadcast together, a broadcastable result such as
-a constant accepted, and per point only when the array call raises
-TypeError or ValueError.
+kernel once per block of operator rows, on x as a (rows, 1) column and s
+as the (q, 1, n) stack of every piece's quadrature nodes, plus once more
+for the pieces that off-node rows cut; a broadcastable result such as a
+constant is accepted, and a kernel is called per point only when the
+array call raises TypeError or ValueError.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -117,32 +118,39 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     over its part. With half the clipped half-width and (t, w) the rule,
     s - x_{k-1} = half (1 + t), so the three moments of every (row, piece)
     pair, full, empty or cut, follow from m_p = sum w (1 + t)^p K(xs_i, s),
-    p = 0, 1, 2: one matrix product per block of rows, after the kernel is
-    evaluated once per quadrature node on the block's (row, piece) grid.
-    The chord moments go to the piece's two end nodes; the quadratic
-    moments go to every node through the transposed closed form of the
-    coefficients (spline._closed_form_adjoint), so no coefficient matrix
-    is built.
+    p = 0, 1, 2: one matrix product per block of rows. A piece that a row
+    covers fully has the same nodes in every row, so the kernel is called
+    once per block on a (rows, 1) column of x and the (q, 1, n) stack of
+    full-piece nodes, giving the (q, rows, n) values. Empty pieces take
+    those values too: their half-width 0 cancels them. Only the pieces
+    that a row's limit cuts, which node rows (upper = b or upper = xs on
+    the grid) never have, need their own nodes, and they take one more
+    call for the block. The chord moments go to the piece's two end nodes;
+    the quadratic moments go to every node through the transposed closed
+    form of the coefficients (spline._closed_form_adjoint), so no
+    coefficient matrix is built.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
     n, h, q = grid.n, grid.h, rule.order
     starts = grid.nodes[:-1]
+    full = 0.5 * (grid.nodes[1:] - starts)
     tp = 1.0 + rule.nodes
+    s_full = (full * tp[:, None] + starts)[:, None, :]
     moments = np.stack((rule.weights, rule.weights * tp, rule.weights * tp**2))
     rows = max(1, _OPERATOR_BLOCK // (q * n))
-    K = np.empty((q, min(rows, len(xs)), n))
     W = np.empty((len(xs), n + 1))
     for lo in range(0, len(xs), rows):
         x = xs[lo:lo + rows]
         half = 0.5 * (np.clip(upper[lo:lo + rows], starts, grid.nodes[1:]) - starts)
-        Kb = K[:, :len(x)]
-        for j, t in enumerate(tp):
-            # s goes into the row that its kernel values then overwrite
-            np.multiply(half, t, out=Kb[j])
-            Kb[j] += starts
-            Kb[j] = eval_many(kernel, x, Kb[j])
-        m0, m1, m2 = (moments @ Kb.reshape(q, -1)).reshape(3, len(x), n)
+        K = eval_many(kernel, x, s_full)
+        i, k = np.nonzero((half > 0.0) & (half < full))
+        if i.size:
+            # eval_many may hand back the kernel's own array, or s_full itself
+            if not K.flags.writeable or np.may_share_memory(K, s_full):
+                K = K.copy()
+            K[:, i, k] = eval_many(kernel, x[i, 0], half[i, k] * tp[:, None] + starts[k])
+        m0, m1, m2 = (moments @ K.reshape(q, -1)).reshape(3, len(x), n)
         left = half * half * m1
         right = left - h * half * m0
         Wb = _closed_form_adjoint(half * half * (half * m2 - h * m1), h)

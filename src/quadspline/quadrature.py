@@ -64,12 +64,15 @@ def panel_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the composite rule, shape (panels, order), and each panel's half-width.
 
-    The integral of f is sum(half * (f(nodes) @ rule.weights)).
+    The integral of f is sum(half * (f(nodes) @ rule.weights), axis=-1).
+    Array lo and hi give one composite rule per element of their
+    broadcast: nodes of shape (..., panels, order), half-widths of shape
+    (..., panels).
     """
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * rule.nodes[None, :], half
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * rule.nodes, half
 
 
 def l2_error(

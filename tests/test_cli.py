@@ -76,6 +76,15 @@ class TestLagrange:
         _, out, _ = run_cli(capsys, "lagrange", "-p", "linear", "--n", "3")
         assert float(parse_csv(out)[1][0][3]) <= 1e-20
 
+    def test_quad_order_is_usage_error(self, capsys):
+        # the error integral has a fixed rule; the option would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["lagrange", "-p", "abs", "--n", "10", "--quad-order", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --quad-order 2" in captured.err
+
 
 class TestSolve:
     def test_volterra_metrics(self, capsys):

@@ -198,6 +198,89 @@ class TestIntegralOperator:
             _integral_operator(lambda x, s: math.exp(x * s), *args),
             _integral_operator(lambda x, s: np.exp(x * s), *args), rtol=1e-15)
 
+    @pytest.mark.parametrize("kernel", [
+        # a full-shape read-only view, which eval_many passes on uncopied
+        lambda x, s: np.broadcast_to(x * s, np.broadcast_shapes(np.shape(x), np.shape(s))),
+        # with one row per block, s itself has the full shape
+        lambda x, s: s,
+    ], ids=["read_only", "returns_s"])
+    def test_cut_pieces_never_write_into_the_kernel_result(self, monkeypatch, kernel):
+        g = make_grid(-0.5, 1.5, 6)
+        xs = upper = np.sort(np.random.default_rng(8).uniform(g.a, g.b, 5))
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", RULE8.order * g.n)
+        W = _integral_operator(kernel, g, RULE8, xs, upper)
+        oracle = summed_piece_weights(kernel, g, xs, upper)
+        scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+        assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
+
+
+class CountingKernel:
+    """exp(x s), recording the shapes of every array call and counting
+    per-point calls; scalar_only makes array calls raise TypeError."""
+
+    def __init__(self, scalar_only=False):
+        self.scalar_only = scalar_only
+        self.array_calls = []
+        self.point_calls = 0
+
+    def __call__(self, x, s):
+        if np.ndim(x) or np.ndim(s):
+            self.array_calls.append((np.shape(x), np.shape(s)))
+            if self.scalar_only:
+                raise TypeError("only scalars")
+            return np.exp(x * s)
+        self.point_calls += 1
+        return math.exp(x * s)
+
+
+class TestOperatorCalls:
+    """The operator calls the kernel once per block of rows on a (rows, 1)
+    column of x and the (q, 1, n) full-piece nodes, plus once for the
+    pieces that the block's row limits cut."""
+
+    N, BLOCK_ROWS = 40, 13
+    GRID = make_grid(-0.5, 1.5, N)
+    ROWS = {
+        "fredholm": (GRID.nodes, GRID.b),
+        "causal": (GRID.nodes, GRID.nodes),
+        "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),) * 2,
+    }
+
+    def run(self, monkeypatch, rows, kernel):
+        """Rows in blocks of BLOCK_ROWS; returns the size of each block."""
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK",
+                            self.BLOCK_ROWS * RULE8.order * self.N)
+        xs, upper = self.ROWS[rows]
+        _integral_operator(kernel, self.GRID, RULE8, xs, upper)
+        return [min(self.BLOCK_ROWS, len(xs) - lo)
+                for lo in range(0, len(xs), self.BLOCK_ROWS)]
+
+    @pytest.mark.parametrize("rows", ["fredholm", "causal"])
+    def test_node_rows_make_one_call_per_block(self, monkeypatch, rows):
+        kernel = CountingKernel()
+        sizes = self.run(monkeypatch, rows, kernel)
+        assert len(sizes) == 4
+        assert kernel.array_calls == [((r, 1), (RULE8.order, 1, self.N)) for r in sizes]
+
+    def test_off_node_rows_make_two_calls_per_block(self, monkeypatch):
+        kernel = CountingKernel()
+        sizes = self.run(monkeypatch, "off_node", kernel)
+        assert kernel.array_calls[0::2] == [((r, 1), (RULE8.order, 1, self.N))
+                                            for r in sizes]
+        # each off-node row cuts exactly the one piece that holds it
+        assert kernel.array_calls[1::2] == [((r,), (RULE8.order, r)) for r in sizes]
+
+    @pytest.mark.parametrize("rows", ["fredholm", "causal", "off_node"])
+    def test_scalar_only_kernel_point_calls(self, monkeypatch, rows):
+        # q values per (row, piece) pair, as many as one array call per
+        # quadrature node gave, and q more for every piece a row cuts
+        kernel = CountingKernel(scalar_only=True)
+        sizes = self.run(monkeypatch, rows, kernel)
+        m = sum(sizes)
+        cut = m if rows == "off_node" else 0
+        assert kernel.point_calls == RULE8.order * (m * self.N + cut)
+        assert len(kernel.array_calls) == len(sizes) * (2 if cut else 1)
+
 
 class TestAssembleFredholm:
     def test_zero_lambda_gives_identity(self):

@@ -6,7 +6,7 @@ import pytest
 from quadspline import (build_spline, gauss_legendre, integrate_panels,
                         l2_error, make_grid, max_error, sample, solve_fredholm)
 from quadspline.integral_eq import IntegralProblem
-from quadspline.quadrature import _BLOCK, _max_abs_deviation
+from quadspline.quadrature import _BLOCK, _max_abs_deviation, panel_points
 
 
 class TestGaussLegendre:
@@ -83,6 +83,22 @@ class TestIntegratePanels:
     def test_scalar_only_integrand(self):
         got = integrate_panels(math.exp, 0, 1, 2, gauss_legendre(8))
         assert got == pytest.approx(math.e - 1, abs=1e-12)
+
+
+class TestPanelPoints:
+    def test_array_limits_stack_the_scalar_rules(self):
+        rule = gauss_legendre(5)
+        hi = np.array([0.0, 0.3, 1.0, 2.5])
+        pts, half = panel_points(0.0, hi, 7, rule)
+        assert pts.shape == (4, 7, 5) and half.shape == (4, 7)
+        # equal up to rounding: np.linspace divides before it scales when
+        # any of the ranges is empty
+        for i, h in enumerate(hi):
+            one_pts, one_half = panel_points(0.0, h, 7, rule)
+            np.testing.assert_allclose(pts[i], one_pts, rtol=0, atol=4e-16)
+            np.testing.assert_allclose(half[i], one_half, rtol=0, atol=4e-16)
+        # a zero-width range has zero half-widths, so its integral is 0
+        assert not half[0].any()
 
 
 class TestL2Error:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,28 @@ class TestEntries:
 
     def test_reference_solutions_satisfy_their_equations(self):
         registry.verify_reference_solutions()
+
+    def test_nan_reference_fails_the_self_check(self, monkeypatch):
+        entry = registry.PROBLEMS["krasnov3"]
+        exact = entry.reference
+
+        def reference(x):
+            return np.where(x == 0.5, np.nan, exact(x))
+
+        monkeypatch.setitem(registry.PROBLEMS, "krasnov3",
+                            dataclasses.replace(entry, reference=reference))
+        with pytest.raises(AssertionError,
+                           match=r"entry 'krasnov3'.* at x=0\.5 \(residual nan\)"):
+            registry.verify_reference_solutions()
+
+    @pytest.mark.parametrize("pid", sorted(registry.PROBLEMS))
+    def test_shifted_reference_fails_the_self_check(self, monkeypatch, pid):
+        entry = registry.PROBLEMS[pid]
+        exact = entry.reference
+        monkeypatch.setitem(registry.PROBLEMS, pid, dataclasses.replace(
+            entry, reference=lambda x: exact(x) + 1e-6))
+        with pytest.raises(AssertionError, match=rf"entry '{pid}'.* at x="):
+            registry.verify_reference_solutions()
 
     def test_every_table_cell_is_resolvable(self):
         for cells in registry.TABLES.values():
