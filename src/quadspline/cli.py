@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
-from .core import InvalidDomainError, eval_many, sample
+from .core import InvalidDomainError, eval_many
 from .integral_eq import DegenerateProblemError
 from .linsolve import SingularMatrixError
 from .quadrature import MAX_ORDER, gauss_legendre
-from .spline import build_spline, convergence_study
+from .spline import convergence_study
 
 CSV_HEADER = ("id", "n", "metric", "value", "published", "ratio")
 
@@ -91,15 +91,14 @@ def _parse_int_list(text):
 
 
 def cmd_interpolate(args) -> int:
-    rule = gauss_legendre(args.quad_order)
-    err = registry.interpolation_error(args.problem, args.n, args.a, args.b, rule)
+    model, err = registry.spline_interpolant(args.problem, args.n, args.a, args.b,
+                                             gauss_legendre(args.quad_order))
     if args.plot_dir:
         plot_dir = Path(args.plot_dir)
         plot_dir.mkdir(parents=True, exist_ok=True)
-        entry, grid = registry._function_grid(args.problem, args.n, args.a, args.b)
-        model = build_spline(grid, sample(entry.fn, grid))
-        xs = np.linspace(grid.a, grid.b, 20 * args.n + 1)
-        for tag, values in (("spline", model(xs)), ("exact", eval_many(entry.fn, xs))):
+        fn = registry.get_function(args.problem).fn
+        xs = np.linspace(model.grid.a, model.grid.b, 20 * args.n + 1)
+        for tag, values in (("spline", model(xs)), ("exact", eval_many(fn, xs))):
             path = plot_dir / f"{args.problem}_n{args.n}_{tag}.txt"
             path.write_text("".join(f"{x:.10e} {v:.10e}\n" for x, v in zip(xs, values)))
     _emit([(args.problem, args.n, "squared_l2_error", err, None, None)],

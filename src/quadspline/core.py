@@ -47,7 +47,8 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     Nodes are computed directly from the index (no cumulative addition) and
     the last node is forced to exactly b. Requires finite a < b and an
     integer n >= 2: the coefficient recursion needs at least one interior
-    node.
+    node. h must be finite and the nodes must strictly increase in double
+    precision, so b - a may neither overflow nor be too small for n pieces.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidDomainError(f"need finite endpoints, got a={a}, b={b}")
@@ -58,8 +59,13 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     if n < 2:
         raise InvalidDomainError(f"need n >= 2 subintervals, got n={n}")
     h = (b - a) / n
+    if not math.isfinite(h):
+        raise InvalidDomainError(f"b - a overflows, got a={a}, b={b}")
     nodes = a + h * np.arange(n + 1, dtype=float)
     nodes[-1] = b
+    if not (nodes[1:] > nodes[:-1]).all():
+        raise InvalidDomainError(f"[{a}, {b}] is too narrow for {n} pieces: "
+                                 "its nodes do not strictly increase")
     nodes.setflags(write=False)
     return Grid(float(a), float(b), int(n), h, nodes)
 

@@ -14,8 +14,9 @@ integral, which the operator is tested against, lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
-as the (q, 1, n) stack of every piece's quadrature nodes, plus once more
-for the pieces that off-node rows cut; a broadcastable result such as a
+as the (q, rows, n) stack of every row's own quadrature nodes, and only
+at a <= s <= the row's limit (s = x included, so a kernel infinite on
+the diagonal is not supported); a broadcastable result such as a
 constant is accepted, and a kernel is called per point only when the
 array call raises TypeError or ValueError.
 
@@ -47,8 +48,9 @@ from .spline import SplineModel, _closed_form_adjoint, build_spline
 
 Kernel = Callable[[float, float], float]
 
-# Doubles in _integral_operator's (q, rows, n) buffer of kernel values, about
-# 2 MB; rows are taken in blocks of that size, so large n needs no more.
+# Doubles in each of _integral_operator's (q, rows, n) buffers, the nodes s and
+# the kernel values, about 2 MB; rows are taken in blocks of that size, so
+# large n needs no more.
 _OPERATOR_BLOCK = 1 << 18
 
 # kind: whether it takes (forcing, lam)
@@ -118,39 +120,30 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     over its part. With half the clipped half-width and (t, w) the rule,
     s - x_{k-1} = half (1 + t), so the three moments of every (row, piece)
     pair, full, empty or cut, follow from m_p = sum w (1 + t)^p K(xs_i, s),
-    p = 0, 1, 2: one matrix product per block of rows. A piece that a row
-    covers fully has the same nodes in every row, so the kernel is called
-    once per block on a (rows, 1) column of x and the (q, 1, n) stack of
-    full-piece nodes, giving the (q, rows, n) values. Empty pieces take
-    those values too: their half-width 0 cancels them. Only the pieces
-    that a row's limit cuts, which node rows (upper = b or upper = xs on
-    the grid) never have, need their own nodes, and they take one more
-    call for the block. The chord moments go to the piece's two end nodes;
-    the quadratic moments go to every node through the transposed closed
-    form of the coefficients (spline._closed_form_adjoint), so no
-    coefficient matrix is built.
+    p = 0, 1, 2: one matrix product per block of rows. Each row has its own
+    nodes, s = half (1 + t) + min(x_{k-1}, upper_i), so the kernel is called
+    once per block, on a (rows, 1) column of x and the (q, rows, n) stack of
+    s, and only at a <= s <= upper_i: an empty piece's nodes all sit at
+    upper_i itself, and its half-width 0 cancels their values. The chord
+    moments go to the piece's two end nodes; the quadratic moments go to
+    every node through the transposed closed form of the coefficients
+    (spline._closed_form_adjoint), so no coefficient matrix is built.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
     n, h, q = grid.n, grid.h, rule.order
     starts = grid.nodes[:-1]
-    full = 0.5 * (grid.nodes[1:] - starts)
     tp = 1.0 + rule.nodes
-    s_full = (full * tp[:, None] + starts)[:, None, :]
     moments = np.stack((rule.weights, rule.weights * tp, rule.weights * tp**2))
     rows = max(1, _OPERATOR_BLOCK // (q * n))
     W = np.empty((len(xs), n + 1))
     for lo in range(0, len(xs), rows):
-        x = xs[lo:lo + rows]
-        half = 0.5 * (np.clip(upper[lo:lo + rows], starts, grid.nodes[1:]) - starts)
-        K = eval_many(kernel, x, s_full)
-        i, k = np.nonzero((half > 0.0) & (half < full))
-        if i.size:
-            # eval_many may hand back the kernel's own array, or s_full itself
-            if not K.flags.writeable or np.may_share_memory(K, s_full):
-                K = K.copy()
-            K[:, i, k] = eval_many(kernel, x[i, 0], half[i, k] * tp[:, None] + starts[k])
-        m0, m1, m2 = (moments @ K.reshape(q, -1)).reshape(3, len(x), n)
+        u = upper[lo:lo + rows]
+        half = 0.5 * (np.clip(u, starts, grid.nodes[1:]) - starts)
+        s = half * tp[:, None, None]
+        s += np.minimum(starts, u)  # in place: a second (q, rows, n) temporary costs more
+        K = eval_many(kernel, xs[lo:lo + rows], s)
+        m0, m1, m2 = (moments @ K.reshape(q, -1)).reshape(3, len(u), n)
         left = half * half * m1
         right = left - h * half * m0
         Wb = _closed_form_adjoint(half * half * (half * m2 - h * m1), h)

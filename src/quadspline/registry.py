@@ -28,7 +28,7 @@ from .integral_eq import (IntegralProblem, Kernel, SolveReport, solve_fredholm,
                           solve_fredholm_eigen, solve_volterra1, solve_volterra2)
 from .lagrange import lagrange_interpolant
 from .quadrature import QuadratureRule, gauss_legendre, l2_error, panel_points
-from .spline import build_spline
+from .spline import SplineModel, build_spline
 
 
 class UnknownProblemError(KeyError):
@@ -44,7 +44,6 @@ class FunctionEntry:
     a: float
     b: float
     fpp_bound: Optional[float] = None  # certified sup |f''|, when finite
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class ProblemEntry:
     reference: Optional[ScalarFunction] = None
     bracket: tuple[float, float] = (-10.0, 10.0)
     expected_eigenvalue: Optional[float] = None  # continuum value, for the self-check
-    label: str = ""
 
     def problem(self, n: int) -> IntegralProblem:
         return IntegralProblem(self.kind, self.kernel, self.interval, n,
@@ -70,11 +68,10 @@ class ProblemEntry:
 FUNCTIONS: dict[str, FunctionEntry] = {
     e.fid: e
     for e in [
-        FunctionEntry("abs", np.abs, -1.0, 1.0, None, "f(x) = |x|"),
+        FunctionEntry("abs", np.abs, -1.0, 1.0),
         FunctionEntry("sin2pix", lambda x: np.sin(2.0 * np.pi * x), -1.0, 1.0,
-                      4.0 * np.pi**2, "f(x) = sin(2 pi x)"),
-        FunctionEntry("linear", lambda x: 5.0 * x - 2.0, -1.0, 1.0, 0.0,
-                      "f(x) = 5x - 2"),
+                      4.0 * np.pi**2),
+        FunctionEntry("linear", lambda x: 5.0 * x - 2.0, -1.0, 1.0, 0.0),
     ]
 }
 
@@ -90,7 +87,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             forcing=lambda x: 2.0 * x * np.exp(x),
             lam=-2.0,
             reference=lambda x: np.exp(x) * (2.0 * x - 2.0 / 3.0),
-            label="Fredholm-2, exponential kernel",
         ),
         # Homogeneous kernel 2xs - 4x^2 on [0,1]: continuum characteristic
         # value -3 (double), eigenfunction x(1 - 2x).
@@ -101,7 +97,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             reference=lambda x: x * (1.0 - 2.0 * x),
             bracket=(-10.0, 0.0),
             expected_eigenvalue=-3.0,
-            label="Fredholm eigenvalue problem",
         ),
         # y = f + int(x+s) y over [0,1] with lam = +1; solution cos x.
         ProblemEntry(
@@ -111,7 +106,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             forcing=lambda x: 1.0 + np.cos(x) - (1.0 + x) * np.sin(1.0) - np.cos(1.0),
             lam=1.0,
             reference=np.cos,
-            label="Fredholm-2, comparison with least-squares fit",
         ),
         # Trivial sanity entry: lam = 0 makes the solution the forcing itself.
         ProblemEntry(
@@ -121,7 +115,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             forcing=np.sin,
             lam=0.0,
             reference=np.sin,
-            label="lam = 0 pass-through",
         ),
         # y = 1/(1+x^2) - int_0^x s/(1+x^2) y ds; solution (1+x^2)^{-3/2}.
         ProblemEntry(
@@ -131,7 +124,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             forcing=lambda x: 1.0 / (1.0 + x**2),
             lam=-1.0,
             reference=lambda x: (1.0 + x**2) ** (-1.5),
-            label="Volterra-2, rational kernel",
         ),
         # exp(-x^2) + (x/2)(1 - exp(-x^2)) = y + int_0^x xs y ds, written
         # here as y = f + lam*int with lam = -1; solution exp(-x^2).
@@ -142,7 +134,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             forcing=lambda x: np.exp(-(x**2)) + 0.5 * x * (1.0 - np.exp(-(x**2))),
             lam=-1.0,
             reference=lambda x: np.exp(-(x**2)),
-            label="Volterra-2, Gaussian solution",
         ),
         # x^3 = int_0^x (x-s)^2 y(s) ds; solution y = 3.
         ProblemEntry(
@@ -151,7 +142,6 @@ PROBLEMS: dict[str, ProblemEntry] = {
             interval=(0.0, 1.0),
             forcing=lambda x: x**3,
             reference=lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
-            label="Volterra-1, constant solution",
         ),
     ]
 }
@@ -184,13 +174,20 @@ def _function_grid(fid: str, n: int, a: Optional[float],
     return entry, make_grid(entry.a if a is None else a, entry.b if b is None else b, n)
 
 
+def spline_interpolant(fid: str, n: int, a: Optional[float] = None,
+                       b: Optional[float] = None,
+                       rule: Optional[QuadratureRule] = None) -> tuple[SplineModel, float]:
+    """The spline interpolant of a registered function, with its squared_l2_error."""
+    entry, grid = _function_grid(fid, n, a, b)
+    model = build_spline(grid, sample(entry.fn, grid))
+    return model, l2_error(model, entry.fn, grid.a, grid.b, n, rule or gauss_legendre(8))
+
+
 def interpolation_error(fid: str, n: int, a: Optional[float] = None,
                         b: Optional[float] = None,
                         rule: Optional[QuadratureRule] = None) -> float:
     """squared_l2_error of the spline interpolant of a registered function."""
-    entry, grid = _function_grid(fid, n, a, b)
-    model = build_spline(grid, sample(entry.fn, grid))
-    return l2_error(model, entry.fn, grid.a, grid.b, n, rule or gauss_legendre(8))
+    return spline_interpolant(fid, n, a, b, rule)[1]
 
 
 def lagrange_error(fid: str, n: int, a: Optional[float] = None,

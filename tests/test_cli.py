@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from quadspline import registry
+from quadspline import coeffs_closed_form, registry, spline
 from quadspline.cli import build_parser, main
 
 from test_imports import run_fresh
@@ -41,6 +41,13 @@ class TestInterpolate:
         assert code == 2
         assert "unknown function id" in err
 
+    def test_collapsed_grid_is_usage_error(self, capsys):
+        # 4 pieces of a one-ulp interval have nodes that round onto each other
+        code, _, err = run_cli(capsys, "interpolate", "-p", "abs", "--n", "4",
+                               "--a", "1", "--b", "1.0000000000000002")
+        assert code == 2
+        assert "do not strictly increase" in err
+
     def test_plot_files(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "interpolate", "-p", "abs", "--n", "4",
                              "--plot-dir", str(tmp_path))
@@ -52,6 +59,19 @@ class TestInterpolate:
         assert data.shape == (81, 2)
         assert data[0, 0] == pytest.approx(-1.0)
         assert data[-1, 0] == pytest.approx(1.0)
+
+    def test_plot_dir_builds_the_spline_once(self, capsys, tmp_path, monkeypatch):
+        builds = []
+
+        def counting(deltas, n):
+            builds.append(n)
+            return coeffs_closed_form(deltas, n)
+
+        monkeypatch.setattr(spline, "coeffs_closed_form", counting)
+        code, _, _ = run_cli(capsys, "interpolate", "-p", "abs", "--n", "4",
+                             "--plot-dir", str(tmp_path))
+        assert code == 0
+        assert builds == [4]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "r.csv"

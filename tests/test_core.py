@@ -38,7 +38,11 @@ class TestMakeGrid:
             make_grid(a, b, n)
 
     @pytest.mark.parametrize("a,b", [(1, 0), (2, 2), (0, np.inf), (-np.inf, 1),
-                                     (np.nan, 1), (0, np.nan)])
+                                     (np.nan, 1), (0, np.nan),
+                                     # b - a overflows; h underflows to 0;
+                                     # nodes round onto each other
+                                     (-1e308, 1e308), (0.0, 5e-324),
+                                     (1.0, 1.0000000000000002)])
     def test_bad_interval(self, a, b):
         with pytest.raises(InvalidDomainError):
             make_grid(a, b, 4)
