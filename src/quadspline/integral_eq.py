@@ -73,11 +73,12 @@ class IntegralProblem:
     forcing: Optional[ScalarFunction] = None
     lam: Optional[float] = None
     reference: Optional[ScalarFunction] = None
+    _grid: Grid = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        make_grid(*self.interval, self.n)
+        object.__setattr__(self, "_grid", make_grid(*self.interval, self.n))
         for name, needed in zip(("forcing", "lam"), _FIELDS[self.kind]):
             if needed != (getattr(self, name) is not None):
                 raise ValueError(f"kind {self.kind!r}: {name} "
@@ -88,8 +89,7 @@ class IntegralProblem:
             raise ValueError("first-kind Volterra problems must start at x = 0")
 
     def grid(self) -> Grid:
-        a, b = self.interval
-        return make_grid(a, b, self.n)
+        return self._grid
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,18 @@
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
-does not depend on the pivot order; A is factored once, and one solve
-gives both x and the inverse the gate needs. Characteristic values, the
-roots of det(I - lambda*alpha), come from the eigenvalues of alpha, and
-each null vector is the last right singular vector of I - lambda*alpha.
-The sign-tracked determinant those roots are tested against lives in
+does not depend on the pivot order; A is factored once. When A is strictly
+diagonally dominant by rows with a wide enough margin, Varah's bound
+proves that the gate passes, and b is solved alone; this catches the
+second-kind systems I - lam*K whose rows have |lam| times the integral
+of |K(x_i, s)| below 1, roughly, such as the Volterra-2 benchmark
+problems. Any other A is solved with the identity beside b, which gives x
+and the exact inverse the gate needs. Both ways accept and refuse the
+same systems; a certified solve knows only a lower bound on
+1/cond_inf(A), not its value. Characteristic values, the roots of
+det(I - lambda*alpha), come from the eigenvalues of alpha, and each null
+vector is the last right singular vector of I - lambda*alpha. The
+sign-tracked determinant those roots are tested against lives in
 tests/oracles.py.
 """
 from __future__ import annotations
@@ -17,6 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCOND_MIN = 1e-13
+# rounding of the |A| row sums in solve_dense's certificate: relative, and
+# absolute among subnormals
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -24,7 +35,7 @@ class SingularMatrixError(ArithmeticError):
 
 
 def _inf_norm(A: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
+    return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
 
 
 def _require_finite(name: str, A: np.ndarray) -> None:
@@ -37,13 +48,21 @@ def _require_finite(name: str, A: np.ndarray) -> None:
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
-    One LU factorization serves both the solve and the condition gate: the
-    columns of b and of the identity are solved together, which gives x
-    and the inverse, and 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf) is the
-    value numpy.linalg.cond(A, inf) computes from that same inverse.
-    Raises SingularMatrixError when LAPACK finds an exactly singular factor
-    or 1/cond_inf(A) <= RCOND_MIN, and ValueError for an empty A, a shape
-    mismatch, or naming the first non-finite entry of A or b.
+    The condition gate refuses 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf)
+    <= RCOND_MIN, the value numpy.linalg.cond(A, inf) gives, and one pass
+    over |A| decides how it is applied. Its row sums r_i give ||A||_inf
+    and Varah's margin m = min_i (2|a_ii| - r_i); when A is strictly
+    diagonally dominant by rows, ||A^-1||_inf <= 1/m (J. M. Varah,
+    Linear Algebra Appl. 11, 1975), so 1/cond_inf(A) >= m/||A||_inf.
+    If that proved bound, less the rounding of the row sums, clears twice
+    RCOND_MIN, the gate is known to pass with room for the rounding of any
+    computed inverse, and A x = b is solved alone. Otherwise the columns
+    of b and of the identity are solved together, one LU factorization
+    giving x and the inverse, and the gate is applied to the value cond
+    computes from that inverse. Either way the gate accepts and refuses
+    the same systems. Raises SingularMatrixError when LAPACK finds an exactly
+    singular factor or the gate refuses A, and ValueError for an empty A, a
+    shape mismatch, or naming the first non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -52,14 +71,22 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if (A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size
             or b.ndim not in (1, 2) or b.shape[0] != A.shape[0]):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    n = len(A)
     k = 1 if b.ndim == 1 else b.shape[1]
-    try:
-        X = np.linalg.solve(A, np.column_stack((b, np.eye(len(A)))))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
-    # an inverse near the overflow threshold gives rcond 0, as cond does
-    with np.errstate(over="ignore"):
-        rcond = 1.0 / (_inf_norm(A) * _inf_norm(X[:, k:]))
+    # row sums that overflow give norm inf: no certificate, and rcond 0 as
+    # cond makes it; an inverse near the overflow threshold does the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.abs(A).sum(axis=1)
+        norm = rows.max()
+        margin = (2.0 * np.abs(A.diagonal()) - rows).min()
+        certified = margin - (n + 1) * (_EPS * norm + _TINY) > 2.0 * RCOND_MIN * norm
+        try:
+            X = np.linalg.solve(A, b if certified else np.column_stack((b, np.eye(n))))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
+        if certified:
+            return X
+        rcond = 1.0 / (norm * _inf_norm(X[:, k:]))
     if rcond <= RCOND_MIN:
         raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
     # copies, so that x does not keep the inverse alive

@@ -68,6 +68,25 @@ class TestProblemValidation:
             IntegralProblem("fredholm2", lambda x, s: 0.0, interval, n,
                             forcing=np.sin, lam=1.0)
 
+    def test_grid_built_once_per_problem(self, monkeypatch):
+        # the grid validated at construction is the one grid() returns; it
+        # takes no part in equality or the repr
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return make_grid(*args)
+
+        monkeypatch.setattr(integral_eq, "make_grid", counted)
+        p = IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1), 4,
+                            forcing=np.sin, lam=1.0)
+        solve_volterra2(p)
+        assert p.grid() is p.grid()
+        assert calls == [(0, 1, 4)]
+        assert p == IntegralProblem("volterra2", p.kernel, (0, 1), 4,
+                                    forcing=np.sin, lam=1.0)
+        assert "_grid=" not in repr(p)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="finite lam"):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadspline import (SingularMatrixError, assemble_fredholm,
                         find_real_eigenvalues, linsolve, solve_dense)
 from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
-from quadspline.registry import get_problem
+from quadspline.registry import get_problem, solve_entry
 
 from oracles import determinant
 
@@ -159,6 +161,23 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(5))
 
+    @pytest.mark.parametrize("pid,certified", [("krasnov3", True), ("malek1", True),
+                                               ("krasnov1", False), ("wang", False)])
+    def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, certified):
+        # the Volterra-2 systems at n = 200 are diagonally dominant by rows:
+        # their one factorization solves b alone; the Fredholm ones are not,
+        # and solve b with the identity's n + 1 columns
+        shapes = []
+        solve = np.linalg.solve
+
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        solve_entry(pid, 200)
+        assert shapes == [(201,) if certified else (201, 202)]
+
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
@@ -166,6 +185,72 @@ class TestSolveDense:
             b = rng.standard_normal(8)
             np.testing.assert_allclose(solve_dense(A, b), np.linalg.solve(A, b),
                                        rtol=1e-9, atol=1e-11)
+
+
+@st.composite
+def gated_systems(draw):
+    """A matrix from one of four families, with a right-hand side.
+
+    dominant: strictly diagonally dominant by rows, with margin at least a
+    tenth of the off-diagonal row sums; barely: the M-matrix D - N, N >= 0,
+    whose rows all have the margin m, so that A 1 = m 1, A^-1 >= 0 and
+    Varah's bound is sharp: 1/cond_inf = m/||A||_inf = alpha, up to the
+    rounding of the diagonal, with alpha within a factor of 4 of RCOND_MIN,
+    on both sides of it and of the certificate's 2 RCOND_MIN; graded:
+    Q1 diag(sigma) Q2 with the smallest sigma 10^-10..10^-16, whose
+    1/cond_inf straddles RCOND_MIN; diag: diag(1, s)
+    with s within a factor of 4 of RCOND_MIN and more entries in [s, 1],
+    symmetrically permuted. Each is scaled by 10^e, e in [-150, 150], and
+    may have its rows rotated by one, which leaves 1/cond_inf as it is but
+    no longer puts the dominant entries on the diagonal.
+    """
+    family = draw(st.sampled_from(["dominant", "barely", "graded", "diag"]))
+    n = draw(st.integers(2, 12), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if family == "diag":
+        s = RCOND_MIN * draw(st.floats(0.25, 4.0), label="s / RCOND_MIN")
+        p = rng.permutation(n)
+        A = np.diag(np.concatenate(([1.0, s], rng.uniform(s, 1.0, n - 2))))[p][:, p]
+    elif family == "graded":
+        sigma = np.logspace(0, -draw(st.floats(10, 16), label="decades"), n)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        A = (q1 * sigma) @ q2
+    elif family == "barely":
+        N = rng.uniform(0, 1, (n, n))
+        np.fill_diagonal(N, 0.0)
+        off = N.sum(axis=1)
+        alpha = RCOND_MIN * draw(st.floats(0.25, 4.0), label="alpha / RCOND_MIN")
+        A = np.diag(off + 2.0 * alpha * off.max() / (1.0 - alpha)) - N
+    else:
+        A = rng.uniform(-1, 1, (n, n))
+        np.fill_diagonal(A, 0.0)
+        off = np.abs(A).sum(axis=1)
+        margin = (0.1 + rng.uniform(0, 2, n)) * (1.0 + off)
+        np.fill_diagonal(A, rng.choice([-1.0, 1.0], n) * (off + margin))
+    if draw(st.booleans(), label="rows rotated"):
+        A = A[np.roll(np.arange(n), 1)]
+    A = A * 10.0 ** draw(st.integers(-150, 150), label="e")
+    return family, A, rng.standard_normal(n)
+
+
+@given(gated_systems())
+@settings(max_examples=300, deadline=None)
+def test_gate_accepts_exactly_when_cond_inf_allows(system):
+    # the certified and the exact path together accept exactly the systems
+    # with 1/cond(A, inf) > RCOND_MIN, and an accepted x has a small
+    # residual. 1/cond_inf is itself computed from a rounded inverse, so
+    # two computations of it can differ by about cond_inf * eps relative;
+    # only the diag family, whose inverse is exact, is kept at the boundary.
+    family, A, b = system
+    rcond = 1.0 / np.linalg.cond(A, np.inf)
+    assume(family == "diag" or abs(rcond / RCOND_MIN - 1.0) > 1e-2)
+    if rcond <= RCOND_MIN:
+        with pytest.raises(SingularMatrixError, match="cond"):
+            solve_dense(A, b)
+        return
+    x = solve_dense(A, b)
+    resid = np.max(np.abs(A @ x - b))
+    assert resid <= 1e-10 * (_inf_norm(A) * np.max(np.abs(x)) + np.max(np.abs(b)))
 
 
 def cofactor_det3(A):
