@@ -71,23 +71,15 @@ def _parse_bracket(text):
     return lo, hi
 
 
-def _parse_quad_order(text):
-    try:
-        order = int(text)
-    except ValueError:
-        order = 0
-    if not 1 <= order <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"quadrature order must be an integer in 1..{MAX_ORDER}, got {text!r}")
-    return order
-
-
 def _parse_int_list(text):
     try:
-        return [int(p) for p in text.split(",")]
+        ns = [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if sorted(ns) != ns:
+        raise argparse.ArgumentTypeError(f"n values must be ascending, got {text!r}")
+    return ns
 
 
 def cmd_interpolate(args) -> int:
@@ -131,18 +123,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.table == "all":
-        tables = sorted(registry.TABLES)
-    else:
-        try:
-            table = int(args.table)
-        except ValueError:
-            table = -1
-        if table not in registry.TABLES:
-            print(f"error: no table {args.table!r} (valid: 1..8 or 'all')",
-                  file=sys.stderr)
-            return 2
-        tables = [table]
+    tables = sorted(registry.TABLES) if args.table == "all" else [int(args.table)]
     registry.verify_reference_solutions()
     rule = gauss_legendre(args.quad_order)
 
@@ -181,9 +162,6 @@ def cmd_converge(args) -> int:
         print(f"error: no certified second-derivative bound for "
               f"{args.problem!r}; pass --fpp-bound", file=sys.stderr)
         return 2
-    if sorted(args.ns) != args.ns:
-        print("error: --ns must be ascending", file=sys.stderr)
-        return 2
     try:
         report = convergence_study(entry.fn, fpp, entry.a, entry.b, args.ns)
     except ValueError as exc:
@@ -214,27 +192,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmarks (CSV output).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each shared option is declared once, on the parent parser of its group
-    problem, n, interval, output, quad = (argparse.ArgumentParser(add_help=False)
-                                          for _ in range(5))
-    problem.add_argument("--problem", "-p", required=True, help="registry id")
+    # each shared option is declared once, on the parent parser of its group;
+    # every value the registry fixes is a choice, so argparse refuses the rest
+    function, problem, n, interval, output, quad = (argparse.ArgumentParser(add_help=False)
+                                                    for _ in range(6))
+    for parent, ids in ((function, sorted(registry.FUNCTIONS)),
+                        (problem, sorted(registry.PROBLEMS))):
+        parent.add_argument("--problem", "-p", required=True, choices=ids, metavar="ID",
+                            help="registry id: " + ", ".join(ids))
     n.add_argument("--n", type=int, required=True, help="number of subintervals")
     interval.add_argument("--a", type=float, default=None, help="override left endpoint")
     interval.add_argument("--b", type=float, default=None, help="override right endpoint")
     output.add_argument("--out", default=None, help="output path (default stdout)")
     output.add_argument("--pretty", action="store_true",
                         help="aligned text table instead of CSV")
-    quad.add_argument("--quad-order", type=_parse_quad_order, default=8,
+    quad.add_argument("--quad-order", type=int, choices=range(1, MAX_ORDER + 1),
+                      default=8, metavar=f"1..{MAX_ORDER}",
                       help="Gauss-Legendre order (default 8)")
 
-    p = sub.add_parser("interpolate", parents=[problem, n, output, quad, interval],
+    p = sub.add_parser("interpolate", parents=[function, n, output, quad, interval],
                        help="spline interpolation error of a registered function")
     p.add_argument("--plot-dir", default=None,
                    help="also write two-column (x, value) series files here")
     p.set_defaults(func=cmd_interpolate)
 
     # lagrange_error has a fixed composite rule, so lagrange takes no --quad-order
-    p = sub.add_parser("lagrange", parents=[problem, n, output, interval],
+    p = sub.add_parser("lagrange", parents=[function, n, output, interval],
                        help="error of the single global Lagrange interpolant, "
                             "for comparison")
     p.set_defaults(func=cmd_lagrange)
@@ -247,10 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[output, quad],
                        help="recompute published benchmark tables and compare")
-    p.add_argument("--table", default="all", help="table number 1..8 or 'all'")
+    p.add_argument("--table", default="all",
+                   choices=["all", *map(str, sorted(registry.TABLES))],
+                   help="a table number or 'all' (default)")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("converge", parents=[problem, output],
+    p = sub.add_parser("converge", parents=[function, output],
                        help="measured max deviation vs the analytic bound "
                             "over a list of n")
     p.add_argument("--ns", type=_parse_int_list, required=True,
@@ -266,9 +251,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except registry.UnknownProblemError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except InvalidDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

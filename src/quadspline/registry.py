@@ -54,9 +54,9 @@ class ProblemEntry:
     kind: str
     kernel: Kernel
     interval: tuple[float, float]
+    reference: ScalarFunction
     forcing: Optional[ScalarFunction] = None
     lam: Optional[float] = None
-    reference: Optional[ScalarFunction] = None
     bracket: tuple[float, float] = (-10.0, 10.0)
     expected_eigenvalue: Optional[float] = None  # continuum value, for the self-check
 
@@ -381,8 +381,6 @@ def verify_reference_solutions(tol: float = 1e-8) -> None:
     """
     rule = gauss_legendre(12)
     for entry in PROBLEMS.values():
-        if entry.reference is None:
-            continue
         a, b = entry.interval
         xs = np.linspace(a, b, 9)
         upper = xs if entry.kind in ("volterra2", "volterra1") else b

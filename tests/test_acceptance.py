@@ -115,12 +115,12 @@ def test_criterion_6_volterra_first_kind():
 
 
 def test_criterion_7_beats_least_squares_comparison():
-    r5 = registry.solve_entry("wang", 5)
-    r10 = registry.solve_entry("wang", 10)
-    ok = (r5.error_l2 <= registry.WANG_PUBLISHED["lsq_bound"]
-          and factor2(r10.error_l2, registry.WANG_PUBLISHED[10]))
-    report(7, ok, f"wang e5={r5.error_l2:.3e} (<= 1.49e-3), "
-                  f"e10={r10.error_l2:.3e} (vs 1.79e-5)")
+    published = registry.WANG_PUBLISHED
+    e5, e10 = (registry.solve_entry("wang", n).error_l2 for n in (5, 10))
+    ok = (e5 <= published["lsq_bound"]
+          and factor2(e5, published[5]) and factor2(e10, published[10]))
+    report(7, ok, f"wang e5={e5:.3e} (<= {published['lsq_bound']:.2e}, "
+                  f"vs {published[5]:.2e}), e10={e10:.3e} (vs {published[10]:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """The error line argparse prints when it refuses argv; it must exit 2
+    and write nothing to stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
+
+
+def listed_choices(line):
+    """The values an `invalid choice` line offers, however argparse quotes them."""
+    offered = line.split("(choose from ", 1)[1].removesuffix(")")
+    return [c.strip("'") for c in offered.split(", ")]
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -37,9 +54,9 @@ class TestInterpolate:
         assert float(parse_csv(out)[1][0][3]) <= 1e-20
 
     def test_unknown_id_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "interpolate", "-p", "zzz", "--n", "4")
-        assert code == 2
-        assert "unknown function id" in err
+        line = usage_error(capsys, "interpolate", "-p", "zzz", "--n", "4")
+        assert "error: argument --problem/-p: invalid choice: 'zzz'" in line
+        assert listed_choices(line) == sorted(registry.FUNCTIONS)
 
     def test_collapsed_grid_is_usage_error(self, capsys):
         # 4 pieces of a one-ulp interval have nodes that round onto each other
@@ -146,8 +163,15 @@ class TestSolve:
         assert metrics["max_error"] <= 1e-12
 
     def test_unknown_problem(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "-p", "zzz", "--n", "4")
-        assert code == 2
+        line = usage_error(capsys, "solve", "-p", "zzz", "--n", "4")
+        assert "error: argument --problem/-p: invalid choice: 'zzz'" in line
+        assert listed_choices(line) == sorted(registry.PROBLEMS)
+
+    def test_empty_bracket_prints_one_blank_eigenvalue(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "-p", "krasnov2", "--n", "5",
+                               "--bracket=5,10")
+        assert code == 0
+        assert parse_csv(out)[1] == [["krasnov2", "5", "eigenvalue", "", "", ""]]
 
 
 class TestReproduce:
@@ -171,8 +195,9 @@ class TestReproduce:
         assert all(r[3] != "" for r in reproduced)
 
     def test_invalid_table(self, capsys):
-        code, _, err = run_cli(capsys, "reproduce", "--table", "9")
-        assert code == 2
+        line = usage_error(capsys, "reproduce", "--table", "9")
+        assert "error: argument --table: invalid choice: '9'" in line
+        assert listed_choices(line) == ["all", *map(str, sorted(registry.TABLES))]
 
     def test_all_tables_solve_each_entry_once(self, capsys, monkeypatch):
         solve_entry, compute_cell = registry.solve_entry, registry.compute_cell
@@ -241,8 +266,8 @@ class TestConverge:
         assert err.startswith("error:") and "fpp_bound" in err
 
     def test_rejects_unsorted(self, capsys):
-        code, _, _ = run_cli(capsys, "converge", "-p", "sin2pix", "--ns", "20,10")
-        assert code == 2
+        line = usage_error(capsys, "converge", "-p", "sin2pix", "--ns", "20,10")
+        assert "error: argument --ns: n values must be ascending" in line
 
 
 class TestFailureExitCodes:
@@ -297,6 +322,31 @@ class TestUsage:
         assert exc.value.code == 2
         assert "error: argument --quad-order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["interpolate", "--n", "4"],
+                                         ["lagrange", "--n", "4"],
+                                         ["solve", "--n", "4"],
+                                         ["converge", "--ns", "4,8"]],
+                             ids=lambda c: c[0])
+    def test_unknown_id_on_every_subcommand(self, capsys, command):
+        line = usage_error(capsys, command[0], "-p", "zzz", *command[1:])
+        assert "error: argument --problem/-p: invalid choice: 'zzz'" in line
+
+    @pytest.mark.parametrize("option,value,refusal", [
+        ("--table", "9", "invalid choice: '9'"),
+        ("--table", "x", "invalid choice: 'x'"),
+        ("--quad-order", "0", "invalid choice: 0"),
+        ("--quad-order", "33", "invalid choice: 33"),
+        ("--quad-order", "x", "invalid int value: 'x'"),
+        ("--ns", "20,10", "n values must be ascending, got '20,10'"),
+        ("--ns", "10,x", "expected comma-separated integers, got '10,x'"),
+    ], ids=["table-9", "table-x", "quad-order-0", "quad-order-33", "quad-order-x",
+            "ns-descending", "ns-not-int"])
+    def test_malformed_argument_refused_by_the_parser(self, capsys, option, value,
+                                                      refusal):
+        command = ["converge", "-p", "sin2pix"] if option == "--ns" else ["reproduce"]
+        line = usage_error(capsys, *command, option, value)
+        assert f"error: argument {option}: {refusal}" in line
+
 
 class TestHelp:
     # argparse formats help text only when --help asks for it
@@ -310,6 +360,17 @@ class TestHelp:
         assert out.startswith(f"usage: quadspline {command}")
         assert "output path (default stdout)" in out
         assert "aligned text table instead of CSV" in out
+
+    @pytest.mark.parametrize("command,values", [
+        ("interpolate", sorted(registry.FUNCTIONS)),
+        ("solve", sorted(registry.PROBLEMS)),
+        ("reproduce", ["all", *map(str, sorted(registry.TABLES))]),
+    ], ids=["interpolate", "solve", "reproduce"])
+    def test_help_lists_the_registered_values(self, capsys, command, values):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(values) in out or "{" + ",".join(values) + "}" in out
 
 
 class TestParserReuse:

@@ -5,8 +5,8 @@ import pytest
 
 from quadspline import (DegenerateProblemError, IntegralProblem,
                         InvalidDomainError, SingularMatrixError,
-                        assemble_fredholm, build_spline, gauss_legendre,
-                        integrate_panels, l2_error, make_grid, solve_fredholm,
+                        assemble_fredholm, build_spline, find_real_eigenvalues,
+                        gauss_legendre, integrate_panels, l2_error, make_grid, solve_fredholm,
                         solve_fredholm_eigen, solve_volterra1, solve_volterra2)
 from quadspline import integral_eq
 from quadspline.integral_eq import _integral_operator
@@ -97,6 +97,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="start at x = 0"):
             IntegralProblem("volterra1", lambda x, s: 0.0, (0.5, 1), 4,
                             forcing=np.sin)
+
+    @pytest.mark.parametrize("solve,kind", [
+        (solve_fredholm, "fredholm2"),
+        (lambda p: solve_fredholm_eigen(p, -10, 0), "fredholm_eigen"),
+        (solve_volterra2, "volterra2"),
+    ], ids=["fredholm2", "fredholm_eigen", "volterra2"])
+    def test_solver_rejects_other_kinds(self, solve, kind):
+        p = IntegralProblem("volterra1", lambda x, s: 0.0, (0, 1), 4, forcing=np.sin)
+        with pytest.raises(ValueError, match=f"expected kind '{kind}', got 'volterra1'"):
+            solve(p)
 
 
 class TestKernelPieceWeights:
@@ -452,6 +462,17 @@ class TestSolveFredholmEigen:
         r = solve_fredholm_eigen(self.problem(n), -10, 0)
         assert len(r.eigen) == 1
         assert abs(r.eigen[0][0] + 3.0) <= 1e-9
+
+    def test_no_reference_keeps_raw_vectors_without_errors(self):
+        p = IntegralProblem("fredholm_eigen", lambda x, s: 2 * x * s - 4 * x**2,
+                            (0.0, 1.0), 5)
+        roots = find_real_eigenvalues(assemble_fredholm(p)[0], -10, 0)
+        r = solve_fredholm_eigen(p, -10, 0)
+        assert [v for v, _ in r.eigen] == [res.value for res in roots]
+        assert len(roots) == 2
+        for (_, sub), res in zip(r.eigen, roots):
+            assert sub.error_l2 is None and sub.error_max is None
+            np.testing.assert_array_equal(sub.samples, res.vector)
 
     def test_empty_bracket(self):
         r = solve_fredholm_eigen(self.problem(5), 5, 10)

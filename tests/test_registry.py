@@ -19,6 +19,10 @@ class TestEntries:
         with pytest.raises(registry.UnknownProblemError):
             registry.get_problem("nope")
 
+    def test_reference_is_required(self):
+        with pytest.raises(TypeError, match="reference"):
+            registry.ProblemEntry("p", "fredholm2", lambda x, s: x * s, (0.0, 1.0))
+
     def test_reference_solutions_satisfy_their_equations(self):
         registry.verify_reference_solutions()
 
@@ -79,6 +83,11 @@ class TestChecks:
         assert not registry.cell_passes(upper, 11.0)
         ext = registry.TableCell("x", 1, "m", 1.0, "external")
         assert registry.cell_passes(ext, None)
+
+    def test_unknown_check_kind_raises(self):
+        cell = registry.TableCell("x", 1, "m", 1.0, "sigfigs5")
+        with pytest.raises(ValueError, match="unknown check kind 'sigfigs5'"):
+            registry.cell_passes(cell, 1.0)
 
     def test_identity_problem_is_exact(self):
         r = registry.solve_entry("identity", 6)

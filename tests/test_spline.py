@@ -245,6 +245,11 @@ class TestSplineModel:
         with pytest.raises(ValueError, match=r"sample 2 at x=0\.5 "):
             build_spline(g, y)
 
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_sample_count_must_match_grid(self, count):
+        with pytest.raises(ValueError, match=rf"expected 5 samples, got \({count},\)"):
+            build_spline(make_grid(0, 1, 4), np.zeros(count))
+
     def test_empty_input_gives_empty_output(self):
         _, m = spline_for(np.cos, 0, 1, 4)
         assert m(np.empty(0)).shape == (0,)
