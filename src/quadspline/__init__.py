@@ -2,16 +2,15 @@
 
 The interpolating spline needs no linear solve: its piece coefficients come
 in closed form from one prefix sum over the second differences, in O(n).
-On top of it sit collocation solvers for Fredholm (second-kind and
-eigenvalue) and Volterra (second- and first-kind) equations, a benchmark
-registry, and a CLI (`quadspline`) that reproduces the published error
-tables. Everything is numpy; there is no compiled extension.
+On top of it sit one collocation solver, `solve`, for Fredholm
+(second-kind and eigenvalue) and Volterra (second- and first-kind)
+equations, a benchmark registry, and a CLI (`quadspline`) that reproduces
+the published error tables. Everything is numpy; there is no compiled extension.
 """
 from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction,
                    make_grid, sample)
 from .integral_eq import (DegenerateProblemError, IntegralProblem, Kernel,
-                          SolveReport, assemble_fredholm, solve_fredholm,
-                          solve_fredholm_eigen, solve_volterra1, solve_volterra2)
+                          SolveReport, solve)
 from .linsolve import (EigenResult, SingularMatrixError, find_real_eigenvalues,
                        solve_dense)
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels,
@@ -31,8 +30,6 @@ __all__ = [
     "QuadratureRule", "gauss_legendre", "integrate_panels", "l2_error",
     "max_error",
     "SingularMatrixError", "EigenResult", "solve_dense", "find_real_eigenvalues",
-    "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError",
-    "assemble_fredholm", "solve_fredholm", "solve_fredholm_eigen",
-    "solve_volterra2", "solve_volterra1",
+    "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError", "solve",
     "__version__",
 ]

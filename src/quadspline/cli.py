@@ -77,7 +77,7 @@ def _parse_int_list(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-    if sorted(ns) != ns:
+    if any(m >= n for m, n in zip(ns, ns[1:])):
         raise argparse.ArgumentTypeError(f"n values must be ascending, got {text!r}")
     return ns
 
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured max deviation vs the analytic bound "
                             "over a list of n")
     p.add_argument("--ns", type=_parse_int_list, required=True,
-                   help="ascending comma-separated n values")
+                   help="strictly ascending comma-separated n values")
     p.add_argument("--fpp-bound", type=float, default=None,
                    help="certified bound on |f''| (default: entry's, if any)")
     p.set_defaults(func=cmd_converge)

@@ -1,16 +1,17 @@
 """Spline-collocation solvers for Fredholm and Volterra integral equations.
 
 The unknown is replaced by the interpolating quadratic spline and the
-equation is enforced at the grid nodes. All four solvers get their rows
-from one integral operator, int_a^upper K(x, s) S(s) ds as a linear map of
-the node samples; Fredholm rows integrate up to b, Volterra rows up to
-their own point. Because every piece's quadratic coefficient is a linear
-functional of ALL node samples (the closed form of spline.py applied to
-the columns of the identity), the collocation systems are dense even for
-Volterra problems; they stay small, so that costs nothing. The operator
-applies that closed form transposed to its rows of moments, so the
-coefficient matrix itself is never built. The per-piece form of the same
-integral, which the operator is tested against, lives in tests/oracles.py.
+equation is enforced at the grid nodes. One entry point, solve(problem),
+takes every kind, and every kind gets its rows from one integral operator,
+int_a^upper K(x, s) S(s) ds as a linear map of the node samples; Fredholm
+rows integrate up to b, Volterra rows up to their own point. Because every
+piece's quadratic coefficient is a linear functional of ALL node samples
+(the closed form of spline.py applied to the columns of the identity), the
+collocation systems are dense even for Volterra problems; they stay small,
+so that costs nothing. The operator applies that closed form transposed to
+its rows of moments, so the coefficient matrix itself is never built. The
+per-piece form of the same integral, which the operator is tested against,
+lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
@@ -25,7 +26,7 @@ y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
 y(x) = f(x) + lam * int_a^x K(x,s) y(s) ds; Volterra first kind is
 f(x) = int_0^x K(x,s) y(s) ds (no lam).
 
-Every solver reports through _report, whose error metrics follow the
+Every kind reports through _report, whose error metrics follow the
 published tables: `error_l2` is the L2 NORM of (spline - reference), the
 square root of quadrature.l2_error with the 8-point rule, and `error_max`
 the max deviation at the nodes. Eigenfunctions are first rescaled to match
@@ -40,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, ScalarFunction, eval_many, make_grid, sample
+from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
@@ -53,9 +54,9 @@ Kernel = Callable[[float, float], float]
 # large n needs no more.
 _OPERATOR_BLOCK = 1 << 18
 
-# kind: whether it takes (forcing, lam)
-_FIELDS = {"fredholm2": (True, True), "fredholm_eigen": (False, False),
-           "volterra2": (True, True), "volterra1": (True, False)}
+# kind: whether it takes (forcing, lam, bracket)
+_FIELDS = {"fredholm2": (True, True, False), "fredholm_eigen": (False, False, True),
+           "volterra2": (True, True, False), "volterra1": (True, False, False)}
 
 
 class DegenerateProblemError(ArithmeticError):
@@ -64,7 +65,11 @@ class DegenerateProblemError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntegralProblem:
-    """One integral equation instance on [a, b] with n collocation pieces."""
+    """One integral equation instance on [a, b] with n collocation pieces.
+
+    bracket = (lo, hi) is the search interval of a fredholm_eigen problem's
+    characteristic values; the other kinds take none.
+    """
 
     kind: str
     kernel: Kernel
@@ -73,16 +78,17 @@ class IntegralProblem:
     forcing: Optional[ScalarFunction] = None
     lam: Optional[float] = None
     reference: Optional[ScalarFunction] = None
+    bracket: Optional[tuple[float, float]] = None
     _grid: Grid = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         object.__setattr__(self, "_grid", make_grid(*self.interval, self.n))
-        for name, needed in zip(("forcing", "lam"), _FIELDS[self.kind]):
+        for name, needed in zip(("forcing", "lam", "bracket"), _FIELDS[self.kind]):
             if needed != (getattr(self, name) is not None):
-                raise ValueError(f"kind {self.kind!r}: {name} "
-                                 f"{'required' if needed else 'not allowed'}")
+                raise InvalidDomainError(f"kind {self.kind!r}: {name} "
+                                         f"{'required' if needed else 'not allowed'}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"need a finite lam, got {self.lam!r}")
         if self.kind == "volterra1" and self.interval[0] != 0.0:
@@ -153,25 +159,6 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     return W
 
 
-def assemble_fredholm(
-    problem: IntegralProblem, rule: Optional[QuadratureRule] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation system for a Fredholm problem.
-
-    Second kind: returns (I - lam*alpha, f at nodes). Eigenvalue case:
-    returns (alpha, zeros); the characteristic values are the roots of
-    det(I - lam*alpha).
-    """
-    if problem.kind not in ("fredholm2", "fredholm_eigen"):
-        raise ValueError(f"not a Fredholm problem: {problem.kind!r}")
-    rule = rule or gauss_legendre(8)
-    grid = problem.grid()
-    alpha = _integral_operator(problem.kernel, grid, rule, grid.nodes, grid.b)
-    if problem.kind == "fredholm_eigen":
-        return alpha, np.zeros(grid.n + 1)
-    return np.eye(grid.n + 1) - problem.lam * alpha, sample(problem.forcing, grid)
-
-
 def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
     reference when there is one (conventions in the module docstring)."""
@@ -184,17 +171,6 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), nodal)
 
 
-def solve_fredholm(
-    problem: IntegralProblem, rule: Optional[QuadratureRule] = None
-) -> SolveReport:
-    """Solve a second-kind Fredholm problem; singular system means lam sits
-    at or near a characteristic value."""
-    if problem.kind != "fredholm2":
-        raise ValueError(f"expected kind 'fredholm2', got {problem.kind!r}")
-    A, rhs = assemble_fredholm(problem, rule)
-    return _report(problem, problem.grid(), solve_dense(A, rhs))
-
-
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
                           vector: np.ndarray) -> np.ndarray:
     """Scale an eigenvector to the reference eigenfunction's normalization.
@@ -204,7 +180,7 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     solving the homogeneous system); fall back to a least-squares fit when
     that component is degenerate.
     """
-    ref1 = float(problem.reference(grid.nodes[1]))
+    ref1 = float(eval_many(problem.reference, grid.nodes[1]))
     v1 = vector[1]
     if abs(v1) > 1e-8 * np.max(np.abs(vector)) and ref1 != 0.0:
         return vector * (ref1 / v1)
@@ -217,26 +193,17 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     return vector * (num / den)
 
 
-def solve_fredholm_eigen(
-    problem: IntegralProblem,
-    lo: float,
-    hi: float,
-    rule: Optional[QuadratureRule] = None,
-) -> SolveReport:
-    """Characteristic values of the homogeneous problem in [lo, hi].
+def _eigen(problem: IntegralProblem, grid: Grid, alpha: np.ndarray) -> SolveReport:
+    """Characteristic values of the homogeneous problem in its bracket.
 
     Each root of det(I - lam*alpha) yields an eigenfunction spline; when a
     reference eigenfunction is known the errors are computed after
     rescaling (see _rescale_to_reference), with error_max taken over 2001
     equispaced points.
     """
-    if problem.kind != "fredholm_eigen":
-        raise ValueError(f"expected kind 'fredholm_eigen', got {problem.kind!r}")
-    alpha, _ = assemble_fredholm(problem, rule)
-    grid = problem.grid()
     a, b = problem.interval
     pairs = []
-    for res in find_real_eigenvalues(alpha, lo, hi):
+    for res in find_real_eigenvalues(alpha, *problem.bracket):
         if problem.reference is None:
             pairs.append((res.value, _report(problem, grid, res.vector)))
             continue
@@ -248,27 +215,32 @@ def solve_fredholm_eigen(
     return replace(pairs[0][1], eigen=tuple(pairs))
 
 
-def solve_volterra2(
-    problem: IntegralProblem, rule: Optional[QuadratureRule] = None
-) -> SolveReport:
-    """Solve a second-kind Volterra problem.
+def solve(problem: IntegralProblem, rule: Optional[QuadratureRule] = None) -> SolveReport:
+    """Solve a problem of any kind by collocation at the grid nodes.
 
-    Row 0 pins y_0 = f_0; row j collocates with the kernel integrated over
-    pieces 1..j only. The system is still dense (the spline couples all
-    nodes), so it is solved as one (n+1) x (n+1) solve.
+    The second kinds are (I - lam W) y = f, with W the integral operator at
+    the nodes: its rows integrate up to b (fredholm2) or up to their own
+    node (volterra2, whose row 0 is then y_0 = f_0). The system is dense
+    either way (the spline couples all nodes), so it is one (n+1) x (n+1)
+    solve. fredholm_eigen finds the roots of det(I - lam W) in the problem's
+    bracket (see _eigen), and volterra1 adds a closure for its free
+    endpoint value (see _volterra1). `rule` integrates every piece
+    (default: 8-point Gauss-Legendre).
     """
-    if problem.kind != "volterra2":
-        raise ValueError(f"expected kind 'volterra2', got {problem.kind!r}")
     rule = rule or gauss_legendre(8)
     grid = problem.grid()
-    A = np.eye(grid.n + 1) - problem.lam * _integral_operator(
-        problem.kernel, grid, rule, grid.nodes, grid.nodes)
+    if problem.kind == "volterra1":
+        return _volterra1(problem, grid, rule)
+    upper = grid.nodes if problem.kind == "volterra2" else grid.b
+    W = _integral_operator(problem.kernel, grid, rule, grid.nodes, upper)
+    if problem.kind == "fredholm_eigen":
+        return _eigen(problem, grid, W)
+    A = np.eye(grid.n + 1) - problem.lam * W
     return _report(problem, grid, solve_dense(A, sample(problem.forcing, grid)))
 
 
-def solve_volterra1(
-    problem: IntegralProblem, rule: Optional[QuadratureRule] = None
-) -> SolveReport:
+def _volterra1(problem: IntegralProblem, grid: Grid,
+               rule: QuadratureRule) -> SolveReport:
     """Solve a first-kind Volterra problem by collocation plus a variational
     closure for the undetermined left-endpoint value.
 
@@ -289,10 +261,6 @@ def solve_volterra1(
     SingularMatrixError beyond; the L2 error grows about 2.5x per unit of
     n, from 4.3e-14 at n = 5 to 1.8e-7 at n = 21.
     """
-    if problem.kind != "volterra1":
-        raise ValueError(f"expected kind 'volterra1', got {problem.kind!r}")
-    rule = rule or gauss_legendre(8)
-    grid = problem.grid()
     nodes = grid.nodes[1:]
     B = _integral_operator(problem.kernel, grid, rule, nodes, nodes)
     u, w = solve_dense(B[:, 1:], np.column_stack((eval_many(problem.forcing, nodes),

@@ -23,9 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
-from .integral_eq import (IntegralProblem, Kernel, SolveReport, solve_fredholm,
-                          solve_fredholm_eigen, solve_volterra1, solve_volterra2)
+from .core import Grid, ScalarFunction, eval_many, make_grid, sample
+from .integral_eq import IntegralProblem, Kernel, SolveReport, solve
 from .lagrange import lagrange_interpolant
 from .quadrature import QuadratureRule, gauss_legendre, l2_error, panel_points
 from .spline import SplineModel, build_spline
@@ -57,12 +56,14 @@ class ProblemEntry:
     reference: ScalarFunction
     forcing: Optional[ScalarFunction] = None
     lam: Optional[float] = None
-    bracket: tuple[float, float] = (-10.0, 10.0)
+    bracket: Optional[tuple[float, float]] = None  # fredholm_eigen entries only
     expected_eigenvalue: Optional[float] = None  # continuum value, for the self-check
 
-    def problem(self, n: int) -> IntegralProblem:
-        return IntegralProblem(self.kind, self.kernel, self.interval, n,
-                               self.forcing, self.lam, self.reference)
+    def problem(self, n: int,
+                bracket: Optional[tuple[float, float]] = None) -> IntegralProblem:
+        """The entry at n pieces; a bracket given here replaces the entry's."""
+        return IntegralProblem(self.kind, self.kernel, self.interval, n, self.forcing,
+                               self.lam, self.reference, bracket or self.bracket)
 
 
 FUNCTIONS: dict[str, FunctionEntry] = {
@@ -205,20 +206,9 @@ def lagrange_error(fid: str, n: int, a: Optional[float] = None,
 
 def solve_entry(pid: str, n: int, rule: Optional[QuadratureRule] = None,
                 bracket: Optional[tuple[float, float]] = None) -> SolveReport:
-    """Run the matching solver for a registered problem; only fredholm_eigen
-    problems take a bracket (default: the entry's)."""
-    entry = get_problem(pid)
-    problem = entry.problem(n)
-    if entry.kind == "fredholm_eigen":
-        return solve_fredholm_eigen(problem, *(bracket or entry.bracket), rule)
-    if bracket is not None:
-        raise InvalidDomainError(f"problem {pid!r} is of kind {entry.kind!r}; "
-                                 "only 'fredholm_eigen' problems take a bracket")
-    if entry.kind == "fredholm2":
-        return solve_fredholm(problem, rule)
-    if entry.kind == "volterra2":
-        return solve_volterra2(problem, rule)
-    return solve_volterra1(problem, rule)
+    """solve() of a registered problem; a bracket replaces a fredholm_eigen
+    entry's own, and IntegralProblem refuses one for the other kinds."""
+    return solve(get_problem(pid).problem(n, bracket), rule)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ route to a result the package computes another way:
   summed_piece_weights        time, and its sum over the pieces of each
                               row with the 8-point rule; check
                               integral_eq._integral_operator (behind
-                              assemble_fredholm and every solver)
+                              integral_eq.solve for every kind)
   determinant                 sign-tracked pivoted elimination; checks
                               linsolve.find_real_eigenvalues, whose roots of
                               det(I - lam*alpha) come from eigvals

@@ -338,9 +338,10 @@ class TestUsage:
         ("--quad-order", "33", "invalid choice: 33"),
         ("--quad-order", "x", "invalid int value: 'x'"),
         ("--ns", "20,10", "n values must be ascending, got '20,10'"),
+        ("--ns", "10,10", "n values must be ascending, got '10,10'"),
         ("--ns", "10,x", "expected comma-separated integers, got '10,x'"),
     ], ids=["table-9", "table-x", "quad-order-0", "quad-order-33", "quad-order-x",
-            "ns-descending", "ns-not-int"])
+            "ns-descending", "ns-repeated", "ns-not-int"])
     def test_malformed_argument_refused_by_the_parser(self, capsys, option, value,
                                                       refusal):
         command = ["converge", "-p", "sin2pix"] if option == "--ns" else ["reproduce"]

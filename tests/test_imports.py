@@ -18,9 +18,7 @@ PUBLIC = [
     "QuadratureRule", "gauss_legendre", "integrate_panels", "l2_error",
     "max_error",
     "SingularMatrixError", "EigenResult", "solve_dense", "find_real_eigenvalues",
-    "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError",
-    "assemble_fredholm", "solve_fredholm", "solve_fredholm_eigen",
-    "solve_volterra2", "solve_volterra1",
+    "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError", "solve",
     "__version__",
 ]
 
@@ -49,7 +47,7 @@ def test_import_does_not_load_scipy():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 29
     assert quadspline.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(quadspline, name) is not None

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from quadspline import (DegenerateProblemError, IntegralProblem,
-                        InvalidDomainError, SingularMatrixError,
-                        assemble_fredholm, build_spline, find_real_eigenvalues,
-                        gauss_legendre, integrate_panels, l2_error, make_grid, solve_fredholm,
-                        solve_fredholm_eigen, solve_volterra1, solve_volterra2)
+                        InvalidDomainError, SingularMatrixError, build_spline,
+                        find_real_eigenvalues, gauss_legendre, integrate_panels,
+                        l2_error, make_grid, registry, solve)
 from quadspline import integral_eq
 from quadspline.integral_eq import _integral_operator
 from quadspline.registry import get_problem
@@ -80,7 +81,7 @@ class TestProblemValidation:
         monkeypatch.setattr(integral_eq, "make_grid", counted)
         p = IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1), 4,
                             forcing=np.sin, lam=1.0)
-        solve_volterra2(p)
+        solve(p)
         assert p.grid() is p.grid()
         assert calls == [(0, 1, 4)]
         assert p == IntegralProblem("volterra2", p.kernel, (0, 1), 4,
@@ -98,15 +99,37 @@ class TestProblemValidation:
             IntegralProblem("volterra1", lambda x, s: 0.0, (0.5, 1), 4,
                             forcing=np.sin)
 
-    @pytest.mark.parametrize("solve,kind", [
-        (solve_fredholm, "fredholm2"),
-        (lambda p: solve_fredholm_eigen(p, -10, 0), "fredholm_eigen"),
-        (solve_volterra2, "volterra2"),
-    ], ids=["fredholm2", "fredholm_eigen", "volterra2"])
-    def test_solver_rejects_other_kinds(self, solve, kind):
-        p = IntegralProblem("volterra1", lambda x, s: 0.0, (0, 1), 4, forcing=np.sin)
-        with pytest.raises(ValueError, match=f"expected kind '{kind}', got 'volterra1'"):
-            solve(p)
+    def test_bracket_required_for_eigen(self):
+        with pytest.raises(InvalidDomainError,
+                           match="kind 'fredholm_eigen': bracket required"):
+            IntegralProblem("fredholm_eigen", lambda x, s: 0.0, (0, 1), 4)
+
+    @pytest.mark.parametrize("kind", ["fredholm2", "volterra2", "volterra1"])
+    def test_bracket_refused_for_other_kinds(self, kind):
+        with pytest.raises(InvalidDomainError, match=f"kind '{kind}': bracket not allowed"):
+            IntegralProblem(kind, lambda x, s: 0.0, (0, 1), 4, forcing=np.sin,
+                            lam=None if kind == "volterra1" else 1.0, bracket=(0.0, 1.0))
+
+    def test_replace_rebuilds_a_validated_problem(self):
+        p = get_problem("krasnov2").problem(5)
+        q = replace(p, bracket=(-3.0, -2.5))
+        assert q.bracket == (-3.0, -2.5) and q.grid() == p.grid()
+        assert [v for v, _ in solve(q).eigen] == [v for v, _ in solve(p).eigen
+                                                   if -3.0 <= v <= -2.5]
+        with pytest.raises(InvalidDomainError, match="bracket required"):
+            replace(p, bracket=None)
+        with pytest.raises(InvalidDomainError, match="bracket not allowed"):
+            replace(get_problem("krasnov1").problem(5), bracket=(0.0, 1.0))
+
+    @pytest.mark.parametrize("pid", sorted(registry.PROBLEMS))
+    def test_solve_matches_the_registry_entry(self, pid):
+        # one entry point: the registry adds nothing but the entry's fields
+        got = solve(get_problem(pid).problem(8))
+        want = registry.solve_entry(pid, 8)
+        np.testing.assert_array_equal(got.samples, want.samples)
+        assert (got.error_l2, got.error_max) == (want.error_l2, want.error_max)
+        assert [v for v, _ in got.eigen or ()] == [v for v, _ in want.eigen or ()]
+
 
 
 class TestKernelPieceWeights:
@@ -323,24 +346,29 @@ class TestOperatorCalls:
         assert len(kernel.array_calls) == len(sizes)
 
 
+def fredholm_operator(p):
+    """The collocation operator a Fredholm problem's solve uses: rows to b."""
+    g = p.grid()
+    return _integral_operator(p.kernel, g, RULE8, g.nodes, g.b)
+
+
 class TestAssembleFredholm:
     def test_zero_lambda_gives_identity(self):
         p = IntegralProblem("fredholm2", lambda x, s: np.exp(x * s), (0, 1), 5,
                             forcing=np.sin, lam=0.0)
-        A, rhs = assemble_fredholm(p)
+        A = np.eye(6) - p.lam * fredholm_operator(p)
         np.testing.assert_allclose(A, np.eye(6), atol=1e-14)
-        np.testing.assert_allclose(rhs, np.sin(p.grid().nodes))
 
     def test_zero_kernel_gives_identity(self):
         p = IntegralProblem("fredholm2", lambda x, s: 0.0, (0, 1), 5,
                             forcing=np.cos, lam=7.0)
-        A, _ = assemble_fredholm(p)
+        A = np.eye(6) - p.lam * fredholm_operator(p)
         np.testing.assert_allclose(A, np.eye(6), atol=1e-14)
 
     def test_eigen_variant_returns_alpha_and_zero_rhs(self):
-        p = IntegralProblem("fredholm_eigen", lambda x, s: x * s, (0, 1), 4)
-        alpha, rhs = assemble_fredholm(p)
-        np.testing.assert_array_equal(rhs, np.zeros(5))
+        p = IntegralProblem("fredholm_eigen", lambda x, s: x * s, (0, 1), 4,
+                            bracket=(0.0, 10.0))
+        alpha = fredholm_operator(p)
         # row j should integrate K(x_j, s)*S(s) over the whole interval
         rng = np.random.default_rng(3)
         y = rng.standard_normal(5)
@@ -350,6 +378,12 @@ class TestAssembleFredholm:
             oracle = integrate_panels(lambda s: g.nodes[j] * s * model(s),
                                       0, 1, 16, gauss_legendre(12))
             assert float(alpha[j] @ y) == pytest.approx(oracle, abs=1e-9)
+        # every eigenfunction solves the homogeneous system (I - lam*alpha) y = 0
+        r = solve(p)
+        assert len(r.eigen) == 1
+        for value, sub in r.eigen:
+            residual = sub.samples - value * (alpha @ sub.samples)
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(sub.samples))
 
     def test_assembly_oracle_random_kernels(self):
         rng = np.random.default_rng(31)
@@ -357,29 +391,22 @@ class TestAssembleFredholm:
             kernel = random_poly_kernel(rng)
             p = IntegralProblem("fredholm2", kernel, (0, 1), n,
                                 forcing=np.sin, lam=1.3)
-            A, _ = assemble_fredholm(p)
+            alpha = fredholm_operator(p)
             g = p.grid()
             y = rng.standard_normal(n + 1)
             model = build_spline(g, y)
-            alpha = (np.eye(n + 1) - A) / 1.3
             for j in range(n + 1):
                 oracle = integrate_panels(
                     lambda s: kernel(g.nodes[j], s) * model(s),
                     0, 1, 4 * n, gauss_legendre(12))
                 assert float(alpha[j] @ y) == pytest.approx(oracle, abs=1e-9)
 
-    def test_rejects_wrong_kind(self):
-        p = IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1), 4,
-                            forcing=np.sin, lam=1.0)
-        with pytest.raises(ValueError):
-            assemble_fredholm(p)
-
 
 class TestSolveFredholm:
     def test_zero_lambda_passthrough(self):
         p = IntegralProblem("fredholm2", lambda x, s: np.cos(x + s), (0, 2), 6,
                             forcing=np.exp, lam=0.0, reference=np.exp)
-        r = solve_fredholm(p)
+        r = solve(p)
         np.testing.assert_allclose(r.samples, np.exp(p.grid().nodes), rtol=1e-13)
         assert r.error_max < 1e-12
 
@@ -390,7 +417,7 @@ class TestSolveFredholm:
             "fredholm2", lambda x, s: np.exp(x - s), (0.0, 1.0), n,
             forcing=lambda x: 2 * x * np.exp(x), lam=-2.0,
             reference=lambda x: np.exp(x) * (2 * x - 2 / 3))
-        r = solve_fredholm(p)
+        r = solve(p)
         assert 0.5 * pub_l2 <= r.error_l2 <= 2 * pub_l2
         assert 0.5 * pub_max <= r.error_max <= 2 * pub_max
 
@@ -399,13 +426,13 @@ class TestSolveFredholm:
             "fredholm2", lambda x, s: x + s, (0.0, 1.0), 5,
             forcing=lambda x: 1 + np.cos(x) - (1 + x) * np.sin(1) - np.cos(1),
             lam=1.0, reference=np.cos)
-        r5 = solve_fredholm(p)
+        r5 = solve(p)
         assert 0.5 * 1.17e-3 <= r5.error_l2 <= 2 * 1.17e-3
 
     def test_no_reference_means_no_error_fields(self):
         p = IntegralProblem("fredholm2", lambda x, s: x * s, (0, 1), 4,
                             forcing=np.sin, lam=0.5)
-        r = solve_fredholm(p)
+        r = solve(p)
         assert r.error_l2 is None and r.error_max is None
         assert r.spline is not None
 
@@ -414,7 +441,7 @@ class TestSolveFredholm:
             "fredholm2", lambda x, s: np.exp(x - s), (0.0, 1.0), 6,
             forcing=lambda x: 2 * x * np.exp(x), lam=-2.0,
             reference=lambda x: np.exp(x) * (2 * x - 2 / 3))
-        r = solve_fredholm(p)
+        r = solve(p)
         e2 = l2_error(r.spline, p.reference, 0, 1, 6, RULE8)
         assert r.error_l2 == pytest.approx(math.sqrt(e2), rel=1e-12)
         nodal = np.max(np.abs(r.samples - p.reference(p.grid().nodes)))
@@ -427,10 +454,10 @@ class TestSolveFredholmEigen:
     def problem(self, n):
         return IntegralProblem("fredholm_eigen",
                                lambda x, s: 2 * x * s - 4 * x**2, (0.0, 1.0), n,
-                               reference=lambda x: x * (1 - 2 * x))
+                               reference=lambda x: x * (1 - 2 * x), bracket=(-10, 0))
 
     def test_benchmark_eigenvalue_and_errors(self):
-        r = solve_fredholm_eigen(self.problem(9), -10, 0)
+        r = solve(self.problem(9))
         assert r.eigen
         lam = min(v for v, _ in r.eigen)
         assert lam == pytest.approx(-3.065060, abs=5e-4)
@@ -441,8 +468,9 @@ class TestSolveFredholmEigen:
         # K = x*s on [0,1]: the only characteristic value is 1/int_0^1 s^2 ds = 3,
         # and the spline represents the eigenfunction (linear) exactly
         p = IntegralProblem("fredholm_eigen", lambda x, s: x * s, (0.0, 1.0), 10,
-                            reference=lambda x: np.asarray(x, dtype=float))
-        r = solve_fredholm_eigen(p, 0, 10)
+                            reference=lambda x: np.asarray(x, dtype=float),
+                            bracket=(0, 10))
+        r = solve(p)
         assert len(r.eigen) == 1
         assert r.eigen[0][0] == pytest.approx(3.0, abs=1e-6)
         assert r.eigen[0][1].error_max < 1e-8
@@ -454,20 +482,20 @@ class TestSolveFredholmEigen:
     def test_split_roots_at_odd_n(self, n, roots):
         # an odd piece count does not reproduce x^2, so the double root -3
         # splits into two simple ones
-        r = solve_fredholm_eigen(self.problem(n), -10, 0)
+        r = solve(self.problem(n))
         np.testing.assert_allclose([v for v, _ in r.eigen], roots, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("n", [20, 40, 60, 100])
     def test_double_root_at_even_n(self, n):
-        r = solve_fredholm_eigen(self.problem(n), -10, 0)
+        r = solve(self.problem(n))
         assert len(r.eigen) == 1
         assert abs(r.eigen[0][0] + 3.0) <= 1e-9
 
     def test_no_reference_keeps_raw_vectors_without_errors(self):
         p = IntegralProblem("fredholm_eigen", lambda x, s: 2 * x * s - 4 * x**2,
-                            (0.0, 1.0), 5)
-        roots = find_real_eigenvalues(assemble_fredholm(p)[0], -10, 0)
-        r = solve_fredholm_eigen(p, -10, 0)
+                            (0.0, 1.0), 5, bracket=(-10, 0))
+        roots = find_real_eigenvalues(fredholm_operator(p), -10, 0)
+        r = solve(p)
         assert [v for v, _ in r.eigen] == [res.value for res in roots]
         assert len(roots) == 2
         for (_, sub), res in zip(r.eigen, roots):
@@ -475,7 +503,7 @@ class TestSolveFredholmEigen:
             np.testing.assert_array_equal(sub.samples, res.vector)
 
     def test_empty_bracket(self):
-        r = solve_fredholm_eigen(self.problem(5), 5, 10)
+        r = solve(replace(self.problem(5), bracket=(5, 10)))
         assert r.eigen == ()
         assert r.spline is None
 
@@ -490,7 +518,7 @@ class TestSolveFredholmEigen:
             return integrate_panels(*args)
 
         monkeypatch.setattr(integral_eq, "integrate_panels", counted)
-        r = solve_fredholm_eigen(get_problem("krasnov2").problem(2), -10, 0)
+        r = solve(get_problem("krasnov2").problem(2))
         assert len(calls) == 2
         assert [abs(v + 3.0) <= 1e-12 for v, _ in r.eigen] == [True]
         assert r.error_l2 <= 1e-12
@@ -504,12 +532,12 @@ class TestSolveFredholmEigen:
             return l2_error(*args)
 
         monkeypatch.setattr(integral_eq, "l2_error", counted)
-        r = solve_fredholm_eigen(self.problem(5), -10, 0)
+        r = solve(self.problem(5))
         assert len(r.eigen) == 2
         assert len(calls) == 2
 
     def test_eigen_max_error_is_global(self):
-        r = solve_fredholm_eigen(self.problem(5), -10, 0)
+        r = solve(self.problem(5))
         _, sub = min(r.eigen, key=lambda p: p[0])
         xs = np.linspace(0, 1, 2001)
         expected = np.max(np.abs(sub.spline(xs) - sub.problem.reference(xs)))
@@ -520,7 +548,7 @@ class TestSolveVolterra2:
     def test_zero_lambda_passthrough(self):
         p = IntegralProblem("volterra2", lambda x, s: x * s, (0, 1), 5,
                             forcing=np.cos, lam=0.0, reference=np.cos)
-        r = solve_volterra2(p)
+        r = solve(p)
         np.testing.assert_allclose(r.samples, np.cos(p.grid().nodes), rtol=1e-13)
 
     @pytest.mark.parametrize("n,pub_l2,pub_max", [(5, 9.3e-4, 6.1e-5),
@@ -530,7 +558,7 @@ class TestSolveVolterra2:
             "volterra2", lambda x, s: s / (1 + x**2), (0.0, 1.0), n,
             forcing=lambda x: 1 / (1 + x**2), lam=-1.0,
             reference=lambda x: (1 + x**2) ** (-1.5))
-        r = solve_volterra2(p)
+        r = solve(p)
         assert 0.5 * pub_l2 <= r.error_l2 <= 2 * pub_l2
         assert 0.5 * pub_max <= r.error_max <= 2 * pub_max
 
@@ -539,7 +567,7 @@ class TestSolveVolterra2:
             "volterra2", lambda x, s: x * s, (0.0, 1.0), 5,
             forcing=lambda x: np.exp(-x**2) + 0.5 * x * (1 - np.exp(-x**2)),
             lam=-1.0, reference=lambda x: np.exp(-x**2))
-        r = solve_volterra2(p)
+        r = solve(p)
         assert 0.5 * 5.0e-5 <= r.error_max <= 2 * 5.0e-5
 
     def test_row_oracle(self):
@@ -588,12 +616,11 @@ class TestManufacturedSolutions:
         kernel = lambda x, s: np.cos(x) * s + 0.5
         reference = np.sin
         forcing = manufactured_forcing(kind, kernel, lam, reference, a, b)
-        solver = solve_fredholm if kind == "fredholm2" else solve_volterra2
         errors = {}
         for n in (16, 32):
             p = IntegralProblem(kind, kernel, (a, b), n, forcing=forcing,
                                 lam=lam, reference=reference)
-            errors[n] = solver(p).error_max
+            errors[n] = solve(p).error_max
         assert errors[32] < errors[16]
         # sup|sin''| = 1; kernel bounded by 1.5 on the square
         h = (b - a) / 32
@@ -610,7 +637,7 @@ class TestManufacturedSolutions:
         for n in (10, 20, 40, 80):
             p = IntegralProblem("volterra2", lambda x, s: np.sqrt(x - s), (0.0, 1.0),
                                 n, forcing=forcing, lam=1.0, reference=lambda x: 1.0 + x)
-            errors.append(solve_volterra2(p).error_l2)
+            errors.append(solve(p).error_l2)
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all((1.4 <= orders) & (orders <= 1.6)), orders
 
@@ -627,14 +654,14 @@ class TestSolveVolterra1:
     def test_constant_solution_benchmark(self, n, pub_l2, pub_max):
         # the published figures sit at the *source's* solver noise floor; this
         # implementation lands well below it, so only the upper bounds bind
-        r = solve_volterra1(self.make(n))
+        r = solve(self.make(n))
         assert r.error_l2 <= 10 * pub_l2
         assert r.error_max <= 10 * pub_max
 
     def test_zero_forcing_gives_zero_solution(self):
         p = IntegralProblem("volterra1", lambda x, s: x - s + 1.0, (0.0, 1.0), 6,
                             forcing=lambda x: 0.0 * np.asarray(x, dtype=float))
-        r = solve_volterra1(p)
+        r = solve(p)
         np.testing.assert_allclose(r.samples, 0.0, atol=1e-10)
 
     def test_unit_kernel_linear_forcing(self):
@@ -644,7 +671,7 @@ class TestSolveVolterra1:
                             (0.0, 1.0), 8,
                             forcing=lambda x: np.asarray(x, dtype=float),
                             reference=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        r = solve_volterra1(p)
+        r = solve(p)
         assert r.error_max < 1e-8
 
     def test_affine_solution_recovered_exactly(self):
@@ -661,7 +688,7 @@ class TestSolveVolterra1:
 
         p = IntegralProblem("volterra1", kernel, (0.0, 1.0), 6,
                             forcing=forcing, reference=y_true)
-        r = solve_volterra1(p)
+        r = solve(p)
         assert r.error_max < 1e-8
 
     def test_singular_subsystem_detected(self):
@@ -674,7 +701,7 @@ class TestSolveVolterra1:
                             (0.0, 1.0), 4,
                             forcing=lambda x: 0.1 * np.asarray(x, dtype=float) ** 3)
         with pytest.raises(SingularMatrixError):
-            solve_volterra1(p)
+            solve(p)
 
     def test_degenerate_closure_detected(self):
         # scaling the kernel down leaves the subsystem regular (the condition
@@ -684,18 +711,12 @@ class TestSolveVolterra1:
                             lambda x, s: 1e-7 * (x - s) ** 2, (0.0, 1.0), 4,
                             forcing=lambda x: 1e-7 * np.asarray(x, dtype=float) ** 3)
         with pytest.raises(DegenerateProblemError):
-            solve_volterra1(p)
-
-    def test_wrong_kind_rejected(self):
-        p = IntegralProblem("fredholm2", lambda x, s: 0.0, (0, 1), 4,
-                            forcing=np.sin, lam=1.0)
-        with pytest.raises(ValueError):
-            solve_volterra1(p)
+            solve(p)
 
     def test_krasnov4_breaks_down_between_n20_and_n30(self):
         # the trailing subsystem's 1/cond_inf falls from 2.2e-13 at n = 21 to
         # 8.1e-14 at n = 22; n = 20 and n = 30 sit well clear of that edge
         entry = get_problem("krasnov4")
-        assert solve_volterra1(entry.problem(20)).error_max < 1e-4
+        assert solve(entry.problem(20)).error_max < 1e-4
         with pytest.raises(SingularMatrixError):
-            solve_volterra1(entry.problem(30))
+            solve(entry.problem(30))

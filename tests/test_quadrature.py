@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadspline import (build_spline, gauss_legendre, integrate_panels,
-                        l2_error, make_grid, max_error, sample, solve_fredholm)
+                        l2_error, make_grid, max_error, sample, solve)
 from quadspline.integral_eq import IntegralProblem
 from quadspline.quadrature import _BLOCK, _max_abs_deviation, panel_points
 
@@ -157,6 +157,6 @@ class TestMaxError:
             "fredholm2", lambda x, s: np.exp(x - s), (0.0, 1.0), 10,
             forcing=lambda x: 2 * x * np.exp(x), lam=-2.0,
             reference=lambda x: np.exp(x) * (2 * x - 2 / 3))
-        report = solve_fredholm(problem)
+        report = solve(problem)
         got = max_error(report.spline, problem.reference, 0, 1, samples=11)
         assert 0.5 * 1.9e-5 <= got <= 2 * 1.9e-5
