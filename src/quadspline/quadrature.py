@@ -7,16 +7,19 @@ integral_eq.SolveReport.)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
-from .core import ScalarFunction, eval_many
+from .core import InvalidDomainError, ScalarFunction, eval_many
 
 MAX_ORDER = 32
-# Points per slice of a sup-norm sweep: the spline's and f's temporaries for
-# one slice stay in cache instead of streaming mesh-length arrays.
+# Points per slice of a sup-norm sweep: the slice of the mesh and the
+# spline's and f's temporaries for it stay in cache, and no mesh-length
+# array is ever made.
 _BLOCK = 1 << 15
 
 
@@ -98,20 +101,51 @@ def max_error(
     hi: float,
     samples: int = 2001,
 ) -> float:
-    """Max absolute deviation over `samples` equispaced points incl. endpoints."""
-    if samples < 2:
-        raise ValueError(f"need samples >= 2, got {samples}")
-    return _max_abs_deviation(approx, reference, np.linspace(lo, hi, samples))
+    """Max absolute deviation over `samples` equispaced points incl. endpoints.
 
-
-def _max_abs_deviation(approx: ScalarFunction, reference: ScalarFunction, xs: np.ndarray) -> float:
-    """max |approx - reference| over xs, evaluated _BLOCK points at a time.
-
-    Bit-identical to the unblocked np.max(np.abs(...)): max is exact and
-    np.maximum carries a NaN through. 0.0 for an empty xs.
+    The points are those of np.linspace(lo, hi, samples), made and swept
+    _BLOCK at a time (see _max_abs_deviation), so memory stays O(_BLOCK)
+    however many samples are asked for. Raises InvalidDomainError for a
+    non-finite lo or hi and ValueError unless samples is an integer >= 2.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidDomainError(f"need finite endpoints, got lo={lo}, hi={hi}")
+    if not (isinstance(samples, Integral) and samples >= 2):
+        raise ValueError(f"need an integer samples >= 2, got {samples!r}")
+    return _max_abs_deviation(approx, reference, lo, hi, int(samples))
+
+
+def _max_abs_deviation(
+    approx: ScalarFunction, reference: ScalarFunction, lo: float, hi: float, count: int
+) -> float:
+    """max |approx - reference| over np.linspace(lo, hi, count), count >= 2.
+
+    The mesh is never made whole: each _BLOCK-point slice of it is made,
+    evaluated and dropped, so memory is O(_BLOCK) whatever count is. A slice
+    is numpy's own arithmetic on its indices, bit for bit: index * step + lo,
+    or index / div * delta + lo when the step underflows to 0, and the last
+    point is hi exactly. The deviation is taken in place in approx's result,
+    or in a fresh array when that one is read-only. The max is bit-identical
+    to the unblocked np.max(np.abs(...)): max is exact and np.maximum
+    carries a NaN through.
+    """
+    lo, hi = float(lo), float(hi)
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    base = np.arange(min(count, _BLOCK), dtype=float)
     dev = 0.0
-    for lo in range(0, xs.size, _BLOCK):
-        block = xs[lo:lo + _BLOCK]
-        dev = np.maximum(dev, np.max(np.abs(eval_many(approx, block) - eval_many(reference, block))))
+    for start in range(0, count, _BLOCK):
+        xs = base[:count - start] + start
+        if step == 0:
+            xs /= div
+            xs *= delta
+        else:
+            xs *= step
+        xs += lo
+        if start + _BLOCK >= count:
+            xs[-1] = hi
+        d = eval_many(approx, xs)
+        d = np.subtract(d, eval_many(reference, xs), out=d if d.flags.writeable else None)
+        dev = np.maximum(dev, np.max(np.abs(d, out=d)))
     return float(dev)

@@ -642,6 +642,21 @@ class TestManufacturedSolutions:
         assert np.all((1.4 <= orders) & (orders <= 1.6)), orders
 
 
+class TestConvergenceOrders:
+    # collocation at the nodes of the quadratic spline: the L2 error is
+    # O(h^3) and the nodal error superconverges at O(h^4); measured orders
+    # 3.00-3.02 (L2) and 3.95-4.00 (nodal max) for n = 40..320
+    @pytest.mark.parametrize("pid", ["krasnov1", "wang", "krasnov3", "malek1"])
+    def test_l2_order_three_and_nodal_order_four(self, pid):
+        reports = [solve(get_problem(pid).problem(n)) for n in (40, 80, 160, 320)]
+        l2 = np.array([r.error_l2 for r in reports])
+        nodal = np.array([r.error_max for r in reports])
+        l2_orders = np.log2(l2[:-1] / l2[1:])
+        nodal_orders = np.log2(nodal[:-1] / nodal[1:])
+        assert np.all((2.9 <= l2_orders) & (l2_orders <= 3.1)), l2_orders
+        assert np.all(nodal_orders >= 3.8), nodal_orders
+
+
 class TestSolveVolterra1:
     def make(self, n=5):
         return IntegralProblem(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quadspline import (build_spline, gauss_legendre, integrate_panels,
-                        l2_error, make_grid, max_error, sample, solve)
+from quadspline import (InvalidDomainError, build_spline, gauss_legendre,
+                        integrate_panels, l2_error, make_grid, max_error,
+                        sample, solve)
 from quadspline.integral_eq import IntegralProblem
 from quadspline.quadrature import _BLOCK, _max_abs_deviation, panel_points
 
@@ -141,14 +144,35 @@ class TestMaxError:
             == float(np.max(np.abs(m(xs) - np.exp(xs))))
 
     def test_nan_deviation_in_a_later_block_propagates(self):
-        xs = np.linspace(0, 1, 3 * _BLOCK)
-        hole = xs[2 * _BLOCK + 1]
-        assert math.isnan(_max_abs_deviation(
-            lambda x: np.where(x == hole, np.nan, np.cos(x)), np.cos, xs))
+        hole = np.linspace(0, 1, 3 * _BLOCK)[2 * _BLOCK + 1]
+        assert math.isnan(max_error(
+            lambda x: np.where(x == hole, np.nan, np.cos(x)), np.cos, 0, 1,
+            samples=3 * _BLOCK))
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             max_error(np.cos, np.cos, 0, 1, samples=1)
+
+    @pytest.mark.parametrize("samples", [2.5, 2.0, "3"])
+    def test_non_integer_sample_count_refused(self, samples):
+        with pytest.raises(ValueError, match="need an integer samples >= 2"):
+            max_error(np.cos, np.cos, 0, 1, samples=samples)
+
+    @pytest.mark.parametrize("lo, hi", [(0, np.inf), (-np.inf, 1), (np.nan, 1),
+                                        (0, np.nan)])
+    def test_non_finite_bounds_refused(self, lo, hi):
+        with pytest.raises(InvalidDomainError, match="need finite endpoints"):
+            max_error(np.cos, np.cos, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(3.0, 0.0), (0.5, 0.5)])
+    def test_reversed_and_collapsed_bounds_keep_the_linspace_result(self, lo, hi):
+        xs = np.linspace(lo, hi, 2001)
+        assert max_error(np.exp, np.cos, lo, hi) \
+            == float(np.max(np.abs(np.exp(xs) - np.cos(xs))))
+
+    def test_read_only_result_is_not_written(self):
+        frozen = lambda x: np.broadcast_to(1.0, x.shape)
+        assert max_error(frozen, np.zeros_like, 0, 1, samples=5) == 1.0
 
     def test_published_nodal_value(self):
         # sampling exactly at the n+1 collocation nodes reproduces the
@@ -160,3 +184,35 @@ class TestMaxError:
         report = solve(problem)
         got = max_error(report.spline, problem.reference, 0, 1, samples=11)
         assert 0.5 * 1.9e-5 <= got <= 2 * 1.9e-5
+
+
+def swept_blocks(lo, hi, count):
+    """The mesh blocks the sup-norm sweep evaluates, in order."""
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())  # the sweep writes the deviation into x
+        return x
+
+    _max_abs_deviation(record, np.zeros_like, lo, hi, count)
+    return seen
+
+
+class TestStreamedMesh:
+    # counts at and around the block boundaries, and small ones
+    counts = st.one_of(
+        st.integers(2, 3000),
+        st.builds(lambda k, off: k * _BLOCK + off, st.integers(1, 3),
+                  st.sampled_from([-1, 0, 1])))
+    bounds = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+    @given(bounds, bounds, counts)
+    @example(0.25, 0.25, 2 * _BLOCK + 1)           # lo == hi
+    @example(3.0, -1.5, _BLOCK + 1)                # hi < lo
+    @example(0.0, 1e-320, 2 * _BLOCK - 1)          # the step underflows to 0
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_are_the_linspace_bit_for_bit(self, lo, hi, count):
+        blocks = swept_blocks(lo, hi, count)
+        assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, count).tobytes()
+        assert [b.size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from quadspline import (OutOfDomainError, build_spline, coeffs_closed_form,
                         convergence_study, fluctuation_energy, make_grid,
-                        sample, second_differences)
-from quadspline.quadrature import _BLOCK, _max_abs_deviation
+                        max_error, sample, second_differences)
+from quadspline.quadrature import _BLOCK
 from quadspline.spline import _closed_form_adjoint
 
 from oracles import coefficient_matrix, coeffs_by_recursion, optimal_first_coefficient
@@ -259,10 +260,16 @@ class TestSplineModel:
     def test_bad_point_in_a_later_block_named(self, bad):
         _, m = spline_for(np.cos, 0, 1, 4)
         xs = np.linspace(0, 1, 3 * _BLOCK)
+        hole = xs[_BLOCK + 7]
         xs[_BLOCK + 7] = bad
-        for call in (m, m.derivative, lambda x: _max_abs_deviation(m, np.cos, x)):
+        for call in (m, m.derivative):
             with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
                 call(xs)
+        # the sweep makes the same mesh; the bad point reaches the spline in
+        # its second block
+        poked = lambda x: m(np.where(x == hole, bad, x))
+        with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
+            max_error(poked, np.cos, 0, 1, samples=3 * _BLOCK)
 
     def test_value_at_right_end_is_last_sample_exactly(self):
         # the last piece ends at the grid's b, not at a + n h, so its
@@ -382,6 +389,19 @@ class TestConvergence:
         want = float(np.max(np.abs(m(xs) - f(xs))))
         rep = convergence_study(f, 1e3, lo, hi, [n])
         assert rep.records[0].max_deviation == want
+
+    def test_memory_does_not_grow_with_the_mesh(self):
+        # the 5,000,000-point mesh alone would be 40 MB; a streamed sweep
+        # holds one block of it and the spline's and f's temporaries
+        f = lambda x: np.sin(2 * np.pi * x)
+        tracemalloc.start()
+        try:
+            rep = convergence_study(f, 4 * np.pi**2, 0, 1, [5000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.violations
+        assert peak < 4 * 2**20, peak
 
     def test_kink_at_node_oscillates_at_quarter_h(self):
         # |x| with the kink on a node: one nonzero second difference of 2/h
