@@ -2,10 +2,10 @@
 
 The interpolating spline needs no linear solve: its piece coefficients come
 in closed form from one prefix sum over the second differences, in O(n).
-On top of it sit one collocation solver, `solve`, for Fredholm
-(second-kind and eigenvalue) and Volterra (second- and first-kind)
-equations, a benchmark registry, and a CLI (`quadspline`) that reproduces
-the published error tables. Everything is numpy; there is no compiled extension.
+On top of it sit one collocation solver, `solve(problem, n, rule=None)`,
+for Fredholm (second-kind and eigenvalue) and Volterra (second- and
+first-kind) equations, a benchmark registry, and a CLI (`quadspline`) that
+reproduces the published error tables. Everything is numpy; there is no compiled extension.
 """
 from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction,
                    make_grid, sample)

@@ -1,7 +1,7 @@
 """Spline-collocation solvers for Fredholm and Volterra integral equations.
 
 The unknown is replaced by the interpolating quadratic spline and the
-equation is enforced at the grid nodes. One entry point, solve(problem),
+equation is enforced at the grid nodes. One entry point, solve(problem, n),
 takes every kind, and every kind gets its rows from one integral operator,
 int_a^upper K(x, s) S(s) ds as a linear map of the node samples; Fredholm
 rows integrate up to b, Volterra rows up to their own point. Because every
@@ -65,37 +65,36 @@ class DegenerateProblemError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntegralProblem:
-    """One integral equation instance on [a, b] with n collocation pieces.
+    """One integral equation on [a, b]; solve(problem, n) discretizes it at n pieces.
 
-    bracket = (lo, hi) is the search interval of a fredholm_eigen problem's
-    characteristic values; the other kinds take none.
+    bracket = (lo, hi), lo < hi, is the search interval of a fredholm_eigen
+    problem's characteristic values; the other kinds take none.
     """
 
     kind: str
     kernel: Kernel
     interval: tuple[float, float]
-    n: int
     forcing: Optional[ScalarFunction] = None
     lam: Optional[float] = None
     reference: Optional[ScalarFunction] = None
     bracket: Optional[tuple[float, float]] = None
-    _grid: Grid = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        object.__setattr__(self, "_grid", make_grid(*self.interval, self.n))
+        make_grid(*self.interval, 2)  # refuses an interval no n can split
         for name, needed in zip(("forcing", "lam", "bracket"), _FIELDS[self.kind]):
             if needed != (getattr(self, name) is not None):
                 raise InvalidDomainError(f"kind {self.kind!r}: {name} "
                                          f"{'required' if needed else 'not allowed'}")
+        if self.bracket is not None and not (np.shape(self.bracket) == (2,)
+                                             and self.bracket[0] < self.bracket[1]):
+            raise InvalidDomainError(f"bracket must be (lo, hi) with lo < hi, "
+                                     f"got {self.bracket!r}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ValueError(f"need a finite lam, got {self.lam!r}")
         if self.kind == "volterra1" and self.interval[0] != 0.0:
             raise ValueError("first-kind Volterra problems must start at x = 0")
-
-    def grid(self) -> Grid:
-        return self._grid
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,10 @@ def _eigen(problem: IntegralProblem, grid: Grid, alpha: np.ndarray) -> SolveRepo
     return replace(pairs[0][1], eigen=tuple(pairs))
 
 
-def solve(problem: IntegralProblem, rule: Optional[QuadratureRule] = None) -> SolveReport:
-    """Solve a problem of any kind by collocation at the grid nodes.
+def solve(problem: IntegralProblem, n: int,
+          rule: Optional[QuadratureRule] = None) -> SolveReport:
+    """Solve a problem of any kind by collocation at the n + 1 nodes of
+    make_grid(*problem.interval, n), which refuses a bad n.
 
     The second kinds are (I - lam W) y = f, with W the integral operator at
     the nodes: its rows integrate up to b (fredholm2) or up to their own
@@ -228,7 +229,7 @@ def solve(problem: IntegralProblem, rule: Optional[QuadratureRule] = None) -> So
     (default: 8-point Gauss-Legendre).
     """
     rule = rule or gauss_legendre(8)
-    grid = problem.grid()
+    grid = make_grid(*problem.interval, n)
     if problem.kind == "volterra1":
         return _volterra1(problem, grid, rule)
     upper = grid.nodes if problem.kind == "volterra2" else grid.b

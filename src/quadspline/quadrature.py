@@ -49,12 +49,15 @@ def integrate_panels(
     """Composite rule over `panels` equal panels of [lo, hi].
 
     Exact per panel for polynomials up to degree 2*order - 1; additive
-    across adjacent ranges.
+    across adjacent ranges. Raises InvalidDomainError for a non-finite lo
+    or hi and ValueError for lo > hi or unless panels is an integer >= 1.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidDomainError(f"need finite endpoints, got lo={lo}, hi={hi}")
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    if panels < 1:
-        raise ValueError(f"need panels >= 1, got {panels}")
+    if not (isinstance(panels, Integral) and panels >= 1):
+        raise ValueError(f"need an integer panels >= 1, got {panels!r}")
     if hi == lo:
         return 0.0
     pts, half = panel_points(lo, hi, panels, rule)

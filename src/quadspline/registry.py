@@ -18,13 +18,13 @@ Metric conventions, matching the source tables (the test suite pins them):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Grid, ScalarFunction, eval_many, make_grid, sample
-from .integral_eq import IntegralProblem, Kernel, SolveReport, solve
+from .integral_eq import IntegralProblem, SolveReport, solve
 from .lagrange import lagrange_interpolant
 from .quadrature import QuadratureRule, gauss_legendre, l2_error, panel_points
 from .spline import SplineModel, build_spline
@@ -38,114 +38,89 @@ class UnknownProblemError(KeyError):
 class FunctionEntry:
     """An interpolation target with its natural interval."""
 
-    fid: str
     fn: ScalarFunction
     a: float
     b: float
     fpp_bound: Optional[float] = None  # certified sup |f''|, when finite
 
 
-@dataclass(frozen=True)
-class ProblemEntry:
-    """An integral equation with closed-form reference solution."""
-
-    pid: str
-    kind: str
-    kernel: Kernel
-    interval: tuple[float, float]
-    reference: ScalarFunction
-    forcing: Optional[ScalarFunction] = None
-    lam: Optional[float] = None
-    bracket: Optional[tuple[float, float]] = None  # fredholm_eigen entries only
-    expected_eigenvalue: Optional[float] = None  # continuum value, for the self-check
-
-    def problem(self, n: int,
-                bracket: Optional[tuple[float, float]] = None) -> IntegralProblem:
-        """The entry at n pieces; a bracket given here replaces the entry's."""
-        return IntegralProblem(self.kind, self.kernel, self.interval, n, self.forcing,
-                               self.lam, self.reference, bracket or self.bracket)
-
-
 FUNCTIONS: dict[str, FunctionEntry] = {
-    e.fid: e
-    for e in [
-        FunctionEntry("abs", np.abs, -1.0, 1.0),
-        FunctionEntry("sin2pix", lambda x: np.sin(2.0 * np.pi * x), -1.0, 1.0,
-                      4.0 * np.pi**2),
-        FunctionEntry("linear", lambda x: 5.0 * x - 2.0, -1.0, 1.0, 0.0),
-    ]
+    "abs": FunctionEntry(np.abs, -1.0, 1.0),
+    "sin2pix": FunctionEntry(lambda x: np.sin(2.0 * np.pi * x), -1.0, 1.0, 4.0 * np.pi**2),
+    "linear": FunctionEntry(lambda x: 5.0 * x - 2.0, -1.0, 1.0, 0.0),
 }
 
-PROBLEMS: dict[str, ProblemEntry] = {
-    e.pid: e
-    for e in [
-        # y(x) + 2 int_0^1 e^{x-s} y(s) ds = 2x e^x, i.e. lam = -2 in the
-        # y - lam*int = f convention; solution e^x (2x - 2/3).
-        ProblemEntry(
-            "krasnov1", "fredholm2",
-            kernel=lambda x, s: np.exp(x - s),
-            interval=(0.0, 1.0),
-            forcing=lambda x: 2.0 * x * np.exp(x),
-            lam=-2.0,
-            reference=lambda x: np.exp(x) * (2.0 * x - 2.0 / 3.0),
-        ),
-        # Homogeneous kernel 2xs - 4x^2 on [0,1]: continuum characteristic
-        # value -3 (double), eigenfunction x(1 - 2x).
-        ProblemEntry(
-            "krasnov2", "fredholm_eigen",
-            kernel=lambda x, s: 2.0 * x * s - 4.0 * x**2,
-            interval=(0.0, 1.0),
-            reference=lambda x: x * (1.0 - 2.0 * x),
-            bracket=(-10.0, 0.0),
-            expected_eigenvalue=-3.0,
-        ),
-        # y = f + int(x+s) y over [0,1] with lam = +1; solution cos x.
-        ProblemEntry(
-            "wang", "fredholm2",
-            kernel=lambda x, s: x + s,
-            interval=(0.0, 1.0),
-            forcing=lambda x: 1.0 + np.cos(x) - (1.0 + x) * np.sin(1.0) - np.cos(1.0),
-            lam=1.0,
-            reference=np.cos,
-        ),
-        # Trivial sanity entry: lam = 0 makes the solution the forcing itself.
-        ProblemEntry(
-            "identity", "fredholm2",
-            kernel=lambda x, s: np.exp(x) * np.cos(s),
-            interval=(0.0, 1.0),
-            forcing=np.sin,
-            lam=0.0,
-            reference=np.sin,
-        ),
-        # y = 1/(1+x^2) - int_0^x s/(1+x^2) y ds; solution (1+x^2)^{-3/2}.
-        ProblemEntry(
-            "krasnov3", "volterra2",
-            kernel=lambda x, s: s / (1.0 + x**2),
-            interval=(0.0, 1.0),
-            forcing=lambda x: 1.0 / (1.0 + x**2),
-            lam=-1.0,
-            reference=lambda x: (1.0 + x**2) ** (-1.5),
-        ),
-        # exp(-x^2) + (x/2)(1 - exp(-x^2)) = y + int_0^x xs y ds, written
-        # here as y = f + lam*int with lam = -1; solution exp(-x^2).
-        ProblemEntry(
-            "malek1", "volterra2",
-            kernel=lambda x, s: x * s,
-            interval=(0.0, 1.0),
-            forcing=lambda x: np.exp(-(x**2)) + 0.5 * x * (1.0 - np.exp(-(x**2))),
-            lam=-1.0,
-            reference=lambda x: np.exp(-(x**2)),
-        ),
-        # x^3 = int_0^x (x-s)^2 y(s) ds; solution y = 3.
-        ProblemEntry(
-            "krasnov4", "volterra1",
-            kernel=lambda x, s: (x - s) ** 2,
-            interval=(0.0, 1.0),
-            forcing=lambda x: x**3,
-            reference=lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
-        ),
-    ]
+# Integral equations with closed-form reference solutions; every entry has one.
+PROBLEMS: dict[str, IntegralProblem] = {
+    # y(x) + 2 int_0^1 e^{x-s} y(s) ds = 2x e^x, i.e. lam = -2 in the
+    # y - lam*int = f convention; solution e^x (2x - 2/3).
+    "krasnov1": IntegralProblem(
+        "fredholm2",
+        kernel=lambda x, s: np.exp(x - s),
+        interval=(0.0, 1.0),
+        forcing=lambda x: 2.0 * x * np.exp(x),
+        lam=-2.0,
+        reference=lambda x: np.exp(x) * (2.0 * x - 2.0 / 3.0),
+    ),
+    # Homogeneous kernel 2xs - 4x^2 on [0,1]: continuum characteristic
+    # value -3 (double, see EXPECTED_EIGENVALUE), eigenfunction x(1 - 2x).
+    "krasnov2": IntegralProblem(
+        "fredholm_eigen",
+        kernel=lambda x, s: 2.0 * x * s - 4.0 * x**2,
+        interval=(0.0, 1.0),
+        reference=lambda x: x * (1.0 - 2.0 * x),
+        bracket=(-10.0, 0.0),
+    ),
+    # y = f + int(x+s) y over [0,1] with lam = +1; solution cos x.
+    "wang": IntegralProblem(
+        "fredholm2",
+        kernel=lambda x, s: x + s,
+        interval=(0.0, 1.0),
+        forcing=lambda x: 1.0 + np.cos(x) - (1.0 + x) * np.sin(1.0) - np.cos(1.0),
+        lam=1.0,
+        reference=np.cos,
+    ),
+    # Trivial sanity entry: lam = 0 makes the solution the forcing itself.
+    "identity": IntegralProblem(
+        "fredholm2",
+        kernel=lambda x, s: np.exp(x) * np.cos(s),
+        interval=(0.0, 1.0),
+        forcing=np.sin,
+        lam=0.0,
+        reference=np.sin,
+    ),
+    # y = 1/(1+x^2) - int_0^x s/(1+x^2) y ds; solution (1+x^2)^{-3/2}.
+    "krasnov3": IntegralProblem(
+        "volterra2",
+        kernel=lambda x, s: s / (1.0 + x**2),
+        interval=(0.0, 1.0),
+        forcing=lambda x: 1.0 / (1.0 + x**2),
+        lam=-1.0,
+        reference=lambda x: (1.0 + x**2) ** (-1.5),
+    ),
+    # exp(-x^2) + (x/2)(1 - exp(-x^2)) = y + int_0^x xs y ds, written
+    # here as y = f + lam*int with lam = -1; solution exp(-x^2).
+    "malek1": IntegralProblem(
+        "volterra2",
+        kernel=lambda x, s: x * s,
+        interval=(0.0, 1.0),
+        forcing=lambda x: np.exp(-(x**2)) + 0.5 * x * (1.0 - np.exp(-(x**2))),
+        lam=-1.0,
+        reference=lambda x: np.exp(-(x**2)),
+    ),
+    # x^3 = int_0^x (x-s)^2 y(s) ds; solution y = 3.
+    "krasnov4": IntegralProblem(
+        "volterra1",
+        kernel=lambda x, s: (x - s) ** 2,
+        interval=(0.0, 1.0),
+        forcing=lambda x: x**3,
+        reference=lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
+    ),
 }
+
+# The continuum characteristic value of each fredholm_eigen entry, the lam
+# its reference eigenfunction satisfies in the self-check.
+EXPECTED_EIGENVALUE: dict[str, float] = {"krasnov2": -3.0}
 
 
 def get_function(fid: str) -> FunctionEntry:
@@ -156,7 +131,7 @@ def get_function(fid: str) -> FunctionEntry:
                                   f"known: {sorted(FUNCTIONS)}") from None
 
 
-def get_problem(pid: str) -> ProblemEntry:
+def get_problem(pid: str) -> IntegralProblem:
     try:
         return PROBLEMS[pid]
     except KeyError:
@@ -208,7 +183,8 @@ def solve_entry(pid: str, n: int, rule: Optional[QuadratureRule] = None,
                 bracket: Optional[tuple[float, float]] = None) -> SolveReport:
     """solve() of a registered problem; a bracket replaces a fredholm_eigen
     entry's own, and IntegralProblem refuses one for the other kinds."""
-    return solve(get_problem(pid).problem(n, bracket), rule)
+    problem = get_problem(pid)
+    return solve(problem if bracket is None else replace(problem, bracket=bracket), n, rule)
 
 
 # --------------------------------------------------------------------------
@@ -367,10 +343,13 @@ def verify_reference_solutions(tol: float = 1e-8) -> None:
     is wrong, not the solver. Each equation is checked at 9 equispaced
     points x, its integral taken over [a, b] (Fredholm) or [a, x]
     (Volterra) with 64 Gauss-Legendre panels of order 12, all 9 integrals
-    of an entry in one kernel call. A NaN residual fails the check.
+    of an entry in one kernel call. A NaN residual fails the check, and so
+    does an entry with no reference.
     """
     rule = gauss_legendre(12)
-    for entry in PROBLEMS.values():
+    for pid, entry in PROBLEMS.items():
+        if entry.reference is None:
+            raise AssertionError(f"registry entry {pid!r}: no reference solution")
         a, b = entry.interval
         xs = np.linspace(a, b, 9)
         upper = xs if entry.kind in ("volterra2", "volterra1") else b
@@ -381,10 +360,10 @@ def verify_reference_solutions(tol: float = 1e-8) -> None:
         if entry.kind == "volterra1":
             residuals = integral - forcing
         else:
-            lam = entry.expected_eigenvalue if entry.kind == "fredholm_eigen" else entry.lam
+            lam = EXPECTED_EIGENVALUE[pid] if entry.kind == "fredholm_eigen" else entry.lam
             residuals = eval_many(entry.reference, xs) - lam * integral - forcing
         for x, r in zip(xs, residuals):
             if not abs(r) <= tol:
                 raise AssertionError(
-                    f"registry entry {entry.pid!r}: reference violates its "
+                    f"registry entry {pid!r}: reference violates its "
                     f"equation at x={x} (residual {r:.3e})")

@@ -216,17 +216,18 @@ def convergence_study(
     (`converge -p sin2pix --ns 20000` peaks at 33 MB RSS, 185 MB with the
     whole mesh), and the result is bit-identical to the unblocked max over
     mesh and nodes.
-    Raises ValueError for a non-finite or negative fpp_bound.
+    Raises ValueError for a non-finite or negative fpp_bound, and
+    InvalidDomainError (via make_grid) for an n that is not an integer >= 2.
     """
     if not (math.isfinite(fpp_bound) and fpp_bound >= 0.0):
         raise ValueError(f"need a finite fpp_bound >= 0, got {fpp_bound!r}")
     records = []
     for n in ns:
-        grid = make_grid(a, b, int(n))
+        grid = make_grid(a, b, n)
         y = sample(f, grid)
         model = build_spline(grid, y)
         d = float(np.maximum(_max_abs_deviation(model, f, a, b, 1000 * grid.n),
                              np.max(np.abs(model(grid.nodes) - y))))
         bound = fpp_bound * grid.h * ((b - a) - grid.h / 2.0)
-        records.append(ConvergenceRecord(int(n), grid.h, d, bound))
+        records.append(ConvergenceRecord(grid.n, grid.h, d, bound))
     return ConvergenceReport(fpp_bound, tuple(records))

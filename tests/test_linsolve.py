@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadspline import (SingularMatrixError, find_real_eigenvalues, gauss_legendre,
-                        linsolve, solve_dense)
+                        linsolve, make_grid, solve_dense)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
 from quadspline.registry import get_problem, solve_entry
@@ -379,7 +379,7 @@ class TestFindRealEigenvalues:
     @pytest.mark.parametrize("n", [5, 9, 11])
     def test_determinant_oracle_krasnov2(self, n):
         entry = get_problem("krasnov2")
-        g = entry.problem(n).grid()
+        g = make_grid(*entry.interval, n)
         alpha = _integral_operator(entry.kernel, g, gauss_legendre(8), g.nodes, g.b)
         assert_sign_changes_are_roots(alpha, *entry.bracket)
 

@@ -70,6 +70,24 @@ class TestIntegratePanels:
         with pytest.raises(ValueError):
             integrate_panels(np.exp, 0, 1, 0, gauss_legendre(4))
 
+    @pytest.mark.parametrize("lo,hi,panels,error,match", [
+        (np.nan, 1.0, 2, InvalidDomainError, "finite endpoints"),
+        (0.0, np.nan, 2, InvalidDomainError, "finite endpoints"),
+        (0.0, np.inf, 2, InvalidDomainError, "finite endpoints"),
+        (-np.inf, 0.0, 2, InvalidDomainError, "finite endpoints"),
+        (0.0, 1.0, 2.5, ValueError, "integer panels"),
+        (0.0, 1.0, 2.0, ValueError, "integer panels"),
+    ])
+    def test_rejects_unusable_bounds_and_panel_counts(self, lo, hi, panels, error, match):
+        # refused with the package's own errors before numpy sees them
+        with pytest.raises(error, match=match):
+            integrate_panels(np.exp, lo, hi, panels, gauss_legendre(4))
+
+    def test_numpy_integer_panel_count(self):
+        rule = gauss_legendre(4)
+        assert integrate_panels(np.exp, 0, 1, np.int64(3), rule) \
+            == integrate_panels(np.exp, 0, 1, 3, rule)
+
     @pytest.mark.parametrize("f,lo,hi,exact", [
         (np.exp, 0.0, 1.0, math.e - 1),
         (np.sin, 0.0, math.pi, 2.0),
@@ -178,10 +196,10 @@ class TestMaxError:
         # sampling exactly at the n+1 collocation nodes reproduces the
         # published max for the exponential-kernel benchmark at n = 10
         problem = IntegralProblem(
-            "fredholm2", lambda x, s: np.exp(x - s), (0.0, 1.0), 10,
+            "fredholm2", lambda x, s: np.exp(x - s), (0.0, 1.0),
             forcing=lambda x: 2 * x * np.exp(x), lam=-2.0,
             reference=lambda x: np.exp(x) * (2 * x - 2 / 3))
-        report = solve(problem)
+        report = solve(problem, 10)
         got = max_error(report.spline, problem.reference, 0, 1, samples=11)
         assert 0.5 * 1.9e-5 <= got <= 2 * 1.9e-5
 

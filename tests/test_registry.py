@@ -19,9 +19,11 @@ class TestEntries:
         with pytest.raises(registry.UnknownProblemError):
             registry.get_problem("nope")
 
-    def test_reference_is_required(self):
-        with pytest.raises(TypeError, match="reference"):
-            registry.ProblemEntry("p", "fredholm2", lambda x, s: x * s, (0.0, 1.0))
+    def test_reference_is_required(self, monkeypatch):
+        monkeypatch.setitem(registry.PROBLEMS, "krasnov1", dataclasses.replace(
+            registry.PROBLEMS["krasnov1"], reference=None))
+        with pytest.raises(AssertionError, match="entry 'krasnov1': no reference solution"):
+            registry.verify_reference_solutions()
 
     def test_reference_solutions_satisfy_their_equations(self):
         registry.verify_reference_solutions()

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import (OutOfDomainError, build_spline, coeffs_closed_form,
-                        convergence_study, fluctuation_energy, make_grid,
-                        max_error, sample, second_differences)
+from quadspline import (InvalidDomainError, OutOfDomainError, build_spline,
+                        coeffs_closed_form, convergence_study, fluctuation_energy,
+                        make_grid, max_error, sample, second_differences)
 from quadspline.quadrature import _BLOCK
 from quadspline.spline import _closed_form_adjoint
 
@@ -356,6 +356,16 @@ class TestConvergence:
     def test_rejects_unusable_fpp_bound(self, bound):
         with pytest.raises(ValueError, match="fpp_bound"):
             convergence_study(np.sin, bound, 0, 1, [4])
+
+    @pytest.mark.parametrize("n", [10.5, 10.0])
+    def test_non_integer_n_refused(self, n):
+        # not truncated to 10: n goes to make_grid as it is
+        with pytest.raises(InvalidDomainError, match="integer n"):
+            convergence_study(np.sin, 1.0, 0, 1, [n])
+
+    def test_numpy_integer_n_accepted(self):
+        rep = convergence_study(np.sin, 1.0, 0, 1, np.array([10, 20]))
+        assert [(type(r.n), r.n) for r in rep.records] == [(int, 10), (int, 20)]
 
     def test_linear_deviation_zero(self):
         # any M >= sup|f''| = 0 is admissible; a tiny one absorbs roundoff
