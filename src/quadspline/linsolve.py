@@ -8,14 +8,21 @@ diagonally dominant by rows with a wide enough margin, Varah's bound
 proves that the gate passes, and b is solved alone; this catches the
 second-kind systems I - lam*K whose rows have |lam| times the integral
 of |K(x_i, s)| below 1, roughly, such as the Volterra-2 benchmark
-problems. Any other A is solved with the identity beside b, which gives x
-and the exact inverse the gate needs. Both ways accept and refuse the
-same systems; a certified solve knows only a lower bound on
-1/cond_inf(A), not its value. Characteristic values, the roots of
-det(I - lambda*alpha), come from the eigenvalues of alpha, and each null
-vector is the last right singular vector of I - lambda*alpha. The
-sign-tracked determinant those roots are tested against lives in
-tests/oracles.py.
+problems. When that misses and n >= _SKETCH_MIN_N = 64, a second proof
+comes from a rank-8 sketch of M = I - A: with Q = qr(M Omega), Vt = Q^T M,
+E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and R = I + P Vt,
+I - R A = R E + (Q - P T) Vt holds exactly, so a small enough
+||R|| ||E|| + ||Q - P T|| ||Vt|| bounds ||A^-1||_inf (Rump's approximate
+inverse bound, Acta Numerica 19, 2010, on the range sketch of Halko,
+Martinsson and Tropp, SIAM Review 53, 2011); this catches the Fredholm-2
+benchmark problems, whose kernels are smooth. Any other A is solved with
+the identity beside b, which gives x and the exact inverse the gate
+needs. Both ways accept and refuse the same systems; a certified solve
+knows only a lower bound on 1/cond_inf(A), not its value. Characteristic
+values, the roots of det(I - lambda*alpha), come from the eigenvalues of
+alpha, and each null vector is the last right singular vector of
+I - lambda*alpha. The sign-tracked determinant those roots are tested
+against lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -24,10 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RCOND_MIN = 1e-13
-# rounding of the |A| row sums in solve_dense's certificate: relative, and
-# absolute among subnormals
+# rounding in solve_dense's certificates: relative, and absolute among
+# subnormals
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
+# rank of the sketch certificate, and the smallest n it is tried at: below
+# it the sketch costs more than the inverse it saves
+_RANK = 8
+_SKETCH_MIN_N = 64
 
 
 class SingularMatrixError(ArithmeticError):
@@ -45,6 +56,67 @@ def _require_finite(name: str, A: np.ndarray) -> None:
         raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
+def _sketch_signs(n: int) -> np.ndarray:
+    """The fixed (n, _RANK) sketch matrix: entry (i, j) is -1 or +1 by the
+    top bit of the splitmix64 finalizer of its flat index i*_RANK + j.
+
+    It is rebuilt per call (15 us at n = 200): cached per n, its arrays
+    outlived the solves that made them and raised the peak RSS of a run
+    over many n."""
+    z = (np.arange(n * _RANK, dtype=np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.where(z >> np.uint64(63), -1.0, 1.0).reshape(n, _RANK)
+
+
+def _sketch_inverse_bound(A: np.ndarray) -> float:
+    """An upper bound on ||A^-1||_inf from a rank-_RANK sketch of M = I - A,
+    or inf when the sketch proves nothing.
+
+    Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
+    R = I + P Vt satisfy I - R A = R E + (Q - P T) Vt exactly, whatever the
+    stored Q, Vt and P are. So rho = ||R|| ||E|| + ||Q - P T|| ||Vt|| < 1
+    proves ||A^-1||_inf <= ||R||/(1 - rho) (S. M. Rump, Acta Numerica 19,
+    2010), and a poor sketch (N. Halko, P.-G. Martinsson and J. A. Tropp,
+    SIAM Review 53, 2011) only makes rho large. Each norm is bounded above
+    with its rounding: relatively by g = (n + _RANK + 4) eps, about twice
+    the gamma_k = k u/(1 - k u) of the longest inner product or row sum
+    here, so that it covers a few of them compounded, and absolutely by
+    `tiny` for underflow. R is never formed, ||R|| <= 1 + || |P| |Vt| ||,
+    and the one n x n buffer holds |A + Q Vt - I| = |E|.
+    """
+    n = len(A)
+    g = (n + _RANK + 4) * _EPS
+    tiny = (n + _RANK) * _RANK * _TINY
+    omega = _sketch_signs(n)
+    Q = np.linalg.qr(omega - A @ omega)[0]
+    Vt = Q.T - Q.T @ A
+    vt_rows = np.abs(Vt).sum(axis=1)
+    E = Q @ Vt
+    E += A
+    E.flat[::n + 1] -= 1.0
+    np.abs(E, out=E)
+    # E is formed from A, not from M: the product Q Vt rounds by at most
+    # gamma_r |Q| |Vt|, the sum and the diagonal by u (I + |E|) more
+    e_norm = (1 + g) * E.sum(axis=1).max() + g * (1.0 + (np.abs(Q) @ vt_rows).max()) + tiny
+    T = np.eye(_RANK) - Vt @ Q
+    try:
+        P = Q @ np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        return np.inf
+    pv = (np.abs(P) @ vt_rows).max()
+    p_norm = _inf_norm(P)
+    r_norm = (1 + g) * (1.0 + pv) + tiny
+    # the stored T rounds by gamma_n |Vt| |Q| + u |T|, and P T by gamma_r |P| |T|
+    t_norm = ((1 + g) * _inf_norm(Q - P @ T)
+              + g * (p_norm * _inf_norm(T) + pv * _inf_norm(Q)) + tiny * (1.0 + p_norm))
+    rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())
+    # the first factor covers the rounding of this line and of the caller's
+    # product with the bound
+    return (1 + g) * r_norm / (1.0 - rho) if rho < 1.0 else np.inf
+
+
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
@@ -56,7 +128,12 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Linear Algebra Appl. 11, 1975), so 1/cond_inf(A) >= m/||A||_inf.
     If that proved bound, less the rounding of the row sums, clears twice
     RCOND_MIN, the gate is known to pass with room for the rounding of any
-    computed inverse, and A x = b is solved alone. Otherwise the columns
+    computed inverse, and A x = b is solved alone. When it does not and
+    n >= _SKETCH_MIN_N, the rank-_RANK sketch of I - A gives a second proof,
+    1/cond_inf(A) >= (1 - rho)/(||R||_inf ||A||_inf) from the exact identity
+    I - R A = R E + (Q - P T) Vt (see _sketch_inverse_bound), and the same
+    test against twice RCOND_MIN applies; below that size the sketch costs
+    more than the inverse it would save. Otherwise the columns
     of b and of the identity are solved together, one LU factorization
     giving x and the inverse, and the gate is applied to the value cond
     computes from that inverse. Either way the gate accepts and refuses
@@ -79,7 +156,10 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows = np.abs(A).sum(axis=1)
         norm = rows.max()
         margin = (2.0 * np.abs(A.diagonal()) - rows).min()
-        certified = margin - (n + 1) * (_EPS * norm + _TINY) > 2.0 * RCOND_MIN * norm
+        slack = (n + 1) * (_EPS * norm + _TINY)
+        certified = margin - slack > 2.0 * RCOND_MIN * norm
+        if not certified and n >= _SKETCH_MIN_N:
+            certified = 2.0 * RCOND_MIN * (norm + slack) * _sketch_inverse_bound(A) < 1.0
         try:
             X = np.linalg.solve(A, b if certified else np.column_stack((b, np.eye(n))))
         except np.linalg.LinAlgError as exc:

@@ -46,6 +46,17 @@ def test_import_does_not_load_scipy():
     assert run_fresh("import sys, quadspline; print('scipy' in sys.modules)") == "False"
 
 
+def test_solve_does_not_load_numpy_random():
+    # importing numpy.random costs about 16 ms and 6 MB; the sketch
+    # certificate that krasnov1 takes at n = 200 draws its signs from a hash
+    code = ("import contextlib, io, sys\n"
+            "from quadspline import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['solve', '-p', 'krasnov1', '--n', '200'])\n"
+            "print(status, 'numpy.random' in sys.modules)")
+    assert run_fresh(code) == "0 False"
+
+
 def test_public_names_are_pinned():
     assert len(PUBLIC) == 29
     assert quadspline.__all__ == PUBLIC

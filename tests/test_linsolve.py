@@ -4,12 +4,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadspline import (SingularMatrixError, find_real_eigenvalues, gauss_legendre,
-                        linsolve, make_grid, solve_dense)
+                        linsolve, make_grid, sample, solve_dense)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
 from quadspline.registry import get_problem, solve_entry
 
 from oracles import determinant
+
+
+def fredholm_system(pid, n):
+    """The collocation system I - lam*W and right-hand side of a registered
+    Fredholm-2 problem."""
+    problem = get_problem(pid)
+    g = make_grid(*problem.interval, n)
+    W = _integral_operator(problem.kernel, g, gauss_legendre(8), g.nodes, g.b)
+    return np.eye(n + 1) - problem.lam * W, sample(problem.forcing, g)
+
+
+def smooth_orthonormal_columns(n):
+    """n x 8 orthonormal columns spanning cos(j x), j = 1..8, at n points of [0, 1]."""
+    return np.linalg.qr(np.cos(np.outer(np.linspace(0, 1, n), np.arange(1, 9))))[0]
 
 
 def random_well_conditioned(rng, n):
@@ -162,22 +176,84 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(5))
 
-    @pytest.mark.parametrize("pid,certified", [("krasnov3", True), ("malek1", True),
-                                               ("krasnov1", False), ("wang", False)])
-    def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, certified):
-        # the Volterra-2 systems at n = 200 are diagonally dominant by rows:
-        # their one factorization solves b alone; the Fredholm ones are not,
-        # and solve b with the identity's n + 1 columns
-        shapes = []
+    @pytest.mark.parametrize("pid,dominant", [("krasnov3", True), ("malek1", True),
+                                              ("krasnov1", False), ("wang", False)])
+    def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, dominant):
+        # the Volterra-2 systems are diagonally dominant by rows: Varah's
+        # margin certifies them at every n, and the sketch never runs. The
+        # Fredholm ones are not: at n = 10, below the sketch's size, they
+        # solve b with the identity's n + 1 columns; at n = 200 the sketch
+        # certifies them, and b is solved alone
+        shapes, sketched = [], []
         solve = np.linalg.solve
+        bound = linsolve._sketch_inverse_bound
 
         def recorded(A, B):
             shapes.append(B.shape)
             return solve(A, B)
 
+        def counted(A):
+            sketched.append(len(A))
+            return bound(A)
+
         monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
+        solve_entry(pid, 10)
         solve_entry(pid, 200)
-        assert shapes == [(201,) if certified else (201, 202)]
+        assert shapes == [(11,) if dominant else (11, 12), (201,)]
+        assert sketched == ([] if dominant else [201])
+
+    @pytest.mark.parametrize("pid", ["krasnov1", "wang"])
+    def test_sketch_certified_x_matches_the_inverse_path(self, monkeypatch, pid):
+        # at n = 640 the sketch certifies the Fredholm-2 system and b is
+        # solved alone; with the sketch's size moved out of reach, the same
+        # system takes the identity's columns, and both give the same x
+        A, b = fredholm_system(pid, 640)
+        x = solve_dense(A, b)
+        monkeypatch.setattr(linsolve, "_SKETCH_MIN_N", 10**9)
+        x_inverse = solve_dense(A, b)
+        assert np.max(np.abs(x - x_inverse)) <= 1e-12 * np.max(np.abs(x_inverse))
+
+    def test_sketch_refuses_a_system_its_remainder_makes_singular(self):
+        # the rank-8 part L is benign (I - L has 1/cond_inf about 1.5e-3)
+        # and dominates M = I - A, so the sketch captures it; the remainder
+        # E = M - L = (1 - d) I makes A = d I - L singular to 1/cond_inf
+        # about 8e-18. Only ||E|| in rho stops the sketch from proving it
+        # well conditioned
+        n, d = 100, 1e-14
+        U = smooth_orthonormal_columns(n)
+        L = -(U * np.arange(10.0, 90.0, 10.0)) @ U.T
+        A = d * np.eye(n) - L
+        assert 1.0 / np.linalg.cond(np.eye(n) - L, np.inf) > 1e-3
+        assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
+        assert linsolve._sketch_inverse_bound(A) == np.inf
+        with pytest.raises(SingularMatrixError, match="cond"):
+            solve_dense(A, np.ones(n))
+
+    def test_sketch_is_sound_for_a_wrong_inverse_of_t(self, monkeypatch):
+        # the identity I - R A = R E + (Q - P T) Vt holds for any stored P:
+        # with T^-1 replaced by I, R = I + Q Vt approximates no inverse, and
+        # only the (Q - P T) Vt term in rho keeps A = I - L, singular to
+        # 1/cond_inf about 3e-15 with M = L of rank 8, from being certified
+        n = 100
+        U = smooth_orthonormal_columns(n)
+        L = (U * np.array([1.0 - 1e-14, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125, 0.1])) @ U.T
+        A = np.eye(n) - L
+        assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
+        monkeypatch.setattr(np.linalg, "inv", lambda T: np.eye(len(T)))
+        assert linsolve._sketch_inverse_bound(A) == np.inf
+        with pytest.raises(SingularMatrixError, match="cond"):
+            solve_dense(A, np.ones(n))
+
+    def test_sketch_signs_are_fixed(self):
+        # +-1 from an integer hash of the flat index, about half of each
+        # sign, the same on every call, and the first rows do not depend on n
+        omega = linsolve._sketch_signs(100)
+        assert omega.shape == (100, linsolve._RANK)
+        assert set(np.unique(omega)) == {-1.0, 1.0}
+        np.testing.assert_array_equal(linsolve._sketch_signs(100), omega)
+        np.testing.assert_array_equal(linsolve._sketch_signs(64), omega[:64])
+        assert 300 < (omega > 0).sum() < 500
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(77)
@@ -189,8 +265,8 @@ class TestSolveDense:
 
 
 @st.composite
-def gated_systems(draw):
-    """A matrix from one of four families, with a right-hand side.
+def gated_systems(draw, families=("dominant", "barely", "graded", "diag", "fredholm")):
+    """A matrix from one of five families, with a right-hand side.
 
     dominant: strictly diagonally dominant by rows, with margin at least a
     tenth of the off-diagonal row sums; barely: the M-matrix D - N, N >= 0,
@@ -201,14 +277,33 @@ def gated_systems(draw):
     Q1 diag(sigma) Q2 with the smallest sigma 10^-10..10^-16, whose
     1/cond_inf straddles RCOND_MIN; diag: diag(1, s)
     with s within a factor of 4 of RCOND_MIN and more entries in [s, 1],
-    symmetrically permuted. Each is scaled by 10^e, e in [-150, 150], and
-    may have its rows rotated by one, which leaves 1/cond_inf as it is but
-    no longer puts the dominant entries on the diagonal.
+    symmetrically permuted; fredholm: I - lam*K of size 32..100, on both
+    sides of the sketch certificate's _SKETCH_MIN_N, with K a symmetric
+    smooth part of rank 1..6 plus a small full-rank part, and lam the
+    reciprocal of K's largest eigenvalue times 1 - d, so that A has the
+    eigenvalue d, |d| in 1e-15..2, and 1/cond_inf straddles RCOND_MIN.
+    Each is scaled by 10^e, e in [-150, 150], and may have its rows rotated
+    by one, which leaves 1/cond_inf as it is but no longer puts the
+    dominant entries on the diagonal; half the fredholm matrices are left
+    as they are, since only then is I - A close to low rank.
     """
-    family = draw(st.sampled_from(["dominant", "barely", "graded", "diag"]))
-    n = draw(st.integers(2, 12), label="n")
+    family = draw(st.sampled_from(families))
+    n = draw(st.integers(32, 100) if family == "fredholm" else st.integers(2, 12), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    if family == "diag":
+    if family == "fredholm":
+        x = np.linspace(0.0, 1.0, n)
+        rank = draw(st.integers(1, 6), label="rank")
+        U = np.cos(np.pi * np.outer(x, np.arange(rank)))
+        C = rng.standard_normal((rank, rank))
+        G = rng.uniform(-1, 1, (n, n))
+        eps = 10.0 ** draw(st.floats(-14, -6), label="log10 full-rank part")
+        K = (U @ (C + C.T) @ U.T + eps * (G + G.T)) / n
+        mu = np.linalg.eigvalsh(K)
+        mu = mu[np.argmax(np.abs(mu))]
+        d = draw(st.sampled_from([-1.0, 1.0]), label="sign of d")
+        d *= 10.0 ** draw(st.floats(-15, 0.3), label="log10 |d|")
+        A = np.eye(n) - (1.0 - d) / mu * K
+    elif family == "diag":
         s = RCOND_MIN * draw(st.floats(0.25, 4.0), label="s / RCOND_MIN")
         p = rng.permutation(n)
         A = np.diag(np.concatenate(([1.0, s], rng.uniform(s, 1.0, n - 2))))[p][:, p]
@@ -228,6 +323,8 @@ def gated_systems(draw):
         off = np.abs(A).sum(axis=1)
         margin = (0.1 + rng.uniform(0, 2, n)) * (1.0 + off)
         np.fill_diagonal(A, rng.choice([-1.0, 1.0], n) * (off + margin))
+    if family == "fredholm" and draw(st.booleans(), label="plain"):
+        return family, A, rng.standard_normal(n)
     if draw(st.booleans(), label="rows rotated"):
         A = A[np.roll(np.arange(n), 1)]
     A = A * 10.0 ** draw(st.integers(-150, 150), label="e")
@@ -235,7 +332,7 @@ def gated_systems(draw):
 
 
 @given(gated_systems())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_gate_accepts_exactly_when_cond_inf_allows(system):
     # the certified and the exact path together accept exactly the systems
     # with 1/cond(A, inf) > RCOND_MIN, and an accepted x has a small
@@ -252,6 +349,19 @@ def test_gate_accepts_exactly_when_cond_inf_allows(system):
     x = solve_dense(A, b)
     resid = np.max(np.abs(A @ x - b))
     assert resid <= 1e-10 * (_inf_norm(A) * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+@given(gated_systems(families=["fredholm"]))
+@settings(max_examples=200, deadline=None)
+def test_sketch_bound_holds(system):
+    # a finite sketch bound is never below ||A^-1||_inf, here computed from
+    # an inverse whose relative error is about eps/rcond
+    _, A, _ = system
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = linsolve._sketch_inverse_bound(A)
+    if np.isfinite(bound):
+        rcond = 1.0 / np.linalg.cond(A, np.inf)
+        assert _inf_norm(np.linalg.inv(A)) * (1.0 - 1e-15 / rcond) <= bound
 
 
 def cofactor_det3(A):
