@@ -108,17 +108,8 @@ def cmd_lagrange(args) -> int:
 def cmd_solve(args) -> int:
     rule = gauss_legendre(args.quad_order)
     report = registry.solve_entry(args.problem, args.n, rule, args.bracket)
-    rows = []
-    if report.eigen is not None:
-        for value, _sub in report.eigen:
-            rows.append((args.problem, args.n, "eigenvalue", value, None, None))
-        if not report.eigen:
-            rows.append((args.problem, args.n, "eigenvalue", None, None, None))
-    if report.error_l2 is not None:
-        rows.append((args.problem, args.n, "l2_norm_error", report.error_l2, None, None))
-    if report.error_max is not None:
-        rows.append((args.problem, args.n, "max_error", report.error_max, None, None))
-    _emit(rows, CSV_HEADER, args)
+    _emit([(args.problem, args.n, metric, value, None, None)
+           for metric, value in registry.solve_metrics(report)], CSV_HEADER, args)
     return 0
 
 

@@ -29,9 +29,10 @@ f(x) = int_0^x K(x,s) y(s) ds (no lam).
 Every kind reports through _report, whose error metrics follow the
 published tables: `error_l2` is the L2 NORM of (spline - reference), the
 square root of quadrature.l2_error with the 8-point rule, and `error_max`
-the max deviation at the nodes. Eigenfunctions are first rescaled to match
-the reference at the first interior node, and their `error_max` is then
-replaced by the max over 2001 equispaced points.
+the max deviation at the nodes. _report also applies both conventions of
+the eigenvalue table: an eigenfunction is first rescaled to match the
+reference at the first interior node, and its `error_max` is the max over
+2001 equispaced points (quadrature.max_error), not at the nodes.
 """
 from __future__ import annotations
 
@@ -161,13 +162,17 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
 def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
     reference when there is one (conventions in the module docstring)."""
-    model = build_spline(grid, y)
-    if problem.reference is None:
+    ref = problem.reference
+    eigen = problem.kind == "fredholm_eigen" and ref is not None
+    model = build_spline(grid, _rescale_to_reference(problem, grid, y) if eigen else y)
+    if ref is None:
         return SolveReport(problem, model.samples, model)
-    a, b = problem.interval
-    e2 = l2_error(model, problem.reference, a, b, grid.n, gauss_legendre(8))
-    nodal = float(np.max(np.abs(y - eval_many(problem.reference, grid.nodes))))
-    return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), nodal)
+    e2 = l2_error(model, ref, grid.a, grid.b, grid.n, gauss_legendre(8))
+    if eigen:
+        e_max = max_error(model, ref, grid.a, grid.b)
+    else:
+        e_max = float(np.max(np.abs(model.samples - eval_many(ref, grid.nodes))))
+    return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), e_max)
 
 
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
@@ -184,34 +189,22 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     if abs(v1) > 1e-8 * np.max(np.abs(vector)) and ref1 != 0.0:
         return vector * (ref1 / v1)
     model = build_spline(grid, vector)
-    a, b = problem.interval
     rule = gauss_legendre(8)
     num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
-                           a, b, grid.n, rule)
-    den = integrate_panels(lambda x: model(x) ** 2, a, b, grid.n, rule)
+                           grid.a, grid.b, grid.n, rule)
+    den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
     return vector * (num / den)
 
 
 def _eigen(problem: IntegralProblem, grid: Grid, alpha: np.ndarray) -> SolveReport:
     """Characteristic values of the homogeneous problem in its bracket.
 
-    Each root of det(I - lam*alpha) yields an eigenfunction spline; when a
-    reference eigenfunction is known the errors are computed after
-    rescaling (see _rescale_to_reference), with error_max taken over 2001
-    equispaced points.
+    Each root of det(I - lam*alpha) yields an eigenfunction spline, reported
+    by _report (which rescales it when a reference eigenfunction is known).
     """
-    a, b = problem.interval
-    pairs = []
-    for res in find_real_eigenvalues(alpha, *problem.bracket):
-        if problem.reference is None:
-            pairs.append((res.value, _report(problem, grid, res.vector)))
-            continue
-        sub = _report(problem, grid, _rescale_to_reference(problem, grid, res.vector))
-        pairs.append((res.value, replace(
-            sub, error_max=max_error(sub.spline, problem.reference, a, b))))
-    if not pairs:
-        return SolveReport(problem, eigen=())
-    return replace(pairs[0][1], eigen=tuple(pairs))
+    pairs = tuple((res.value, _report(problem, grid, res.vector))
+                  for res in find_real_eigenvalues(alpha, *problem.bracket))
+    return replace(pairs[0][1], eigen=pairs) if pairs else SolveReport(problem, eigen=())
 
 
 def solve(problem: IntegralProblem, n: int,

@@ -106,33 +106,22 @@ def max_error(
 ) -> float:
     """Max absolute deviation over `samples` equispaced points incl. endpoints.
 
-    The points are those of np.linspace(lo, hi, samples), made and swept
-    _BLOCK at a time (see _max_abs_deviation), so memory stays O(_BLOCK)
-    however many samples are asked for. Raises InvalidDomainError for a
+    The points are those of np.linspace(lo, hi, samples), bit for bit, but
+    the mesh is never made whole: each _BLOCK-point slice of it is made,
+    evaluated and dropped, so memory is O(_BLOCK) however many samples are
+    asked for. A slice is numpy's own arithmetic on its indices: index *
+    step + lo, or index / div * delta + lo when the step underflows to 0,
+    and the last point is hi exactly. The deviation is taken in place in
+    approx's result, or in a fresh array when that one is read-only. The
+    max is bit-identical to the unblocked np.max(np.abs(...)): max is exact
+    and np.maximum carries a NaN through. Raises InvalidDomainError for a
     non-finite lo or hi and ValueError unless samples is an integer >= 2.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidDomainError(f"need finite endpoints, got lo={lo}, hi={hi}")
     if not (isinstance(samples, Integral) and samples >= 2):
         raise ValueError(f"need an integer samples >= 2, got {samples!r}")
-    return _max_abs_deviation(approx, reference, lo, hi, int(samples))
-
-
-def _max_abs_deviation(
-    approx: ScalarFunction, reference: ScalarFunction, lo: float, hi: float, count: int
-) -> float:
-    """max |approx - reference| over np.linspace(lo, hi, count), count >= 2.
-
-    The mesh is never made whole: each _BLOCK-point slice of it is made,
-    evaluated and dropped, so memory is O(_BLOCK) whatever count is. A slice
-    is numpy's own arithmetic on its indices, bit for bit: index * step + lo,
-    or index / div * delta + lo when the step underflows to 0, and the last
-    point is hi exactly. The deviation is taken in place in approx's result,
-    or in a fresh array when that one is read-only. The max is bit-identical
-    to the unblocked np.max(np.abs(...)): max is exact and np.maximum
-    carries a NaN through.
-    """
-    lo, hi = float(lo), float(hi)
+    lo, hi, count = float(lo), float(hi), int(samples)
     div = count - 1
     delta = hi - lo
     step = delta / div

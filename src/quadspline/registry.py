@@ -187,6 +187,20 @@ def solve_entry(pid: str, n: int, rule: Optional[QuadratureRule] = None,
     return solve(problem if bracket is None else replace(problem, bracket=bracket), n, rule)
 
 
+def solve_metrics(report: SolveReport) -> list[tuple[str, Optional[float]]]:
+    """The (metric, value) rows of a solve: every eigenvalue, smallest first,
+    or one empty eigenvalue row when the bracket holds none, then
+    l2_norm_error and max_error when the problem has a reference. An eigen
+    report's errors are those of its smallest value."""
+    rows = []
+    if report.eigen is not None:
+        rows += [("eigenvalue", value) for value, _sub in report.eigen] or [("eigenvalue", None)]
+    for metric, value in (("l2_norm_error", report.error_l2), ("max_error", report.error_max)):
+        if value is not None:
+            rows.append((metric, value))
+    return rows
+
+
 # --------------------------------------------------------------------------
 # published tables
 
@@ -324,12 +338,7 @@ def compute_cell(cell: TableCell,
         report = solve_entry(cell.entry_id, cell.n, rule=rule)
     else:
         report = solve(cell.entry_id, cell.n)
-    # an eigen report's top-level fields are those of its smallest value
-    if cell.metric == "eigenvalue":
-        return report.eigen[0][0] if report.eigen else None
-    if cell.metric == "l2_norm_error":
-        return report.error_l2
-    return report.error_max
+    return next((v for m, v in solve_metrics(report) if m == cell.metric), None)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Grid, OutOfDomainError, ScalarFunction, make_grid, sample
-from .quadrature import _max_abs_deviation
+from .quadrature import max_error
 
 
 def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
@@ -211,11 +211,12 @@ def convergence_study(
     The bound M*h*(b-a-h/2) holds whenever fpp_bound >= sup |f''|; the
     deviation is measured over the 1000*n points of np.linspace(a, b,
     1000*n) plus all n+1 nodes (piecewise-quadratic extrema are cheap to
-    bracket densely). The mesh is never made whole: it is made and swept
-    one block at a time, so memory is O(quadrature._BLOCK) whatever n is
-    (`converge -p sin2pix --ns 20000` peaks at 33 MB RSS, 185 MB with the
-    whole mesh), and the result is bit-identical to the unblocked max over
-    mesh and nodes.
+    bracket densely). Both go through the one sweep, max_error, so memory
+    is O(quadrature._BLOCK) whatever n is (`converge -p sin2pix --ns 20000`
+    peaks at 33 MB RSS, 185 MB with the whole mesh). The nodes are swept
+    as np.linspace(a, b, n + 1), whose points k*step + a, the last set to
+    b, are the very floats of make_grid's a + h*k, the last set to b; so
+    the result is bit-identical to the unblocked max over mesh and nodes.
     Raises ValueError for a non-finite or negative fpp_bound, and
     InvalidDomainError (via make_grid) for an n that is not an integer >= 2.
     """
@@ -224,10 +225,9 @@ def convergence_study(
     records = []
     for n in ns:
         grid = make_grid(a, b, n)
-        y = sample(f, grid)
-        model = build_spline(grid, y)
-        d = float(np.maximum(_max_abs_deviation(model, f, a, b, 1000 * grid.n),
-                             np.max(np.abs(model(grid.nodes) - y))))
+        model = build_spline(grid, sample(f, grid))
+        d = float(np.maximum(max_error(model, f, a, b, 1000 * grid.n),
+                             max_error(model, f, a, b, grid.n + 1)))
         bound = fpp_bound * grid.h * ((b - a) - grid.h / 2.0)
         records.append(ConvergenceRecord(grid.n, grid.h, d, bound))
     return ConvergenceReport(fpp_bound, tuple(records))

@@ -9,7 +9,7 @@ from quadspline import (InvalidDomainError, build_spline, gauss_legendre,
                         integrate_panels, l2_error, make_grid, max_error,
                         sample, solve)
 from quadspline.integral_eq import IntegralProblem
-from quadspline.quadrature import _BLOCK, _max_abs_deviation, panel_points
+from quadspline.quadrature import _BLOCK, panel_points
 
 
 class TestGaussLegendre:
@@ -212,7 +212,7 @@ def swept_blocks(lo, hi, count):
         seen.append(x.copy())  # the sweep writes the deviation into x
         return x
 
-    _max_abs_deviation(record, np.zeros_like, lo, hi, count)
+    max_error(record, np.zeros_like, lo, hi, count)
     return seen
 
 
