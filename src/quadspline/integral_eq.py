@@ -69,7 +69,8 @@ class IntegralProblem:
     """One integral equation on [a, b]; solve(problem, n) discretizes it at n pieces.
 
     bracket = (lo, hi), lo < hi, is the search interval of a fredholm_eigen
-    problem's characteristic values; the other kinds take none.
+    problem's characteristic values; the other kinds take none. Every field
+    check raises InvalidDomainError.
     """
 
     kind: str
@@ -82,7 +83,7 @@ class IntegralProblem:
 
     def __post_init__(self):
         if self.kind not in _FIELDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+            raise InvalidDomainError(f"unknown problem kind {self.kind!r}")
         make_grid(*self.interval, 2)  # refuses an interval no n can split
         for name, needed in zip(("forcing", "lam", "bracket"), _FIELDS[self.kind]):
             if needed != (getattr(self, name) is not None):
@@ -93,9 +94,9 @@ class IntegralProblem:
             raise InvalidDomainError(f"bracket must be (lo, hi) with lo < hi, "
                                      f"got {self.bracket!r}")
         if self.lam is not None and not math.isfinite(self.lam):
-            raise ValueError(f"need a finite lam, got {self.lam!r}")
+            raise InvalidDomainError(f"need a finite lam, got {self.lam!r}")
         if self.kind == "volterra1" and self.interval[0] != 0.0:
-            raise ValueError("first-kind Volterra problems must start at x = 0")
+            raise InvalidDomainError("first-kind Volterra problems must start at x = 0")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ _SKETCH_MIN_N = 64
 
 
 class SingularMatrixError(ArithmeticError):
-    """The matrix is singular, or 1/cond_inf(A) is at most RCOND_MIN."""
+    """The matrix is singular, 1/cond_inf(A) is at most RCOND_MIN, or the
+    solution overflows the doubles."""
 
 
 def _inf_norm(A: np.ndarray) -> float:
@@ -117,6 +118,14 @@ def _sketch_inverse_bound(A: np.ndarray) -> float:
     return (1 + g) * r_norm / (1.0 - rho) if rho < 1.0 else np.inf
 
 
+def _finite_solution(x: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise SingularMatrixError(f"the solution overflows: {bad.size} of its "
+                                  f"{x.size} entries are not finite")
+    return x
+
+
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
@@ -138,8 +147,9 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     giving x and the inverse, and the gate is applied to the value cond
     computes from that inverse. Either way the gate accepts and refuses
     the same systems. Raises SingularMatrixError when LAPACK finds an exactly
-    singular factor or the gate refuses A, and ValueError for an empty A, a
-    shape mismatch, or naming the first non-finite entry of A or b.
+    singular factor, the gate refuses A, or x overflows to a non-finite
+    value on either path, and ValueError for an empty A, a shape mismatch,
+    or naming the first non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -165,12 +175,12 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
         if certified:
-            return X
+            return _finite_solution(X)
         rcond = 1.0 / (norm * _inf_norm(X[:, k:]))
     if rcond <= RCOND_MIN:
         raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
     # copies, so that x does not keep the inverse alive
-    return X[:, 0].copy() if b.ndim == 1 else X[:, :k].copy()
+    return _finite_solution(X[:, 0].copy() if b.ndim == 1 else X[:, :k].copy())
 
 
 @dataclass(frozen=True)

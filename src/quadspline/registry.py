@@ -344,9 +344,13 @@ def compute_cell(cell: TableCell,
 # --------------------------------------------------------------------------
 # registry self-check
 
+# the largest residual a reference solution may leave in its own equation
+_REFERENCE_TOL = 1e-8
 
-def verify_reference_solutions(tol: float = 1e-8) -> None:
-    """Check every reference solution satisfies its own equation.
+
+def verify_reference_solutions() -> None:
+    """Check every reference solution satisfies its own equation, to within
+    _REFERENCE_TOL.
 
     Run before any table reproduction; a failure means the registry itself
     is wrong, not the solver. Each equation is checked at 9 equispaced
@@ -372,7 +376,7 @@ def verify_reference_solutions(tol: float = 1e-8) -> None:
             lam = EXPECTED_EIGENVALUE[pid] if entry.kind == "fredholm_eigen" else entry.lam
             residuals = eval_many(entry.reference, xs) - lam * integral - forcing
         for x, r in zip(xs, residuals):
-            if not abs(r) <= tol:
+            if not abs(r) <= _REFERENCE_TOL:
                 raise AssertionError(
                     f"registry entry {pid!r}: reference violates its "
                     f"equation at x={x} (residual {r:.3e})")

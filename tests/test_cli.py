@@ -113,6 +113,12 @@ class TestLagrange:
         _, out, _ = run_cli(capsys, "lagrange", "-p", "linear", "--n", "3")
         assert float(parse_csv(out)[1][0][3]) <= 1e-20
 
+    def test_degree_beyond_double_weights_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "lagrange", "-p", "abs", "--n", "1030")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_quad_order_is_usage_error(self, capsys):
         # the error integral has a fixed rule; the option would be ignored
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadspline import InvalidDomainError, OutOfDomainError, build_spline, make_grid, sample
@@ -59,6 +59,19 @@ class TestMakeGrid:
         assert make_grid(0, 1, 4) == make_grid(0, 1, 4)
         assert make_grid(0, 1, 4) != make_grid(0, 1, 5)
         assert make_grid(0, 1, 4) != make_grid(0, 2, 4)
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(2, 5000))
+    @example(-1.0, 1.0, 1140)
+    @example(0.0, 1.0, 640)
+    @settings(max_examples=200, deadline=None)
+    def test_nodes_are_numpys_linspace_bit_for_bit(self, a, b, n):
+        # convergence_study sweeps the nodes as np.linspace(a, b, n + 1)
+        a, b = min(a, b), max(a, b)
+        try:
+            g = make_grid(a, b, n)
+        except InvalidDomainError:
+            assume(False)
+        assert g.nodes.tobytes() == np.linspace(a, b, n + 1).tobytes()
 
     def test_nodes_immutable(self):
         g = make_grid(0, 1, 4)

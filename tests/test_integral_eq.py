@@ -35,7 +35,7 @@ def random_poly_kernel(rng):
 
 class TestProblemValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown problem kind"):
+        with pytest.raises(InvalidDomainError, match="unknown problem kind"):
             IntegralProblem("fredholm3", lambda x, s: 0.0, (0, 1),
                             forcing=np.sin, lam=1.0)
 
@@ -102,12 +102,12 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_rejected(self, lam):
-        with pytest.raises(ValueError, match="finite lam"):
+        with pytest.raises(InvalidDomainError, match="finite lam"):
             IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1),
                             forcing=np.sin, lam=lam)
 
     def test_volterra1_starts_at_zero(self):
-        with pytest.raises(ValueError, match="start at x = 0"):
+        with pytest.raises(InvalidDomainError, match="start at x = 0"):
             IntegralProblem("volterra1", lambda x, s: 0.0, (0.5, 1),
                             forcing=np.sin)
 

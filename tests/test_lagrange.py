@@ -1,9 +1,10 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from quadspline import gauss_legendre, make_grid
+from quadspline import InvalidDomainError, gauss_legendre, make_grid, registry
 from quadspline.lagrange import lagrange_interpolant
 from quadspline.quadrature import panel_points
 
@@ -63,3 +64,22 @@ def test_array_shape_preserved():
     f = lagrange_interpolant(grid.nodes, 3.0 * grid.nodes - 1.0)
     x = np.linspace(0.0, 2.0, 12).reshape(3, 4)
     np.testing.assert_allclose(f(x), 3.0 * x - 1.0, rtol=1e-12, atol=1e-12)
+
+
+def test_weights_beyond_a_double_are_refused():
+    # C(1029, 514) is below the largest double, C(1030, 515) above it
+    lagrange_interpolant(np.linspace(-1.0, 1.0, 1030), np.zeros(1030))
+    with pytest.raises(InvalidDomainError, match="C\\(1030, 515\\) overflows"):
+        lagrange_interpolant(np.linspace(-1.0, 1.0, 1031), np.zeros(1031))
+
+
+def test_evaluation_memory_is_blocked():
+    # the n = 100 error integral evaluates 19,200 points against 101 nodes:
+    # unblocked, each (points, nodes) temporary was 15.5 MB and the peak 49 MB
+    tracemalloc.start()
+    try:
+        registry.lagrange_error("abs", 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6

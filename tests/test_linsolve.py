@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -175,6 +177,17 @@ class TestSolveDense:
         A = 2.5e-308 * (np.eye(5) - np.eye(5, k=1))
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(5))
+
+    @pytest.mark.parametrize("A,b", [
+        (1e-300 * np.eye(3), 1e10 * np.ones(3)),                              # certified
+        (1e-320 * (np.eye(5) - 0.3 * np.ones((5, 5)) / 5), np.ones(5)),       # certified
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308])),      # inverse
+    ])
+    def test_overflowing_solution_is_refused_without_warning(self, A, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="overflows"):
+                solve_dense(A, b)
 
     @pytest.mark.parametrize("pid,dominant", [("krasnov3", True), ("malek1", True),
                                               ("krasnov1", False), ("wang", False)])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadspline import InvalidDomainError, registry
+from quadspline import InvalidDomainError, registry, solve
 
 
 class TestEntries:
@@ -106,6 +106,33 @@ class TestChecks:
 
     def test_lagrange_error_linear_is_zero(self):
         assert registry.lagrange_error("linear", 3) <= 1e-20
+
+
+class TestSolveMetrics:
+    @pytest.mark.parametrize("pid", ["krasnov1", "krasnov4"])  # fredholm2, volterra1
+    def test_errors_of_an_equation(self, pid):
+        r = registry.solve_entry(pid, 5)
+        assert registry.solve_metrics(r) == [("l2_norm_error", r.error_l2),
+                                             ("max_error", r.error_max)]
+
+    def test_every_eigenvalue_smallest_first_then_its_errors(self):
+        # krasnov2 at n = 5 has two roots in its bracket
+        r = registry.solve_entry("krasnov2", 5)
+        values = sorted(value for value, _sub in r.eigen)
+        smallest = min(r.eigen, key=lambda p: p[0])[1]
+        assert len(values) == 2
+        assert registry.solve_metrics(r) == [
+            ("eigenvalue", values[0]), ("eigenvalue", values[1]),
+            ("l2_norm_error", smallest.error_l2), ("max_error", smallest.error_max)]
+
+    def test_empty_bracket_gives_one_blank_eigenvalue(self):
+        r = registry.solve_entry("krasnov2", 5, bracket=(5.0, 10.0))
+        assert registry.solve_metrics(r) == [("eigenvalue", None)]
+
+    @pytest.mark.parametrize("pid,want", [("krasnov1", []), ("krasnov2", ["eigenvalue"] * 2)])
+    def test_no_reference_gives_no_errors(self, pid, want):
+        problem = dataclasses.replace(registry.get_problem(pid), reference=None)
+        assert [m for m, _v in registry.solve_metrics(solve(problem, 5))] == want
 
 
 class TestComputeCell:
