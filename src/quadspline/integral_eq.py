@@ -19,7 +19,9 @@ as the (q, rows, n) stack of every row's own quadrature nodes, and only
 at a <= s <= the row's limit (s = x included, so a kernel infinite on
 the diagonal is not supported); a broadcastable result such as a
 constant is accepted, and a kernel is called per point only when the
-array call raises TypeError or ValueError.
+array call raises TypeError or ValueError. When every row shares one
+limit (fredholm2, fredholm_eigen), s is a read-only broadcast of one
+(q, 1, n) stack, and no kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -121,7 +123,8 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
                        xs: np.ndarray, upper) -> np.ndarray:
     """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
 
-    S is the spline through any samples y. Every piece is integrated with
+    S is the spline through any samples y. `upper` is one limit per row,
+    or a scalar limit that every row shares. Every piece is integrated with
     `rule` over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], so pieces beyond
     upper_i have zero width and a piece that upper_i cuts is integrated
     over its part. With half the clipped half-width and (t, w) the rule,
@@ -131,32 +134,67 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     nodes, s = half (1 + t) + min(x_{k-1}, upper_i), so the kernel is called
     once per block, on a (rows, 1) column of x and the (q, rows, n) stack of
     s, and only at a <= s <= upper_i: an empty piece's nodes all sit at
-    upper_i itself, and its half-width 0 cancels their values. The chord
-    moments go to the piece's two end nodes; the quadratic moments go to
-    every node through the transposed closed form of the coefficients
-    (spline._closed_form_adjoint), so no coefficient matrix is built.
+    upper_i itself, and its half-width 0 cancels their values. A shared
+    limit gives every row the same nodes, so its half-widths (1, n) and its
+    (q, 1, n) stack are built once, and the kernel gets a read-only
+    broadcast of that stack (row stride 0); per-row limits are built per
+    block. The kernel must not write into its arguments. The chord moments
+    go to the piece's two end nodes; the quadratic moments go to every node
+    through the transposed closed form of the coefficients
+    (spline._closed_form_adjoint), written straight into W's rows, so no
+    coefficient matrix is built. The node stack, the moments and W's rows
+    are buffers made once per call, written in one order of operations, so
+    W is the same to the bit whether a shared limit is given as a scalar or
+    per row, and however the rows are blocked.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
-    upper = np.broadcast_to(np.reshape(upper, (-1, 1)), xs.shape)
+    upper = np.reshape(np.asarray(upper, dtype=float), (-1, 1))
+    if len(upper) not in (1, len(xs)):
+        raise ValueError(f"{len(upper)} limits for {len(xs)} rows")
     n, h, q = grid.n, grid.h, rule.order
-    starts = grid.nodes[:-1]
+    starts, ends = grid.nodes[:-1], grid.nodes[1:]
     tp = 1.0 + rule.nodes
     moments = np.stack((rule.weights, rule.weights * tp, rule.weights * tp**2))
     rows = max(1, _OPERATOR_BLOCK // (q * n))
+    # each block takes the leading part of every buffer; the limits' own
+    # buffers have one row when the limit is shared
+    limit_rows = min(rows, len(upper))
+    half_buf, hh_buf = np.empty((2, limit_rows * n))
+    s_buf = np.empty(q * limit_rows * n)
+    m_buf = np.empty(3 * rows * n)
     W = np.empty((len(xs), n + 1))
     for lo in range(0, len(xs), rows):
-        u = upper[lo:lo + rows]
-        half = 0.5 * (np.clip(u, starts, grid.nodes[1:]) - starts)
-        s = half * tp[:, None, None]
-        s += np.minimum(starts, u)  # in place: a second (q, rows, n) temporary costs more
-        K = eval_many(kernel, xs[lo:lo + rows], s)
-        m0, m1, m2 = (moments @ K.reshape(q, -1)).reshape(3, len(u), n)
-        left = half * half * m1
-        right = left - h * half * m0
-        Wb = _closed_form_adjoint(half * half * (half * m2 - h * m1), h)
-        Wb[:, 1:] += left / h
-        Wb[:, :-1] -= right / h
-        W[lo:lo + rows] = Wb
+        x = xs[lo:lo + rows]
+        m = len(x)
+        if lo == 0 or len(upper) > 1:  # a shared limit's nodes are built once
+            u = upper[lo:lo + rows]
+            size = len(u) * n
+            half = np.maximum(u, starts, out=half_buf[:size].reshape(-1, n))
+            np.minimum(half, ends, out=half)
+            half -= starts
+            half *= 0.5
+            hh = hh_buf[:size].reshape(-1, n)
+            s = np.multiply(half, tp[:, None, None], out=s_buf[:q * size].reshape(q, -1, n))
+            s += np.minimum(starts, u, out=hh)
+            np.multiply(half, half, out=hh)
+        K = eval_many(kernel, x, np.broadcast_to(s, (q, m, n)))
+        m0, m1, m2 = np.matmul(moments, K.reshape(q, -1),
+                               out=m_buf[:3 * m * n].reshape(3, -1)).reshape(3, m, n)
+        # in place, with hh = half^2: r = hh (half m2 - h m1), left = hh m1
+        # and right = left - h half m0. W's block holds h m1, then h half,
+        # until the adjoint writes it
+        Wb = W[lo:lo + m]
+        m2 *= half
+        m2 -= np.multiply(m1, h, out=Wb[:, :n])
+        m2 *= hh
+        m1 *= hh
+        m0 *= np.multiply(half, h, out=Wb[:len(half), :n])
+        np.subtract(m1, m0, out=m0)
+        m1 /= h
+        m0 /= h
+        _closed_form_adjoint(m2, h, out=Wb)
+        Wb[:, 1:] += m1
+        Wb[:, :-1] -= m0
     return W
 
 

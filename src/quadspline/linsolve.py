@@ -51,10 +51,11 @@ def _inf_norm(A: np.ndarray) -> float:
 
 
 def _require_finite(name: str, A: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(A))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
+    # one pass for the usual finite A; the entry is located only on failure
+    if np.isfinite(A).all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(A))[0])
+    raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
 def _sketch_signs(n: int) -> np.ndarray:
@@ -146,10 +147,14 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     of b and of the identity are solved together, one LU factorization
     giving x and the inverse, and the gate is applied to the value cond
     computes from that inverse. Either way the gate accepts and refuses
-    the same systems. Raises SingularMatrixError when LAPACK finds an exactly
-    singular factor, the gate refuses A, or x overflows to a non-finite
-    value on either path, and ValueError for an empty A, a shape mismatch,
-    or naming the first non-finite entry of A or b.
+    the same systems. Neither proof certifies when its bound on
+    ||A^-1||_inf is not finite in doubles (an A of subnormals, say): the
+    inverse path decides, and an inverse that overflows gives
+    1/cond_inf(A) = 0, as cond does, and a refusal that says so. Raises
+    SingularMatrixError when LAPACK finds an exactly singular factor, the
+    gate refuses A, or x overflows to a non-finite value on either path,
+    and ValueError for an empty A, a shape mismatch, or naming the first
+    non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -167,7 +172,12 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         norm = rows.max()
         margin = (2.0 * np.abs(A.diagonal()) - rows).min()
         slack = (n + 1) * (_EPS * norm + _TINY)
-        certified = margin - slack > 2.0 * RCOND_MIN * norm
+        # a bound on ||A^-1||_inf that is not finite proves nothing: among
+        # subnormals Varah's 1/(margin - slack) overflows while the
+        # factorization loses its relative precision. An infinite sketch
+        # bound fails its own test below.
+        lower = margin - slack
+        certified = lower > 2.0 * RCOND_MIN * norm and np.isfinite(1.0 / lower)
         if not certified and n >= _SKETCH_MIN_N:
             certified = 2.0 * RCOND_MIN * (norm + slack) * _sketch_inverse_bound(A) < 1.0
         try:
@@ -176,9 +186,12 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise SingularMatrixError(f"singular matrix of shape {A.shape}") from exc
         if certified:
             return _finite_solution(X)
-        rcond = 1.0 / (norm * _inf_norm(X[:, k:]))
+        inv_norm = _inf_norm(X[:, k:])
+        # an inverse that overflows, to inf or on to nan, gives 0, as cond does
+        rcond = 1.0 / (norm * inv_norm) if np.isfinite(inv_norm) else 0.0
     if rcond <= RCOND_MIN:
-        raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}")
+        raise SingularMatrixError(f"1/cond_inf(A) = {rcond:.3g} <= {RCOND_MIN}"
+                                  + ("" if np.isfinite(inv_norm) else "; its inverse overflows"))
     # copies, so that x does not keep the inverse alive
     return _finite_solution(X[:, 0].copy() if b.ndim == 1 else X[:, :k].copy())
 

@@ -60,22 +60,31 @@ def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
     return coeffs
 
 
-def _closed_form_adjoint(r: np.ndarray, h: float) -> np.ndarray:
+def _closed_form_adjoint(r: np.ndarray, h: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """r @ C for the n x (n+1) map C from node samples to coefficients.
 
     C is coeffs_closed_form of second_differences, so r @ C runs its steps
     transposed and in reverse, in O(n) per row of the m x n array r,
     without forming C: the sign flip of every other coefficient, the mean
     removal, the prefix sum (a reverse cumsum), its signs, and the
-    scattering of each second difference to its three nodes. Overwrites r.
+    scattering of each second difference to its three nodes. Overwrites r,
+    whose reverse cumsum is taken in place, and writes the m x (n+1)
+    result into `out` when one is given (any m x (n+1) array, such as a
+    row block of a larger matrix) instead of allocating it.
     """
     r[:, 1::2] *= -1.0
     r -= r.mean(axis=1, keepdims=True)
-    v = np.cumsum(r[:, :0:-1], axis=1)[:, ::-1]
+    np.cumsum(r[:, :0:-1], axis=1, out=r[:, :0:-1])
+    v = r[:, 1:]
     v[:, 0::2] *= -1.0
     v /= h * h
-    out = np.zeros((r.shape[0], r.shape[1] + 1))
-    out[:, :-2] += v
+    if out is None:
+        out = np.empty((r.shape[0], r.shape[1] + 1))
+    # 0.0 + v, not a copy of v, so that a -0.0 comes out as 0.0, as when
+    # the scatter starts from zeros
+    np.add(v, 0.0, out=out[:, :-2])
+    out[:, -2:] = 0.0
     out[:, 1:-1] -= 2.0 * v
     out[:, 2:] += v
     return out

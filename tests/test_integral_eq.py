@@ -251,6 +251,43 @@ class TestIntegralOperator:
             _integral_operator(kernel, g, RULE8, g.nodes, g.b),
             _integral_operator(kernel, g, RULE8, g.nodes, np.full(6, g.b)))
 
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("n,q", [(7, 1), (12, 3), (40, 8)])
+    @pytest.mark.parametrize("limit", ["b", "cut"])
+    def test_shared_limit_matches_per_row_limits_bit_for_bit(self, monkeypatch,
+                                                             name, n, q, limit):
+        # one (q, 1, n) stack for every row, or one stack row per row: the
+        # same W to the bit, over at least three blocks of rows, for node
+        # and off-node rows and for a limit at b or inside the last piece
+        g = make_grid(-0.5, 1.5, n)
+        rule = gauss_legendre(q)
+        b = g.b if limit == "b" else g.nodes[-2] + 0.3 * g.h
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 3 * q * n)
+        for xs in (g.nodes, np.sort(np.random.default_rng(n).uniform(g.a, g.b, 11))):
+            assert len(xs) > 2 * 3
+            shared = _integral_operator(self.KERNELS[name], g, rule, xs, b)
+            per_row = _integral_operator(self.KERNELS[name], g, rule, xs,
+                                         np.full(len(xs), b))
+            assert shared.tobytes() == per_row.tobytes()
+
+    def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
+        # the kernel sees the (q, rows, n) shape, but for a shared limit its
+        # rows are one read-only (q, 1, n) stack, not a rebuilt full stack
+        seen = []
+
+        def kernel(x, s):
+            seen.append((s.shape, s.strides[1], s.flags.writeable))
+            return np.exp(x * s)
+
+        g = make_grid(0, 1, 20)
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 5 * RULE8.order * g.n)
+        _integral_operator(kernel, g, RULE8, g.nodes, g.b)
+        assert [shape for shape, _, _ in seen] == [(8, 5, 20)] * 4 + [(8, 1, 20)]
+        assert all(stride == 0 and not writeable for _, stride, writeable in seen)
+        seen.clear()
+        _integral_operator(kernel, g, RULE8, g.nodes, g.nodes)
+        assert [stride for _, stride, _ in seen[:4]] == [g.n * 8] * 4
+
     def test_runtime_error_from_array_call_propagates(self):
         calls = []
 

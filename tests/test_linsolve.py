@@ -189,6 +189,25 @@ class TestSolveDense:
             with pytest.raises(SingularMatrixError, match="overflows"):
                 solve_dense(A, b)
 
+    @pytest.mark.parametrize("scale,M", [
+        # Varah's margin, 0.7e-320, would prove ||A^-1||_inf <= 1.4e320,
+        # which is not a double; certified, the solve returned a finite but
+        # wrong x (1.36 down to 1.06 where 1/0.7 is exact)
+        (1e-320, np.eye(5) - 0.3 * np.ones((5, 5)) / 5),
+        # at n = 64 the sketch is tried too, and proves nothing
+        (1e-320, np.eye(64) - 0.3 * np.ones((64, 64)) / 64),
+        # not dominant: the inverse overflows on to nan, which cond reads as inf
+        (1e-315, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])),
+    ], ids=["varah", "sketch", "inverse"])
+    def test_subnormal_system_is_refused_by_the_gate(self, scale, M):
+        # the inverse path decides, as cond does: 1/cond_inf(A) is 0
+        A = scale * M
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1.0 / np.linalg.cond(A, np.inf) == 0.0
+            with pytest.raises(SingularMatrixError, match="cond"):
+                solve_dense(A, scale * np.ones(len(A)))
+
     @pytest.mark.parametrize("pid,dominant", [("krasnov3", True), ("malek1", True),
                                               ("krasnov1", False), ("wang", False)])
     def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, dominant):

@@ -167,6 +167,29 @@ class TestCoefficientMatrix:
         assert got.shape == (5, n + 1)
         assert np.all(np.abs(got - expected) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 301])
+    def test_adjoint_writes_into_a_row_slice(self, n):
+        # the operator hands a row block of W as `out`: what lands there is
+        # the allocating call's result to the bit, signed zeros included,
+        # and no other row is touched. An all-zero row and -0.0 entries make
+        # -0.0 partial sums, which the scatter turns into 0.0 by adding
+        rng = np.random.default_rng(400 + n)
+        h = float(rng.uniform(0.01, 2.0))
+        r = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
+        r[0] = 0.0
+        r[1, ::3] = -0.0
+        expected = _closed_form_adjoint(r.copy(), h)
+        W = np.full((10, n + 1), np.nan)
+        got = _closed_form_adjoint(r.copy(), h, out=W[2:8])
+        assert got.base is W
+        assert W[2:8].tobytes() == expected.tobytes()
+        assert np.isnan(W[:2]).all() and np.isnan(W[8:]).all()
+        # a zero row maps to +0.0 everywhere, as a scatter from zeros gives
+        assert not np.signbit(W[2]).any()
+        oracle = r @ coefficient_matrix(n, h).entries
+        scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+        assert np.all(np.abs(W[2:8] - oracle) <= 1e-14 * scale)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             coefficient_matrix(1, 0.5)
