@@ -80,7 +80,10 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     array call raises TypeError or ValueError (what a scalar-only callable
     raises on an array) or gives a shape that does not broadcast. The
     package's own OutOfDomainError and InvalidDomainError, and any other
-    exception, propagate after that one call.
+    exception, propagate after that one call. So does numpy's ValueError
+    for a write into a read-only argument, raised as a ValueError naming f:
+    f must not write into its arguments, and calling it per point would
+    only hide that.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
@@ -90,6 +93,9 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     except (OutOfDomainError, InvalidDomainError):
         raise
     except (TypeError, ValueError) as exc:
+        if "read-only" in str(exc) and not all(a.flags.writeable for a in args):
+            raise ValueError(f"{f!r} writes into its arguments, which are "
+                             f"read-only: {exc}") from exc
         _log.debug("%r on arrays of shape %s failed with %r; calling it per point "
                    "(per node when sampling a grid)", f, shape, exc)
     points = zip(*(a.flat for a in np.broadcast_arrays(*args)))

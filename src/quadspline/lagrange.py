@@ -26,7 +26,9 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
     """Callable evaluating the degree-n interpolant through (nodes, values).
 
     Raises InvalidDomainError when the largest weight, C(n, n // 2), does not
-    fit a double (n >= 1030).
+    fit a double (n >= 1030), and the callable raises it, naming the point,
+    when the barycentric sums overflow or their denominator cancels to 0
+    there (abs on [-1, 1] at n = 200, say), instead of returning inf or NaN.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -44,11 +46,17 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
         for lo in range(0, flat.size, rows):
             d = flat[lo:lo + rows, None] - nodes
             hit = d == 0.0
-            q = weights / np.where(hit, 1.0, d)
             block = out[lo:lo + rows]
-            block[:] = (q @ values) / q.sum(axis=1)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                q = weights / np.where(hit, 1.0, d)
+                block[:] = (q @ values) / q.sum(axis=1)
             hit_rows, cols = np.nonzero(hit)
             block[hit_rows] = values[cols]
+            bad = np.flatnonzero(~np.isfinite(block))
+            if bad.size:
+                raise InvalidDomainError(
+                    f"degree {n}: the barycentric sums at x={flat[lo + bad[0]]} "
+                    "overflow or cancel to 0, so the interpolant is not finite there")
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     return evaluate

@@ -15,6 +15,14 @@ build_spline uses that closed form (coeffs_closed_form) as its only path,
 and the collocation operator in integral_eq applies it transposed
 (_closed_form_adjoint) to rows of moments. The recursion it is held to,
 and the dense coefficient matrix, live in tests/oracles.py.
+
+SplineModel evaluates each piece in power form about its left node: with
+t = x - x_{k-1} and w_k = x_k - x_{k-1}, the value is c0 + t (c1 + t c2)
+and the slope c1 + 2 c2 t, where c0 = y_{k-1}, c1 = (y_k - y_{k-1})/h -
+a_k w_k and c2 = a_k, made once per model. That is the chord plus the
+correction above, expanded, except that the constant term is y_{k-1}
+exactly (the chord's is y_{k-1} w_k / h). The chord-plus-correction form
+is kept in tests/oracles.py as the oracle the power form is held to.
 """
 from __future__ import annotations
 
@@ -102,6 +110,21 @@ class SplineModel:
     grid: Grid
     samples: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
+    # rows c0, c1, c2 of each piece's power form about its left node, made
+    # once from the three fields above; each row is contiguous, so a gather
+    # from it reads one array of length n
+    _power: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g, y, a = self.grid, self.samples, self.coeffs
+        power = np.empty((3, g.n))
+        power[0] = y[:-1]
+        np.subtract(y[1:], y[:-1], out=power[1])
+        power[1] /= g.h
+        power[1] -= a * np.diff(g.nodes)
+        power[2] = a
+        power.setflags(write=False)
+        object.__setattr__(self, "_power", power)
 
     def _eval(self, x, deriv: int):
         xs = np.asarray(x, dtype=float)
@@ -112,40 +135,30 @@ class SplineModel:
         if xs.size and not (xs.min() >= g.a and xs.max() <= g.b):
             outside = ~((xs >= g.a) & (xs <= g.b))
             raise OutOfDomainError(f"x={xs[outside][0]} outside [{g.a}, {g.b}]")
-        # piece index k = min(n, 1 + floor((x - a)/h)), >= 1 as x >= a: a node
-        # between two pieces takes the right-hand one, and both agree there
-        # by construction. The piece ends are read from the grid, so the last
-        # piece ends at b exactly; km1 is in range, so take's mode="clip"
-        # changes no index and only skips the copy the default mode makes
-        # for out=. The arithmetic below is, operation for operation and
-        # operand for operand, on reused buffers:
-        #   value  ((x - x_{k-1}) y_k - (x - x_k) y_{k-1}) / h + a_k (x - x_{k-1})(x - x_k)
-        #   slope  (y_k - y_{k-1}) / h + a_k (2x - x_{k-1} - x_k)
+        # piece index k - 1 = min(n - 1, floor((x - a)/h)): a node between
+        # two pieces takes the right-hand one, and both agree there by
+        # construction. (x - a)/h >= 0, so the cast truncates as floor does,
+        # and every gather below reads an array of length n with
+        # mode="clip", which sends an index of n (x at b) to the last
+        # piece. With t = x - x_{k-1}, on reused buffers:
+        #   value  c0 + t (c1 + t c2)
+        #   slope  c1 + 2 c2 t
         t = xs - g.a
         t /= g.h
-        np.floor(t, out=t)
-        np.minimum(t, g.n - 1, out=t)
         km1 = t.astype(np.intp)
-        xk1 = g.nodes.take(km1, out=t, mode="clip")
-        xk = g.nodes[1:].take(km1, mode="clip")
-        y, ak = self.samples, self.coeffs[km1]
-        out, prev = y[1:][km1], y[km1]
+        c0, c1, c2 = self._power
+        g.nodes[:-1].take(km1, out=t, mode="clip")
+        np.subtract(xs, t, out=t)
+        out = c2.take(km1, mode="clip")
+        out *= t
         if deriv:
-            out -= prev
-            out /= g.h
-            np.multiply(xs, 2.0, out=prev)
-            prev -= xk1
-            prev -= xk
+            out *= 2.0
+            out += c1.take(km1, out=t, mode="clip")
         else:
-            np.subtract(xs, xk1, out=xk1)
-            np.subtract(xs, xk, out=xk)
-            out *= xk1
-            prev *= xk
-            out -= prev
-            out /= g.h
-            np.multiply(xk1, xk, out=prev)
-        prev *= ak
-        out += prev
+            c = c1.take(km1, mode="clip")
+            out += c
+            out *= t
+            out += c0.take(km1, out=c, mode="clip")
         return float(out[0]) if scalar else out
 
     def __call__(self, x):

@@ -20,6 +20,9 @@ route to a result the package computes another way:
   determinant                 sign-tracked pivoted elimination; checks
                               linsolve.find_real_eigenvalues, whose roots of
                               det(I - lam*alpha) come from eigvals
+  chord_plus_correction       the spline as chord plus quadratic correction
+                              on each piece; checks SplineModel, which
+                              evaluates each piece in power form
 """
 from __future__ import annotations
 
@@ -169,3 +172,24 @@ def determinant(A: np.ndarray) -> float:
         m = A[k + 1:, k] / A[k, k]
         A[k + 1:, k + 1:] -= np.outer(m, A[k, k + 1:])
     return float(det)
+
+
+def chord_plus_correction(model, x, deriv: int = 0) -> np.ndarray:
+    """The spline at the points x, or its slope for deriv=1, piece by piece
+    as the chord through (x_{k-1}, y_{k-1}) and (x_k, y_k) plus the
+    correction a_k (x - x_{k-1}) (x - x_k):
+
+      value  ((x - x_{k-1}) y_k - (x - x_k) y_{k-1}) / h + a_k (x - x_{k-1})(x - x_k)
+      slope  (y_k - y_{k-1}) / h + a_k (2x - x_{k-1} - x_k)
+
+    Piece k is min(n, 1 + floor((x - a)/h)), as in SplineModel. No domain
+    check: x must lie in [a, b].
+    """
+    g, y = model.grid, model.samples
+    x = np.asarray(x, dtype=float)
+    km1 = np.minimum(np.floor((x - g.a) / g.h), g.n - 1).astype(np.intp)
+    xk1, xk, ak = g.nodes[km1], g.nodes[km1 + 1], model.coeffs[km1]
+    if deriv:
+        return (y[km1 + 1] - y[km1]) / g.h + ak * (2.0 * x - xk1 - xk)
+    return (((x - xk1) * y[km1 + 1] - (x - xk) * y[km1]) / g.h
+            + ak * ((x - xk1) * (x - xk)))

@@ -119,6 +119,19 @@ class TestLagrange:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_interpolant_is_usage_error(self, capsys):
+        # near the ends the barycentric sums overflow or cancel to 0
+        code, out, err = run_cli(capsys, "lagrange", "-p", "abs", "--n", "200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_blowup_printed_unchanged(self, capsys):
+        _, out, _ = run_cli(capsys, "lagrange", "-p", "abs", "--n", "100")
+        assert parse_csv(out)[1][0][3] == "9.837482e+39"
+
     def test_quad_order_is_usage_error(self, capsys):
         # the error integral has a fixed rule; the option would be ignored
         with pytest.raises(SystemExit) as exc:
@@ -246,6 +259,17 @@ class TestConverge:
         # order column present wherever 2n is also in the list
         assert all(rows[i][5] != "" for i in range(3))
         assert rows[3][5] == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_order_three_up_to_large_n(self, capsys):
+        # the sup-norm error falls as h^3 all the way to n = 1280: rounding
+        # in the evaluation stays far below it
+        code, out, _ = run_cli(capsys, "converge", "-p", "sin2pix",
+                               "--ns", "40,80,160,320,640,1280")
+        assert code == 0
+        orders = [float(r[5]) for r in parse_csv(out)[1] if r[5]]
+        assert len(orders) == 5
+        assert all(2.95 <= p <= 3.05 for p in orders), orders
 
     def test_linear_zero_rows(self, capsys):
         code, out, _ = run_cli(capsys, "converge", "-p", "linear",

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadspline import InvalidDomainError, OutOfDomainError, build_spline, make_grid, sample
+from quadspline import (InvalidDomainError, OutOfDomainError, build_spline, gauss_legendre,
+                        make_grid, sample)
 from quadspline.core import eval_many
+from quadspline.integral_eq import _integral_operator
 from quadspline.quadrature import max_error
 
 
@@ -227,6 +229,28 @@ class TestCallPolicy:
         assert "per point" in caplog.text
         expected = [[math.exp(xi * si) for si in s] for xi in x[:, 0]]
         np.testing.assert_array_equal(got, expected)
+
+    def test_kernel_writing_into_shared_node_stack_refused(self):
+        # a shared limit hands the kernel a read-only broadcast of one node
+        # stack; one call per point would hide the write, not mend it
+        def writes(x, s):
+            s *= 1.0
+            return np.exp(x * s)
+
+        g = make_grid(0, 1, 40)
+        calls = []
+        kernel = counting(writes, calls)
+        with pytest.raises(ValueError, match="writes into its arguments") as info:
+            _integral_operator(kernel, g, gauss_legendre(8), g.nodes, g.b)
+        assert repr(kernel) in str(info.value)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("f", [math.exp, lambda x: x if x > 0 else -x],
+                             ids=["math.exp", "if x > 0"])
+    def test_scalar_only_function_on_read_only_arguments_falls_back(self, f):
+        g = make_grid(-1, 1, 6)
+        assert not g.nodes.flags.writeable
+        np.testing.assert_array_equal(eval_many(f, g.nodes), [f(x) for x in g.nodes])
 
     def test_shape_that_does_not_broadcast_falls_back(self):
         calls = []

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from quadspline import OutOfDomainError, build_spline, make_grid
 from quadspline.integral_eq import _integral_operator
 
-from oracles import RULE8, summed_piece_weights
+from oracles import RULE8, chord_plus_correction, summed_piece_weights
 
 SAMPLES = st.floats(-1e3, 1e3)
 
@@ -66,6 +66,34 @@ def test_derivative_continuous_at_interior_nodes(grid_y):
         left = (y[k] - y[k - 1]) / h + a[k - 1] * h
         right = (y[k + 1] - y[k]) / h - a[k] * h
         assert left == pytest.approx(right, rel=1e-10, abs=tol)
+
+
+@given(grid_and_samples(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_form_matches_chord_plus_correction(grid_y, data):
+    # one polynomial per piece in two forms, at random points, every node and
+    # b. They agree to a few roundings of the terms each form adds up, plus
+    # the one gap in exact arithmetic: the chord's constant term is
+    # y_{k-1} w_k / h, where the node spacing w_k = x_k - x_{k-1} misses h by
+    # the nodes' rounding, and the power form's is y_{k-1}. The chord form's
+    # slope rounds 2x - x_{k-1} - x_k at the size of the nodes. A subnormal
+    # product rounds by a fixed amount, which the chord form then divides by
+    # h or multiplies by a_k.
+    g, y = grid_y
+    m = build_spline(g, y)
+    ts = data.draw(arrays(np.float64, 30, elements=st.floats(0, 1)), label="t")
+    xs = np.concatenate([np.minimum(g.a + ts * (g.b - g.a), g.b), g.nodes])
+    k = np.minimum(np.floor((xs - g.a) / g.h), g.n - 1).astype(np.intp)
+    xk1 = g.nodes[k]
+    w, t, c2 = g.nodes[k + 1] - xk1, np.abs(xs - xk1), np.abs(m.coeffs[k])
+    dy = np.abs(y[k + 1] - y[k]) / g.h
+    eps = np.finfo(float).eps
+    floor = 8 * np.finfo(float).smallest_subnormal * (1.0 + 1.0 / g.h + c2)
+    value_tol = (8 * eps * (np.abs(y[k]) + t * (dy + c2 * w) + t * t * c2)
+                 + np.abs(y[k]) * np.abs(w - g.h) / g.h + floor)
+    slope_tol = 8 * eps * (dy + c2 * (w + 2 * t + 2 * np.abs(xs) + np.abs(xk1))) + floor
+    assert (np.abs(m(xs) - chord_plus_correction(m, xs, 0)) <= value_tol).all()
+    assert (np.abs(m.derivative(xs) - chord_plus_correction(m, xs, 1)) <= slope_tol).all()
 
 
 @pytest.mark.parametrize("n_parity", ["even", "odd"])
