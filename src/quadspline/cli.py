@@ -150,14 +150,9 @@ def cmd_converge(args) -> int:
     entry = registry.get_function(args.problem)
     fpp = args.fpp_bound if args.fpp_bound is not None else entry.fpp_bound
     if fpp is None:
-        print(f"error: no certified second-derivative bound for "
-              f"{args.problem!r}; pass --fpp-bound", file=sys.stderr)
-        return 2
-    try:
-        report = convergence_study(entry.fn, fpp, entry.a, entry.b, args.ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InvalidDomainError(f"no certified second-derivative bound for "
+                                 f"{args.problem!r}; pass --fpp-bound")
+    report = convergence_study(entry.fn, fpp, entry.a, entry.b, args.ns)
     by_n = {r.n: r for r in report.records}
     rows = []
     for rec in report.records:

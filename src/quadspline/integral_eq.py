@@ -26,7 +26,8 @@ limit (fredholm2, fredholm_eigen), s is a read-only broadcast of one
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
 y(x) = f(x) + lam * int_a^x K(x,s) y(s) ds; Volterra first kind is
-f(x) = int_0^x K(x,s) y(s) ds (no lam).
+f(x) = int_a^x K(x,s) y(s) ds (no lam). IntegralProblem.causal is true
+for the Volterra kinds, whose integrals end at x.
 
 Every kind reports through _report, whose error metrics follow the
 published tables: `error_l2` is the L2 NORM of (spline - reference), the
@@ -72,7 +73,8 @@ class IntegralProblem:
 
     bracket = (lo, hi), lo < hi, is the search interval of a fredholm_eigen
     problem's characteristic values; the other kinds take none. Every field
-    check raises InvalidDomainError.
+    check raises InvalidDomainError. Every kind integrates from a, and the
+    causal (Volterra) kinds up to x: volterra1 is f(x) = int_a^x K y.
     """
 
     kind: str
@@ -97,8 +99,11 @@ class IntegralProblem:
                                      f"got {self.bracket!r}")
         if self.lam is not None and not math.isfinite(self.lam):
             raise InvalidDomainError(f"need a finite lam, got {self.lam!r}")
-        if self.kind == "volterra1" and self.interval[0] != 0.0:
-            raise InvalidDomainError("first-kind Volterra problems must start at x = 0")
+
+    @property
+    def causal(self) -> bool:
+        """Whether the integral at x ends at x (Volterra kinds), not at b."""
+        return self.kind in ("volterra2", "volterra1")
 
 
 @dataclass(frozen=True)
@@ -252,32 +257,33 @@ def solve(problem: IntegralProblem, n: int,
     make_grid(*problem.interval, n), which refuses a bad n.
 
     The second kinds are (I - lam W) y = f, with W the integral operator at
-    the nodes: its rows integrate up to b (fredholm2) or up to their own
-    node (volterra2, whose row 0 is then y_0 = f_0). The system is dense
-    either way (the spline couples all nodes), so it is one (n+1) x (n+1)
-    solve. fredholm_eigen finds the roots of det(I - lam W) in the problem's
-    bracket (see _eigen), and volterra1 adds a closure for its free
-    endpoint value (see _volterra1). `rule` integrates every piece
-    (default: 8-point Gauss-Legendre).
+    the nodes: its rows integrate up to b, or up to their own node when the
+    problem is causal (volterra2's row 0 is then y_0 = f_0). The system is
+    dense either way (the spline couples all nodes), so it is one
+    (n+1) x (n+1) solve. fredholm_eigen finds the roots of det(I - lam W)
+    in the problem's bracket (see _eigen), and volterra1 collocates W's
+    rows 1..n with a closure for its free endpoint value (see _volterra1).
+    `rule` integrates every piece (default: 8-point Gauss-Legendre).
     """
     rule = rule or gauss_legendre(8)
     grid = make_grid(*problem.interval, n)
+    W = _integral_operator(problem.kernel, grid, rule, grid.nodes,
+                           grid.nodes if problem.causal else grid.b)
     if problem.kind == "volterra1":
-        return _volterra1(problem, grid, rule)
-    upper = grid.nodes if problem.kind == "volterra2" else grid.b
-    W = _integral_operator(problem.kernel, grid, rule, grid.nodes, upper)
+        return _volterra1(problem, grid, rule, W[1:])
     if problem.kind == "fredholm_eigen":
         return _eigen(problem, grid, W)
     A = np.eye(grid.n + 1) - problem.lam * W
     return _report(problem, grid, solve_dense(A, sample(problem.forcing, grid)))
 
 
-def _volterra1(problem: IntegralProblem, grid: Grid,
-               rule: QuadratureRule) -> SolveReport:
+def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
+               B: np.ndarray) -> SolveReport:
     """Solve a first-kind Volterra problem by collocation plus a variational
     closure for the undetermined left-endpoint value.
 
-    Collocating at x_1..x_n gives n equations in n+1 unknowns; the solution
+    Collocating at x_1..x_n, whose operator rows B integrate up to their
+    own node, gives n equations in n+1 unknowns; the solution
     is affine in y_0, obtained from one two-column solve of the trailing
     n x n subsystem. y_0 is then chosen to minimize the integral of the
     squared equation defect over the last piece, a quadratic with a
@@ -294,14 +300,12 @@ def _volterra1(problem: IntegralProblem, grid: Grid,
     SingularMatrixError beyond; the L2 error grows about 2.5x per unit of
     n, from 4.3e-14 at n = 5 to 1.8e-7 at n = 21.
     """
-    nodes = grid.nodes[1:]
-    B = _integral_operator(problem.kernel, grid, rule, nodes, nodes)
-    u, w = solve_dense(B[:, 1:], np.column_stack((eval_many(problem.forcing, nodes),
-                                                  -B[:, 0]))).T
+    f = eval_many(problem.forcing, grid.nodes[1:])
+    u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T
     u = np.concatenate(([0.0], u))
     w = np.concatenate(([1.0], w))
 
-    # the defect int_0^x K(x, s) S(s) ds - f(x) over the last piece, at the
+    # the defect int_a^x K(x, s) S(s) ds - f(x) over the last piece, at the
     # points of a 4-panel composite rule
     pts, half = panel_points(grid.nodes[-2], grid.b, 4, rule)
     pts = pts.ravel()

@@ -17,6 +17,7 @@ Metric conventions, matching the source tables (the test suite pins them):
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -123,20 +124,20 @@ PROBLEMS: dict[str, IntegralProblem] = {
 EXPECTED_EIGENVALUE: dict[str, float] = {"krasnov2": -3.0}
 
 
-def get_function(fid: str) -> FunctionEntry:
+def _lookup(table: dict, what: str, key: str):
     try:
-        return FUNCTIONS[fid]
+        return table[key]
     except KeyError:
-        raise UnknownProblemError(f"unknown function id {fid!r}; "
-                                  f"known: {sorted(FUNCTIONS)}") from None
+        raise UnknownProblemError(f"unknown {what} id {key!r}; "
+                                  f"known: {sorted(table)}") from None
+
+
+def get_function(fid: str) -> FunctionEntry:
+    return _lookup(FUNCTIONS, "function", fid)
 
 
 def get_problem(pid: str) -> IntegralProblem:
-    try:
-        return PROBLEMS[pid]
-    except KeyError:
-        raise UnknownProblemError(f"unknown problem id {pid!r}; "
-                                  f"known: {sorted(PROBLEMS)}") from None
+    return _lookup(PROBLEMS, "problem", pid)
 
 
 # --------------------------------------------------------------------------
@@ -205,18 +206,32 @@ def solve_metrics(report: SolveReport) -> list[tuple[str, Optional[float]]]:
 # published tables
 
 
+def round_sigfigs(x: float, sig: int) -> float:
+    if x == 0.0:
+        return 0.0
+    exponent = math.floor(math.log10(abs(x)))
+    return round(x, sig - 1 - exponent)
+
+
+# each check kind's test of a computed value against the published one
+_CHECKS: dict[str, Callable[[float, float], bool]] = {
+    "factor2": lambda c, p: 0.5 <= c / p <= 2.0,
+    "order": lambda c, p: 0.1 <= c / p <= 10.0,
+    # where our solve sits at the double-precision noise floor, far below
+    # the published figure
+    "order_upper": lambda c, p: c <= 10.0 * p,
+    # agreement after rounding both to 4 significant figures
+    "sigfigs4": lambda c, p: round_sigfigs(c, 4) == round_sigfigs(p, 4),
+    # a third-party routine's figure: listed, not reproduced
+    "external": lambda c, p: True,
+}
+
+
 @dataclass(frozen=True)
 class TableCell:
     """One published number with the tolerance its reproduction is held to.
 
-    check is one of:
-      factor2      computed/published in [0.5, 2]
-      order        computed/published in [0.1, 10]
-      order_upper  computed <= 10 * published (used where our solve sits at
-                   the double-precision noise floor, far below the published
-                   figure)
-      sigfigs4     agreement after rounding both to 4 significant figures
-      external     third-party routine's figure; listed, not reproduced
+    check is a key of _CHECKS; any other value raises ValueError here.
     """
 
     entry_id: str
@@ -224,6 +239,10 @@ class TableCell:
     metric: str
     published: float
     check: str = "factor2"
+
+    def __post_init__(self):
+        if self.check not in _CHECKS:
+            raise ValueError(f"unknown check kind {self.check!r}")
 
 
 # Tables 1-3: interpolation benchmarks on [-1, 1].
@@ -293,29 +312,10 @@ TABLES: dict[int, tuple[TableCell, ...]] = {
 WANG_PUBLISHED = {"lsq_bound": 1.49e-3, 5: 1.17e-3, 10: 1.79e-5}
 
 
-def round_sigfigs(x: float, sig: int) -> float:
-    if x == 0.0:
-        return 0.0
-    exponent = math.floor(math.log10(abs(x)))
-    return round(x, sig - 1 - exponent)
-
-
 def cell_passes(cell: TableCell, computed: Optional[float]) -> bool:
-    if cell.check == "external":
-        return True
     if computed is None:
-        return False
-    if cell.check == "factor2":
-        ratio = computed / cell.published
-        return 0.5 <= ratio <= 2.0
-    if cell.check == "order":
-        ratio = computed / cell.published
-        return 0.1 <= ratio <= 10.0
-    if cell.check == "order_upper":
-        return computed <= 10.0 * cell.published
-    if cell.check == "sigfigs4":
-        return round_sigfigs(computed, 4) == round_sigfigs(cell.published, 4)
-    raise ValueError(f"unknown check kind {cell.check!r}")
+        return cell.check == "external"
+    return _CHECKS[cell.check](computed, cell.published)
 
 
 def compute_cell(cell: TableCell,
@@ -323,8 +323,8 @@ def compute_cell(cell: TableCell,
                  solve: Optional[Callable[[str, int], SolveReport]] = None) -> Optional[float]:
     """Recompute the quantity a table cell publishes (None for external rows).
 
-    solve(entry_id, n), when given, stands in for solve_entry with this rule,
-    so that cells sharing an equation solve can share one report.
+    solve(entry_id, n) defaults to solve_entry with this rule; a cached one
+    lets cells sharing an equation solve share one report.
     """
     if cell.check == "external":
         return None
@@ -334,10 +334,7 @@ def compute_cell(cell: TableCell,
         return interpolation_error(cell.entry_id, cell.n, rule=rule)
     if cell.metric not in ("eigenvalue", "l2_norm_error", "max_error"):
         raise ValueError(f"unknown metric {cell.metric!r}")
-    if solve is None:
-        report = solve_entry(cell.entry_id, cell.n, rule=rule)
-    else:
-        report = solve(cell.entry_id, cell.n)
+    report = (solve or functools.partial(solve_entry, rule=rule))(cell.entry_id, cell.n)
     return next((v for m, v in solve_metrics(report) if m == cell.metric), None)
 
 
@@ -365,7 +362,7 @@ def verify_reference_solutions() -> None:
             raise AssertionError(f"registry entry {pid!r}: no reference solution")
         a, b = entry.interval
         xs = np.linspace(a, b, 9)
-        upper = xs if entry.kind in ("volterra2", "volterra1") else b
+        upper = xs if entry.causal else b
         s, half = panel_points(a, upper, 64, rule)
         ky = eval_many(entry.kernel, xs[:, None, None], s) * eval_many(entry.reference, s)
         integral = np.sum(half * (ky @ rule.weights), axis=-1)

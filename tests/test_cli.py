@@ -277,6 +277,24 @@ class TestConverge:
         _, rows = parse_csv(out)
         assert all(float(r[2]) < 1e-12 for r in rows)
 
+    def test_linear_within_bound_at_every_n(self, capsys):
+        # M = 0 makes the analytic bound 0; the deviation, 8.9e-16 to 8.0e-15,
+        # is rounding alone, and the bound's rounding allowance covers it
+        code, out, _ = run_cli(capsys, "converge", "-p", "linear",
+                               "--ns", "4,8,16,100,1000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["4", "8", "16", "100", "1000"]
+        assert all(r[4] == "1" and 0 < float(r[2]) <= float(r[3]) for r in rows)
+
+    def test_target_failing_at_a_node_is_not_a_usage_error(self, monkeypatch):
+        # a NaN sample is a fault of the target, not of the command line
+        entry = registry.FUNCTIONS["linear"]
+        monkeypatch.setitem(registry.FUNCTIONS, "linear", registry.FunctionEntry(
+            lambda x: np.where(x > 0.5, np.nan, x), entry.a, entry.b, entry.fpp_bound))
+        with pytest.raises(ValueError, match="is not finite"):
+            main(["converge", "-p", "linear", "--ns", "4"])
+
     def test_requires_bound(self, capsys):
         code, _, err = run_cli(capsys, "converge", "-p", "abs", "--ns", "4,8")
         assert code == 2

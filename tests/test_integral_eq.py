@@ -106,11 +106,6 @@ class TestProblemValidation:
             IntegralProblem("volterra2", lambda x, s: 0.0, (0, 1),
                             forcing=np.sin, lam=lam)
 
-    def test_volterra1_starts_at_zero(self):
-        with pytest.raises(InvalidDomainError, match="start at x = 0"):
-            IntegralProblem("volterra1", lambda x, s: 0.0, (0.5, 1),
-                            forcing=np.sin)
-
     def test_bracket_required_for_eigen(self):
         with pytest.raises(InvalidDomainError,
                            match="kind 'fredholm_eigen': bracket required"):
@@ -730,6 +725,44 @@ class TestSolveVolterra1:
         r = solve(self.make(), n)
         assert r.error_l2 <= 10 * pub_l2
         assert r.error_max <= 10 * pub_max
+
+    @pytest.mark.parametrize("a", [1.0, -3.0])
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_shifted_interval_integrates_from_a(self, a, n):
+        # (x - a)^3 = int_a^x (x - s)^2 y(s) ds on [a, a + 1] or [a, a + 2]
+        # is krasnov4 moved to start at a, with the same y = 3; it is solved
+        # as well as at a = 0 (l2 4.3e-14 and 1.5e-11 at n = 5 and 10)
+        b = a + (1.0 if a > 0 else 2.0)
+        p = replace(self.make(), interval=(a, b), forcing=lambda x: (x - a) ** 3)
+        r = solve(p, n)
+        assert r.error_l2 <= 1e-10 and r.error_max <= 1e-9
+
+    @pytest.mark.parametrize("n", [5, 10, 21, 200, 640])
+    def test_collocation_rows_are_the_causal_operator_rows(self, monkeypatch, n):
+        # solve builds the causal operator at all n + 1 nodes once; its rows
+        # 1..n are those of a call on x_1..x_n, bit for bit, however the
+        # rows fall into blocks, so _volterra1 makes no call on the nodes
+        # and only one for its closure rows on the last piece
+        p = get_problem("krasnov4")
+        g = make_grid(*p.interval, n)
+        W = _integral_operator(p.kernel, g, RULE8, g.nodes, g.nodes)
+        np.testing.assert_array_equal(
+            W[1:], _integral_operator(p.kernel, g, RULE8, g.nodes[1:], g.nodes[1:]))
+        calls = []
+        operator = integral_eq._integral_operator
+
+        def recorded(kernel, grid, rule, xs, upper):
+            calls.append(len(xs))
+            return operator(kernel, grid, rule, xs, upper)
+
+        monkeypatch.setattr(integral_eq, "_integral_operator", recorded)
+        if n <= 21:
+            solve(p, n)
+            assert calls == [n + 1, 4 * RULE8.order]
+        else:  # refused before the closure, see _volterra1
+            with pytest.raises(SingularMatrixError):
+                solve(p, n)
+            assert calls == [n + 1]
 
     def test_zero_forcing_gives_zero_solution(self):
         p = IntegralProblem("volterra1", lambda x, s: x - s + 1.0, (0.0, 1.0),

@@ -178,16 +178,36 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(5))
 
-    @pytest.mark.parametrize("A,b", [
-        (1e-300 * np.eye(3), 1e10 * np.ones(3)),                              # certified
-        (1e-320 * (np.eye(5) - 0.3 * np.ones((5, 5)) / 5), np.ones(5)),       # certified
-        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308])),      # inverse
-    ])
-    def test_overflowing_solution_is_refused_without_warning(self, A, b):
+    @pytest.mark.parametrize("A,b,columns,sketched", [
+        # dominant: Varah's margin certifies it, b is solved alone
+        (1e-300 * np.eye(3), 1e10 * np.ones(3), 1, []),
+        # not dominant (margin -0.5); the sketch bounds ||A^-1||_inf by 4
+        (np.eye(64) - 1.5 * np.ones((64, 64)) / 64, 1e308 * np.ones(64), 1, [64]),
+        # below the sketch's size: b with the identity's columns
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308]), 3, []),
+    ], ids=["varah", "sketch", "inverse"])
+    def test_overflowing_solution_is_refused_without_warning(self, monkeypatch, A, b,
+                                                             columns, sketched):
+        shapes, sizes = [], []
+        solve = np.linalg.solve
+        bound = linsolve._sketch_inverse_bound
+
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return solve(A, B)
+
+        def counted(A):
+            sizes.append(len(A))
+            return bound(A)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularMatrixError, match="overflows"):
+            with pytest.raises(SingularMatrixError, match="the solution overflows"):
                 solve_dense(A, b)
+        assert [1 if len(s) == 1 else s[1] for s in shapes] == [columns]
+        assert sizes == sketched
 
     @pytest.mark.parametrize("scale,M", [
         # Varah's margin, 0.7e-320, would prove ||A^-1||_inf <= 1.4e320,

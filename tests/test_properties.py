@@ -1,8 +1,9 @@
-"""Property tests of the spline and the collocation operator over random grids.
+"""Property tests of the spline, the collocation operator and the solve.
 
 Grids are [a, a + width] with n pieces, drawn as in the other suites:
 a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
-operator, whose oracle is a Python loop over rows and pieces).
+operator, whose oracle is a Python loop over rows and pieces). The parity
+properties solve symmetric Fredholm problems on [-L, L].
 """
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import OutOfDomainError, build_spline, make_grid
+from quadspline import IntegralProblem, OutOfDomainError, build_spline, make_grid, solve
 from quadspline.integral_eq import _integral_operator
 
 from oracles import RULE8, chord_plus_correction, summed_piece_weights
@@ -179,3 +180,65 @@ def test_operator_rows_match_summed_piece_weights(rows, grid_kernel, fractions):
     rtol = 1e-12 + 1e-14 * max(abs(g.a), abs(g.b)) / g.h
     scale = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(W - oracle) <= rtol * scale + 1e3 * np.finfo(float).tiny)
+
+
+# kernels with K(-x, -s) = K(x, s): the Gaussian is positive definite for
+# every c > 0, and 1 + c x s positive semidefinite (rank 2) for c >= 0
+SYMMETRIC_KERNELS = {
+    "gauss": lambda c: lambda x, s: np.exp(-c * (x - s) ** 2),
+    "rank2": lambda c: lambda x, s: 1.0 + c * x * s,
+}
+
+
+@st.composite
+def symmetric_fredholm(draw, parity):
+    """A Fredholm-2 problem on [-L, L] with a symmetric kernel and an even
+    (cos kx) or odd (sin kx) forcing, and a lam for which it is uniquely
+    solvable: negative with a positive (semi)definite kernel, or 0.5 with
+    exp(-(x - s)^2) on [-1, 1], whose first characteristic value is 0.7668."""
+    family = draw(st.sampled_from(["gauss", "rank2", "gauss below its first value"]),
+                  label="family")
+    if family == "gauss below its first value":
+        kernel, L, lam = SYMMETRIC_KERNELS["gauss"](1.0), 1.0, 0.5
+    else:
+        c = draw(st.floats(0.1, 4.0) if family == "gauss" else st.floats(0.0, 2.0), label="c")
+        kernel, L = SYMMETRIC_KERNELS[family](c), draw(st.floats(0.1, 3.0), label="L")
+        lam = draw(st.floats(-5.0, -0.01), label="lam")
+    k = draw(st.floats(0.1, 5.0), label="k")
+    forcing = (lambda x: np.cos(k * x)) if parity == "even" else (lambda x: np.sin(k * x))
+    return IntegralProblem("fredholm2", kernel, (-L, L), forcing=forcing, lam=lam)
+
+
+def parity_defect(values, mirrored, sign):
+    """max |mirrored - sign * values| relative to max |values|."""
+    return np.max(np.abs(mirrored - sign * values)) / np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solve_conserves_parity(parity, data):
+    # the paper's parity claim for the equations: a symmetric kernel and an
+    # even or odd forcing give samples of the same parity, y[::-1] = +-y, and
+    # a spline of that parity everywhere (seen on a 2001-point mesh)
+    problem = data.draw(symmetric_fredholm(parity))
+    n = data.draw(st.integers(2, 201), label="n")
+    sign = 1.0 if parity == "even" else -1.0
+    r = solve(problem, n)
+    assert parity_defect(r.samples, r.samples[::-1], sign) <= 1e-12
+    mesh = np.linspace(*problem.interval, 2001)
+    assert parity_defect(r.spline(mesh), r.spline(-mesh), sign) <= 1e-12
+
+
+@given(c=st.floats(0.2, 4.0), L=st.floats(0.2, 2.0), n=st.integers(2, 40))
+@settings(max_examples=30, deadline=None)
+def test_eigenfunctions_are_even_or_odd(c, L, n):
+    # the Gaussian kernel is totally positive, so its characteristic values
+    # are simple and each eigenfunction is even or odd
+    problem = IntegralProblem("fredholm_eigen", SYMMETRIC_KERNELS["gauss"](c), (-L, L),
+                              bracket=(0.0, 30.0))
+    r = solve(problem, n)
+    assert r.eigen
+    for _value, sub in r.eigen:
+        y = sub.samples
+        assert min(parity_defect(y, y[::-1], 1.0), parity_defect(y, y[::-1], -1.0)) <= 1e-12

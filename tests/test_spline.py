@@ -396,6 +396,24 @@ class TestConvergence:
         assert all(r.max_deviation < 1e-12 for r in rep.records)
         assert not rep.violations
 
+    def test_affine_rounding_within_allowance(self):
+        # M = 0: the analytic bound is 0, and the deviation is rounding alone.
+        # On a narrow interval about a root of f, f's rounding and the nodes'
+        # are eps |p x|, up to 69 times 4 (n + 1) eps max|f| at n = 2; the
+        # allowance's slope term covers them
+        cases = [(p, -p * r, r - 0.0037, r + 0.0063)
+                 for p, r in ((5.0, 4.1), (-2.2, -3.7), (9.9, 0.9))]
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            p, q = rng.uniform(-10, 10, 2)
+            a = float(rng.uniform(-5, 5))
+            cases.append((p, q, a, a + float(rng.uniform(0.01, 5))))
+        for p, q, a, b in cases:
+            rep = convergence_study(lambda x: p * x + q, 0.0, a, b, [2, 3, 5, 16, 100])
+            assert not rep.violations, (p, q, a, b)
+            assert all(type(r.bound) is float and type(r.within_bound) is bool
+                       for r in rep.records)
+
     def test_sine_within_bound(self):
         M = 4 * np.pi**2
         rep = convergence_study(lambda x: np.sin(2 * np.pi * x), M, -1, 1,
