@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import InvalidDomainError
 
-# Doubles in each of evaluate's (rows, n + 1) temporaries, about 1 MB; x is
-# taken in blocks of that many rows, so a long x needs no more. The tables'
+# Doubles in evaluate's one (rows, n + 1) temporary, about 1 MB; x is taken
+# in blocks of that many rows, so a long x needs no more. The tables'
 # n <= 20 fit one block: the BLAS product q @ values may round a row in the
 # last bit differently in another block, and their figures stay as they were.
 _BLOCK = 1 << 17
@@ -28,7 +28,8 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
     Raises InvalidDomainError when the largest weight, C(n, n // 2), does not
     fit a double (n >= 1030), and the callable raises it, naming the point,
     when the barycentric sums overflow or their denominator cancels to 0
-    there (abs on [-1, 1] at n = 200, say), instead of returning inf or NaN.
+    there (abs on [-1, 1] at n = 200, say), instead of returning inf or NaN,
+    and when the point itself is NaN or infinite.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -44,19 +45,28 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
         flat = xs.reshape(-1)
         out = np.empty(flat.size)
         for lo in range(0, flat.size, rows):
-            d = flat[lo:lo + rows, None] - nodes
-            hit = d == 0.0
+            pts = flat[lo:lo + rows]
             block = out[lo:lo + rows]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                q = weights / np.where(hit, 1.0, d)
+                d = pts[:, None] - nodes
+                q = np.divide(weights, d, out=d)
                 block[:] = (q @ values) / q.sum(axis=1)
-            hit_rows, cols = np.nonzero(hit)
-            block[hit_rows] = values[cols]
             bad = np.flatnonzero(~np.isfinite(block))
             if bad.size:
-                raise InvalidDomainError(
-                    f"degree {n}: the barycentric sums at x={flat[lo + bad[0]]} "
-                    "overflow or cancel to 0, so the interpolant is not finite there")
+                # x on a node makes one quotient infinite, so the row's sums
+                # and their ratio are not finite: only such rows are
+                # searched for a hit, which takes the node's value, and any
+                # row still not finite is refused
+                hit_rows, cols = np.nonzero(pts[bad, None] == nodes)
+                block[bad[hit_rows]] = values[cols]
+                bad = bad[~np.isfinite(block[bad])]
+                if bad.size:
+                    x0 = pts[bad[0]]
+                    if not np.isfinite(x0):
+                        raise InvalidDomainError(f"degree {n}: x={x0} is not finite")
+                    raise InvalidDomainError(
+                        f"degree {n}: the barycentric sums at x={x0} "
+                        "overflow or cancel to 0, so the interpolant is not finite there")
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     return evaluate

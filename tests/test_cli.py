@@ -126,6 +126,7 @@ class TestLagrange:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "the barycentric sums at x=" in err
 
     @pytest.mark.filterwarnings("error")
     def test_finite_blowup_printed_unchanged(self, capsys):

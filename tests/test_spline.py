@@ -12,7 +12,7 @@ from quadspline import (InvalidDomainError, OutOfDomainError, build_spline,
                         coeffs_closed_form, convergence_study, fluctuation_energy,
                         make_grid, max_error, sample, second_differences)
 from quadspline.quadrature import _BLOCK
-from quadspline.spline import _closed_form_adjoint
+from quadspline.spline import _RUN_MIN_PER_PIECE, _RUN_MIN_POINTS, _closed_form_adjoint
 
 from oracles import coefficient_matrix, coeffs_by_recursion, optimal_first_coefficient
 
@@ -294,6 +294,20 @@ class TestSplineModel:
         with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
             max_error(poked, np.cos, 0, 1, samples=3 * _BLOCK)
 
+    @pytest.mark.parametrize("bad, at", [
+        (np.nan, -1), (1.25, -1), (np.nextafter(1.0, 2.0), -1),
+        (-0.5, 0), (np.nextafter(0.0, -1.0), 0),
+    ])
+    def test_bad_end_of_a_long_sorted_input_named(self, bad, at):
+        # a sorted input is checked at its two ends; a NaN fails the
+        # sortedness test, and the check over the whole input names it
+        _, m = spline_for(np.cos, 0, 1, 4)
+        xs = np.linspace(0, 1, 3 * _RUN_MIN_POINTS)
+        xs[at] = bad
+        for call in (m, m.derivative):
+            with pytest.raises(OutOfDomainError, match=f"x={bad} outside"):
+                call(xs)
+
     def test_value_at_right_end_is_last_sample_exactly(self):
         # the last piece ends at the grid's b, not at a + n h, so its
         # quadratic term vanishes there; a + n h misses b by an ulp here
@@ -440,6 +454,10 @@ class TestConvergence:
         want = float(np.max(np.abs(m(xs) - f(xs))))
         rep = convergence_study(f, 1e3, lo, hi, [n])
         assert rep.records[0].max_deviation == want
+        # the sweep's sorted blocks go through the spline by runs of pieces,
+        # the reversed mesh point by point: the same deviation to the bit
+        rev = xs[::-1]
+        assert float(np.max(np.abs(m(rev) - f(rev)))) == want
 
     def test_memory_does_not_grow_with_the_mesh(self):
         # the 5,000,000-point mesh alone would be 40 MB; a streamed sweep
@@ -490,3 +508,34 @@ def test_eval_matches_scalar_closed_form_bit_for_bit(data):
     for deriv, call in ((0, m), (1, m.derivative)):
         want = [power_form_at(m, float(x), deriv) for x in xs]
         np.testing.assert_array_equal(call(xs), want)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sorted_runs_match_scalar_form_and_gather_bit_for_bit(data):
+    # a sorted input long enough to be taken by runs of pieces: the nodes
+    # x_i..x_j, each node's neighbours one ulp away, random points between
+    # and repeats; the same points permuted are taken point by point
+    a = data.draw(st.floats(-10, 10), label="a")
+    width = data.draw(st.floats(0.01, 10), label="width")
+    n = data.draw(st.integers(2, 250), label="n")
+    g = make_grid(a, a + width, n)
+    y = data.draw(arrays(np.float64, n + 1, elements=st.floats(-1e3, 1e3)), label="y")
+    m = build_spline(g, y)
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(i + 1, n), label="j")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    nodes = g.nodes[i:j + 1]
+    xs = np.concatenate([rng.uniform(nodes[0], nodes[-1], _RUN_MIN_POINTS), nodes,
+                         np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+    xs = np.clip(xs, nodes[0], nodes[-1])
+    xs = np.sort(np.concatenate([xs, rng.choice(xs, 64)]))
+    assert xs.size >= max(_RUN_MIN_POINTS, _RUN_MIN_PER_PIECE * (n + 1))
+    perm = rng.permutation(xs.size)
+    for deriv, call in ((0, m), (1, m.derivative)):
+        got = call(xs)
+        want = np.array([power_form_at(m, float(x), deriv) for x in xs])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        gathered = np.empty_like(got)
+        gathered[perm] = call(xs[perm])
+        np.testing.assert_array_equal(got.view(np.int64), gathered.view(np.int64))
