@@ -70,6 +70,19 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     return Grid(float(a), float(b), int(n), h, nodes)
 
 
+def array_callable(f):
+    """Mark f, a function or class of this package whose calls take arrays,
+    so that eval_many never calls it point by point.
+
+    Such a callable (a SplineModel, a Lagrange interpolant, an integrand
+    built from them) raises TypeError or ValueError on an array only
+    through a defect, and a per-point retry would hide the defect behind
+    one Python call per point, 32,768 for each block of a sup-norm sweep.
+    """
+    f._array_callable = True
+    return f
+
+
 def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     """f on the broadcast of args: one array call, else one call per point.
 
@@ -78,12 +91,13 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     to it (a constant function returning 3.0, say) is materialised as a
     writeable array. f is called per point, logged at DEBUG, only when the
     array call raises TypeError or ValueError (what a scalar-only callable
-    raises on an array) or gives a shape that does not broadcast. The
+    raises on an array) or gives a shape that does not broadcast, and f is
+    not one of the package's own array callables (see array_callable). The
     package's own OutOfDomainError and InvalidDomainError, and any other
-    exception, propagate after that one call. So does numpy's ValueError
-    for a write into a read-only argument, raised as a ValueError naming f:
-    f must not write into its arguments, and calling it per point would
-    only hide that.
+    exception, propagate after that one call, as does every exception of
+    an array callable. So does numpy's ValueError for a write into a
+    read-only argument, raised as a ValueError naming f: f must not write
+    into its arguments, and calling it per point would only hide that.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
@@ -93,6 +107,8 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     except (OutOfDomainError, InvalidDomainError):
         raise
     except (TypeError, ValueError) as exc:
+        if getattr(f, "_array_callable", False):
+            raise
         if "read-only" in str(exc) and not all(a.flags.writeable for a in args):
             raise ValueError(f"{f!r} writes into its arguments, which are "
                              f"read-only: {exc}") from exc

@@ -45,7 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
+from .core import (Grid, InvalidDomainError, ScalarFunction, array_callable, eval_many,
+                   make_grid, sample)
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
@@ -234,9 +235,9 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
         return vector * (ref1 / v1)
     model = build_spline(grid, vector)
     rule = gauss_legendre(8)
-    num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
+    num = integrate_panels(array_callable(lambda x: model(x) * eval_many(problem.reference, x)),
                            grid.a, grid.b, grid.n, rule)
-    den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
+    den = integrate_panels(array_callable(lambda x: model(x) ** 2), grid.a, grid.b, grid.n, rule)
     return vector * (num / den)
 
 

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import InvalidDomainError
+from .core import InvalidDomainError, array_callable
 
 # Doubles in evaluate's one (rows, n + 1) temporary, about 1 MB; x is taken
 # in blocks of that many rows, so a long x needs no more. The tables'
@@ -40,6 +40,7 @@ def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
     weights = np.array([(-1.0) ** j * comb(n, j) for j in range(n + 1)])
     rows = max(1, _BLOCK // (n + 1))
 
+    @array_callable
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)

@@ -3,22 +3,26 @@
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
-does not depend on the pivot order; A is factored once. When A is strictly
-diagonally dominant by rows with a wide enough margin, Varah's bound
-proves that the gate passes, and b is solved alone; this catches the
-second-kind systems I - lam*K whose rows have |lam| times the integral
-of |K(x_i, s)| below 1, roughly, such as the Volterra-2 benchmark
-problems. When that misses and n >= _SKETCH_MIN_N = 64, a second proof
-comes from a rank-8 sketch of M = I - A: with Q = qr(M Omega), Vt = Q^T M,
-E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and R = I + P Vt,
-I - R A = R E + (Q - P T) Vt holds exactly, so a small enough
-||R|| ||E|| + ||Q - P T|| ||Vt|| bounds ||A^-1||_inf (Rump's approximate
-inverse bound, Acta Numerica 19, 2010, on the range sketch of Halko,
-Martinsson and Tropp, SIAM Review 53, 2011); this catches the Fredholm-2
-benchmark problems, whose kernels are smooth. Any other A is solved with
-the identity beside b, which gives x and the exact inverse the gate
-needs. Both ways accept and refuse the same systems; a certified solve
-knows only a lower bound on 1/cond_inf(A), not its value. Characteristic
+does not depend on the pivot order; A is factored at most once. When A is
+strictly diagonally dominant by rows with a wide enough margin, Varah's
+bound proves that the gate passes, and b is solved alone; this catches
+the second-kind systems I - lam*K whose rows have |lam| times the
+integral of |K(x_i, s)| below 1, roughly, such as the Volterra-2
+benchmark problems. When that misses and n >= _SKETCH_MIN_N = 64, a
+second proof comes from a rank-8 sketch of M = I - A: with
+Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
+R = I + P Vt, I - R A = R E + (Q - P T) Vt holds exactly, so a small
+enough rho = ||R|| ||E|| + ||Q - P T|| ||Vt|| bounds ||A^-1||_inf (Rump's
+approximate inverse bound, Acta Numerica 19, 2010, on the range sketch of
+Halko, Martinsson and Tropp, SIAM Review 53, 2011); this catches the
+Fredholm-2 benchmark problems, whose kernels are smooth. Then b is solved
+by the sketch, with no LU: x = R b, refined by x <- x + R (b - A x), in
+O(n^2) a step, until its residual shows the backward error of a stable
+solve, and LU solves b alone only when _REFINE_STEPS steps do not get
+there. Any other A is solved with the identity beside b, which gives x
+and the exact inverse the gate needs. Both ways accept and refuse the
+same systems; a certified solve knows only a lower bound on
+1/cond_inf(A), not its value. Characteristic
 values, the roots of det(I - lambda*alpha), come from the eigenvalues of
 alpha, and each null vector is the last right singular vector of
 I - lambda*alpha. The sign-tracked determinant those roots are tested
@@ -39,6 +43,19 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 # it the sketch costs more than the inverse it saves
 _RANK = 8
 _SKETCH_MIN_N = 64
+# a sketch-certified solve refines R b by steps x <- x + R (b - A x) until
+# the residual is within _RESIDUAL_C (n + 1) eps (||A|| ||x|| + ||b||), and
+# falls back to LU after _REFINE_STEPS steps (see _Sketch.solve). On
+# krasnov1 and wang at n = 64..1280 LU's residuals read 0.002-0.016 of
+# (n + 1) eps (...), R b's 0.005-0.07 and those after one step
+# 0.0003-0.01, so R b itself is accepted. With c = 1 a slowly refined x
+# was accepted at 0.83 (n + 1) eps (...) on a symmetric problem of
+# cond_inf 21, and lost its parity by 8.6e-13 where LU's x lost 1e-15. With
+# ||I - R A|| near 1e-4, 1e-2 and 5e-2, 2, 4 and 6 steps are needed. A
+# step costs 1/3 of an LU at n = 64, 1/25 at 200 and 1/50 at 640 (one BLAS
+# thread, 2-vCPU Xeon VM), so an exhausted cap of 6 costs about two LUs.
+_RESIDUAL_C = 0.125
+_REFINE_STEPS = 6
 
 
 class SingularMatrixError(ArithmeticError):
@@ -72,9 +89,64 @@ def _sketch_signs(n: int) -> np.ndarray:
     return np.where(z >> np.uint64(63), -1.0, 1.0).reshape(n, _RANK)
 
 
-def _sketch_inverse_bound(A: np.ndarray) -> float:
+@dataclass(frozen=True)
+class _Sketch:
+    """What _sketch_inverse_bound proves, with the factors that prove it.
+
+    bound is an upper bound on ||A^-1||_inf, inf when the sketch proves
+    nothing, and R = I + P Vt is the approximate inverse with
+    ||I - R A||_inf <= rho < 1 behind a finite bound. P and Vt are None
+    when T is singular and there is no R.
+    """
+
+    bound: float
+    P: np.ndarray | None = field(repr=False)
+    Vt: np.ndarray | None = field(repr=False)
+
+    def solve(self, A: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray | None:
+        """x with A x = b to the backward error of LU's solve, from R and
+        refinement, or None when _REFINE_STEPS steps do not reach it.
+
+        x starts at R b, with R applied as b + P (Vt b), and each step is
+        x <- x + R (b - A x). Since ||I - R A|| <= rho, the error shrinks
+        by rho a step down to rounding level (fixed precision iterative
+        refinement, N. J. Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., SIAM 2002, ch. 12). x is accepted once, in
+        every column, the residual r computed for the next step meets
+        ||r||_inf <= c (n + 1) eps (||A||_inf ||x||_inf + ||b||_inf) with a
+        finite right-hand side, c = _RESIDUAL_C = 1/8.
+        ||r||/(||A|| ||x|| + ||b||) is the normwise backward error of x
+        (J. L. Rigal and J. Gaches, J. ACM 14, 1967), the least e with
+        (A + dA) x = b + db, ||dA|| <= e ||A|| and ||db|| <= e ||b||, so the
+        test asks for a backward error of at most c (n + 1) eps, and then
+        the relative forward error is at most about 2 c (n + 1) eps
+        cond_inf(A). Forming r rounds by up to gamma_{n+1} (|A| |x| + |b|),
+        but with independent roundings by about sqrt(n + 1) u (Higham,
+        sec. 2.8), at most (n + 1) eps/16 for the n >= _SKETCH_MIN_N = 64
+        the sketch runs at. So c = 1/8 is twice what the computed residual
+        of the exact solution typically reads: the backward error a
+        backward stable solve such as LU with partial pivoting attains
+        (Higham, ch. 9). A test that fails sends the caller to LU, never
+        a wrong x.
+        """
+        P, Vt = self.P, self.Vt
+        tol = _RESIDUAL_C * (len(A) + 1) * _EPS
+        b_norm = np.abs(b).max(axis=0)
+        x = np.zeros_like(b)
+        r = b
+        for _ in range(_REFINE_STEPS + 1):
+            x += r
+            x += P @ (Vt @ r)
+            r = b - A @ x
+            limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
+            if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
+                return x
+        return None
+
+
+def _sketch_inverse_bound(A: np.ndarray) -> _Sketch:
     """An upper bound on ||A^-1||_inf from a rank-_RANK sketch of M = I - A,
-    or inf when the sketch proves nothing.
+    inf when the sketch proves nothing, with the P and Vt of R = I + P Vt.
 
     Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
     R = I + P Vt satisfy I - R A = R E + (Q - P T) Vt exactly, whatever the
@@ -86,7 +158,8 @@ def _sketch_inverse_bound(A: np.ndarray) -> float:
     the gamma_k = k u/(1 - k u) of the longest inner product or row sum
     here, so that it covers a few of them compounded, and absolutely by
     `tiny` for underflow. R is never formed, ||R|| <= 1 + || |P| |Vt| ||,
-    and the one n x n buffer holds |A + Q Vt - I| = |E|.
+    and the one n x n buffer holds |A + Q Vt - I| = |E|; it is freed on
+    return, and the record keeps only the n x _RANK and _RANK x n factors.
     """
     n = len(A)
     g = (n + _RANK + 4) * _EPS
@@ -106,7 +179,7 @@ def _sketch_inverse_bound(A: np.ndarray) -> float:
     try:
         P = Q @ np.linalg.inv(T)
     except np.linalg.LinAlgError:
-        return np.inf
+        return _Sketch(np.inf, None, None)
     pv = (np.abs(P) @ vt_rows).max()
     p_norm = _inf_norm(P)
     r_norm = (1 + g) * (1.0 + pv) + tiny
@@ -116,7 +189,7 @@ def _sketch_inverse_bound(A: np.ndarray) -> float:
     rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())
     # the first factor covers the rounding of this line and of the caller's
     # product with the bound
-    return (1 + g) * r_norm / (1.0 - rho) if rho < 1.0 else np.inf
+    return _Sketch((1 + g) * r_norm / (1.0 - rho) if rho < 1.0 else np.inf, P, Vt)
 
 
 def _finite_solution(x: np.ndarray) -> np.ndarray:
@@ -143,7 +216,12 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     1/cond_inf(A) >= (1 - rho)/(||R||_inf ||A||_inf) from the exact identity
     I - R A = R E + (Q - P T) Vt (see _sketch_inverse_bound), and the same
     test against twice RCOND_MIN applies; below that size the sketch costs
-    more than the inverse it would save. Otherwise the columns
+    more than the inverse it would save. A system the sketch certifies is
+    solved by the sketch: x = R b, refined by x <- x + R (b - A x), is
+    accepted once its residual in every column is within
+    _RESIDUAL_C (n + 1) eps (||A||_inf ||x||_inf + ||b||_inf), and after
+    _REFINE_STEPS steps without that, A x = b is solved alone by LU (see
+    _Sketch.solve). Otherwise the columns
     of b and of the identity are solved together, one LU factorization
     giving x and the inverse, and the gate is applied to the value cond
     computes from that inverse. Either way the gate accepts and refuses
@@ -152,7 +230,7 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     inverse path decides, and an inverse that overflows gives
     1/cond_inf(A) = 0, as cond does, and a refusal that says so. Raises
     SingularMatrixError when LAPACK finds an exactly singular factor, the
-    gate refuses A, or x overflows to a non-finite value on either path,
+    gate refuses A, or x overflows to a non-finite value on any path,
     and ValueError for an empty A, a shape mismatch, or naming the first
     non-finite entry of A or b.
     """
@@ -179,7 +257,11 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         lower = margin - slack
         certified = lower > 2.0 * RCOND_MIN * norm and np.isfinite(1.0 / lower)
         if not certified and n >= _SKETCH_MIN_N:
-            certified = 2.0 * RCOND_MIN * (norm + slack) * _sketch_inverse_bound(A) < 1.0
+            sketch = _sketch_inverse_bound(A)
+            certified = 2.0 * RCOND_MIN * (norm + slack) * sketch.bound < 1.0
+            x = sketch.solve(A, b, norm) if certified else None
+            if x is not None:
+                return x
         try:
             X = np.linalg.solve(A, b if certified else np.column_stack((b, np.eye(n))))
         except np.linalg.LinAlgError as exc:

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import InvalidDomainError, ScalarFunction, eval_many
+from .core import InvalidDomainError, ScalarFunction, array_callable, eval_many
 
 MAX_ORDER = 32
 # Points per slice of a sup-norm sweep: the slice of the mesh and the
@@ -91,6 +91,7 @@ def l2_error(
 ) -> float:
     """Integral of (approx - reference)^2 over [lo, hi] (the squared L2 norm)."""
 
+    @array_callable
     def sq_diff(x):
         return (eval_many(approx, x) - eval_many(reference, x)) ** 2
 

@@ -41,7 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Grid, InvalidDomainError, OutOfDomainError, ScalarFunction, make_grid, sample
+from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction, array_callable,
+                   make_grid, sample)
 from .quadrature import max_error
 
 _EPS = float(np.finfo(float).eps)
@@ -118,6 +119,7 @@ def _closed_form_adjoint(r: np.ndarray, h: float,
     return out
 
 
+@array_callable
 @dataclass(frozen=True)
 class SplineModel:
     """An interpolating quadratic spline: grid, node samples, one coefficient per piece.

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from quadspline import (InvalidDomainError, OutOfDomainError, build_spline, gauss_legendre,
                         make_grid, sample)
-from quadspline.core import eval_many
+from quadspline.core import array_callable, eval_many
 from quadspline.integral_eq import _integral_operator
-from quadspline.quadrature import max_error
+from quadspline.quadrature import integrate_panels, l2_error, max_error
 
 
 class TestMakeGrid:
@@ -258,6 +258,32 @@ class TestCallPolicy:
         got = eval_many(counting(lambda x: 2.0 * (x[:3] if np.ndim(x) else x), calls), xs)
         np.testing.assert_array_equal(got, 2.0 * xs)
         assert len(calls) == 1 + xs.size
+
+    @pytest.mark.parametrize("sweep", [
+        lambda f: eval_many(f, np.linspace(0, 1, 7)),
+        lambda f: max_error(f, np.cos, 0, 1, samples=30000),
+        lambda f: l2_error(f, np.cos, 0, 1, 10, gauss_legendre(4)),
+        lambda f: l2_error(np.cos, f, 0, 1, 10, gauss_legendre(4)),
+        lambda f: integrate_panels(f, 0, 1, 10, gauss_legendre(4)),
+    ], ids=["eval_many", "max_error", "l2_error approx", "l2_error reference",
+            "integrate_panels"])
+    def test_array_callable_defect_raises_after_one_call(self, sweep):
+        # one of the package's own array callables whose array path fails
+        # as numpy reports a broadcast error: every sweep raises after its
+        # one array call, even through l2_error's integrand, where a retry
+        # per point would have hidden the defect behind a call per point
+        calls = []
+
+        @array_callable
+        def broken(x):
+            calls.append(x)
+            if np.ndim(x):
+                raise ValueError("operands could not be broadcast together")
+            return math.cos(x)
+
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            sweep(broken)
+        assert len(calls) == 1
 
     def test_sample_names_the_node_outside_a_spline(self):
         g = make_grid(0, 2, 4)

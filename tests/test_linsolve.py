@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,7 +182,8 @@ class TestSolveDense:
     @pytest.mark.parametrize("A,b,columns,sketched", [
         # dominant: Varah's margin certifies it, b is solved alone
         (1e-300 * np.eye(3), 1e10 * np.ones(3), 1, []),
-        # not dominant (margin -0.5); the sketch bounds ||A^-1||_inf by 4
+        # not dominant (margin -0.5); the sketch bounds ||A^-1||_inf by 4,
+        # its R b overflows and fails the residual test, and LU solves b alone
         (np.eye(64) - 1.5 * np.ones((64, 64)) / 64, 1e308 * np.ones(64), 1, [64]),
         # below the sketch's size: b with the identity's columns
         (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308]), 3, []),
@@ -232,10 +234,10 @@ class TestSolveDense:
                                               ("krasnov1", False), ("wang", False)])
     def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, dominant):
         # the Volterra-2 systems are diagonally dominant by rows: Varah's
-        # margin certifies them at every n, and the sketch never runs. The
-        # Fredholm ones are not: at n = 10, below the sketch's size, they
-        # solve b with the identity's n + 1 columns; at n = 200 the sketch
-        # certifies them, and b is solved alone
+        # margin certifies them at every n, the sketch never runs, and b is
+        # solved alone. The Fredholm ones are not: at n = 10, below the
+        # sketch's size, they solve b with the identity's n + 1 columns; at
+        # n = 200 the sketch certifies them and solves b itself, with no LU
         shapes, sketched = [], []
         solve = np.linalg.solve
         bound = linsolve._sketch_inverse_bound
@@ -252,14 +254,14 @@ class TestSolveDense:
         monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
         solve_entry(pid, 10)
         solve_entry(pid, 200)
-        assert shapes == [(11,) if dominant else (11, 12), (201,)]
+        assert shapes == ([(11,), (201,)] if dominant else [(11, 12)])
         assert sketched == ([] if dominant else [201])
 
     @pytest.mark.parametrize("pid", ["krasnov1", "wang"])
     def test_sketch_certified_x_matches_the_inverse_path(self, monkeypatch, pid):
-        # at n = 640 the sketch certifies the Fredholm-2 system and b is
-        # solved alone; with the sketch's size moved out of reach, the same
-        # system takes the identity's columns, and both give the same x
+        # at n = 640 the sketch certifies the Fredholm-2 system and solves
+        # it; with the sketch's size moved out of reach, the same system
+        # takes the identity's columns, and both give the same x
         A, b = fredholm_system(pid, 640)
         x = solve_dense(A, b)
         monkeypatch.setattr(linsolve, "_SKETCH_MIN_N", 10**9)
@@ -278,7 +280,7 @@ class TestSolveDense:
         A = d * np.eye(n) - L
         assert 1.0 / np.linalg.cond(np.eye(n) - L, np.inf) > 1e-3
         assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
-        assert linsolve._sketch_inverse_bound(A) == np.inf
+        assert linsolve._sketch_inverse_bound(A).bound == np.inf
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(n))
 
@@ -293,9 +295,33 @@ class TestSolveDense:
         A = np.eye(n) - L
         assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
         monkeypatch.setattr(np.linalg, "inv", lambda T: np.eye(len(T)))
-        assert linsolve._sketch_inverse_bound(A) == np.inf
+        assert linsolve._sketch_inverse_bound(A).bound == np.inf
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(n))
+
+    def test_stalled_sketch_solve_falls_back_to_lu(self, monkeypatch):
+        # the certificate is sound for any stored P: with T^-1 scaled by
+        # 0.95 it still certifies wang at n = 100, but with a bound of about
+        # 60 (rho near 1; the sound P gives 19), and R contracts the error
+        # by only about 0.08 a step. _REFINE_STEPS steps leave the residual
+        # above the test, and the certified LU's x comes back, bit for bit,
+        # from b alone
+        A, b = fredholm_system("wang", 100)
+        n, x_lu = len(A), np.linalg.solve(A, b)
+        shapes = []
+        solve, inv = np.linalg.solve, np.linalg.inv
+
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "inv", lambda T: 0.95 * inv(T))
+        sketch = linsolve._sketch_inverse_bound(A)
+        assert 30.0 < sketch.bound and 2.0 * RCOND_MIN * _inf_norm(A) * sketch.bound < 1.0
+        assert 0.05 < _inf_norm(np.eye(n) - A - sketch.P @ (sketch.Vt @ A)) < 0.2
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        np.testing.assert_array_equal(solve_dense(A, b), x_lu)
+        assert shapes == [(n,)]
 
     def test_sketch_signs_are_fixed(self):
         # +-1 from an integer hash of the flat index, about half of each
@@ -410,10 +436,67 @@ def test_sketch_bound_holds(system):
     # an inverse whose relative error is about eps/rcond
     _, A, _ = system
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = linsolve._sketch_inverse_bound(A)
+        bound = linsolve._sketch_inverse_bound(A).bound
     if np.isfinite(bound):
         rcond = 1.0 / np.linalg.cond(A, np.inf)
         assert _inf_norm(np.linalg.inv(A)) * (1.0 - 1e-15 / rcond) <= bound
+
+
+@st.composite
+def sketched_systems(draw):
+    """A = I + K - eps G/n of size 64..160, with a right-hand side of 1 or 3
+    columns.
+
+    K = U C C^T U^T is smooth, of rank 1..6, positive semidefinite with its
+    largest eigenvalue 0.5..4, so I + K is well conditioned (cond_inf below
+    about 20) and seldom diagonally dominant, and the rank-8 sketch captures
+    it. The full-rank part, G uniform in [-1, 1] and eps 1e-8..0.3, is left
+    in E: ||I - R A||_inf comes out from about 1e-8 to 0.4, from a start
+    value R b that one step mends to a refinement that exhausts
+    _REFINE_STEPS and falls back to LU.
+    """
+    n = draw(st.integers(64, 160), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = np.linspace(0.0, 1.0, n)
+    rank = draw(st.integers(1, 6), label="rank")
+    U = np.cos(np.pi * np.outer(x, np.arange(rank)))
+    C = rng.standard_normal((rank, rank))
+    K = U @ C @ C.T @ U.T
+    K *= draw(st.floats(0.5, 4.0), label="largest eigenvalue") / np.linalg.eigvalsh(K).max()
+    eps = 10.0 ** draw(st.floats(-8, np.log10(0.3)), label="log10 full-rank part")
+    A = np.eye(n) + K - eps * rng.uniform(-1, 1, (n, n)) / n
+    k = draw(st.sampled_from([1, 3]), label="columns")
+    return A, rng.standard_normal(n if k == 1 else (n, k))
+
+
+@given(sketched_systems())
+@settings(max_examples=100, deadline=None)
+def test_sketch_solve_meets_the_residual_test(system):
+    # x from the sketch meets the residual test in every column, x from the
+    # fallback is LU's own, and either agrees with LU's to 1e-12 relative,
+    # or to the 2 cond_inf c (n + 1) eps that two solves with that backward
+    # error allow. When ||I - R A||_inf <= 1e-2, at most 4 steps after R b
+    # reach the test, and no LU runs
+    A, b = system
+    n, norm = len(A), _inf_norm(A)
+    sketch = linsolve._sketch_inverse_bound(A)
+    assume((2.0 * np.abs(A.diagonal()) - np.abs(A).sum(axis=1)).min() <= 0.0)
+    assume(2.0 * RCOND_MIN * norm * sketch.bound < 1.0)
+    contraction = _inf_norm(np.eye(n) - A - sketch.P @ (sketch.Vt @ A))
+    with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as lu:
+        x = solve_dense(A, b)
+    assert x.shape == b.shape
+    tol = linsolve._RESIDUAL_C * (n + 1) * linsolve._EPS
+    x_lu = np.linalg.solve(A, b)
+    if lu.call_count:
+        np.testing.assert_array_equal(x, x_lu)
+    else:
+        limit = tol * (norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))
+        assert (np.abs(A @ x - b).max(axis=0) <= limit).all()
+    agree = max(1e-12, 2.0 * np.linalg.cond(A, np.inf) * tol)
+    assert (np.abs(x - x_lu).max(axis=0) <= agree * np.abs(x_lu).max(axis=0)).all()
+    if contraction <= 1e-2:
+        assert lu.call_count == 0
 
 
 def cofactor_det3(A):

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import (InvalidDomainError, OutOfDomainError, build_spline,
+from quadspline import (InvalidDomainError, OutOfDomainError, SplineModel, build_spline,
                         coeffs_closed_form, convergence_study, fluctuation_energy,
                         make_grid, max_error, sample, second_differences)
+from quadspline.registry import spline_interpolant
 from quadspline.quadrature import _BLOCK
 from quadspline.spline import _RUN_MIN_PER_PIECE, _RUN_MIN_POINTS, _closed_form_adjoint
 
@@ -324,6 +325,29 @@ class TestSplineModel:
         vals = m(xs)
         assert vals[3] == m(float(xs[3]))
         assert isinstance(m(0.5), float)
+
+
+def test_array_path_defect_fails_at_once(monkeypatch):
+    # a defect in the model's array path that numpy reports as a ValueError
+    # (a broadcast error) fails the convergence study and the interpolation
+    # error after one model call, instead of one scalar call per point of
+    # each 32,768-point block; scalar calls still work
+    calls = []
+    evaluate = SplineModel._eval
+
+    def broken(self, x, deriv):
+        calls.append(np.shape(x))
+        if np.ndim(x):
+            raise ValueError("operands could not be broadcast together with shapes (5,) (6,)")
+        return evaluate(self, x, deriv)
+
+    monkeypatch.setattr(SplineModel, "_eval", broken)
+    for run in (lambda: convergence_study(np.sin, 1.0, 0.0, 1.0, [10]),
+                lambda: spline_interpolant("sin2pix", 10)):
+        calls.clear()
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run()
+        assert len(calls) == 1
 
 
 class TestFluctuationEnergy:
