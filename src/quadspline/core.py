@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable
@@ -47,8 +48,10 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     Nodes are computed directly from the index (no cumulative addition) and
     the last node is forced to exactly b. Requires finite a < b and an
     integer n >= 2: the coefficient recursion needs at least one interior
-    node. h must be finite and the nodes must strictly increase in double
-    precision, so b - a may neither overflow nor be too small for n pieces.
+    node. h*h must be a finite normal double, as the second differences
+    divide by it: 1.5e-154 < h < 1.3e154 or so, so b - a may neither
+    overflow nor be too small for n pieces. The nodes must strictly
+    increase in double precision. Raises InvalidDomainError otherwise.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidDomainError(f"need finite endpoints, got a={a}, b={b}")
@@ -59,8 +62,9 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     if n < 2:
         raise InvalidDomainError(f"need n >= 2 subintervals, got n={n}")
     h = (b - a) / n
-    if not math.isfinite(h):
-        raise InvalidDomainError(f"b - a overflows, got a={a}, b={b}")
+    if not sys.float_info.min <= h * h <= sys.float_info.max:
+        raise InvalidDomainError(f"[{a}, {b}] in {n} pieces gives h={h}, whose square "
+                                 "is not a finite normal double")
     nodes = a + h * np.arange(n + 1, dtype=float)
     nodes[-1] = b
     if not (nodes[1:] > nodes[:-1]).all():

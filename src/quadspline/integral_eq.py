@@ -155,8 +155,6 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.reshape(np.asarray(upper, dtype=float), (-1, 1))
-    if len(upper) not in (1, len(xs)):
-        raise ValueError(f"{len(upper)} limits for {len(xs)} rows")
     n, h, q = grid.n, grid.h, rule.order
     starts, ends = grid.nodes[:-1], grid.nodes[1:]
     tp = 1.0 + rule.nodes

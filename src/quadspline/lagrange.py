@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import InvalidDomainError, array_callable
+from .core import Grid, InvalidDomainError, array_callable
 
 # Doubles in evaluate's one (rows, n + 1) temporary, about 1 MB; x is taken
 # in blocks of that many rows, so a long x needs no more. The tables'
@@ -22,18 +22,19 @@ from .core import InvalidDomainError, array_callable
 _BLOCK = 1 << 17
 
 
-def lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
-    """Callable evaluating the degree-n interpolant through (nodes, values).
+def lagrange_interpolant(grid: Grid, values: np.ndarray):
+    """Callable evaluating the degree-n interpolant through (grid.nodes, values).
 
-    Raises InvalidDomainError when the largest weight, C(n, n // 2), does not
+    The weights (-1)^j C(n, j) hold for equidistant nodes alone, so the
+    nodes come as the Grid that has them, as build_spline's do. Raises
+    InvalidDomainError when the largest weight, C(n, n // 2), does not
     fit a double (n >= 1030), and the callable raises it, naming the point,
     when the barycentric sums overflow or their denominator cancels to 0
     there (abs on [-1, 1] at n = 200, say), instead of returning inf or NaN,
     and when the point itself is NaN or infinite.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes, n = grid.nodes, grid.n
     values = np.asarray(values, dtype=float)
-    n = nodes.size - 1
     if comb(n, n // 2) > sys.float_info.max:
         raise InvalidDomainError(f"degree {n}: the barycentric weight "
                                  f"C({n}, {n // 2}) overflows a double")

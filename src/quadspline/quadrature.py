@@ -73,11 +73,15 @@ def panel_points(
     The integral of f is sum(half * (f(nodes) @ rule.weights), axis=-1).
     Array lo and hi give one composite rule per element of their
     broadcast: nodes of shape (..., panels, order), half-widths of shape
-    (..., panels).
+    (..., panels). The ends are halved before they are added or
+    subtracted, so no midpoint or half-width overflows, even on
+    [1e308, 1.7e308]; halving is exact, so on any range whose halves stay
+    normal both are bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0).
     """
     edges = np.linspace(lo, hi, panels + 1, axis=-1)
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    e0, e1 = 0.5 * edges[..., :-1], 0.5 * edges[..., 1:]
+    mid = e1 + e0
+    half = e1 - e0
     return mid[..., None] + half[..., None] * rule.nodes, half
 
 
@@ -89,13 +93,24 @@ def l2_error(
     panels: int,
     rule: QuadratureRule,
 ) -> float:
-    """Integral of (approx - reference)^2 over [lo, hi] (the squared L2 norm)."""
+    """Integral of (approx - reference)^2 over [lo, hi] (the squared L2 norm).
+
+    Raises InvalidDomainError when it is not finite: when the deviation or
+    the interval is so large that the integral overflows a double, or when
+    a panel too narrow for its ends to differ in doubles meets an infinite
+    integrand (0 * inf).
+    """
 
     @array_callable
     def sq_diff(x):
         return (eval_many(approx, x) - eval_many(reference, x)) ** 2
 
-    return integrate_panels(sq_diff, lo, hi, panels, rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integrate_panels(sq_diff, lo, hi, panels, rule)
+    if not math.isfinite(total):
+        raise InvalidDomainError(f"the integral of the squared deviation over "
+                                 f"[{lo}, {hi}] is not finite: {total}")
+    return total
 
 
 def max_error(

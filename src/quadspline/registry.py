@@ -160,11 +160,9 @@ def spline_interpolant(fid: str, n: int, a: Optional[float] = None,
     return model, l2_error(model, entry.fn, grid.a, grid.b, n, rule or gauss_legendre(8))
 
 
-def interpolation_error(fid: str, n: int, a: Optional[float] = None,
-                        b: Optional[float] = None,
-                        rule: Optional[QuadratureRule] = None) -> float:
-    """squared_l2_error of the spline interpolant of a registered function."""
-    return spline_interpolant(fid, n, a, b, rule)[1]
+def interpolation_error(fid: str, n: int, rule: Optional[QuadratureRule] = None) -> float:
+    """squared_l2_error of the spline interpolant of a registered function on its interval."""
+    return spline_interpolant(fid, n, rule=rule)[1]
 
 
 def lagrange_error(fid: str, n: int, a: Optional[float] = None,
@@ -176,7 +174,7 @@ def lagrange_error(fid: str, n: int, a: Optional[float] = None,
     quadrature noise.
     """
     entry, grid = _function_grid(fid, n, a, b)
-    interp = lagrange_interpolant(grid.nodes, sample(entry.fn, grid))
+    interp = lagrange_interpolant(grid, sample(entry.fn, grid))
     return l2_error(interp, entry.fn, grid.a, grid.b, 16 * n, gauss_legendre(12))
 
 

@@ -398,6 +398,27 @@ class TestUsage:
         assert f"error: argument {option}: {refusal}" in line
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,cause", [
+        # h*h underflows to 0 (the second differences divided by it: nan)
+        ("interpolate -p sin2pix --n 4 --a=0 --b=1e-310", "whose square"),
+        # h*h overflows (inf, a traceback, or a blame on barycentric sums)
+        ("interpolate -p abs --n 2 --a=-5e307 --b=5e307", "whose square"),
+        ("interpolate -p abs --n 4 --a=-1.7e308 --b=-1e307", "whose square"),
+        ("interpolate -p linear --n 4 --a=1e307 --b=1.7e308", "whose square"),
+        ("lagrange -p linear --n 4 --a=1e307 --b=1.7e308", "whose square"),
+        # h*h is normal, but the squared deviation's integral overflows
+        ("interpolate -p abs --n 64 --a=-4e155 --b=4e155", "integral"),
+        ("interpolate -p linear --n 64 --a=-4e155 --b=4e155", "integral"),
+    ])
+    def test_extreme_interval_is_usage_error(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert cause in err
+
+
 class TestHelp:
     # argparse formats help text only when --help asks for it
     @pytest.mark.parametrize("command", ["interpolate", "lagrange", "solve",

@@ -44,10 +44,21 @@ class TestMakeGrid:
                                      # b - a overflows; h underflows to 0;
                                      # nodes round onto each other
                                      (-1e308, 1e308), (0.0, 5e-324),
-                                     (1.0, 1.0000000000000002)])
+                                     (1.0, 1.0000000000000002),
+                                     # h*h, which the second differences
+                                     # divide by, underflows to 0, is
+                                     # subnormal (h = 1e-154), or overflows
+                                     # (h = 2.5e307, 4e307, 1.35e154)
+                                     (0.0, 1e-310), (0.0, 4e-154), (-5e307, 5e307),
+                                     (1e307, 1.7e308), (0.0, 5.4e154)])
     def test_bad_interval(self, a, b):
         with pytest.raises(InvalidDomainError):
             make_grid(a, b, 4)
+
+    def test_h_squared_just_inside_the_normal_range(self):
+        for a, b, n in [(0.0, 8e-154, 4), (0.0, 5e154, 4)]:
+            g = make_grid(a, b, n)
+            assert np.finfo(float).tiny <= g.h * g.h <= np.finfo(float).max
 
     @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
     def test_non_integer_n(self, n):

@@ -34,7 +34,7 @@ def test_matches_per_point_reference(n):
     values = np.abs(grid.nodes)
     pts, _ = panel_points(-1.0, 1.0, 720, gauss_legendre(12))
     x = np.concatenate((pts.ravel(), [0.0], grid.nodes))
-    got = lagrange_interpolant(grid.nodes, values)(x)
+    got = lagrange_interpolant(grid, values)(x)
     want = barycentric_reference(grid.nodes, values, equidistant_weights(n), x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -42,7 +42,7 @@ def test_matches_per_point_reference(n):
 def test_node_hit_returns_sample_exactly():
     grid = make_grid(0.0, 1.0, 12)
     values = np.sin(7.0 * grid.nodes) + 0.1
-    f = lagrange_interpolant(grid.nodes, values)
+    f = lagrange_interpolant(grid, values)
     np.testing.assert_array_equal(f(grid.nodes), values)
     np.testing.assert_array_equal(f(grid.nodes[::-1]), values[::-1])
     mixed = np.array([grid.nodes[3], 0.51, grid.nodes[3]])
@@ -53,7 +53,7 @@ def test_node_hit_returns_sample_exactly():
 def test_node_hit_in_a_later_block_returns_sample_exactly():
     grid = make_grid(0.0, 1.0, 12)
     values = np.sin(7.0 * grid.nodes) + 0.1
-    f = lagrange_interpolant(grid.nodes, values)
+    f = lagrange_interpolant(grid, values)
     rows = _BLOCK // 13
     x = np.linspace(0.01, 0.99, 3 * rows)
     at = [rows + 5, 2 * rows + 1, 3 * rows - 1]
@@ -68,7 +68,7 @@ def test_overflow_beside_a_node_hit_named(order, named):
     # x_7 is a hit; a subnormal distance to the node 0 makes its quotient
     # 252/1e-310 overflow, a row that is not finite but no hit
     grid = make_grid(-1.0, 1.0, 10)
-    f = lagrange_interpolant(grid.nodes, np.abs(grid.nodes))
+    f = lagrange_interpolant(grid, np.abs(grid.nodes))
     x = np.array([grid.nodes[7], 1e-310, -1e-310])[list(order)]
     with pytest.raises(InvalidDomainError, match=f"sums at x={named} overflow"):
         f(x)
@@ -77,7 +77,7 @@ def test_overflow_beside_a_node_hit_named(order, named):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_point_is_refused_by_name(bad):
     grid = make_grid(-1.0, 1.0, 10)
-    f = lagrange_interpolant(grid.nodes, np.abs(grid.nodes))
+    f = lagrange_interpolant(grid, np.abs(grid.nodes))
     for x in (bad, np.array([0.5, 0.3, bad, 0.1])):
         with pytest.raises(InvalidDomainError, match=f"x={bad} is not finite"):
             f(x)
@@ -85,7 +85,7 @@ def test_non_finite_point_is_refused_by_name(bad):
 
 def test_scalar_in_scalar_out():
     grid = make_grid(-1.0, 1.0, 10)
-    f = lagrange_interpolant(grid.nodes, grid.nodes**2)
+    f = lagrange_interpolant(grid, grid.nodes**2)
     for x in (0.3, grid.nodes[4], np.float64(-0.7)):
         y = f(x)
         assert isinstance(y, float)
@@ -94,16 +94,16 @@ def test_scalar_in_scalar_out():
 
 def test_array_shape_preserved():
     grid = make_grid(0.0, 2.0, 6)
-    f = lagrange_interpolant(grid.nodes, 3.0 * grid.nodes - 1.0)
+    f = lagrange_interpolant(grid, 3.0 * grid.nodes - 1.0)
     x = np.linspace(0.0, 2.0, 12).reshape(3, 4)
     np.testing.assert_allclose(f(x), 3.0 * x - 1.0, rtol=1e-12, atol=1e-12)
 
 
 def test_weights_beyond_a_double_are_refused():
     # C(1029, 514) is below the largest double, C(1030, 515) above it
-    lagrange_interpolant(np.linspace(-1.0, 1.0, 1030), np.zeros(1030))
+    lagrange_interpolant(make_grid(-1.0, 1.0, 1029), np.zeros(1030))
     with pytest.raises(InvalidDomainError, match="C\\(1030, 515\\) overflows"):
-        lagrange_interpolant(np.linspace(-1.0, 1.0, 1031), np.zeros(1031))
+        lagrange_interpolant(make_grid(-1.0, 1.0, 1030), np.zeros(1031))
 
 
 def test_evaluation_memory_is_blocked():

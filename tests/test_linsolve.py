@@ -299,6 +299,32 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(n))
 
+    def test_singular_t_proves_nothing(self, monkeypatch):
+        # wang at n = 100 is certified by the sketch alone; with T = I - Vt Q
+        # taken as singular (inv raises), there is no P, the bound is inf,
+        # and the inverse path decides, with the very x it gives when the
+        # sketch is out of reach
+        A, b = fredholm_system("wang", 100)
+        n = len(A)
+        shapes = []
+        solve = np.linalg.solve
+
+        def singular(T):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        sketch = linsolve._sketch_inverse_bound(A)
+        assert sketch.bound == np.inf and sketch.P is None and sketch.Vt is None
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        x = solve_dense(A, b)
+        assert shapes == [(n, n + 1)]
+        monkeypatch.setattr(linsolve, "_SKETCH_MIN_N", 10**9)
+        np.testing.assert_array_equal(solve_dense(A, b), x)
+
     def test_stalled_sketch_solve_falls_back_to_lu(self, monkeypatch):
         # the certificate is sound for any stored P: with T^-1 scaled by
         # 0.95 it still certifies wang at n = 100, but with a bound of about

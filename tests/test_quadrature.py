@@ -121,6 +121,25 @@ class TestPanelPoints:
         # a zero-width range has zero half-widths, so its integral is 0
         assert not half[0].any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_ends_near_the_largest_double_do_not_overflow(self):
+        # 0.5 * (e0 + e1) overflowed here, and the integral came out nan
+        pts, half = panel_points(1e308, 1.7e308, 4, gauss_legendre(8))
+        assert np.isfinite(pts).all() and (half > 0).all()
+        assert (pts > 1e308).all() and (pts < 1.7e308).all()
+        assert math.isfinite(integrate_panels(np.cos, 1e308, 1.7e308, 4, gauss_legendre(8)))
+
+    def test_halved_ends_are_bit_identical_on_normal_ranges(self):
+        # halving is exact, so halving before the sum or difference rounds
+        # as halving after it does wherever the halves stay normal
+        rng = np.random.default_rng(24)
+        ends = np.sort(rng.standard_normal((20000, 2))
+                       * 10.0 ** rng.integers(-300, 300, (20000, 1)), axis=1)
+        pts, half = panel_points(ends[:, 0], ends[:, 1], 1, gauss_legendre(1))
+        lo, hi = ends[:, 0], ends[:, 1]
+        assert pts.ravel().tobytes() == (0.5 * (lo + hi)).tobytes()
+        assert half.ravel().tobytes() == (0.5 * (hi - lo)).tobytes()
+
 
 class TestL2Error:
     def test_identical_functions(self):
@@ -136,6 +155,15 @@ class TestL2Error:
         b = l2_error(np.cos, np.sin, 0, 1, 6, rule)
         assert a == pytest.approx(b, rel=1e-13)
         assert a > 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("approx, lo, hi", [
+        (lambda x: 1e200 * np.ones_like(x), 0.0, 1.0),  # the squares overflow
+        (np.zeros_like, 0.0, 1.7e308),  # 4 * 1.7e308 overflows
+    ])
+    def test_integral_beyond_a_double_is_refused(self, approx, lo, hi):
+        with pytest.raises(InvalidDomainError, match="is not finite: inf"):
+            l2_error(approx, lambda x: np.full_like(x, 2.0), lo, hi, 4, gauss_legendre(8))
 
     def test_published_interpolation_value(self):
         # |x| on [-1,1] with 100 pieces: published squared error 2.6e-5

@@ -1,9 +1,26 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadspline import InvalidDomainError, registry, solve
+
+ENDS = st.builds(lambda sign, t: sign * 10.0 ** t, st.sampled_from([-1.0, 1.0]),
+                 st.floats(math.log10(1e-310), math.log10(1.7e308)))
+
+
+@st.composite
+def extreme_intervals(draw):
+    """Ends of magnitude 1e-310 to 1.7e308, either sign: two drawn ends, or
+    an end a and a + |a| 10^u, a narrow interval far from 0 whose nodes
+    can stay apart."""
+    a = draw(ENDS)
+    if draw(st.booleans()):
+        return a, draw(ENDS)
+    return a, a + abs(a) * 10.0 ** draw(st.floats(-17.0, 1.0))
 
 
 class TestEntries:
@@ -106,6 +123,25 @@ class TestChecks:
 
     def test_lagrange_error_linear_is_zero(self):
         assert registry.lagrange_error("linear", 3) <= 1e-20
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.sampled_from(sorted(registry.FUNCTIONS)), st.integers(2, 64),
+           extreme_intervals(), st.booleans())
+    @example("abs", 64, (-4e155, 4e155), False)
+    @example("linear", 46, (-8.18302704270468e+168, -8.18302704270449e+168), True)
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_interval_is_refused_or_finite(self, fid, n, interval, lagrange):
+        # every draw is refused by the package's own error, or its squared
+        # L2 error is finite, and nothing warns. The second example has
+        # quadrature panels narrower than an ulp of their ends
+        try:
+            if lagrange:
+                err = registry.lagrange_error(fid, n, *interval)
+            else:
+                err = registry.spline_interpolant(fid, n, *interval)[1]
+        except InvalidDomainError:
+            return
+        assert math.isfinite(err)
 
 
 class TestSolveMetrics:

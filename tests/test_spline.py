@@ -56,6 +56,8 @@ class TestSecondDifferences:
             np.testing.assert_array_equal(d[:, j], second_differences(ys[:, j], g))
         with pytest.raises(ValueError):
             second_differences(np.zeros((6, 3)), g)
+        with pytest.raises(ValueError, match=r"expected 5 second differences, got \(4, 3\)"):
+            coeffs_closed_form(np.zeros((4, 3)), 6)
 
 
 class TestFirstCoefficient:
@@ -163,7 +165,7 @@ class TestCoefficientMatrix:
         h = float(rng.uniform(0.01, 2.0))
         r = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4, (5, 1))
         expected = r @ coefficient_matrix(n, h).entries
-        got = _closed_form_adjoint(r.copy(), h)
+        got = _closed_form_adjoint(r.copy(), h, np.empty((5, n + 1)))
         scale = np.max(np.abs(expected), axis=1, keepdims=True)
         assert got.shape == (5, n + 1)
         assert np.all(np.abs(got - expected) <= 1e-13 * scale)
@@ -171,15 +173,18 @@ class TestCoefficientMatrix:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 50, 301])
     def test_adjoint_writes_into_a_row_slice(self, n):
         # the operator hands a row block of W as `out`: what lands there is
-        # the allocating call's result to the bit, signed zeros included,
-        # and no other row is touched. An all-zero row and -0.0 entries make
-        # -0.0 partial sums, which the scatter turns into 0.0 by adding
+        # the result written into a whole array of its own to the bit,
+        # signed zeros included, every entry is written (a NaN-filled `out`
+        # keeps none) and no other row is touched. An all-zero row and -0.0
+        # entries make -0.0 partial sums, which the scatter turns into 0.0
+        # by adding
         rng = np.random.default_rng(400 + n)
         h = float(rng.uniform(0.01, 2.0))
         r = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
         r[0] = 0.0
         r[1, ::3] = -0.0
-        expected = _closed_form_adjoint(r.copy(), h)
+        expected = _closed_form_adjoint(r.copy(), h, np.full((6, n + 1), np.nan))
+        assert not np.isnan(expected).any()
         W = np.full((10, n + 1), np.nan)
         got = _closed_form_adjoint(r.copy(), h, out=W[2:8])
         assert got.base is W
