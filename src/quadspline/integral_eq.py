@@ -9,7 +9,7 @@ piece's quadratic coefficient is a linear functional of ALL node samples
 (the closed form of spline.py applied to the columns of the identity), the
 collocation systems are dense even for Volterra problems; they stay small,
 so that costs nothing. The operator applies that closed form transposed to
-its rows of moments, so the coefficient matrix itself is never built. The
+its quadratic rows, so the coefficient matrix itself is never built. The
 per-piece form of the same integral, which the operator is tested against,
 lives in tests/oracles.py.
 
@@ -131,74 +131,107 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
 
     S is the spline through any samples y. `upper` is one limit per row,
     or a scalar limit that every row shares. Every piece is integrated with
-    `rule` over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], so pieces beyond
-    upper_i have zero width and a piece that upper_i cuts is integrated
-    over its part. With half the clipped half-width and (t, w) the rule,
-    s - x_{k-1} = half (1 + t), so the three moments of every (row, piece)
-    pair, full, empty or cut, follow from m_p = sum w (1 + t)^p K(xs_i, s),
-    p = 0, 1, 2: one matrix product per block of rows. Each row has its own
-    nodes, s = half (1 + t) + min(x_{k-1}, upper_i), so the kernel is called
-    once per block, on a (rows, 1) column of x and the (q, rows, n) stack of
-    s, and only at a <= s <= upper_i: an empty piece's nodes all sit at
-    upper_i itself, and its half-width 0 cancels their values. A shared
-    limit gives every row the same nodes, so its half-widths (1, n) and its
-    (q, 1, n) stack are built once, and the kernel gets a read-only
-    broadcast of that stack (row stride 0); per-row limits are built per
-    block. The kernel must not write into its arguments. The chord moments
-    go to the piece's two end nodes; the quadratic moments go to every node
-    through the transposed closed form of the coefficients
+    `rule` (nodes t, weights w) over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)],
+    whose half-width `half` is 0 for a piece beyond upper_i (empty), h/2
+    for a piece that ends by upper_i (full), and between for the one piece
+    that upper_i cuts. Each row has its own nodes, s = half (1 + t) +
+    min(x_{k-1}, upper_i): one (q, 2) x (2, rows n) product of the rule's
+    columns 1 + t, 1 with the rows' half-widths and starts. So the kernel
+    is called once per block of rows, on a (rows, 1) column of x and the
+    (q, rows, n) stack of s, and only at a <= s <= upper_i (an empty
+    piece's nodes all sit at upper_i). A shared limit gives every row the
+    same nodes: its (q, 1, n) stack is built once, and the kernel gets a
+    read-only broadcast of it (row stride 0); per-row limits are built per
+    block. The kernel must not write into its arguments.
+
+    One (3, q) x (q, rows n) product of the kernel values with the folded
+    weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
+    piece's left-node row L, right-node row R and quadratic row Q, which
+    are exact for a full piece of width h. A piece that is not full is
+    corrected in place with rho = 2 half/h: L <- rho L + (rho - rho^2) R,
+    R <- rho^2 R, Q <- rho^3 Q + (rho^3 - rho^2) h^2 R. (On the part,
+    s - x_{k-1} = rho h (1 + t)/2; writing the true rows' factors
+    (x_k - s)/h, (s - x_{k-1})/h and (s - x_{k-1})(s - x_k) in 1 - t, 1 + t
+    and t^2 - 1 gives those lines.) rho = 0 zeroes an empty piece, and the
+    cut piece, at most one per row, gets its exact rows. A row's full
+    pieces are those that end at or before its limit, found by a binary
+    search, not by rho < 1, which rounding makes true on some full pieces;
+    so a shared limit at or beyond b (fredholm2, fredholm_eigen) corrects
+    nothing, and takes no search.
+
+    L and R go to the piece's two end nodes; Q goes to every node through
+    the transposed closed form of the coefficients
     (spline._closed_form_adjoint), written straight into W's rows, so no
-    coefficient matrix is built. The node stack, the moments and W's rows
-    are buffers made once per call, written in one order of operations, so
-    W is the same to the bit whether a shared limit is given as a scalar or
-    per row, and however the rows are blocked.
+    coefficient matrix is built. The node stack, the rows and W are buffers
+    made once per call, written in one order of operations, so W is the
+    same to the bit whether a shared limit is given as a scalar or per row,
+    and however the rows are blocked.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     upper = np.reshape(np.asarray(upper, dtype=float), (-1, 1))
     n, h, q = grid.n, grid.h, rule.order
     starts, ends = grid.nodes[:-1], grid.nodes[1:]
-    tp = 1.0 + rule.nodes
-    moments = np.stack((rule.weights, rule.weights * tp, rule.weights * tp**2))
+    weights = rule._piece_rows * np.array([[h / 4], [h / 4], [h**3 / 8]])
     rows = max(1, _OPERATOR_BLOCK // (q * n))
     # each block takes the leading part of every buffer; the limits' own
     # buffers have one row when the limit is shared
+    per_row = len(upper) > 1
     limit_rows = min(rows, len(upper))
-    half_buf, hh_buf = np.empty((2, limit_rows * n))
+    hs_buf = np.empty((2, limit_rows * n))
     s_buf = np.empty(q * limit_rows * n)
     m_buf = np.empty(3 * rows * n)
+    # a shared limit at or beyond b leaves every piece full
+    partial = per_row or upper[0, 0] < grid.b
     W = np.empty((len(xs), n + 1))
     for lo in range(0, len(xs), rows):
         x = xs[lo:lo + rows]
         m = len(x)
-        if lo == 0 or len(upper) > 1:  # a shared limit's nodes are built once
+        if lo == 0 or per_row:  # a shared limit's nodes are built once
             u = upper[lo:lo + rows]
             size = len(u) * n
-            half = np.maximum(u, starts, out=half_buf[:size].reshape(-1, n))
+            hs = hs_buf[:, :size]
+            half, start = hs.reshape(2, -1, n)
+            np.maximum(u, starts, out=half)
             np.minimum(half, ends, out=half)
             half -= starts
             half *= 0.5
-            hh = hh_buf[:size].reshape(-1, n)
-            s = np.multiply(half, tp[:, None, None], out=s_buf[:q * size].reshape(q, -1, n))
-            s += np.minimum(starts, u, out=hh)
-            np.multiply(half, half, out=hh)
-        K = eval_many(kernel, x, np.broadcast_to(s, (q, m, n)))
-        m0, m1, m2 = np.matmul(moments, K.reshape(q, -1),
-                               out=m_buf[:3 * m * n].reshape(3, -1)).reshape(3, m, n)
-        # in place, with hh = half^2: r = hh (half m2 - h m1), left = hh m1
-        # and right = left - h half m0. W's block holds h m1, then h half,
-        # until the adjoint writes it
+            np.minimum(starts, u, out=start)
+            s = np.matmul(rule._node_map, hs,
+                          out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, n)
+            if not per_row:
+                s = np.broadcast_to(s, (q, min(rows, len(xs)), n))
+            if partial:
+                # a row's pieces that end by its limit are full; the next
+                # one is cut when it starts below the limit (rho = 2 half/h
+                # of it), and every piece of half-width 0 is empty
+                ul = u[:, 0]
+                full = ends.searchsorted(ul, side="right")
+                cut = np.flatnonzero(starts.searchsorted(ul) > full)
+                piece = full[cut]
+                rho = half[cut, piece] / (0.5 * h)
+                empty = half == 0.0
+        K = eval_many(kernel, x, s[:, :m])
+        # each piece's left-node, right-node and quadratic rows, as if full
+        lrq = np.matmul(weights, K.reshape(q, -1),
+                        out=m_buf[:3 * m * n].reshape(3, -1)).reshape(3, m, n)
+        if partial:
+            np.copyto(lrq, 0.0, where=empty)
+            if rho.size:
+                # rows rho L + (rho - rho^2) R, rho^2 R, rho^3 Q + (rho^3 - rho^2) h^2 R
+                at = cut * n + piece if per_row else np.arange(piece[0], m * n, n)
+                planes = lrq.reshape(3, -1)
+                cut_rows = planes.take(at, axis=1)
+                powers = np.multiply.accumulate(rho[None].repeat(3, axis=0))
+                coupled = (powers - powers[1]) * cut_rows[1]
+                coupled[2] *= h * h
+                cut_rows *= powers
+                cut_rows += coupled
+                planes[:, at] = cut_rows
+        left, right, quad = lrq
         Wb = W[lo:lo + m]
-        m2 *= half
-        m2 -= np.multiply(m1, h, out=Wb[:, :n])
-        m2 *= hh
-        m1 *= hh
-        m0 *= np.multiply(half, h, out=Wb[:len(half), :n])
-        np.subtract(m1, m0, out=m0)
-        m1 /= h
-        m0 /= h
-        _closed_form_adjoint(m2, h, out=Wb)
-        Wb[:, 1:] += m1
-        Wb[:, :-1] -= m0
+        _closed_form_adjoint(quad, h, out=Wb)
+        Wb[:, 1:] += right
+        Wb[:, :-1] += left
     return W
 
 
@@ -296,8 +329,8 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     On krasnov4 (y = 3, inside the spline space) 1/cond_inf of the
     trailing system is 2.2e-13 at n = 21 and 8.1e-14 at n = 22, so
     solve_dense accepts n <= 21 at RCOND_MIN = 1e-13 and raises
-    SingularMatrixError beyond; the L2 error grows about 2.5x per unit of
-    n, from 4.3e-14 at n = 5 to 1.8e-7 at n = 21.
+    SingularMatrixError beyond; the L2 error grows about 2.3x per unit of
+    n, from 3.3e-13 at n = 5 to 2.4e-7 at n = 21.
     """
     f = eval_many(problem.forcing, grid.nodes[1:])
     u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T

@@ -25,11 +25,42 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]; exact up to degree 2*order - 1."""
+    """A rule of `order` nodes and weights on [-1, 1], such as Gauss-Legendre
+    (exact up to degree 2*order - 1) or Gauss-Lobatto (ends included).
+
+    Raises ValueError unless order is an integer >= 1 that is the length of
+    both nodes and weights, and InvalidDomainError for a non-finite weight
+    or a node that is not a finite point of [-1, 1].
+    """
 
     order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    # integral_eq._integral_operator's tables, made once per rule, read-only:
+    # rows w (1 - t), w (1 + t), w (t^2 - 1) of each piece's left-node,
+    # right-node and quadratic moments, and the columns 1 + t, 1 that map a
+    # piece's (half-width, start) to its nodes
+    _piece_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _node_map: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (isinstance(self.order, Integral) and self.order >= 1
+                and np.shape(self.nodes) == np.shape(self.weights) == (self.order,)):
+            raise ValueError(f"need an integer order >= 1 and that many nodes and weights, "
+                             f"got order {self.order!r}, shapes {np.shape(self.nodes)} "
+                             f"and {np.shape(self.weights)}")
+        t = np.asarray(self.nodes, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise InvalidDomainError(f"quadrature weights must be finite, got {w}")
+        if not (np.abs(t) <= 1.0).all():  # NaN fails too
+            raise InvalidDomainError(f"quadrature nodes must lie in [-1, 1], got {t}")
+        rows = np.stack((w * (1.0 - t), w * (1.0 + t), w * (t * t - 1.0)))
+        node_map = np.stack((1.0 + t, np.ones_like(t)), axis=1)
+        rows.setflags(write=False)
+        node_map.setflags(write=False)
+        object.__setattr__(self, "_piece_rows", rows)
+        object.__setattr__(self, "_node_map", node_map)
 
 
 @cache
@@ -77,12 +108,20 @@ def panel_points(
     subtracted, so no midpoint or half-width overflows, even on
     [1e308, 1.7e308]; halving is exact, so on any range whose halves stay
     normal both are bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0).
+    Each node is clipped to its panel: rounding can put mid + half t an ulp
+    outside it at a Gauss-Lobatto end t = -1 or 1, and on a panel a few
+    ulps wide at any t (at 1.0, where the ulp below is half the one above).
     """
-    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    # float ends take axis 0, the same points: any other axis costs
+    # linspace a moveaxis call, about as much as the two clips below
+    scalar = isinstance(lo, float) and isinstance(hi, float)
+    edges = np.linspace(lo, hi, panels + 1, axis=0 if scalar else -1)
     e0, e1 = 0.5 * edges[..., :-1], 0.5 * edges[..., 1:]
     mid = e1 + e0
     half = e1 - e0
-    return mid[..., None] + half[..., None] * rule.nodes, half
+    pts = mid[..., None] + half[..., None] * rule.nodes
+    np.maximum(pts, edges[..., :-1, None], out=pts)
+    return np.minimum(pts, edges[..., 1:, None], out=pts), half
 
 
 def l2_error(

@@ -13,7 +13,7 @@ minimal when the b_k sum to zero, so all n coefficients cost one cumsum.
 
 build_spline uses that closed form (coeffs_closed_form) as its only path,
 and the collocation operator in integral_eq applies it transposed
-(_closed_form_adjoint) to rows of moments. The recursion it is held to,
+(_closed_form_adjoint) to its quadratic rows. The recursion it is held to,
 and the dense coefficient matrix, live in tests/oracles.py.
 
 SplineModel evaluates each piece in power form about its left node: with
@@ -218,19 +218,35 @@ class SplineModel:
 def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
     """Interpolating spline through the samples, coefficients in closed form.
 
-    Raises ValueError naming the first non-finite sample.
+    Raises ValueError naming the first non-finite sample, and for finite
+    samples whose second differences or slopes overflow, the first
+    non-finite coefficient a_k, or else power-form slope c1 of piece k.
     """
     y = np.array(samples, dtype=float)  # own copy: the model freezes it
     if y.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"sample {i} at x={grid.nodes[i]} is not finite: {y[i]}")
-    coeffs = coeffs_closed_form(second_differences(y, grid), grid.n)
-    y.setflags(write=False)
-    coeffs.setflags(write=False)
-    return SplineModel(grid, y, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = coeffs_closed_form(second_differences(y, grid), grid.n)
+        y.setflags(write=False)
+        coeffs.setflags(write=False)
+        model = SplineModel(grid, y, coeffs)
+        # every sample is in the power form (y_n through c1), so one sum
+        # tests them all; a sum of finite entries that overflows is
+        # looked through and passes
+        total = model._power.sum()
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"sample {i} at x={grid.nodes[i]} is not finite: {y[i]}")
+        for name, row in (("coefficient a", coeffs),
+                          ("power-form slope c1 of piece ", model._power[1])):
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                k = bad[0] + 1
+                raise ValueError(f"{name}{k} on [{grid.nodes[k - 1]}, {grid.nodes[k]}] "
+                                 f"is not finite: {row[k - 1]}")
+    return model
 
 
 def fluctuation_energy(model: SplineModel) -> float:

@@ -135,7 +135,7 @@ def kernel_piece_weights(
     return w
 
 
-def summed_piece_weights(kernel, grid, xs, upper):
+def summed_piece_weights(kernel, grid, xs, upper, rule=RULE8):
     """Oracle for _integral_operator: row i sums the piece weights of
     kernel_piece_weights over [a, upper_i], truncating the last piece."""
     C = coefficient_matrix(grid.n, grid.h)
@@ -144,7 +144,7 @@ def summed_piece_weights(kernel, grid, xs, upper):
         for k in range(1, grid.n + 1):
             if hi <= grid.nodes[k - 1]:
                 break
-            rows[i] += kernel_piece_weights(kernel, x, grid, k, C, RULE8,
+            rows[i] += kernel_piece_weights(kernel, x, grid, k, C, rule,
                                             upper=min(hi, grid.nodes[k]))
     return rows
 

@@ -731,7 +731,7 @@ class TestSolveVolterra1:
     def test_shifted_interval_integrates_from_a(self, a, n):
         # (x - a)^3 = int_a^x (x - s)^2 y(s) ds on [a, a + 1] or [a, a + 2]
         # is krasnov4 moved to start at a, with the same y = 3; it is solved
-        # as well as at a = 0 (l2 4.3e-14 and 1.5e-11 at n = 5 and 10)
+        # as well as at a = 0 (l2 3.3e-13 and 2.5e-12 at n = 5 and 10)
         b = a + (1.0 if a > 0 else 2.0)
         p = replace(self.make(), interval=(a, b), forcing=lambda x: (x - a) ** 3)
         r = solve(p, n)

@@ -2,7 +2,9 @@
 
 Grids are [a, a + width] with n pieces, drawn as in the other suites:
 a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
-operator, whose oracle is a Python loop over rows and pieces). The parity
+operator, whose oracle is a Python loop over rows and pieces; n in
+[2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
+checks every rule and layout of limits). The parity
 properties solve symmetric Fredholm problems on [-L, L].
 """
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import IntegralProblem, OutOfDomainError, build_spline, make_grid, solve
+from quadspline import (IntegralProblem, OutOfDomainError, build_spline, gauss_legendre,
+                        make_grid, solve)
 from quadspline.integral_eq import _integral_operator
 
 from oracles import RULE8, chord_plus_correction, summed_piece_weights
@@ -180,6 +183,44 @@ def test_operator_rows_match_summed_piece_weights(rows, grid_kernel, fractions):
     rtol = 1e-12 + 1e-14 * max(abs(g.a), abs(g.b)) / g.h
     scale = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(W - oracle) <= rtol * scale + 1e3 * np.finfo(float).tiny)
+
+
+@st.composite
+def operator_case(draw):
+    """A grid with n in [2, 40], a Gauss rule of q points, a kernel
+    sum c_pq x^p s^q with p, q <= 3, and rows whose limits mix nodes,
+    off-node points and b, or share one limit inside the last piece."""
+    a = draw(st.floats(-2, 2), label="a")
+    width = draw(st.floats(0.5, 4), label="width")
+    n = draw(st.integers(2, 40), label="n")
+    g = make_grid(a, a + width, n)
+    rule = gauss_legendre(draw(st.sampled_from([1, 2, 3, 8, 12]), label="q"))
+    # eighths, so that no moment is subnormal
+    c = draw(arrays(np.float64, (4, 4), elements=st.integers(-8, 8).map(lambda k: k / 8)),
+             label="c")
+    p = np.arange(4)
+    kernel = lambda x, s: (np.power.outer(x, p) @ c * np.power.outer(s, p)).sum(-1)  # noqa: E731
+    if draw(st.booleans(), label="shared"):
+        upper = g.nodes[-2] + draw(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                                   label="cut") * g.h
+        return g, rule, kernel, g.nodes, upper
+    limit = st.one_of(st.integers(0, n).map(lambda k: g.nodes[k]),
+                      st.floats(0, 1).map(lambda t: min(a + t * width, g.b)),
+                      st.just(g.b))
+    upper = np.array(draw(st.lists(limit, min_size=1, max_size=12), label="limits"))
+    return g, rule, kernel, upper, upper
+
+
+@given(operator_case())
+@settings(max_examples=100, deadline=None)
+def test_operator_rows_match_summed_piece_weights_for_any_rule_and_limits(case):
+    # full pieces take the folded weights, cut and empty ones their rho
+    # correction; with the oracle on the same rule, only rounding differs
+    g, rule, kernel, xs, upper = case
+    W = _integral_operator(kernel, g, rule, xs, upper)
+    oracle = summed_piece_weights(kernel, g, xs, np.broadcast_to(upper, len(xs)), rule)
+    scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+    assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
 
 
 # kernels with K(-x, -s) = K(x, s): the Gaussian is positive definite for

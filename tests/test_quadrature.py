@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadspline import (InvalidDomainError, build_spline, gauss_legendre,
+from quadspline import (InvalidDomainError, QuadratureRule, build_spline, gauss_legendre,
                         integrate_panels, l2_error, make_grid, max_error,
                         sample, solve)
 from quadspline.integral_eq import IntegralProblem
@@ -43,6 +43,46 @@ class TestGaussLegendre:
     def test_unsupported_order(self, order):
         with pytest.raises(ValueError):
             gauss_legendre(order)
+
+
+class TestQuadratureRule:
+    @pytest.mark.parametrize("order,nodes,weights", [
+        (3, [0.0], [2.0]),
+        (0, [], []),
+        (2, [0.0, 0.5], [1.0]),
+        (2.0, [-0.5, 0.5], [1.0, 1.0]),
+        (1, [[0.0]], [[2.0]]),
+    ])
+    def test_order_must_size_nodes_and_weights(self, order, nodes, weights):
+        with pytest.raises(ValueError, match="need an integer order >= 1 and that many"):
+            QuadratureRule(order, np.array(nodes), np.array(weights))
+
+    @pytest.mark.parametrize("nodes,weights,match", [
+        ([-1.5, 1.5], [1.0, 1.0], r"nodes must lie in \[-1, 1\]"),
+        ([np.nan, 0.5], [1.0, 1.0], r"nodes must lie in \[-1, 1\]"),
+        ([-0.5, np.inf], [1.0, 1.0], r"nodes must lie in \[-1, 1\]"),
+        ([-0.5, 0.5], [1.0, np.nan], "weights must be finite"),
+        ([-0.5, 0.5], [np.inf, 1.0], "weights must be finite"),
+    ])
+    def test_nodes_in_the_interval_and_finite_weights(self, nodes, weights, match):
+        with pytest.raises(InvalidDomainError, match=match):
+            QuadratureRule(2, np.array(nodes), np.array(weights))
+
+    def test_gauss_lobatto_ends_are_legal(self):
+        # the 3-point Lobatto rule, Simpson's: its ends sit on -1 and 1. On
+        # [0, 0.3] in 5 panels, mid + half of the last panel rounds to
+        # 0.30000000000000004, outside the spline's domain, unless clipped
+        rule = QuadratureRule(3, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3)
+        model = build_spline(make_grid(0.0, 0.3, 5), np.cos(np.linspace(0.0, 0.3, 6)))
+        # the pieces are the panels, and Simpson's rule is exact on quadratics
+        assert integrate_panels(model, 0.0, 0.3, 5, rule) == pytest.approx(
+            integrate_panels(model, 0.0, 0.3, 5, gauss_legendre(8)), rel=1e-14)
+
+    def test_operator_tables_are_read_only_and_made_once(self):
+        rule = gauss_legendre(4)
+        assert rule._piece_rows.shape == (3, 4) and rule._node_map.shape == (4, 2)
+        assert not rule._piece_rows.flags.writeable and not rule._node_map.flags.writeable
+        assert gauss_legendre(4)._piece_rows is rule._piece_rows
 
 
 class TestIntegratePanels:
@@ -128,6 +168,14 @@ class TestPanelPoints:
         assert np.isfinite(pts).all() and (half > 0).all()
         assert (pts > 1e308).all() and (pts < 1.7e308).all()
         assert math.isfinite(integrate_panels(np.cos, 1e308, 1.7e308, 4, gauss_legendre(8)))
+
+    def test_nodes_stay_in_panels_a_few_ulps_wide(self):
+        # 54 panels of about 1.5 ulps of 1.0: unclipped, mid + half t of the
+        # first panel rounds to 0.9999999999999999, below 1.0
+        lo, hi = 1.0, 1.0000000000000178
+        edges = np.linspace(lo, hi, 55)
+        pts, _ = panel_points(lo, hi, 54, gauss_legendre(8))
+        assert np.all((pts >= edges[:-1, None]) & (pts <= edges[1:, None]))
 
     def test_halved_ends_are_bit_identical_on_normal_ranges(self):
         # halving is exact, so halving before the sum or difference rounds

@@ -129,6 +129,7 @@ class TestChecks:
            extreme_intervals(), st.booleans())
     @example("abs", 64, (-4e155, 4e155), False)
     @example("linear", 46, (-8.18302704270468e+168, -8.18302704270449e+168), True)
+    @example("abs", 54, (1.0, 1.0000000000000178), False)
     @settings(max_examples=300, deadline=None)
     def test_extreme_interval_is_refused_or_finite(self, fid, n, interval, lagrange):
         # every draw is refused by the package's own error, or its squared

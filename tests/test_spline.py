@@ -275,6 +275,18 @@ class TestSplineModel:
         with pytest.raises(ValueError, match=r"sample 2 at x=0\.5 "):
             build_spline(g, y)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid,y,match", [
+        # second differences that overflow: a_1 is -inf, and nan after it
+        (make_grid(0, 1, 4), [0, 1e308, 0, 1e308, 0], r"coefficient a1 on \[0\.0, 0\.25\] "),
+        # linear samples, so every a_k is 0, whose slope 1e310 overflows
+        (make_grid(0, 4e-10, 4), 1e300 * np.arange(5.0),
+         r"power-form slope c1 of piece 1 on \[0\.0, 1e-10\] is not finite: inf"),
+    ], ids=["coefficient", "slope"])
+    def test_overflowing_coefficients_named(self, grid, y, match):
+        with pytest.raises(ValueError, match=match):
+            build_spline(grid, y)
+
     @pytest.mark.parametrize("count", [4, 6])
     def test_sample_count_must_match_grid(self, count):
         with pytest.raises(ValueError, match=rf"expected 5 samples, got \({count},\)"):
