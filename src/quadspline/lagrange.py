@@ -16,9 +16,8 @@ import numpy as np
 from .core import Grid, InvalidDomainError, array_callable
 
 # Doubles in evaluate's one (rows, n + 1) temporary, about 1 MB; x is taken
-# in blocks of that many rows, so a long x needs no more. The tables'
-# n <= 20 fit one block: the BLAS product q @ values may round a row in the
-# last bit differently in another block, and their figures stay as they were.
+# in blocks of that many rows, so a long x needs no more. The block size
+# bounds memory only: each row's sums are its own, whatever block it is in.
 _BLOCK = 1 << 17
 
 
@@ -52,7 +51,9 @@ def lagrange_interpolant(grid: Grid, values: np.ndarray):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 d = pts[:, None] - nodes
                 q = np.divide(weights, d, out=d)
-                block[:] = (q @ values) / q.sum(axis=1)
+                # einsum, not the BLAS product q @ values, whose rounding of
+                # a row depends on where the row falls in the block
+                block[:] = np.einsum("ij,j->i", q, values) / q.sum(axis=1)
             bad = np.flatnonzero(~np.isfinite(block))
             if bad.size:
                 # x on a node makes one quotient infinite, so the row's sums

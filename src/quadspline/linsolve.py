@@ -8,7 +8,7 @@ strictly diagonally dominant by rows with a wide enough margin, Varah's
 bound proves that the gate passes, and b is solved alone; this catches
 the second-kind systems I - lam*K whose rows have |lam| times the
 integral of |K(x_i, s)| below 1, roughly, such as the Volterra-2
-benchmark problems. When that misses and n >= _SKETCH_MIN_N = 64, a
+benchmark problems. When that misses and n >= _SKETCH_MIN_N = 73, a
 second proof comes from a rank-8 sketch of M = I - A: with
 Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
 R = I + P Vt, I - R A = R E + (Q - P T) Vt holds exactly, so a small
@@ -39,10 +39,15 @@ RCOND_MIN = 1e-13
 # subnormals
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
-# rank of the sketch certificate, and the smallest n it is tried at: below
-# it the sketch costs more than the inverse it saves
+# rank of the sketch certificate, and the smallest n it is tried at. Timed
+# on the Fredholm-2 systems of krasnov1 and wang (best of 400-800 calls
+# alternating the two paths, one BLAS thread, 2-vCPU Xeon VM), the inverse
+# path took 0.93-1.02 of the certified sketch path's time at n = 60-63 and
+# 0.85-0.96 at n = 64; the sketch won on both problems from n = 66 in two
+# sweeps and from n = 73 in all three, by 1.04-1.3x at 73, 1.1-1.3x at 80
+# and 1.8-2.0x at 100
 _RANK = 8
-_SKETCH_MIN_N = 64
+_SKETCH_MIN_N = 73
 # a sketch-certified solve refines R b by steps x <- x + R (b - A x) until
 # the residual is within _RESIDUAL_C (n + 1) eps (||A|| ||x|| + ||b||), and
 # falls back to LU after _REFINE_STEPS steps (see _Sketch.solve). On
@@ -122,7 +127,7 @@ class _Sketch:
         the relative forward error is at most about 2 c (n + 1) eps
         cond_inf(A). Forming r rounds by up to gamma_{n+1} (|A| |x| + |b|),
         but with independent roundings by about sqrt(n + 1) u (Higham,
-        sec. 2.8), at most (n + 1) eps/16 for the n >= _SKETCH_MIN_N = 64
+        sec. 2.8), at most (n + 1) eps/16 for the n >= _SKETCH_MIN_N = 73
         the sketch runs at. So c = 1/8 is twice what the computed residual
         of the exact solution typically reads: the backward error a
         backward stable solve such as LU with partial pivoting attains

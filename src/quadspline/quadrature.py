@@ -101,27 +101,22 @@ def panel_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the composite rule, shape (panels, order), and each panel's half-width.
 
-    The integral of f is sum(half * (f(nodes) @ rule.weights), axis=-1).
-    Array lo and hi give one composite rule per element of their
-    broadcast: nodes of shape (..., panels, order), half-widths of shape
-    (..., panels). The ends are halved before they are added or
-    subtracted, so no midpoint or half-width overflows, even on
-    [1e308, 1.7e308]; halving is exact, so on any range whose halves stay
-    normal both are bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0).
-    Each node is clipped to its panel: rounding can put mid + half t an ulp
-    outside it at a Gauss-Lobatto end t = -1 or 1, and on a panel a few
-    ulps wide at any t (at 1.0, where the ulp below is half the one above).
+    The integral of f is sum(half * (f(nodes) @ rule.weights)). lo and hi
+    are scalars. The ends are halved before they are added or subtracted,
+    so no midpoint or half-width overflows, even on [1e308, 1.7e308];
+    halving is exact, so on any range whose halves stay normal both are
+    bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0). Each node is
+    clipped to its panel: rounding can put mid + half t an ulp outside it
+    at a Gauss-Lobatto end t = -1 or 1, and on a panel a few ulps wide at
+    any t (at 1.0, where the ulp below is half the one above).
     """
-    # float ends take axis 0, the same points: any other axis costs
-    # linspace a moveaxis call, about as much as the two clips below
-    scalar = isinstance(lo, float) and isinstance(hi, float)
-    edges = np.linspace(lo, hi, panels + 1, axis=0 if scalar else -1)
-    e0, e1 = 0.5 * edges[..., :-1], 0.5 * edges[..., 1:]
+    edges = np.linspace(lo, hi, panels + 1)
+    e0, e1 = 0.5 * edges[:-1], 0.5 * edges[1:]
     mid = e1 + e0
     half = e1 - e0
-    pts = mid[..., None] + half[..., None] * rule.nodes
-    np.maximum(pts, edges[..., :-1, None], out=pts)
-    return np.minimum(pts, edges[..., 1:, None], out=pts), half
+    pts = mid[:, None] + half[:, None] * rule.nodes
+    np.maximum(pts, edges[:-1, None], out=pts)
+    return np.minimum(pts, edges[1:, None], out=pts), half
 
 
 def l2_error(

@@ -24,10 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, ScalarFunction, eval_many, make_grid, sample
+from .core import Grid, ScalarFunction, make_grid, sample
 from .integral_eq import IntegralProblem, SolveReport, solve
 from .lagrange import lagrange_interpolant
-from .quadrature import QuadratureRule, gauss_legendre, l2_error, panel_points
+from .quadrature import QuadratureRule, gauss_legendre, l2_error
 from .spline import SplineModel, build_spline
 
 
@@ -51,7 +51,8 @@ FUNCTIONS: dict[str, FunctionEntry] = {
     "linear": FunctionEntry(lambda x: 5.0 * x - 2.0, -1.0, 1.0, 0.0),
 }
 
-# Integral equations with closed-form reference solutions; every entry has one.
+# Integral equations with closed-form reference solutions; every entry has
+# one, and tests/test_registry.py checks each against its own equation.
 PROBLEMS: dict[str, IntegralProblem] = {
     # y(x) + 2 int_0^1 e^{x-s} y(s) ds = 2x e^x, i.e. lam = -2 in the
     # y - lam*int = f convention; solution e^x (2x - 2/3).
@@ -64,7 +65,7 @@ PROBLEMS: dict[str, IntegralProblem] = {
         reference=lambda x: np.exp(x) * (2.0 * x - 2.0 / 3.0),
     ),
     # Homogeneous kernel 2xs - 4x^2 on [0,1]: continuum characteristic
-    # value -3 (double, see EXPECTED_EIGENVALUE), eigenfunction x(1 - 2x).
+    # value -3 (double), eigenfunction x(1 - 2x).
     "krasnov2": IntegralProblem(
         "fredholm_eigen",
         kernel=lambda x, s: 2.0 * x * s - 4.0 * x**2,
@@ -118,10 +119,6 @@ PROBLEMS: dict[str, IntegralProblem] = {
         reference=lambda x: 3.0 * np.ones_like(np.asarray(x, dtype=float)),
     ),
 }
-
-# The continuum characteristic value of each fredholm_eigen entry, the lam
-# its reference eigenfunction satisfies in the self-check.
-EXPECTED_EIGENVALUE: dict[str, float] = {"krasnov2": -3.0}
 
 
 def _lookup(table: dict, what: str, key: str):
@@ -335,43 +332,3 @@ def compute_cell(cell: TableCell,
     report = (solve or functools.partial(solve_entry, rule=rule))(cell.entry_id, cell.n)
     return next((v for m, v in solve_metrics(report) if m == cell.metric), None)
 
-
-# --------------------------------------------------------------------------
-# registry self-check
-
-# the largest residual a reference solution may leave in its own equation
-_REFERENCE_TOL = 1e-8
-
-
-def verify_reference_solutions() -> None:
-    """Check every reference solution satisfies its own equation, to within
-    _REFERENCE_TOL.
-
-    Run before any table reproduction; a failure means the registry itself
-    is wrong, not the solver. Each equation is checked at 9 equispaced
-    points x, its integral taken over [a, b] (Fredholm) or [a, x]
-    (Volterra) with 64 Gauss-Legendre panels of order 12, all 9 integrals
-    of an entry in one kernel call. A NaN residual fails the check, and so
-    does an entry with no reference.
-    """
-    rule = gauss_legendre(12)
-    for pid, entry in PROBLEMS.items():
-        if entry.reference is None:
-            raise AssertionError(f"registry entry {pid!r}: no reference solution")
-        a, b = entry.interval
-        xs = np.linspace(a, b, 9)
-        upper = xs if entry.causal else b
-        s, half = panel_points(a, upper, 64, rule)
-        ky = eval_many(entry.kernel, xs[:, None, None], s) * eval_many(entry.reference, s)
-        integral = np.sum(half * (ky @ rule.weights), axis=-1)
-        forcing = 0.0 if entry.forcing is None else eval_many(entry.forcing, xs)
-        if entry.kind == "volterra1":
-            residuals = integral - forcing
-        else:
-            lam = EXPECTED_EIGENVALUE[pid] if entry.kind == "fredholm_eigen" else entry.lam
-            residuals = eval_many(entry.reference, xs) - lam * integral - forcing
-        for x, r in zip(xs, residuals):
-            if not abs(r) <= _REFERENCE_TOL:
-                raise AssertionError(
-                    f"registry entry {pid!r}: reference violates its "
-                    f"equation at x={x} (residual {r:.3e})")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -330,6 +331,19 @@ class TestFailureExitCodes:
         code, _, err = run_cli(capsys, "solve", "-p", "krasnov1", "--n", "5")
         assert code == 1
         assert "pivot underflow" in err
+
+    @pytest.mark.parametrize("pid,table", [("krasnov1", 4), ("krasnov2", 5), ("krasnov3", 6),
+                                           ("malek1", 7), ("krasnov4", 8)])
+    def test_broken_reference_fails_its_table(self, capsys, monkeypatch, pid, table):
+        # a reference shifted by 1e-3 is caught by the table's own
+        # tolerances: exit 1 and a line on stderr, not an exception
+        entry = registry.PROBLEMS[pid]
+        exact = entry.reference
+        monkeypatch.setitem(registry.PROBLEMS, pid, dataclasses.replace(
+            entry, reference=lambda x: exact(x) + 1e-3))
+        code, _, err = run_cli(capsys, "reproduce", "--table", str(table))
+        assert code == 1
+        assert "cell(s) missed tolerance" in err
 
     def test_missed_tolerance_exits_one(self, capsys, monkeypatch):
         bogus = registry.TableCell("krasnov1", 5, "l2_norm_error", 1e6)

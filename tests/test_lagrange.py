@@ -118,3 +118,18 @@ def test_evaluation_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6, peak
+
+
+@pytest.mark.parametrize("n", [10, 20, 100])
+def test_bits_do_not_depend_on_block_position(n):
+    # each row's sums are its own: one call on 4,000 sorted points, 37-point
+    # chunks of them and single points give the same bits
+    grid = make_grid(-1.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    f = lagrange_interpolant(grid, rng.standard_normal(n + 1))
+    x = np.sort(rng.uniform(-1.0, 1.0, 4000))
+    whole = f(x).view(np.int64)
+    chunked = np.concatenate([f(x[i:i + 37]) for i in range(0, x.size, 37)])
+    single = np.array([f(xi) for xi in x])
+    np.testing.assert_array_equal(chunked.view(np.int64), whole)
+    np.testing.assert_array_equal(single.view(np.int64), whole)

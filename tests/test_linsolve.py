@@ -14,6 +14,9 @@ from quadspline.registry import get_problem, solve_entry
 
 from oracles import determinant
 
+# the smallest system solve_dense tries the sketch certificate on
+SKETCH_N = linsolve._SKETCH_MIN_N
+
 
 def fredholm_system(pid, n):
     """The collocation system I - lam*W and right-hand side of a registered
@@ -184,7 +187,8 @@ class TestSolveDense:
         (1e-300 * np.eye(3), 1e10 * np.ones(3), 1, []),
         # not dominant (margin -0.5); the sketch bounds ||A^-1||_inf by 4,
         # its R b overflows and fails the residual test, and LU solves b alone
-        (np.eye(64) - 1.5 * np.ones((64, 64)) / 64, 1e308 * np.ones(64), 1, [64]),
+        (np.eye(SKETCH_N) - 1.5 * np.ones((SKETCH_N, SKETCH_N)) / SKETCH_N,
+         1e308 * np.ones(SKETCH_N), 1, [SKETCH_N]),
         # below the sketch's size: b with the identity's columns
         (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308]), 3, []),
     ], ids=["varah", "sketch", "inverse"])
@@ -216,8 +220,8 @@ class TestSolveDense:
         # which is not a double; certified, the solve returned a finite but
         # wrong x (1.36 down to 1.06 where 1/0.7 is exact)
         (1e-320, np.eye(5) - 0.3 * np.ones((5, 5)) / 5),
-        # at n = 64 the sketch is tried too, and proves nothing
-        (1e-320, np.eye(64) - 0.3 * np.ones((64, 64)) / 64),
+        # at the sketch's size it is tried too, and proves nothing
+        (1e-320, np.eye(SKETCH_N) - 0.3 * np.ones((SKETCH_N, SKETCH_N)) / SKETCH_N),
         # not dominant: the inverse overflows on to nan, which cond reads as inf
         (1e-315, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])),
     ], ids=["varah", "sketch", "inverse"])
@@ -470,8 +474,8 @@ def test_sketch_bound_holds(system):
 
 @st.composite
 def sketched_systems(draw):
-    """A = I + K - eps G/n of size 64..160, with a right-hand side of 1 or 3
-    columns.
+    """A = I + K - eps G/n of size _SKETCH_MIN_N..160, with a right-hand
+    side of 1 or 3 columns.
 
     K = U C C^T U^T is smooth, of rank 1..6, positive semidefinite with its
     largest eigenvalue 0.5..4, so I + K is well conditioned (cond_inf below
@@ -481,7 +485,7 @@ def sketched_systems(draw):
     value R b that one step mends to a refinement that exhausts
     _REFINE_STEPS and falls back to LU.
     """
-    n = draw(st.integers(64, 160), label="n")
+    n = draw(st.integers(SKETCH_N, 160), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     x = np.linspace(0.0, 1.0, n)
     rank = draw(st.integers(1, 6), label="rank")
