@@ -15,13 +15,15 @@ lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
-as the (q, rows, n) stack of every row's own quadrature nodes, and only
-at a <= s <= the row's limit (s = x included, so a kernel infinite on
-the diagonal is not supported); a broadcastable result such as a
-constant is accepted, and a kernel is called per point only when the
+as the (q, rows, p) stack of every row's own quadrature nodes on the
+p <= n pieces that the block's rows reach, and only at a <= s <= the
+row's limit (s = x included, so a kernel infinite on the diagonal is not
+supported); blocks are sized by rows x reach, so a Volterra row is not
+evaluated on the pieces beyond its own point. A broadcastable result such
+as a constant is accepted, and a kernel is called per point only when the
 array call raises TypeError or ValueError. When every row shares one
 limit (fredholm2, fredholm_eigen), s is a read-only broadcast of one
-(q, 1, n) stack, and no kernel may write into its arguments.
+(q, 1, p) stack, and no kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -54,10 +56,13 @@ from .spline import SplineModel, _closed_form_adjoint, build_spline
 
 Kernel = Callable[[float, float], float]
 
-# Doubles in each of _integral_operator's (q, rows, n) buffers, the nodes s and
-# the kernel values, about 2 MB; rows are taken in blocks of that size, so
-# large n needs no more.
-_OPERATOR_BLOCK = 1 << 18
+# Doubles in each of _integral_operator's (q, rows, p) buffers, the nodes s and
+# the kernel values, 512 KB at most; rows are taken in blocks of that size, so
+# large n needs no more. Operator medians (one BLAS thread, 2-vCPU VM) at
+# 2^16, 2^17 and 2^18: krasnov3 2.1, 4.8 and 6.9 ms at n = 200, and 54, 54
+# and 62 ms at n = 1280; krasnov1 2.5, 2.6 and 5.2 ms, and 71, 74 and 75 ms.
+# 2^15 was 14-23 % slower than 2^16 at n = 64, whose rows it splits in two.
+_OPERATOR_BLOCK = 1 << 16
 
 # kind: whether it takes (forcing, lam, bracket)
 _FIELDS = {"fredholm2": (True, True, False), "fredholm_eigen": (False, False, True),
@@ -130,21 +135,32 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
 
     S is the spline through any samples y. `upper` is one limit per row,
-    or a scalar limit that every row shares. Every piece is integrated with
-    `rule` (nodes t, weights w) over [x_{k-1}, clip(upper_i, x_{k-1}, x_k)],
-    whose half-width `half` is 0 for a piece beyond upper_i (empty), h/2
-    for a piece that ends by upper_i (full), and between for the one piece
-    that upper_i cuts. Each row has its own nodes, s = half (1 + t) +
-    min(x_{k-1}, upper_i): one (q, 2) x (2, rows n) product of the rule's
-    columns 1 + t, 1 with the rows' half-widths and starts. So the kernel
-    is called once per block of rows, on a (rows, 1) column of x and the
-    (q, rows, n) stack of s, and only at a <= s <= upper_i (an empty
-    piece's nodes all sit at upper_i). A shared limit gives every row the
-    same nodes: its (q, 1, n) stack is built once, and the kernel gets a
-    read-only broadcast of it (row stride 0); per-row limits are built per
-    block. The kernel must not write into its arguments.
+    or a scalar limit that every row shares. Row i reaches the r_i pieces
+    that start below upper_i (one binary search per call; r_i = n for a
+    limit at or beyond b), and the pieces beyond its reach hold nothing.
+    Rows go in blocks sized by rows x reach: a block works on the first p
+    pieces of its rows, p their widest reach (at least 2: a product with
+    one column goes to BLAS's matrix-vector routine, which rounds
+    differently), and grows row by row while q x rows x p stays within
+    _OPERATOR_BLOCK. So causal rows, whose reach grows with the row, go in
+    blocks of many short rows and then of fewer long ones, and a shared
+    limit at b in blocks of equal rows of all n pieces.
 
-    One (3, q) x (q, rows n) product of the kernel values with the folded
+    Every piece is integrated with `rule` (nodes t, weights w) over
+    [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], whose half-width `half` is 0
+    for a piece beyond upper_i (empty), h/2 for a piece that ends by
+    upper_i (full), and between for the one piece that upper_i cuts. Each
+    row has its own nodes, s = half (1 + t) + min(x_{k-1}, upper_i): one
+    (q, 2) x (2, rows p) product of the rule's columns 1 + t, 1 with the
+    rows' half-widths and starts. So the kernel is called once per block,
+    on a (rows, 1) column of x and the (q, rows, p) stack of s, and only at
+    a <= s <= upper_i (an empty piece's nodes all sit at upper_i). A shared
+    limit gives every row the same nodes: its (q, 1, p) stack is built
+    once, and the kernel gets a read-only broadcast of it (row stride 0);
+    per-row limits are built per block. The kernel must not write into its
+    arguments.
+
+    One (3, q) x (q, rows p) product of the kernel values with the folded
     weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
     piece's left-node row L, right-node row R and quadratic row Q, which
     are exact for a full piece of width h. A piece that is not full is
@@ -157,10 +173,11 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     pieces are those that end at or before its limit, found by a binary
     search, not by rho < 1, which rounding makes true on some full pieces;
     so a shared limit at or beyond b (fredholm2, fredholm_eigen) corrects
-    nothing, and takes no search.
+    nothing, and takes no such search.
 
-    L and R go to the piece's two end nodes; Q goes to every node through
-    the transposed closed form of the coefficients
+    L and R go to the piece's two end nodes, columns 0..p of W's rows; Q,
+    zero-extended to all n pieces, goes to every node through the
+    transposed closed form of the coefficients
     (spline._closed_form_adjoint), written straight into W's rows, so no
     coefficient matrix is built. The node stack, the rows and W are buffers
     made once per call, written in one order of operations, so W is the
@@ -168,57 +185,74 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     and however the rows are blocked.
     """
     xs = np.asarray(xs, dtype=float)[:, None]
-    upper = np.reshape(np.asarray(upper, dtype=float), (-1, 1))
+    upper = np.asarray(upper, dtype=float).reshape(-1, 1)
     n, h, q = grid.n, grid.h, rule.order
     starts, ends = grid.nodes[:-1], grid.nodes[1:]
-    weights = rule._piece_rows * np.array([[h / 4], [h / 4], [h**3 / 8]])
-    rows = max(1, _OPERATOR_BLOCK // (q * n))
-    # each block takes the leading part of every buffer; the limits' own
-    # buffers have one row when the limit is shared
+    weights = rule._piece_rows * np.array([h / 4, h / 4, h**3 / 8])[:, None]
     per_row = len(upper) > 1
-    limit_rows = min(rows, len(upper))
-    hs_buf = np.empty((2, limit_rows * n))
-    s_buf = np.empty(q * limit_rows * n)
-    m_buf = np.empty(3 * rows * n)
+    # a row reaches the pieces that start below its limit
+    reach = starts.searchsorted(upper[:, 0])
+    # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
+    # rows' widest reach but at least 2 (n >= 2): a product with one column
+    # would go to BLAS's matrix-vector routine, which rounds differently
+    widest = np.maximum(reach, 2).repeat(len(xs) // len(upper))
+    count = np.arange(1, len(xs) + 1)
+    blocks = []
+    lo = max_rows = max_size = 0
+    while lo < len(xs):
+        p = np.maximum.accumulate(widest[lo:])
+        rows = max(1, int((p * count[:len(p)]).searchsorted(_OPERATOR_BLOCK // q, "right")))
+        p = int(p[rows - 1])
+        blocks.append((lo, lo + rows, p))
+        max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
+        lo += rows
+    # each block takes the leading part of every buffer; the limits' own
+    # buffers have one row when the limit is shared (every block's p is then
+    # the same)
+    hs_buf = np.empty(2 * (max_size if per_row else p))
+    s_buf = np.empty(q * hs_buf.size // 2)
+    m_buf = np.empty(3 * max_size)
+    quad_buf = np.empty(max_rows * n)
     # a shared limit at or beyond b leaves every piece full
     partial = per_row or upper[0, 0] < grid.b
     W = np.empty((len(xs), n + 1))
-    for lo in range(0, len(xs), rows):
-        x = xs[lo:lo + rows]
+    for lo, hi, p in blocks:
+        x = xs[lo:hi]
         m = len(x)
         if lo == 0 or per_row:  # a shared limit's nodes are built once
-            u = upper[lo:lo + rows]
-            size = len(u) * n
-            hs = hs_buf[:, :size]
-            half, start = hs.reshape(2, -1, n)
-            np.maximum(u, starts, out=half)
-            np.minimum(half, ends, out=half)
-            half -= starts
+            u = upper[lo:hi]
+            size = len(u) * p
+            hs = hs_buf[:2 * size].reshape(2, -1)
+            half = hs[0].reshape(-1, p)
+            start = hs[1].reshape(-1, p)
+            np.maximum(u, starts[:p], out=half)
+            np.minimum(half, ends[:p], out=half)
+            half -= starts[:p]
             half *= 0.5
-            np.minimum(starts, u, out=start)
+            np.minimum(starts[:p], u, out=start)
             s = np.matmul(rule._node_map, hs,
-                          out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, n)
+                          out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, p)
             if not per_row:
-                s = np.broadcast_to(s, (q, min(rows, len(xs)), n))
+                s = np.broadcast_to(s, (q, blocks[0][1], p))
             if partial:
                 # a row's pieces that end by its limit are full; the next
-                # one is cut when it starts below the limit (rho = 2 half/h
-                # of it), and every piece of half-width 0 is empty
-                ul = u[:, 0]
-                full = ends.searchsorted(ul, side="right")
-                cut = np.flatnonzero(starts.searchsorted(ul) > full)
+                # one is cut when the row reaches it, and every piece of
+                # half-width 0 is empty
+                full = ends.searchsorted(u[:, 0], side="right")
+                cut = (reach[lo:hi] > full).nonzero()[0]
                 piece = full[cut]
-                rho = half[cut, piece] / (0.5 * h)
                 empty = half == 0.0
         K = eval_many(kernel, x, s[:, :m])
         # each piece's left-node, right-node and quadratic rows, as if full
         lrq = np.matmul(weights, K.reshape(q, -1),
-                        out=m_buf[:3 * m * n].reshape(3, -1)).reshape(3, m, n)
+                        out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
         if partial:
             np.copyto(lrq, 0.0, where=empty)
-            if rho.size:
-                # rows rho L + (rho - rho^2) R, rho^2 R, rho^3 Q + (rho^3 - rho^2) h^2 R
-                at = cut * n + piece if per_row else np.arange(piece[0], m * n, n)
+            if cut.size:
+                # with rho = 2 half/h, rows rho L + (rho - rho^2) R, rho^2 R,
+                # rho^3 Q + (rho^3 - rho^2) h^2 R
+                rho = half[cut, piece] / (0.5 * h)
+                at = cut * p + piece if per_row else np.arange(piece[0], m * p, p)
                 planes = lrq.reshape(3, -1)
                 cut_rows = planes.take(at, axis=1)
                 powers = np.multiply.accumulate(rho[None].repeat(3, axis=0))
@@ -227,11 +261,16 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
                 cut_rows *= powers
                 cut_rows += coupled
                 planes[:, at] = cut_rows
-        left, right, quad = lrq
-        Wb = W[lo:lo + m]
+        left, right, quad = lrq[0], lrq[1], lrq[2]
+        if p < n:  # the pieces beyond every row's reach hold nothing
+            ext = quad_buf[:m * n].reshape(m, n)
+            ext[:, :p] = quad
+            ext[:, p:] = 0.0
+            quad = ext
+        Wb = W[lo:hi]
         _closed_form_adjoint(quad, h, out=Wb)
-        Wb[:, 1:] += right
-        Wb[:, :-1] += left
+        Wb[:, 1:p + 1] += right
+        Wb[:, :p] += left
     return W
 
 
@@ -305,8 +344,10 @@ def solve(problem: IntegralProblem, n: int,
         return _volterra1(problem, grid, rule, W[1:])
     if problem.kind == "fredholm_eigen":
         return _eigen(problem, grid, W)
-    A = np.eye(grid.n + 1) - problem.lam * W
-    return _report(problem, grid, solve_dense(A, sample(problem.forcing, grid)))
+    # A = I - lam W, formed in W's own buffer
+    W *= -problem.lam
+    W.flat[::grid.n + 2] += 1.0
+    return _report(problem, grid, solve_dense(W, sample(problem.forcing, grid)))
 
 
 def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,

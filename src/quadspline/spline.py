@@ -98,21 +98,29 @@ def _closed_form_adjoint(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray
     removal, the prefix sum (a reverse cumsum), its signs, and the
     scattering of each second difference to its three nodes. Overwrites r,
     whose reverse cumsum is taken in place, and writes the m x (n+1)
-    result into `out`, any m x (n+1) array, such as a row block of a
-    larger matrix.
+    result into `out`, which must be C-contiguous, such as a row block of a
+    larger C-contiguous matrix (ValueError otherwise): the scatter runs
+    over its rows as one flat array.
     """
+    m, n = r.shape
+    if out.shape != (m, n + 1) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {(m, n + 1)} array, got shape "
+                         f"{out.shape}, C-contiguous {out.flags.c_contiguous}")
     r[:, 1::2] *= -1.0
-    r -= r.mean(axis=1, keepdims=True)
+    r -= np.add.reduce(r, axis=1, keepdims=True) / n  # the mean, as r.mean takes it
     np.cumsum(r[:, :0:-1], axis=1, out=r[:, :0:-1])
-    v = r[:, 1:]
-    v[:, 0::2] *= -1.0
-    v /= h * h
+    # the signs folded into the divisor -h^2, h^2, -h^2, ..., which is exact;
+    # each row's two zeros of padding end its scatter before the next row
+    signs = np.full(n - 1, h * h)
+    signs[::2] *= -1.0
+    v = np.zeros((m, n + 1))
+    np.divide(r[:, 1:], signs, out=v[:, :-2])
+    v, flat = v.reshape(-1), out.reshape(-1)
     # 0.0 + v, not a copy of v, so that a -0.0 comes out as 0.0, as when
     # the scatter starts from zeros
-    np.add(v, 0.0, out=out[:, :-2])
-    out[:, -2:] = 0.0
-    out[:, 1:-1] -= 2.0 * v
-    out[:, 2:] += v
+    np.add(v, 0.0, out=flat)
+    flat[1:] -= 2.0 * v[:-1]
+    flat[2:] += v[:-2]
     return out
 
 

@@ -219,25 +219,40 @@ class TestIntegralOperator:
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("rows", ["full", "causal", "interior"])
+    @pytest.mark.parametrize("rows", ["full", "causal", "interior", "unsorted", "ends"])
     @pytest.mark.parametrize("block_rows", [1, 13])
     def test_row_blocks_agree_with_one_block(self, monkeypatch, rows, block_rows):
-        # at n = 40 a row holds 8 x 40 kernel values; its 41 (or 50) rows go
-        # in blocks of 13 rows or of 1, and a last block of 13 is shorter
+        # at n = 40 a full row holds 8 x 40 kernel values; the rows go in
+        # blocks of at most 13 or 1 such rows, more of them when they reach
+        # fewer pieces, and W is the one-block W to the bit. Unsorted limits
+        # include runs at a (no piece reached) and at b (every piece)
         g = make_grid(-0.5, 1.5, 40)
-        kernel = self.KERNELS["polynomial"]
+        rng = np.random.default_rng(7)
         if rows == "full":
             xs, upper = g.nodes, g.b
         elif rows == "causal":
             xs = upper = g.nodes
+        elif rows == "interior":
+            xs = upper = np.sort(rng.uniform(g.a, g.b, 50))
         else:
-            xs = upper = np.sort(np.random.default_rng(7).uniform(g.a, g.b, 50))
+            upper = rng.uniform(g.a, g.b, 60)
+            upper[rng.permutation(60)[:20]] = g.b
+            upper[:6] = upper[30:35] = g.a
+            if rows == "ends":
+                upper = np.sort(upper)
+            xs = rng.uniform(g.a, g.b, 60)
+        calls = []
+
+        def kernel(x, s):
+            calls.append(s.shape)
+            return self.KERNELS["polynomial"](x, s)
+
         one = _integral_operator(kernel, g, RULE8, xs, upper)
+        assert len(calls) == 1
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", block_rows * RULE8.order * g.n)
         blocked = _integral_operator(kernel, g, RULE8, xs, upper)
-        assert len(xs) > 3 * block_rows
-        scale = np.max(np.abs(one), axis=1, keepdims=True)
-        assert np.all(np.abs(blocked - one) <= 1e-14 * scale)
+        assert len(calls) > 3  # at least three blocks
+        assert blocked.tobytes() == one.tobytes()
 
     def test_scalar_upper_broadcasts(self):
         g = make_grid(0, 1, 5)
@@ -266,8 +281,10 @@ class TestIntegralOperator:
             assert shared.tobytes() == per_row.tobytes()
 
     def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
-        # the kernel sees the (q, rows, n) shape, but for a shared limit its
-        # rows are one read-only (q, 1, n) stack, not a rebuilt full stack
+        # the kernel sees the (q, rows, p) shape, but for a shared limit its
+        # rows are one read-only (q, 1, p) stack, not a rebuilt full stack;
+        # per-row limits get a writeable stack of p pieces a row, p each
+        # block's widest reach
         seen = []
 
         def kernel(x, s):
@@ -281,7 +298,8 @@ class TestIntegralOperator:
         assert all(stride == 0 and not writeable for _, stride, writeable in seen)
         seen.clear()
         _integral_operator(kernel, g, RULE8, g.nodes, g.nodes)
-        assert [stride for _, stride, _ in seen[:4]] == [g.n * 8] * 4
+        assert seen == [((8, 10, 9), 9 * 8, True), ((8, 6, 15), 15 * 8, True),
+                        ((8, 5, 20), 20 * 8, True)]
 
     def test_runtime_error_from_array_call_propagates(self):
         calls = []
@@ -355,9 +373,26 @@ class CountingKernel:
         return math.exp(x * s)
 
 
+def planned_blocks(grid, q, upper, rows, block):
+    """(rows, p) of each row block, from the definition: row i reaches the
+    r_i pieces that start below its limit, and a block takes p = max(2,
+    max r_i) pieces of each row, growing row by row while q rows p <= block."""
+    reach = [max(2, int(np.sum(grid.nodes[:-1] < u))) for u in np.broadcast_to(upper, rows)]
+    blocks, lo = [], 0
+    while lo < rows:
+        hi, p = lo + 1, reach[lo]
+        while hi < rows and q * (hi + 1 - lo) * max(p, reach[hi]) <= block:
+            p = max(p, reach[hi])
+            hi += 1
+        blocks.append((hi - lo, p))
+        lo = hi
+    return blocks
+
+
 class TestOperatorCalls:
     """The operator calls the kernel once per block of rows, on a (rows, 1)
-    column of x and the (q, rows, n) stack of every row's own nodes."""
+    column of x and the (q, rows, p) stack of every row's own nodes on the
+    p pieces the block's rows reach."""
 
     N, BLOCK_ROWS = 40, 13
     GRID = make_grid(-0.5, 1.5, N)
@@ -366,37 +401,49 @@ class TestOperatorCalls:
         "causal": (GRID.nodes, GRID.nodes),
         "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),) * 2,
     }
+    # a shared limit at b reaches every piece, so its blocks are BLOCK_ROWS
+    # rows of N pieces; row i of the causal rows reaches i pieces, so each
+    # of their blocks takes more rows of fewer pieces, and so do sorted
+    # off-node rows
+    BLOCKS = {"fredholm": [(13, 40)] * 3 + [(2, 40)],
+              "causal": [(23, 22), (14, 36), (4, 40)],
+              "off_node": [(24, 21), (16, 32), (10, 40)]}
 
     def run(self, monkeypatch, rows, kernel):
-        """Rows in blocks of BLOCK_ROWS; returns the size of each block."""
-        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK",
-                            self.BLOCK_ROWS * RULE8.order * self.N)
+        """Rows in blocks of at most BLOCK_ROWS x N pieces; returns each
+        block's (rows, p), checked against the definition."""
+        block = self.BLOCK_ROWS * RULE8.order * self.N
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", block)
         xs, upper = self.ROWS[rows]
         _integral_operator(kernel, self.GRID, RULE8, xs, upper)
-        return [min(self.BLOCK_ROWS, len(xs) - lo)
-                for lo in range(0, len(xs), self.BLOCK_ROWS)]
+        blocks = planned_blocks(self.GRID, RULE8.order, upper, len(xs), block)
+        assert blocks == self.BLOCKS[rows]
+        return blocks
 
     @pytest.mark.parametrize("rows", ["fredholm", "causal"])
     def test_node_rows_make_one_call_per_block(self, monkeypatch, rows):
         kernel = CountingKernel()
-        sizes = self.run(monkeypatch, rows, kernel)
-        assert len(sizes) == 4
-        assert kernel.array_calls == [((r, 1), (RULE8.order, r, self.N)) for r in sizes]
+        blocks = self.run(monkeypatch, rows, kernel)
+        assert kernel.array_calls == [((r, 1), (RULE8.order, r, p)) for r, p in blocks]
 
     def test_off_node_rows_make_one_call_per_block(self, monkeypatch):
         # the piece that each row's limit cuts takes its nodes in the same call
         kernel = CountingKernel()
-        sizes = self.run(monkeypatch, "off_node", kernel)
-        assert kernel.array_calls == [((r, 1), (RULE8.order, r, self.N)) for r in sizes]
+        blocks = self.run(monkeypatch, "off_node", kernel)
+        assert kernel.array_calls == [((r, 1), (RULE8.order, r, p)) for r, p in blocks]
 
     @pytest.mark.parametrize("rows", ["fredholm", "causal", "off_node"])
     def test_scalar_only_kernel_point_calls(self, monkeypatch, rows):
-        # q values per (row, piece) pair, whether the row covers, cuts or
-        # skips the piece, after one failed array call per block
+        # q values per (row, piece) pair of each block's p pieces, whether
+        # the row covers, cuts or skips the piece, after one failed array
+        # call per block; per-row limits skip the pieces no row of a block
+        # reaches
         kernel = CountingKernel(scalar_only=True)
-        sizes = self.run(monkeypatch, rows, kernel)
-        assert kernel.point_calls == RULE8.order * sum(sizes) * self.N
-        assert len(kernel.array_calls) == len(sizes)
+        blocks = self.run(monkeypatch, rows, kernel)
+        assert kernel.point_calls == RULE8.order * sum(r * p for r, p in blocks)
+        assert len(kernel.array_calls) == len(blocks)
+        every_piece = RULE8.order * len(self.ROWS[rows][0]) * self.N
+        assert (kernel.point_calls == every_piece) == (rows == "fredholm")
 
 
 def fredholm_operator(p, n):

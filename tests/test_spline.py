@@ -196,6 +196,20 @@ class TestCoefficientMatrix:
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W[2:8] - oracle) <= 1e-14 * scale)
 
+    @pytest.mark.parametrize("out", ["column_slice", "fortran", "every_other_row", "short"])
+    def test_adjoint_refuses_an_out_it_cannot_scatter_into_flat(self, out):
+        # the scatter runs over out's rows as one flat array, so out must be
+        # a C-contiguous m x (n+1) array; a row block of one is (above)
+        n = 6
+        r = np.random.default_rng(5).standard_normal((4, n))
+        W = np.zeros((8, n + 2))
+        out = {"column_slice": W[:4, 1:], "fortran": np.zeros((4, n + 1), order="F"),
+               "every_other_row": W[::2, :n + 1], "short": W[:3, :n + 1]}[out]
+        before = W.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _closed_form_adjoint(r.copy(), 0.5, out)
+        assert W.tobytes() == before.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             coefficient_matrix(1, 0.5)
