@@ -74,19 +74,6 @@ def make_grid(a: float, b: float, n: int) -> Grid:
     return Grid(float(a), float(b), int(n), h, nodes)
 
 
-def array_callable(f):
-    """Mark f, a function or class of this package whose calls take arrays,
-    so that eval_many never calls it point by point.
-
-    Such a callable (a SplineModel, a Lagrange interpolant, an integrand
-    built from them) raises TypeError or ValueError on an array only
-    through a defect, and a per-point retry would hide the defect behind
-    one Python call per point, 32,768 for each block of a sup-norm sweep.
-    """
-    f._array_callable = True
-    return f
-
-
 def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     """f on the broadcast of args: one array call, else one call per point.
 
@@ -96,12 +83,14 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     writeable array. f is called per point, logged at DEBUG, only when the
     array call raises TypeError or ValueError (what a scalar-only callable
     raises on an array) or gives a shape that does not broadcast, and f is
-    not one of the package's own array callables (see array_callable). The
-    package's own OutOfDomainError and InvalidDomainError, and any other
-    exception, propagate after that one call, as does every exception of
-    an array callable. So does numpy's ValueError for a write into a
-    read-only argument, raised as a ValueError naming f: f must not write
-    into its arguments, and calling it per point would only hide that.
+    defined outside this package. One defined in it (by its __module__, an
+    instance's being its class's; a missing or non-string one is outside),
+    registry entries included, takes arrays, so a retry would only hide a
+    defect behind one call per point. The package's own OutOfDomainError and
+    InvalidDomainError, and any other exception, propagate after that one
+    call, as does numpy's ValueError for a write into a read-only
+    argument, raised as a ValueError naming f: f must not write into its
+    arguments, and calling it per point would only hide that.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast(*args).shape
@@ -111,7 +100,8 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     except (OutOfDomainError, InvalidDomainError):
         raise
     except (TypeError, ValueError) as exc:
-        if getattr(f, "_array_callable", False):
+        home = getattr(f, "__module__", None)
+        if isinstance(home, str) and home.partition(".")[0] == __package__:
             raise
         if "read-only" in str(exc) and not all(a.flags.writeable for a in args):
             raise ValueError(f"{f!r} writes into its arguments, which are "
@@ -120,6 +110,19 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
                    "(per node when sampling a grid)", f, shape, exc)
     points = zip(*(a.flat for a in np.broadcast_arrays(*args)))
     return np.array([float(f(*p)) for p in points]).reshape(shape)
+
+
+def checked_samples(grid: Grid, values, finite: bool = True) -> np.ndarray:
+    """A float copy of the grid.n + 1 node samples `values`; raises
+    ValueError for another shape and, if `finite`, at the first non-finite one."""
+    y = np.array(values, dtype=float)
+    if y.shape != (grid.n + 1,):
+        raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
+    if finite:
+        i = int(np.argmin(np.isfinite(y)))  # the first sample not finite, if any
+        if not math.isfinite(y[i]):
+            raise ValueError(f"sample {i} at x={grid.nodes[i]} is not finite: {y[i]}")
+    return y
 
 
 def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:

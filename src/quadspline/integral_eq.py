@@ -47,8 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Grid, InvalidDomainError, ScalarFunction, array_callable, eval_many,
-                   make_grid, sample)
+from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
 from .linsolve import find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
@@ -135,9 +134,10 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
 
     S is the spline through any samples y. `upper` is one limit per row,
-    or a scalar limit that every row shares. Row i reaches the r_i pieces
-    that start below upper_i (one binary search per call; r_i = n for a
-    limit at or beyond b), and the pieces beyond its reach hold nothing.
+    or a scalar limit that every row shares, taken per row if below b.
+    Row i reaches the r_i pieces that start below upper_i (one binary
+    search per call; r_i = n for a limit at or beyond b), and the pieces
+    beyond its reach hold nothing.
     Rows go in blocks sized by rows x reach: a block works on the first p
     pieces of its rows, p their widest reach (at least 2: a product with
     one column goes to BLAS's matrix-vector routine, which rounds
@@ -155,10 +155,10 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     rows' half-widths and starts. So the kernel is called once per block,
     on a (rows, 1) column of x and the (q, rows, p) stack of s, and only at
     a <= s <= upper_i (an empty piece's nodes all sit at upper_i). A shared
-    limit gives every row the same nodes: its (q, 1, p) stack is built
-    once, and the kernel gets a read-only broadcast of it (row stride 0);
-    per-row limits are built per block. The kernel must not write into its
-    arguments.
+    limit at or beyond b gives every row the same nodes: its (q, 1, p)
+    stack is built once, and the kernel gets a read-only broadcast of it
+    (row stride 0); per-row limits are built per block. The kernel must
+    not write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the folded
     weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
@@ -189,7 +189,9 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     n, h, q = grid.n, grid.h, rule.order
     starts, ends = grid.nodes[:-1], grid.nodes[1:]
     weights = rule._piece_rows * np.array([h / 4, h / 4, h**3 / 8])[:, None]
-    per_row = len(upper) > 1
+    per_row = len(upper) > 1 or upper[0, 0] < grid.b
+    if per_row:
+        upper = np.broadcast_to(upper, (len(xs), 1))
     # a row reaches the pieces that start below its limit
     reach = starts.searchsorted(upper[:, 0])
     # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
@@ -213,8 +215,6 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     s_buf = np.empty(q * hs_buf.size // 2)
     m_buf = np.empty(3 * max_size)
     quad_buf = np.empty(max_rows * n)
-    # a shared limit at or beyond b leaves every piece full
-    partial = per_row or upper[0, 0] < grid.b
     W = np.empty((len(xs), n + 1))
     for lo, hi, p in blocks:
         x = xs[lo:hi]
@@ -232,9 +232,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
             np.minimum(starts[:p], u, out=start)
             s = np.matmul(rule._node_map, hs,
                           out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, p)
-            if not per_row:
-                s = np.broadcast_to(s, (q, blocks[0][1], p))
-            if partial:
+            if per_row:
                 # a row's pieces that end by its limit are full; the next
                 # one is cut when the row reaches it, and every piece of
                 # half-width 0 is empty
@@ -242,17 +240,19 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
                 cut = (reach[lo:hi] > full).nonzero()[0]
                 piece = full[cut]
                 empty = half == 0.0
+            else:
+                s = np.broadcast_to(s, (q, blocks[0][1], p))
         K = eval_many(kernel, x, s[:, :m])
         # each piece's left-node, right-node and quadratic rows, as if full
         lrq = np.matmul(weights, K.reshape(q, -1),
                         out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
-        if partial:
+        if per_row:  # a shared limit at or beyond b leaves every piece full
             np.copyto(lrq, 0.0, where=empty)
             if cut.size:
                 # with rho = 2 half/h, rows rho L + (rho - rho^2) R, rho^2 R,
                 # rho^3 Q + (rho^3 - rho^2) h^2 R
                 rho = half[cut, piece] / (0.5 * h)
-                at = cut * p + piece if per_row else np.arange(piece[0], m * p, p)
+                at = cut * p + piece
                 planes = lrq.reshape(3, -1)
                 cut_rows = planes.take(at, axis=1)
                 powers = np.multiply.accumulate(rho[None].repeat(3, axis=0))
@@ -305,9 +305,9 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
         return vector * (ref1 / v1)
     model = build_spline(grid, vector)
     rule = gauss_legendre(8)
-    num = integrate_panels(array_callable(lambda x: model(x) * eval_many(problem.reference, x)),
+    num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
                            grid.a, grid.b, grid.n, rule)
-    den = integrate_panels(array_callable(lambda x: model(x) ** 2), grid.a, grid.b, grid.n, rule)
+    den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
     return vector * (num / den)
 
 
@@ -373,7 +373,7 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     SingularMatrixError beyond; the L2 error grows about 2.3x per unit of
     n, from 3.3e-13 at n = 5 to 2.4e-7 at n = 21.
     """
-    f = eval_many(problem.forcing, grid.nodes[1:])
+    f = sample(problem.forcing, grid)[1:]
     u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T
     u = np.concatenate(([0.0], u))
     w = np.concatenate(([1.0], w))

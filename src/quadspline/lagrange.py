@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Grid, InvalidDomainError, array_callable
+from .core import Grid, InvalidDomainError, checked_samples
 
 # Doubles in evaluate's one (rows, n + 1) temporary, about 1 MB; x is taken
 # in blocks of that many rows, so a long x needs no more. The block size
@@ -25,22 +25,22 @@ def lagrange_interpolant(grid: Grid, values: np.ndarray):
     """Callable evaluating the degree-n interpolant through (grid.nodes, values).
 
     The weights (-1)^j C(n, j) hold for equidistant nodes alone, so the
-    nodes come as the Grid that has them, as build_spline's do. Raises
-    InvalidDomainError when the largest weight, C(n, n // 2), does not
-    fit a double (n >= 1030), and the callable raises it, naming the point,
-    when the barycentric sums overflow or their denominator cancels to 0
-    there (abs on [-1, 1] at n = 200, say), instead of returning inf or NaN,
-    and when the point itself is NaN or infinite.
+    nodes come as the Grid that has them, and the values are checked as
+    build_spline's are (core.checked_samples). Raises InvalidDomainError
+    when the largest weight, C(n, n // 2), does not fit a double
+    (n >= 1030), and the callable raises it, naming the point, when the
+    barycentric sums overflow or their denominator cancels to 0 there (abs
+    on [-1, 1] at n = 200, say), instead of returning inf or NaN, and when
+    the point itself is NaN or infinite.
     """
     nodes, n = grid.nodes, grid.n
-    values = np.asarray(values, dtype=float)
+    values = checked_samples(grid, values)
     if comb(n, n // 2) > sys.float_info.max:
         raise InvalidDomainError(f"degree {n}: the barycentric weight "
                                  f"C({n}, {n // 2}) overflows a double")
     weights = np.array([(-1.0) ** j * comb(n, j) for j in range(n + 1)])
     rows = max(1, _BLOCK // (n + 1))
 
-    @array_callable
     def evaluate(x):
         xs = np.asarray(x, dtype=float)
         flat = xs.reshape(-1)

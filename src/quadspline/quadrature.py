@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import InvalidDomainError, ScalarFunction, array_callable, eval_many
+from .core import InvalidDomainError, ScalarFunction, eval_many
 
 MAX_ORDER = 32
 # Points per slice of a sup-norm sweep: the slice of the mesh and the
@@ -135,7 +135,6 @@ def l2_error(
     integrand (0 * inf).
     """
 
-    @array_callable
     def sq_diff(x):
         return (eval_many(approx, x) - eval_many(reference, x)) ** 2
 

@@ -41,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction, array_callable,
-                   make_grid, sample)
+from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction,
+                   checked_samples, make_grid, sample)
 from .quadrature import max_error
 
 _EPS = float(np.finfo(float).eps)
@@ -124,7 +124,6 @@ def _closed_form_adjoint(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray
     return out
 
 
-@array_callable
 @dataclass(frozen=True)
 class SplineModel:
     """An interpolating quadratic spline: grid, node samples, one coefficient per piece.
@@ -230,9 +229,8 @@ def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
     samples whose second differences or slopes overflow, the first
     non-finite coefficient a_k, or else power-form slope c1 of piece k.
     """
-    y = np.array(samples, dtype=float)  # own copy: the model freezes it
-    if y.shape != (grid.n + 1,):
-        raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
+    # own copy, as the model freezes it; the one sum below tests finiteness
+    y = checked_samples(grid, samples, finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = coeffs_closed_form(second_differences(y, grid), grid.n)
         y.setflags(write=False)
@@ -243,10 +241,7 @@ def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
         # looked through and passes
         total = model._power.sum()
     if not math.isfinite(total):
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"sample {i} at x={grid.nodes[i]} is not finite: {y[i]}")
+        checked_samples(grid, y)
         for name, row in (("coefficient a", coeffs),
                           ("power-form slope c1 of piece ", model._power[1])):
             bad = np.flatnonzero(~np.isfinite(row))

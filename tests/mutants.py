@@ -1,0 +1,130 @@
+"""Mutation check: deliberate one-line breaks of the code that the tests must catch.
+
+Each entry of MUTANTS is (file, exact old text, new text, pytest node ids).
+`python tests/mutants.py` first runs every listed test on an untouched
+temporary copy of src, where all must pass, then applies one entry at a
+time to that copy and runs only that entry's tests on it. A mutant is
+killed when at least one of them fails; the run exits non-zero when a
+mutant survives, when the tests fail or error otherwise, or when an old
+text, here or in EQUIVALENT, does not occur exactly once in its file, so
+that a change to the code must update the list. pytest runs from a
+temporary working directory, so hypothesis's example database in the
+repository never stores a mutant's failures.
+
+EQUIVALENT lists mutants that no test can kill, because the program
+behaves the same with them, each with the reason; they are checked for
+the exactly-once rule but not run.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+CORE = "src/quadspline/core.py"
+OPERATOR = "src/quadspline/integral_eq.py"
+POLICY = "tests/test_core.py::TestCallPolicy::"
+ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
+
+MUTANTS = [
+    # eval_many retries the package's own callables point by point
+    (CORE, 'if isinstance(home, str) and home.partition(".")[0] == __package__:',
+     "if False:",
+     [POLICY + "test_array_callable_defect_raises_after_one_call[eval_many]",
+      POLICY + "test_array_callable_defect_raises_after_one_call[l2_error approx]",
+      POLICY + "test_where_a_function_is_defined_decides_the_retry[registry]",
+      "tests/test_spline.py::test_array_path_defect_fails_at_once"]),
+    # a module that merely starts with the package's name counts as inside
+    (CORE, 'home.partition(".")[0] == __package__', "home.startswith(__package__)",
+     [POLICY + "test_where_a_function_is_defined_decides_the_retry[lookalike]"]),
+    # the package's domain errors are retried point by point
+    (CORE, "except (OutOfDomainError, InvalidDomainError):", "except ():",
+     [POLICY + "test_out_of_domain_raises_after_one_call",
+      POLICY + "test_invalid_domain_raises_after_one_call"]),
+    # a write into a read-only argument is retried point by point
+    (CORE, 'if "read-only" in str(exc) and not all(a.flags.writeable for a in args):',
+     "if False:",
+     [POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
+    # the cut piece's correction without its rho^2 term
+    (OPERATOR, "coupled = (powers - powers[1]) * cut_rows[1]",
+     "coupled = powers * cut_rows[1]",
+     [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-mid_last_piece]",
+      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-off_node]",
+      "tests/test_integral_eq.py::TestSolveVolterra1::test_affine_solution_recovered_exactly"]),
+    # the cut piece's correction without the h^2 on R
+    (OPERATOR, "coupled[2] *= h * h", "coupled[2] *= 1.0",
+     [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-mid_last_piece]",
+      ROWS + "test_cut_pieces_never_write_into_the_kernel_result[returns_s]"]),
+    # empty pieces keep the rows of a full piece
+    (OPERATOR, "np.copyto(lrq, 0.0, where=empty)", "None",
+     [ROWS + "test_row_blocks_agree_with_one_block[13-causal]",
+      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-causal]",
+      "tests/test_integral_eq.py::TestSolveVolterra2::test_product_kernel_benchmark"]),
+    # full pieces found by rho < 1, which rounding makes true on some full pieces
+    (OPERATOR, 'full = ends.searchsorted(u[:, 0], side="right")',
+     "full = (half >= 0.5 * h).sum(axis=1)",
+     [ROWS + "test_scalar_upper_broadcasts",
+      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[b-40-8-polynomial]"]),
+    # a shared limit below b taken as if it were b: no piece is cut
+    (OPERATOR, "per_row = len(upper) > 1 or upper[0, 0] < grid.b", "per_row = len(upper) > 1",
+     [ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-7-1-constant]",
+      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-40-8-polynomial]"]),
+]
+
+EQUIVALENT = [
+    (CORE, 'home = getattr(f, "__module__", None)', 'home = getattr(f, "__module__", "")',
+     "a callable without __module__ then has the module name '', which is outside "
+     "the package, as a missing one is"),
+]
+
+
+def pytest_status(src: Path, ids: list[str], cwd: Path, show: bool = False) -> int:
+    """pytest's exit status on `ids`, with `src` in place of the package's
+    source; its report is printed only when `show`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "--tb=short", "-p", "no:cacheprovider",
+         *(str(REPO / i) for i in ids)],
+        cwd=cwd, env=env, stdout=None if show else subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    counts = [(file, old, (REPO / file).read_text().count(old))
+              for file, old, *_ in MUTANTS + EQUIVALENT]
+    misplaced = [c for c in counts if c[2] != 1]
+    for file, old, count in misplaced:
+        print(f"{file}: {old!r} occurs {count} times, not once")
+    if misplaced:
+        return 1
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = tmp / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every = list(dict.fromkeys(i for *_, ids in MUTANTS for i in ids))
+        status = pytest_status(src, every, tmp, show=True)
+        if status != 0:
+            print(f"the listed tests do not pass on the untouched source (pytest exit {status})")
+            return 1
+        survivors = 0
+        for file, old, new, ids in MUTANTS:
+            path = src / Path(file).relative_to("src")
+            text = path.read_text()
+            path.write_text(text.replace(old, new))
+            status = pytest_status(src, ids, tmp)
+            path.write_text(text)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+            print(f"{verdict:8} {file}: {old!r} -> {new!r}")
+            survivors += status != 1
+    print(f"{len(MUTANTS)} mutants, {survivors} not killed, {len(EQUIVALENT)} equivalent "
+          f"listed, {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadspline import (InvalidDomainError, OutOfDomainError, build_spline, gauss_legendre,
-                        make_grid, sample)
-from quadspline.core import array_callable, eval_many
+from quadspline import (InvalidDomainError, OutOfDomainError, SplineModel, build_spline,
+                        gauss_legendre, make_grid, sample)
+from quadspline.core import eval_many
 from quadspline.integral_eq import _integral_operator
 from quadspline.quadrature import integrate_panels, l2_error, max_error
 
@@ -278,23 +278,65 @@ class TestCallPolicy:
         lambda f: integrate_panels(f, 0, 1, 10, gauss_legendre(4)),
     ], ids=["eval_many", "max_error", "l2_error approx", "l2_error reference",
             "integrate_panels"])
-    def test_array_callable_defect_raises_after_one_call(self, sweep):
-        # one of the package's own array callables whose array path fails
-        # as numpy reports a broadcast error: every sweep raises after its
-        # one array call, even through l2_error's integrand, where a retry
-        # per point would have hidden the defect behind a call per point
+    def test_array_callable_defect_raises_after_one_call(self, sweep, monkeypatch):
+        # a SplineModel, defined in the package, whose array path fails as
+        # numpy reports a broadcast error: every sweep raises after its one
+        # array call, even through l2_error's integrand, where a retry per
+        # point would have hidden the defect behind a call per point
         calls = []
+        evaluate = SplineModel._eval
 
-        @array_callable
-        def broken(x):
-            calls.append(x)
+        def broken(self, x, deriv):
+            calls.append(np.shape(x))
             if np.ndim(x):
                 raise ValueError("operands could not be broadcast together")
+            return evaluate(self, x, deriv)
+
+        g = make_grid(0, 1, 10)
+        model = build_spline(g, np.cos(g.nodes))
+        monkeypatch.setattr(SplineModel, "_eval", broken)
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            sweep(model)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("module,retried", [
+        ("quadspline.registry", False), ("quadspline", False),
+        (__name__, True), ("quadspline_extra", True),
+    ], ids=["registry", "package", "test module", "lookalike"])
+    def test_where_a_function_is_defined_decides_the_retry(self, module, retried):
+        # a function failing on arrays raises after its one call when it is
+        # defined in the package, and is called per point otherwise
+        calls = []
+
+        def scalar_only(x):
+            calls.append(x)
             return math.cos(x)
 
-        with pytest.raises(ValueError, match="could not be broadcast"):
-            sweep(broken)
-        assert len(calls) == 1
+        scalar_only.__module__ = module
+        xs = np.linspace(0, 1, 7)
+        if retried:
+            np.testing.assert_array_equal(eval_many(scalar_only, xs), np.cos(xs))
+            assert len(calls) == 1 + xs.size
+        else:
+            with pytest.raises(TypeError):
+                eval_many(scalar_only, xs)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("module", [None, b"quadspline", AttributeError],
+                             ids=["None", "bytes", "missing"])
+    def test_callable_without_a_string_module_counts_as_outside(self, module):
+        class ScalarOnly:
+            def __call__(self, x):
+                return math.cos(x)
+
+        def missing(self):
+            raise AttributeError("__module__")
+
+        ScalarOnly.__module__ = property(missing) if module is AttributeError else module
+        f = ScalarOnly()
+        assert not isinstance(getattr(f, "__module__", None), str)
+        xs = np.linspace(0, 1, 7)
+        np.testing.assert_array_equal(eval_many(f, xs), np.cos(xs))
 
     def test_sample_names_the_node_outside_a_spline(self):
         g = make_grid(0, 2, 4)

@@ -100,6 +100,21 @@ class TestProblemValidation:
         assert [f.name for f in fields(p)] == ["kind", "kernel", "interval", "forcing",
                                                "lam", "reference", "bracket"]
 
+    @pytest.mark.parametrize("kind", ["fredholm2", "volterra2", "volterra1"])
+    def test_failing_forcing_is_named_by_node(self, kind):
+        # every kind reads its forcing at the nodes through sample, which
+        # names the node where it fails
+        def forcing(x):
+            if np.any(np.asarray(x) == 0.5):
+                raise ZeroDivisionError("pole at 0.5")
+            return np.ones_like(x)
+
+        p = IntegralProblem(kind, lambda x, s: x * s, (0, 1), forcing=forcing,
+                            lam=None if kind == "volterra1" else 0.5)
+        with pytest.raises(ValueError, match=r"evaluation failed at node x=0\.5") as info:
+            solve(p, 4)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(InvalidDomainError, match="finite lam"):

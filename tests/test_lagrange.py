@@ -133,3 +133,13 @@ def test_bits_do_not_depend_on_block_position(n):
     single = np.array([f(xi) for xi in x])
     np.testing.assert_array_equal(chunked.view(np.int64), whole)
     np.testing.assert_array_equal(single.view(np.int64), whole)
+
+
+@pytest.mark.parametrize("values,message", [
+    ([0.0, 1.0, 2.0], r"expected 5 samples, got \(3,\)"),
+    ([0.0, 1.0, np.nan, 2.0, 3.0], "sample 2 at x=0.5 is not finite: nan"),
+], ids=["too few", "nan"])
+def test_bad_samples_refused_when_built(values, message):
+    # refused as build_spline refuses them, before any evaluation
+    with pytest.raises(ValueError, match=message):
+        lagrange_interpolant(make_grid(0.0, 1.0, 4), values)
