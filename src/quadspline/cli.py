@@ -27,6 +27,8 @@ CSV_HEADER = ("id", "n", "metric", "value", "published", "ratio")
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most cells: one type test, not five isinstance calls
+        return f"{x:.6e}"
     if x is None:
         return ""
     if isinstance(x, str):

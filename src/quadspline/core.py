@@ -93,7 +93,7 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     arguments, and calling it per point would only hide that.
     """
     args = [np.asarray(a, dtype=float) for a in args]
-    shape = np.broadcast(*args).shape
+    shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
     try:
         vals = np.asarray(f(*args), dtype=float)
         return vals if vals.shape == shape else np.array(np.broadcast_to(vals, shape))

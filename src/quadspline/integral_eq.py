@@ -278,30 +278,32 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
     reference when there is one (conventions in the module docstring)."""
     ref = problem.reference
-    eigen = problem.kind == "fredholm_eigen" and ref is not None
-    model = build_spline(grid, _rescale_to_reference(problem, grid, y) if eigen else y)
     if ref is None:
+        model = build_spline(grid, y)
         return SolveReport(problem, model.samples, model)
+    # first, so that a reference that fails at a node is named by it
+    ref_y = sample(ref, grid)
+    eigen = problem.kind == "fredholm_eigen"
+    model = build_spline(grid, _rescale_to_reference(problem, grid, y, ref_y[1]) if eigen else y)
     e2 = l2_error(model, ref, grid.a, grid.b, grid.n, gauss_legendre(8))
     if eigen:
         e_max = max_error(model, ref, grid.a, grid.b)
     else:
-        e_max = float(np.max(np.abs(model.samples - eval_many(ref, grid.nodes))))
+        e_max = float(np.abs(model.samples - ref_y).max())
     return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), e_max)
 
 
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
-                          vector: np.ndarray) -> np.ndarray:
+                          vector: np.ndarray, ref1: float) -> np.ndarray:
     """Scale an eigenvector to the reference eigenfunction's normalization.
 
     The published benchmarks fix the scale by matching the value at the
-    first interior node (the textbook move of pinning one unknown when
-    solving the homogeneous system); fall back to a least-squares fit when
-    that component is degenerate.
+    first interior node, ref1 the reference's value there (the textbook
+    move of pinning one unknown when solving the homogeneous system); fall
+    back to a least-squares fit when that component is degenerate.
     """
-    ref1 = float(eval_many(problem.reference, grid.nodes[1]))
     v1 = vector[1]
-    if abs(v1) > 1e-8 * np.max(np.abs(vector)) and ref1 != 0.0:
+    if abs(v1) > 1e-8 * np.abs(vector).max() and ref1 != 0.0:
         return vector * (ref1 / v1)
     model = build_spline(grid, vector)
     rule = gauss_legendre(8)

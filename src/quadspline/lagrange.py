@@ -54,12 +54,13 @@ def lagrange_interpolant(grid: Grid, values: np.ndarray):
                 # einsum, not the BLAS product q @ values, whose rounding of
                 # a row depends on where the row falls in the block
                 block[:] = np.einsum("ij,j->i", q, values) / q.sum(axis=1)
-            bad = np.flatnonzero(~np.isfinite(block))
-            if bad.size:
+            finite = np.isfinite(block)
+            if not finite.all():
                 # x on a node makes one quotient infinite, so the row's sums
                 # and their ratio are not finite: only such rows are
                 # searched for a hit, which takes the node's value, and any
                 # row still not finite is refused
+                bad = (~finite).nonzero()[0]
                 hit_rows, cols = np.nonzero(pts[bad, None] == nodes)
                 block[bad[hit_rows]] = values[cols]
                 bad = bad[~np.isfinite(block[bad])]

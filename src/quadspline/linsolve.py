@@ -198,11 +198,12 @@ def _sketch_inverse_bound(A: np.ndarray) -> _Sketch:
 
 
 def _finite_solution(x: np.ndarray) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise SingularMatrixError(f"the solution overflows: {bad.size} of its "
-                                  f"{x.size} entries are not finite")
-    return x
+    # one pass for the usual finite x; the entries are counted only on failure
+    if np.isfinite(x).all():
+        return x
+    bad = np.count_nonzero(~np.isfinite(x))
+    raise SingularMatrixError(f"the solution overflows: {bad} of its "
+                              f"{x.size} entries are not finite")
 
 
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,8 +302,17 @@ def _null_vector(alpha: np.ndarray, lam: float):
     to +1, with its residual ||(I - lam*alpha) v||_inf."""
     shifted = np.eye(alpha.shape[0]) - lam * alpha
     v = np.linalg.svd(shifted)[2][-1]
-    v = v / v[np.argmax(np.abs(v))]
-    return v, float(np.max(np.abs(shifted @ v)))
+    v = v / v[np.abs(v).argmax()]
+    return v, float(np.abs(shifted @ v).max())
+
+
+def _merged_roots(lams: np.ndarray) -> list[float]:
+    """The sorted values lams with each run of neighbours within
+    1e-6 (1 + |lambda|) of each other merged into its mean, taken as
+    np.add.reduce(run) / len(run), the division run.mean takes."""
+    gaps = lams[1:] - lams[:-1] > 1e-6 * (1.0 + np.abs(lams[:-1]))
+    ends = [0, *(gaps.nonzero()[0] + 1).tolist(), len(lams)]
+    return [float(np.add.reduce(lams[i:j]) / (j - i)) for i, j in zip(ends, ends[1:]) if j > i]
 
 
 def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[EigenResult]:
@@ -326,14 +336,13 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
 
     mu = np.linalg.eigvals(alpha)
     mu = mu[(mu != 0) & (np.abs(mu.imag) <= 1e-6 * np.abs(mu))]
-    lams = np.sort(1.0 / mu.real)
+    lams = 1.0 / mu.real
+    lams.sort()
     lams = lams[(lams >= lo) & (lams <= hi)]
-    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * (1.0 + np.abs(lams[:-1]))) + 1
-    roots = [float(c.mean()) for c in np.split(lams, breaks) if c.size]
 
     tol = 1e-8 * _inf_norm(alpha)
     results = []
-    for lam in roots:
+    for lam in _merged_roots(lams):
         vector, residual = _null_vector(alpha, lam)
         if residual <= tol:
             vector.setflags(write=False)

@@ -93,7 +93,7 @@ def integrate_panels(
         return 0.0
     pts, half = panel_points(lo, hi, panels, rule)
     vals = eval_many(f, pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half * (vals @ rule.weights)))
+    return float(np.add.reduce(half * (vals @ rule.weights)))
 
 
 def panel_points(
@@ -102,21 +102,44 @@ def panel_points(
     """Nodes of the composite rule, shape (panels, order), and each panel's half-width.
 
     The integral of f is sum(half * (f(nodes) @ rule.weights)). lo and hi
-    are scalars. The ends are halved before they are added or subtracted,
-    so no midpoint or half-width overflows, even on [1e308, 1.7e308];
-    halving is exact, so on any range whose halves stay normal both are
+    are scalars. The panel ends are those of np.linspace(lo, hi, panels +
+    1), bit for bit, made by _equispaced without the wrapper's fixed cost.
+    The ends are halved before they are added or subtracted, so no
+    midpoint or half-width overflows, even on [1e308, 1.7e308]; halving
+    is exact, so on any range whose halves stay normal both are
     bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0). Each node is
     clipped to its panel: rounding can put mid + half t an ulp outside it
     at a Gauss-Lobatto end t = -1 or 1, and on a panel a few ulps wide at
     any t (at 1.0, where the ulp below is half the one above).
     """
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = _equispaced(lo, hi, panels + 1, np.arange(panels + 1, dtype=float))
     e0, e1 = 0.5 * edges[:-1], 0.5 * edges[1:]
     mid = e1 + e0
     half = e1 - e0
     pts = mid[:, None] + half[:, None] * rule.nodes
     np.maximum(pts, edges[:-1, None], out=pts)
     return np.minimum(pts, edges[1:, None], out=pts), half
+
+
+def _equispaced(lo: float, hi: float, count: int, k: np.ndarray) -> np.ndarray:
+    """The points of np.linspace(lo, hi, count) at the float indices k, bit
+    for bit, made in place in k: k * step + lo, or k / div * delta + lo when
+    the step underflows to 0 (div = count - 1, delta = hi - lo), and hi
+    exactly at the last index, when k ends with it. numpy's own arithmetic,
+    without its wrapper's fixed cost per call."""
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    last = k[-1] == div
+    if step == 0:
+        k /= div
+        k *= delta
+    else:
+        k *= step
+    k += lo
+    if last:
+        k[-1] = hi
+    return k
 
 
 def l2_error(
@@ -158,9 +181,8 @@ def max_error(
     The points are those of np.linspace(lo, hi, samples), bit for bit, but
     the mesh is never made whole: each _BLOCK-point slice of it is made,
     evaluated and dropped, so memory is O(_BLOCK) however many samples are
-    asked for. A slice is numpy's own arithmetic on its indices: index *
-    step + lo, or index / div * delta + lo when the step underflows to 0,
-    and the last point is hi exactly. The deviation is taken in place in
+    asked for. A slice is made by _equispaced from its indices, with the
+    arithmetic of np.linspace. The deviation is taken in place in
     approx's result, or in a fresh array when that one is read-only. The
     max is bit-identical to the unblocked np.max(np.abs(...)): max is exact
     and np.maximum carries a NaN through. Raises InvalidDomainError for a
@@ -171,22 +193,11 @@ def max_error(
     if not (isinstance(samples, Integral) and samples >= 2):
         raise ValueError(f"need an integer samples >= 2, got {samples!r}")
     lo, hi, count = float(lo), float(hi), int(samples)
-    div = count - 1
-    delta = hi - lo
-    step = delta / div
     base = np.arange(min(count, _BLOCK), dtype=float)
     dev = 0.0
     for start in range(0, count, _BLOCK):
-        xs = base[:count - start] + start
-        if step == 0:
-            xs /= div
-            xs *= delta
-        else:
-            xs *= step
-        xs += lo
-        if start + _BLOCK >= count:
-            xs[-1] = hi
+        xs = _equispaced(lo, hi, count, base[:count - start] + start)
         d = eval_many(approx, xs)
         d = np.subtract(d, eval_many(reference, xs), out=d if d.flags.writeable else None)
-        dev = np.maximum(dev, np.max(np.abs(d, out=d)))
+        dev = np.maximum(dev, np.abs(d, out=d).max())
     return float(dev)

@@ -28,6 +28,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 CORE = "src/quadspline/core.py"
 OPERATOR = "src/quadspline/integral_eq.py"
+QUADRATURE = "src/quadspline/quadrature.py"
+SPLINE = "src/quadspline/spline.py"
+LINSOLVE = "src/quadspline/linsolve.py"
+LAGRANGE = "src/quadspline/lagrange.py"
 POLICY = "tests/test_core.py::TestCallPolicy::"
 ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
 
@@ -74,6 +78,32 @@ MUTANTS = [
     (OPERATOR, "per_row = len(upper) > 1 or upper[0, 0] < grid.b", "per_row = len(upper) > 1",
      [ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-7-1-constant]",
       ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-40-8-polynomial]"]),
+    # equispaced points without their underflow branch: k * 0 + lo when the
+    # step underflows
+    (QUADRATURE, "if step == 0:", "if False:",
+     ["tests/test_properties.py::test_panel_points_are_the_linspace_form_bit_for_bit",
+      "tests/test_quadrature.py::TestStreamedMesh::test_blocks_are_the_linspace_bit_for_bit"]),
+    # eigenvalue clusters broken one value early
+    (LINSOLVE, "gaps.nonzero()[0] + 1", "gaps.nonzero()[0]",
+     ["tests/test_properties.py::test_merged_roots_are_the_split_form_bit_for_bit"]),
+    # a solution taken as finite without its check
+    (LINSOLVE, "if np.isfinite(x).all():", "if True:",
+     ["tests/test_linsolve.py::TestSolveDense::"
+      "test_overflowing_solution_is_refused_without_warning[varah]",
+      "tests/test_linsolve.py::TestSolveDense::"
+      "test_overflowing_solution_is_refused_without_warning[inverse]"]),
+    # Lagrange's blocks taken as all finite: no node-hit fix-up
+    (LAGRANGE, "if not finite.all():", "if False:",
+     ["tests/test_lagrange.py::test_node_hit_returns_sample_exactly",
+      "tests/test_lagrange.py::test_node_hit_in_a_later_block_returns_sample_exactly"]),
+    # the closed form without its mean removal
+    (SPLINE, "c -= np.add.reduce(c, axis=0) / n", "pass",
+     ["tests/test_spline.py::TestCoefficientPaths::test_closed_form_matches_recursion",
+      "tests/test_properties.py::test_closed_form_is_the_mean_form_bit_for_bit[None]"]),
+    # the power form's c1 without its - a_k w_k
+    (SPLINE, "power[1] -= a * (g.nodes[1:] - g.nodes[:-1])", "pass",
+     ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",
+      "tests/test_properties.py::test_power_rows_are_the_diff_form_bit_for_bit"]),
 ]
 
 EQUIVALENT = [

@@ -23,6 +23,17 @@ route to a result the package computes another way:
   chord_plus_correction       the spline as chord plus quadratic correction
                               on each piece; checks SplineModel, which
                               evaluates each piece in power form
+
+The rest are the same arithmetic through numpy's Python-level wrappers,
+which the package replaced by ufuncs and array methods on its per-call
+paths; each must give the package's doubles to the bit:
+
+  panel_points_linspace       quadrature.panel_points with np.linspace
+  coeffs_closed_form_mean     spline.coeffs_closed_form with np.where
+                              signs, np.cumsum and ndarray.mean
+  power_rows_diff             SplineModel's power-form rows with np.diff
+  merged_roots_split          linsolve._merged_roots with np.diff, np.split
+                              and ndarray.mean
 """
 from __future__ import annotations
 
@@ -193,3 +204,43 @@ def chord_plus_correction(model, x, deriv: int = 0) -> np.ndarray:
         return (y[km1 + 1] - y[km1]) / g.h + ak * (2.0 * x - xk1 - xk)
     return (((x - xk1) * y[km1 + 1] - (x - xk) * y[km1]) / g.h
             + ak * ((x - xk1) * (x - xk)))
+
+
+def panel_points_linspace(lo, hi, panels, rule):
+    """quadrature.panel_points with its panel ends from np.linspace."""
+    edges = np.linspace(lo, hi, panels + 1)
+    e0, e1 = 0.5 * edges[:-1], 0.5 * edges[1:]
+    mid = e1 + e0
+    half = e1 - e0
+    pts = mid[:, None] + half[:, None] * rule.nodes
+    np.maximum(pts, edges[:-1, None], out=pts)
+    return np.minimum(pts, edges[1:, None], out=pts), half
+
+
+def coeffs_closed_form_mean(deltas, n):
+    """spline.coeffs_closed_form through np.where, np.cumsum and ndarray.mean."""
+    d = np.asarray(deltas, dtype=float)
+    signs = np.where(np.arange(1, n) % 2 == 0, 1.0, -1.0)
+    c = np.zeros((n,) + d.shape[1:])
+    np.cumsum(signs.reshape((-1,) + (1,) * (d.ndim - 1)) * d, axis=0, out=c[1:])
+    coeffs = c - c.mean(axis=0)
+    coeffs[1::2] *= -1.0
+    return coeffs
+
+
+def power_rows_diff(model):
+    """SplineModel's rows c0, c1, c2, with the node spacing from np.diff."""
+    g, y, a = model.grid, model.samples, model.coeffs
+    power = np.empty((3, g.n))
+    power[0] = y[:-1]
+    np.subtract(y[1:], y[:-1], out=power[1])
+    power[1] /= g.h
+    power[1] -= a * np.diff(g.nodes)
+    power[2] = a
+    return power
+
+
+def merged_roots_split(lams):
+    """linsolve._merged_roots through np.diff, np.split and ndarray.mean."""
+    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * (1.0 + np.abs(lams[:-1]))) + 1
+    return [float(c.mean()) for c in np.split(lams, breaks) if c.size]

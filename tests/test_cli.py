@@ -1,6 +1,9 @@
+import cProfile
 import csv
 import dataclasses
 import io
+import pstats
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +243,38 @@ class TestReproduce:
         assert code == 0
         assert len(calls) == 25
         assert per_cell == shared
+
+    def test_tables_path_calls_no_numpy_convenience_wrappers(self, capsys):
+        # at table sizes a wrapper's fixed cost is a few times the ufunc or
+        # array method it wraps, so none of these may be called from the
+        # package's own frames on this path, directly or through an array
+        # method (ndarray.mean runs _methods._mean); names, not counts
+        wrappers = {"linspace", "diff", "split", "sum", "max", "argmax", "where", "full",
+                    "cumsum", "atleast_1d"}
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            code, _, _ = run_cli(capsys, "reproduce", "--table", "all")
+        finally:
+            profile.disable()
+        assert code == 0
+        package = str(Path(spline.__file__).parent)
+        stats = pstats.Stats(profile).stats
+
+        def package_callers(key):
+            for caller in stats[key][4]:
+                if caller[0] == "~":  # a C method: look through it to its caller
+                    yield from package_callers(caller)
+                elif caller[0].startswith(package):
+                    yield caller
+
+        called = sorted(
+            (Path(key[0]).name, key[2], caller[2])
+            for key in stats
+            if "numpy" in key[0] and (key[2] in wrappers
+                                      or (Path(key[0]).name, key[2]) == ("_methods.py", "_mean"))
+            for caller in package_callers(key))
+        assert called == []
 
     def test_all_tables_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

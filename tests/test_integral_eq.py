@@ -115,6 +115,23 @@ class TestProblemValidation:
             solve(p, 4)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
+    @pytest.mark.parametrize("kind", ["fredholm2", "volterra2", "fredholm_eigen"])
+    def test_failing_reference_is_named_by_node(self, kind):
+        # the report samples the reference at the nodes before any other use
+        # of it; for the eigen kind, max_error's 2001 points also hit 0.5
+        def reference(x):
+            if np.any(np.asarray(x) == 0.5):
+                raise ZeroDivisionError("pole at 0.5")
+            return x * (1.0 - 2.0 * x)
+
+        eigen = kind == "fredholm_eigen"
+        p = IntegralProblem(kind, lambda x, s: 2.0 * x * s - 4.0 * x**2, (0, 1),
+                            forcing=None if eigen else np.sin, lam=None if eigen else 0.5,
+                            reference=reference, bracket=(-10.0, 0.0) if eigen else None)
+        with pytest.raises(ValueError, match=r"evaluation failed at node x=0\.5") as info:
+            solve(p, 4)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lambda_rejected(self, lam):
         with pytest.raises(InvalidDomainError, match="finite lam"):

@@ -5,7 +5,9 @@ a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
 operator, whose oracle is a Python loop over rows and pieces; n in
 [2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
 checks every rule and layout of limits). The parity
-properties solve symmetric Fredholm problems on [-L, L].
+properties solve symmetric Fredholm problems on [-L, L]. The last ones
+hold the package's ufunc and array-method forms to the bit against the
+numpy wrappers they replaced (tests/oracles.py).
 """
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import (IntegralProblem, OutOfDomainError, build_spline, gauss_legendre,
-                        make_grid, solve)
+from quadspline import (IntegralProblem, OutOfDomainError, build_spline, coeffs_closed_form,
+                        gauss_legendre, make_grid, solve)
 from quadspline.integral_eq import _integral_operator
+from quadspline.linsolve import _merged_roots
+from quadspline.quadrature import panel_points
 
-from oracles import RULE8, chord_plus_correction, summed_piece_weights
+from oracles import (RULE8, chord_plus_correction, coeffs_closed_form_mean, merged_roots_split,
+                     panel_points_linspace, power_rows_diff, summed_piece_weights)
 
 SAMPLES = st.floats(-1e3, 1e3)
 
@@ -295,3 +300,66 @@ def test_eigenfunctions_are_even_or_odd(c, L, n):
     for _value, sub in r.eigen:
         y = sub.samples
         assert min(parity_defect(y, y[::-1], 1.0), parity_defect(y, y[::-1], -1.0)) <= 1e-12
+
+
+# Bit identity with numpy's Python-level wrappers: each form the package
+# uses on its per-call paths gives the very doubles of the wrapper form.
+
+ENDS = st.floats(-8e307, 8e307, allow_subnormal=True)  # hi - lo stays finite
+
+
+@given(ENDS, ENDS, st.integers(1, 64), st.integers(1, 12))
+@example(0.0, 1e-323, 4, 8)        # the step underflows to 0
+@example(1e308, 1.7e308, 4, 8)     # ends near the largest double
+@settings(max_examples=200, deadline=None)
+def test_panel_points_are_the_linspace_form_bit_for_bit(e0, e1, panels, order):
+    lo, hi = min(e0, e1), max(e0, e1)
+    rule = gauss_legendre(order)
+    pts, half = panel_points(lo, hi, panels, rule)
+    want_pts, want_half = panel_points_linspace(lo, hi, panels, rule)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert half.tobytes() == want_half.tobytes()
+
+
+@pytest.mark.parametrize("columns", [None, 1, 3])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_form_is_the_mean_form_bit_for_bit(columns, data):
+    # 1-D second differences, and 2-D ones of one or several columns
+    n = data.draw(st.integers(2, 60), label="n")
+    shape = (n - 1,) if columns is None else (n - 1, columns)
+    d = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)), label="d")
+    assert coeffs_closed_form(d, n).tobytes() == coeffs_closed_form_mean(d, n).tobytes()
+
+
+@given(grid_and_samples())
+@settings(max_examples=100, deadline=None)
+def test_power_rows_are_the_diff_form_bit_for_bit(grid_y):
+    m = build_spline(*grid_y)
+    assert m._power.tobytes() == power_rows_diff(m).tobytes()
+
+
+@st.composite
+def root_candidates(draw):
+    """Sorted values in clusters: each centre with up to two neighbours
+    within 2e-6 (1 + |centre|), on both sides of the merge threshold."""
+    lams = []
+    for c in draw(st.lists(st.floats(-1e3, 1e3), max_size=6), label="centres"):
+        lams.append(c)
+        for _ in range(draw(st.integers(0, 2), label="neighbours")):
+            lams.append(c + draw(st.floats(-2e-6, 2e-6), label="offset") * (1.0 + abs(c)))
+    return np.sort(np.array(lams, dtype=float))
+
+
+SPLIT = 3.0 * 1.5e-8  # LAPACK splits a defective double root by about sqrt(eps)
+
+
+@given(root_candidates())
+@example(np.array([]))                              # no root
+@example(np.array([-3.0]))                          # one root
+@example(np.array([-3.0 - SPLIT, -3.0 + SPLIT]))    # a split double root
+@example(np.array([-3.0 - SPLIT, -3.0 + SPLIT, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_merged_roots_are_the_split_form_bit_for_bit(lams):
+    got, want = _merged_roots(lams), merged_roots_split(lams)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
