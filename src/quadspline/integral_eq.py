@@ -135,9 +135,13 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
 
     S is the spline through any samples y. `upper` is one limit per row,
     or a scalar limit that every row shares, taken per row if below b.
-    Row i reaches the r_i pieces that start below upper_i (one binary
-    search per call; r_i = n for a limit at or beyond b), and the pieces
-    beyond its reach hold nothing.
+    Every limit must be a node, or lie at or below a or at or beyond b, so
+    that each piece is integrated whole or not at all; any other limit
+    raises ValueError (solve's rows end at nodes or at b, and _volterra1
+    integrates its part of the last piece itself). Row i reaches the r_i
+    pieces that start below upper_i (one binary search per call; r_i = n
+    for a limit at or beyond b), and the pieces beyond its reach hold
+    nothing.
     Rows go in blocks sized by rows x reach: a block works on the first p
     pieces of its rows, p their widest reach (at least 2: a product with
     one column goes to BLAS's matrix-vector routine, which rounds
@@ -147,35 +151,23 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     limit at b in blocks of equal rows of all n pieces.
 
     Every piece is integrated with `rule` (nodes t, weights w) over
-    [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], whose half-width `half` is 0
-    for a piece beyond upper_i (empty), h/2 for a piece that ends by
-    upper_i (full), and between for the one piece that upper_i cuts. Each
-    row has its own nodes, s = half (1 + t) + min(x_{k-1}, upper_i): one
-    (q, 2) x (2, rows p) product of the rule's columns 1 + t, 1 with the
-    rows' half-widths and starts. So the kernel is called once per block,
-    on a (rows, 1) column of x and the (q, rows, p) stack of s, and only at
-    a <= s <= upper_i (an empty piece's nodes all sit at upper_i). A shared
-    limit at or beyond b gives every row the same nodes: its (q, 1, p)
-    stack is built once, and the kernel gets a read-only broadcast of it
-    (row stride 0); per-row limits are built per block. The kernel must
-    not write into its arguments.
+    [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], whose half-width `half` is h/2
+    for a piece that the row reaches (full) and 0 for one beyond it
+    (empty). Each row has its own nodes, s = half (1 + t) + min(x_{k-1},
+    upper_i): one (q, 2) x (2, rows p) product of the rule's columns
+    1 + t, 1 with the rows' half-widths and starts. So the kernel is
+    called once per block, on a (rows, 1) column of x and the (q, rows, p)
+    stack of s, and only at a <= s <= upper_i (an empty piece's nodes all
+    sit at upper_i). A shared limit at or beyond b gives every row the
+    same nodes: its (q, 1, p) stack is built once, and the kernel gets a
+    read-only broadcast of it (row stride 0); per-row limits are built per
+    block. The kernel must not write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the folded
     weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
-    piece's left-node row L, right-node row R and quadratic row Q, which
-    are exact for a full piece of width h. A piece that is not full is
-    corrected in place with rho = 2 half/h: L <- rho L + (rho - rho^2) R,
-    R <- rho^2 R, Q <- rho^3 Q + (rho^3 - rho^2) h^2 R. (On the part,
-    s - x_{k-1} = rho h (1 + t)/2; writing the true rows' factors
-    (x_k - s)/h, (s - x_{k-1})/h and (s - x_{k-1})(s - x_k) in 1 - t, 1 + t
-    and t^2 - 1 gives those lines.) rho = 0 zeroes an empty piece, and the
-    cut piece, at most one per row, gets its exact rows. A row's full
-    pieces are those that end at or before its limit, found by a binary
-    search, not by rho < 1, which rounding makes true on some full pieces;
-    so a shared limit at or beyond b (fredholm2, fredholm_eigen) corrects
-    nothing, and takes no such search.
-
-    L and R go to the piece's two end nodes, columns 0..p of W's rows; Q,
+    piece's left-node row L, right-node row R and quadratic row Q, exact
+    for a full piece of width h; an empty piece's rows are zeroed. L and R
+    go to the piece's two end nodes, columns 0..p of W's rows; Q,
     zero-extended to all n pieces, goes to every node through the
     transposed closed form of the coefficients
     (spline._closed_form_adjoint), written straight into W's rows, so no
@@ -192,8 +184,13 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     per_row = len(upper) > 1 or upper[0, 0] < grid.b
     if per_row:
         upper = np.broadcast_to(upper, (len(xs), 1))
-    # a row reaches the pieces that start below its limit
+    # a row reaches the pieces that start below its limit, and must end
+    # every one of them
     reach = starts.searchsorted(upper[:, 0])
+    inside = (ends.searchsorted(upper[:, 0], "right") != reach).nonzero()[0]
+    if inside.size:
+        raise ValueError(f"limit {float(upper[inside[0], 0])!r} lies inside a piece; "
+                         f"limits must be nodes, <= a or >= b")
     # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
     # rows' widest reach but at least 2 (n >= 2): a product with one column
     # would go to BLAS's matrix-vector routine, which rounds differently
@@ -232,35 +229,16 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
             np.minimum(starts[:p], u, out=start)
             s = np.matmul(rule._node_map, hs,
                           out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, p)
-            if per_row:
-                # a row's pieces that end by its limit are full; the next
-                # one is cut when the row reaches it, and every piece of
-                # half-width 0 is empty
-                full = ends.searchsorted(u[:, 0], side="right")
-                cut = (reach[lo:hi] > full).nonzero()[0]
-                piece = full[cut]
+            if per_row:  # the pieces beyond a row's reach are empty
                 empty = half == 0.0
             else:
                 s = np.broadcast_to(s, (q, blocks[0][1], p))
         K = eval_many(kernel, x, s[:, :m])
-        # each piece's left-node, right-node and quadratic rows, as if full
+        # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),
                         out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
-        if per_row:  # a shared limit at or beyond b leaves every piece full
+        if per_row:  # a shared limit at or beyond b leaves no piece empty
             np.copyto(lrq, 0.0, where=empty)
-            if cut.size:
-                # with rho = 2 half/h, rows rho L + (rho - rho^2) R, rho^2 R,
-                # rho^3 Q + (rho^3 - rho^2) h^2 R
-                rho = half[cut, piece] / (0.5 * h)
-                at = cut * p + piece
-                planes = lrq.reshape(3, -1)
-                cut_rows = planes.take(at, axis=1)
-                powers = np.multiply.accumulate(rho[None].repeat(3, axis=0))
-                coupled = (powers - powers[1]) * cut_rows[1]
-                coupled[2] *= h * h
-                cut_rows *= powers
-                cut_rows += coupled
-                planes[:, at] = cut_rows
         left, right, quad = lrq[0], lrq[1], lrq[2]
         if p < n:  # the pieces beyond every row's reach hold nothing
             ext = quad_buf[:m * n].reshape(m, n)
@@ -362,9 +340,12 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     is affine in y_0, obtained from one two-column solve of the trailing
     n x n subsystem. y_0 is then chosen to minimize the integral of the
     squared equation defect over the last piece, a quadratic with a
-    closed-form minimizer. Raises DegenerateProblemError when the defect
-    does not depend on y_0 (e.g. a kernel that annihilates the first
-    piece).
+    closed-form minimizer. The defect at a point x of that piece has two
+    parts: the operator with the shared limit x_{n-1}, which covers the
+    pieces before it, and `rule` applied to K(x, s) S(s) on [x_{n-1}, x],
+    its nodes clipped to x so that the kernel is never called beyond its
+    limit. Raises DegenerateProblemError when the defect does not depend
+    on y_0 (e.g. a kernel that annihilates the first piece).
 
     Usable only for small n: C1 quadratic spline collocation of first-kind
     Volterra equations is unstable (Brunner, Collocation Methods for
@@ -372,8 +353,8 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     On krasnov4 (y = 3, inside the spline space) 1/cond_inf of the
     trailing system is 2.2e-13 at n = 21 and 8.1e-14 at n = 22, so
     solve_dense accepts n <= 21 at RCOND_MIN = 1e-13 and raises
-    SingularMatrixError beyond; the L2 error grows about 2.3x per unit of
-    n, from 3.3e-13 at n = 5 to 2.4e-7 at n = 21.
+    SingularMatrixError beyond; the L2 error grows about 2.4x per unit of
+    n, from 3.4e-13 at n = 5 to 3.4e-7 at n = 21.
     """
     f = sample(problem.forcing, grid)[1:]
     u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T
@@ -382,11 +363,16 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
 
     # the defect int_a^x K(x, s) S(s) ds - f(x) over the last piece, at the
     # points of a 4-panel composite rule
-    pts, half = panel_points(grid.nodes[-2], grid.b, 4, rule)
+    last = grid.nodes[-2]
+    pts, half = panel_points(last, grid.b, 4, rule)
     pts = pts.ravel()
-    R = _integral_operator(problem.kernel, grid, rule, pts, pts)
-    defect_u = R @ u - eval_many(problem.forcing, pts)
-    defect_w = R @ w
+    R = _integral_operator(problem.kernel, grid, rule, pts, last)
+    x = pts[:, None]
+    part = 0.5 * (x - last)
+    s = np.minimum(last + part * (1.0 + rule.nodes), x)
+    Kw = eval_many(problem.kernel, x, s) * (part * rule.weights)
+    defect_u = R @ u + (Kw * build_spline(grid, u)(s)).sum(1) - eval_many(problem.forcing, pts)
+    defect_w = R @ w + (Kw * build_spline(grid, w)(s)).sum(1)
     weights = np.outer(half, rule.weights).ravel()
     num = float(weights @ (defect_u * defect_w))
     den = float(weights @ defect_w**2)

@@ -65,9 +65,10 @@ class QuadratureRule:
 
 @cache
 def gauss_legendre(order: int) -> QuadratureRule:
-    """Standard Gauss-Legendre rule of the given order (1..32)."""
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"unsupported quadrature order {order} (need 1..{MAX_ORDER})")
+    """Standard Gauss-Legendre rule of the given integer order (1..32)."""
+    if not (isinstance(order, Integral) and 1 <= order <= MAX_ORDER):
+        raise ValueError(f"unsupported quadrature order {order!r} (need an integer "
+                         f"1..{MAX_ORDER})")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -81,12 +82,10 @@ def integrate_panels(
 
     Exact per panel for polynomials up to degree 2*order - 1; additive
     across adjacent ranges. Raises InvalidDomainError for a non-finite lo
-    or hi and ValueError for lo > hi or unless panels is an integer >= 1.
+    or hi or width hi - lo, and ValueError for lo > hi or unless panels is
+    an integer >= 1.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidDomainError(f"need finite endpoints, got lo={lo}, hi={hi}")
-    if hi < lo:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    _check_range(lo, hi)
     if not (isinstance(panels, Integral) and panels >= 1):
         raise ValueError(f"need an integer panels >= 1, got {panels!r}")
     if hi == lo:
@@ -94,6 +93,18 @@ def integrate_panels(
     pts, half = panel_points(lo, hi, panels, rule)
     vals = eval_many(f, pts.ravel()).reshape(pts.shape)
     return float(np.add.reduce(half * (vals @ rule.weights)))
+
+
+def _check_range(lo: float, hi: float) -> None:
+    """InvalidDomainError unless lo, hi and the width hi - lo are finite
+    doubles (the width overflows on [-1.7e308, 1.7e308]); ValueError for
+    lo > hi. Python float math, with no numpy call and no overflow
+    warning."""
+    if not math.isfinite(float(hi) - float(lo)):  # inf or NaN when an end is
+        raise InvalidDomainError(f"need finite endpoints a finite width apart, "
+                                 f"got lo={lo}, hi={hi}")
+    if hi < lo:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
 
 
 def panel_points(
@@ -186,10 +197,10 @@ def max_error(
     approx's result, or in a fresh array when that one is read-only. The
     max is bit-identical to the unblocked np.max(np.abs(...)): max is exact
     and np.maximum carries a NaN through. Raises InvalidDomainError for a
-    non-finite lo or hi and ValueError unless samples is an integer >= 2.
+    non-finite lo or hi or width hi - lo, and ValueError for lo > hi or
+    unless samples is an integer >= 2.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidDomainError(f"need finite endpoints, got lo={lo}, hi={hi}")
+    _check_range(lo, hi)
     if not (isinstance(samples, Integral) and samples >= 2):
         raise ValueError(f"need an integer samples >= 2, got {samples!r}")
     lo, hi, count = float(lo), float(hi), int(samples)

@@ -34,6 +34,7 @@ LINSOLVE = "src/quadspline/linsolve.py"
 LAGRANGE = "src/quadspline/lagrange.py"
 POLICY = "tests/test_core.py::TestCallPolicy::"
 ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
+V1 = "tests/test_integral_eq.py::TestSolveVolterra1::"
 
 MUTANTS = [
     # eval_many retries the package's own callables point by point
@@ -54,30 +55,29 @@ MUTANTS = [
     (CORE, 'if "read-only" in str(exc) and not all(a.flags.writeable for a in args):',
      "if False:",
      [POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
-    # the cut piece's correction without its rho^2 term
-    (OPERATOR, "coupled = (powers - powers[1]) * cut_rows[1]",
-     "coupled = powers * cut_rows[1]",
-     [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-mid_last_piece]",
-      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-off_node]",
-      "tests/test_integral_eq.py::TestSolveVolterra1::test_affine_solution_recovered_exactly"]),
-    # the cut piece's correction without the h^2 on R
-    (OPERATOR, "coupled[2] *= h * h", "coupled[2] *= 1.0",
-     [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-mid_last_piece]",
-      ROWS + "test_cut_pieces_never_write_into_the_kernel_result[returns_s]"]),
     # empty pieces keep the rows of a full piece
     (OPERATOR, "np.copyto(lrq, 0.0, where=empty)", "None",
-     [ROWS + "test_row_blocks_agree_with_one_block[13-causal]",
-      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-causal]",
+     [ROWS + "test_empty_pieces_never_write_into_the_kernel_result[returns_s]",
+      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-unsorted_nodes]",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_product_kernel_benchmark"]),
-    # full pieces found by rho < 1, which rounding makes true on some full pieces
-    (OPERATOR, 'full = ends.searchsorted(u[:, 0], side="right")',
-     "full = (half >= 0.5 * h).sum(axis=1)",
-     [ROWS + "test_scalar_upper_broadcasts",
-      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[b-40-8-polynomial]"]),
-    # a shared limit below b taken as if it were b: no piece is cut
+    # a shared limit below b taken as if it were b: the pieces beyond its
+    # reach in a block's p are not emptied
     (OPERATOR, "per_row = len(upper) > 1 or upper[0, 0] < grid.b", "per_row = len(upper) > 1",
-     [ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-7-1-constant]",
-      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[cut-40-8-polynomial]"]),
+     [ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[first_node-7-1-constant]",
+      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[first_node-40-8-polynomial]"]),
+    # a limit inside a piece taken as if it ended the piece
+    (OPERATOR, "if inside.size:", "if False:",
+     [ROWS + "test_limit_inside_a_piece_is_refused[mid_last_piece]",
+      "tests/test_properties.py::test_operator_refuses_a_limit_inside_a_piece"]),
+    # the Volterra-1 closure without its part of the last piece
+    (OPERATOR, "Kw = eval_many(problem.kernel, x, s) * (part * rule.weights)",
+     "Kw = 0.0 * eval_many(problem.kernel, x, s)",
+     [V1 + "test_closure_integrates_its_part_of_the_last_piece[affine-gauss8]",
+      V1 + "test_closure_integrates_its_part_of_the_last_piece[krasnov4-gauss2]"]),
+    # the closure's nodes on its part of the last piece left unclipped
+    (OPERATOR, "s = np.minimum(last + part * (1.0 + rule.nodes), x)",
+     "s = last + part * (1.0 + rule.nodes)",
+     [V1 + "test_closure_integrates_its_part_of_the_last_piece[affine-lobatto3]"]),
     # equispaced points without their underflow branch: k * 0 + lo when the
     # step underflows
     (QUADRATURE, "if step == 0:", "if False:",

@@ -124,8 +124,7 @@ def kernel_piece_weights(
     only to nodes k-1 and k, while the quadratic correction spreads across
     all nodes through row k of the coefficient matrix. `upper` truncates
     the integration to [x_{k-1}, upper]. The solvers use _integral_operator;
-    this per-piece form is the oracle it is tested against, `upper` serving
-    the truncated rows.
+    this per-piece form is the oracle it is tested against.
     """
     if not 1 <= k <= grid.n:
         raise ValueError(f"piece index {k} outside 1..{grid.n}")

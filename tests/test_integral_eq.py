@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from dataclasses import fields, replace
 
 from quadspline import (DegenerateProblemError, IntegralProblem,
-                        InvalidDomainError, SingularMatrixError, build_spline,
-                        find_real_eigenvalues, gauss_legendre, integrate_panels,
-                        l2_error, make_grid, registry, solve)
+                        InvalidDomainError, QuadratureRule, SingularMatrixError,
+                        build_spline, find_real_eigenvalues, gauss_legendre,
+                        integrate_panels, l2_error, make_grid, registry, solve)
 from quadspline import integral_eq
 from quadspline.integral_eq import _integral_operator
 from quadspline.registry import get_problem
@@ -16,6 +17,8 @@ from quadspline.registry import get_problem
 from oracles import coefficient_matrix, kernel_piece_weights, summed_piece_weights
 
 RULE8 = gauss_legendre(8)
+# Simpson's rule, the 3-point Gauss-Lobatto rule: its ends sit on -1 and 1
+LOBATTO3 = QuadratureRule(3, np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 3)
 
 
 def direct_piece_integral(kernel, x_eval, grid, samples, k, hi=None):
@@ -234,7 +237,7 @@ class TestIntegralOperator:
         "scalar_only": lambda x, s: math.exp(x * s),
     }
 
-    @pytest.mark.parametrize("rows", ["full", "causal", "mid_last_piece"])
+    @pytest.mark.parametrize("rows", ["full", "causal"])
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("n", [3, 8])
     def test_rows_match_summed_piece_weights(self, rows, name, n):
@@ -242,10 +245,8 @@ class TestIntegralOperator:
         g = make_grid(-0.5, 1.5, n)
         if rows == "full":
             xs, upper = g.nodes, np.full(n + 1, g.b)
-        elif rows == "causal":
-            xs = upper = g.nodes
         else:
-            xs = upper = g.nodes[-2] + g.h * np.array([0.1, 0.5, 0.9])
+            xs = upper = g.nodes
         W = _integral_operator(kernel, g, RULE8, xs, upper)
         oracle = summed_piece_weights(kernel, g, xs, upper)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
@@ -256,8 +257,9 @@ class TestIntegralOperator:
     def test_row_blocks_agree_with_one_block(self, monkeypatch, rows, block_rows):
         # at n = 40 a full row holds 8 x 40 kernel values; the rows go in
         # blocks of at most 13 or 1 such rows, more of them when they reach
-        # fewer pieces, and W is the one-block W to the bit. Unsorted limits
-        # include runs at a (no piece reached) and at b (every piece)
+        # fewer pieces, and W is the one-block W to the bit. Interior rows
+        # end at sorted interior nodes; unsorted limits are nodes with runs
+        # at a (no piece reached) and at b (every piece)
         g = make_grid(-0.5, 1.5, 40)
         rng = np.random.default_rng(7)
         if rows == "full":
@@ -265,9 +267,9 @@ class TestIntegralOperator:
         elif rows == "causal":
             xs = upper = g.nodes
         elif rows == "interior":
-            xs = upper = np.sort(rng.uniform(g.a, g.b, 50))
+            xs = upper = np.sort(rng.choice(g.nodes[1:-1], 50))
         else:
-            upper = rng.uniform(g.a, g.b, 60)
+            upper = rng.choice(g.nodes, 60)
             upper[rng.permutation(60)[:20]] = g.b
             upper[:6] = upper[30:35] = g.a
             if rows == "ends":
@@ -295,16 +297,18 @@ class TestIntegralOperator:
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("n,q", [(7, 1), (12, 3), (40, 8)])
-    @pytest.mark.parametrize("limit", ["b", "cut"])
+    @pytest.mark.parametrize("limit", ["b", "last_node", "first_node"])
     def test_shared_limit_matches_per_row_limits_bit_for_bit(self, monkeypatch,
                                                              name, n, q, limit):
         # one (q, 1, n) stack for every row, or one stack row per row: the
         # same W to the bit, over at least three blocks of rows, for node
-        # and off-node rows and for a limit at b or inside the last piece
+        # and off-node rows and for a limit at b, at x_{n-1} (the Volterra-1
+        # closure's) or at x_1, where each block's 2 pieces leave one empty
         g = make_grid(-0.5, 1.5, n)
         rule = gauss_legendre(q)
-        b = g.b if limit == "b" else g.nodes[-2] + 0.3 * g.h
-        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 3 * q * n)
+        b = {"b": g.b, "last_node": g.nodes[-2], "first_node": g.nodes[1]}[limit]
+        reach = max(2, int(np.sum(g.nodes[:-1] < b)))
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 3 * q * reach)
         for xs in (g.nodes, np.sort(np.random.default_rng(n).uniform(g.a, g.b, 11))):
             assert len(xs) > 2 * 3
             shared = _integral_operator(self.KERNELS[name], g, rule, xs, b)
@@ -353,22 +357,51 @@ class TestIntegralOperator:
             _integral_operator(lambda x, s: math.exp(x * s), *args),
             _integral_operator(lambda x, s: np.exp(x * s), *args), rtol=1e-15)
 
+    @pytest.mark.parametrize("limits", ["mid_last_piece", "shared", "one_of_many",
+                                        "next_to_a", "next_to_b", "next_to_a_node"])
+    def test_limit_inside_a_piece_is_refused(self, limits):
+        # every reached piece is integrated whole, so a limit strictly
+        # inside a piece is refused, named (the first such, in row order),
+        # before the kernel is called
+        g = make_grid(-0.5, 1.5, 8)
+        inner = g.nodes[-2] + g.h * np.array([0.1, 0.5, 0.9])
+        upper = {"mid_last_piece": inner,
+                 "shared": inner[1],
+                 "one_of_many": np.concatenate((g.nodes[::-1], inner[::-1], g.nodes)),
+                 "next_to_a": np.nextafter(g.a, g.b),
+                 "next_to_b": np.nextafter(g.b, g.a),
+                 "next_to_a_node": np.append(g.nodes, np.nextafter(g.nodes[3], g.b))}[limits]
+        first = np.atleast_1d(upper)[~np.isin(np.atleast_1d(upper), g.nodes)][0]
+        calls = []
+
+        def kernel(x, s):
+            calls.append(s.shape)
+            return np.exp(x * s)
+
+        xs = g.nodes if np.ndim(upper) == 0 else upper
+        with pytest.raises(ValueError, match=re.escape(f"limit {float(first)!r} lies inside")):
+            _integral_operator(kernel, g, RULE8, xs, upper)
+        assert calls == []
+
     @pytest.mark.parametrize("kernel", [
         # a full-shape read-only view, which eval_many passes on uncopied
         lambda x, s: np.broadcast_to(x * s, np.broadcast_shapes(np.shape(x), np.shape(s))),
         # with one row per block, s itself has the full shape
         lambda x, s: s,
     ], ids=["read_only", "returns_s"])
-    def test_cut_pieces_never_write_into_the_kernel_result(self, monkeypatch, kernel):
+    def test_empty_pieces_never_write_into_the_kernel_result(self, monkeypatch, kernel):
+        # unsorted node limits, a and b among them, one row per block: the
+        # rows of the pieces beyond a row's reach are zeroed in the
+        # operator's own buffer, not in what the kernel returned
         g = make_grid(-0.5, 1.5, 6)
-        xs = upper = np.sort(np.random.default_rng(8).uniform(g.a, g.b, 5))
+        xs = upper = np.random.default_rng(8).permutation(np.append(g.nodes, g.nodes[2:5]))
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", RULE8.order * g.n)
         W = _integral_operator(kernel, g, RULE8, xs, upper)
         oracle = summed_piece_weights(kernel, g, xs, upper)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("rows", ["causal", "tail", "off_node"])
+    @pytest.mark.parametrize("rows", ["causal", "tail", "unsorted_nodes"])
     @pytest.mark.parametrize("beyond", ["raises", "nan"])
     def test_kernel_is_never_called_beyond_the_row_limit(self, rows, beyond):
         # each row's limit is its own x, and the kernel is unusable at s > x
@@ -379,7 +412,7 @@ class TestIntegralOperator:
 
         g = make_grid(-0.5, 1.5, 8)
         xs = {"causal": g.nodes, "tail": g.nodes[1:],
-              "off_node": np.sort(np.random.default_rng(9).uniform(g.a, g.b, 11))}[rows]
+              "unsorted_nodes": np.random.default_rng(9).choice(g.nodes, 11)}[rows]
         W = _integral_operator(kernel, g, RULE8, xs, xs)
         oracle = summed_piece_weights(kernel, g, xs, xs)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
@@ -431,15 +464,16 @@ class TestOperatorCalls:
     ROWS = {
         "fredholm": (GRID.nodes, GRID.b),
         "causal": (GRID.nodes, GRID.nodes),
-        "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),) * 2,
+        "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),
+                     np.sort(np.random.default_rng(7).choice(GRID.nodes, 50))),
     }
     # a shared limit at b reaches every piece, so its blocks are BLOCK_ROWS
     # rows of N pieces; row i of the causal rows reaches i pieces, so each
-    # of their blocks takes more rows of fewer pieces, and so do sorted
-    # off-node rows
+    # of their blocks takes more rows of fewer pieces, and so do off-node
+    # rows with sorted node limits
     BLOCKS = {"fredholm": [(13, 40)] * 3 + [(2, 40)],
               "causal": [(23, 22), (14, 36), (4, 40)],
-              "off_node": [(24, 21), (16, 32), (10, 40)]}
+              "off_node": [(25, 20), (15, 33), (10, 40)]}
 
     def run(self, monkeypatch, rows, kernel):
         """Rows in blocks of at most BLOCK_ROWS x N pieces; returns each
@@ -459,7 +493,8 @@ class TestOperatorCalls:
         assert kernel.array_calls == [((r, 1), (RULE8.order, r, p)) for r, p in blocks]
 
     def test_off_node_rows_make_one_call_per_block(self, monkeypatch):
-        # the piece that each row's limit cuts takes its nodes in the same call
+        # rows at points between the nodes, whose limits are nodes, take
+        # their x as the same (rows, 1) column
         kernel = CountingKernel()
         blocks = self.run(monkeypatch, "off_node", kernel)
         assert kernel.array_calls == [((r, 1), (RULE8.order, r, p)) for r, p in blocks]
@@ -467,7 +502,7 @@ class TestOperatorCalls:
     @pytest.mark.parametrize("rows", ["fredholm", "causal", "off_node"])
     def test_scalar_only_kernel_point_calls(self, monkeypatch, rows):
         # q values per (row, piece) pair of each block's p pieces, whether
-        # the row covers, cuts or skips the piece, after one failed array
+        # the row covers or skips the piece, after one failed array
         # call per block; per-row limits skip the pieces no row of a block
         # reaches
         kernel = CountingKernel(scalar_only=True)
@@ -810,7 +845,7 @@ class TestSolveVolterra1:
     def test_shifted_interval_integrates_from_a(self, a, n):
         # (x - a)^3 = int_a^x (x - s)^2 y(s) ds on [a, a + 1] or [a, a + 2]
         # is krasnov4 moved to start at a, with the same y = 3; it is solved
-        # as well as at a = 0 (l2 3.3e-13 and 2.5e-12 at n = 5 and 10)
+        # as well as at a = 0 (l2 3.4e-13 and 1.9e-12 at n = 5 and 10)
         b = a + (1.0 if a > 0 else 2.0)
         p = replace(self.make(), interval=(a, b), forcing=lambda x: (x - a) ** 3)
         r = solve(p, n)
@@ -842,6 +877,37 @@ class TestSolveVolterra1:
             with pytest.raises(SingularMatrixError):
                 solve(p, n)
             assert calls == [n + 1]
+
+    @pytest.mark.parametrize("rule", [RULE8, gauss_legendre(2), LOBATTO3],
+                             ids=["gauss8", "gauss2", "lobatto3"])
+    @pytest.mark.parametrize("solution", ["affine", "krasnov4"])
+    def test_closure_integrates_its_part_of_the_last_piece(self, rule, solution):
+        # the defect at a point x of the last piece is the operator up to
+        # x_{n-1} plus the rule on [x_{n-1}, x]; each rule here is exact on
+        # the integrands that carry y (degree 3 at most), so y is recovered
+        # to rounding. On [-2, 0.1] at n = 5, x_{n-1} + (x - x_{n-1}) at a
+        # Lobatto end t = 1 rounds above x, and the clip to x keeps it from
+        # the kernel
+        a, b = -2.0, 0.1
+        if solution == "affine":
+            base, y = (lambda x, s: x + s + 1.0), (lambda s: 2.0 - 3.0 * s)
+
+            def antiderivative(x, s):  # of (x + s + 1)(2 - 3 s) in s
+                return (x + 1.0) * (2.0 * s - 1.5 * s**2) + s**2 - s**3
+
+            forcing = lambda x: antiderivative(x, x) - antiderivative(x, a)
+        else:
+            base, y = get_problem("krasnov4").kernel, (lambda s: 3.0 + 0.0 * s)
+            forcing = lambda x: (x - a) ** 3
+
+        def kernel(x, s):
+            if np.any(s > x):
+                raise AssertionError("kernel called at s > x")
+            return base(x, s)
+
+        p = IntegralProblem("volterra1", kernel, (a, b), forcing=forcing, reference=y)
+        r = solve(p, 5, rule)
+        assert r.error_max <= 1e-12 and r.error_l2 <= 1e-12
 
     def test_zero_forcing_gives_zero_solution(self):
         p = IntegralProblem("volterra1", lambda x, s: x - s + 1.0, (0.0, 1.0),

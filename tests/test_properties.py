@@ -4,11 +4,14 @@ Grids are [a, a + width] with n pieces, drawn as in the other suites:
 a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
 operator, whose oracle is a Python loop over rows and pieces; n in
 [2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
-checks every rule and layout of limits). The parity
+checks every rule and layout of limits, and when it refuses a limit
+inside a piece). The parity
 properties solve symmetric Fredholm problems on [-L, L]. The last ones
 hold the package's ufunc and array-method forms to the bit against the
 numpy wrappers they replaced (tests/oracles.py).
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -168,22 +171,18 @@ def grid_and_kernel(draw):
     return make_grid(a, a + width, n), poly_kernel(c)
 
 
-@pytest.mark.parametrize("rows", ["fredholm", "volterra", "interior"])
-@given(grid_and_kernel(), st.lists(st.floats(0, 1), min_size=1, max_size=12))
+@pytest.mark.parametrize("rows", ["fredholm", "volterra"])
+@given(grid_and_kernel())
 @settings(max_examples=60, deadline=None)
-def test_operator_rows_match_summed_piece_weights(rows, grid_kernel, fractions):
+def test_operator_rows_match_summed_piece_weights(rows, grid_kernel):
     # row i of the operator is the sum of the oracle's piece weights over
     # the pieces that [a, upper_i] covers: all of them for Fredholm rows
-    # (upper = b), pieces 1..i for Volterra rows (upper = x_i), and for
-    # interior rows (xs = upper, sorted points of [a, b], as in the
-    # Volterra-1 closure) the pieces before upper_i plus part of its own
+    # (upper = b), pieces 1..i for Volterra rows (upper = x_i)
     g, kernel = grid_kernel
     if rows == "fredholm":
         xs, upper = g.nodes, np.full(g.n + 1, g.b)
-    elif rows == "volterra":
-        xs = upper = g.nodes
     else:
-        xs = upper = np.sort(np.minimum(g.a + np.array(fractions) * (g.b - g.a), g.b))
+        xs = upper = g.nodes
     W = _integral_operator(kernel, g, RULE8, xs, upper)
     oracle = summed_piece_weights(kernel, g, xs, upper)
     # the oracle takes s - x_{k-1} from absolute positions, so its roundoff
@@ -194,50 +193,82 @@ def test_operator_rows_match_summed_piece_weights(rows, grid_kernel, fractions):
     assert np.all(np.abs(W - oracle) <= rtol * scale + 1e3 * np.finfo(float).tiny)
 
 
+def node_limit(g):
+    """Limits the operator takes: a node, a point below a or one beyond b."""
+    return st.one_of(st.integers(0, g.n).map(lambda k: g.nodes[k]),
+                     st.floats(0.5, 2).map(lambda u: g.a - u),
+                     st.floats(0.5, 2).map(lambda u: g.b + u))
+
+
 @st.composite
 def operator_case(draw):
     """A grid with n in [2, 40], a Gauss rule of q points, a kernel
     sum c_pq x^p s^q with p, q <= 3, and rows whose limits mix nodes,
-    off-node points and b, or share one limit inside the last piece."""
+    points below a and beyond b, or share one limit, the node x_{n-1}."""
     a = draw(st.floats(-2, 2), label="a")
     width = draw(st.floats(0.5, 4), label="width")
     n = draw(st.integers(2, 40), label="n")
     g = make_grid(a, a + width, n)
     rule = gauss_legendre(draw(st.sampled_from([1, 2, 3, 8, 12]), label="q"))
-    # eighths, so that no coefficient is subnormal (a limit next to a = 0
-    # still gives a subnormal moment)
+    # eighths, so that no coefficient is subnormal
     c = draw(arrays(np.float64, (4, 4), elements=st.integers(-8, 8).map(lambda k: k / 8)),
              label="c")
     kernel = poly_kernel(c)
     if draw(st.booleans(), label="shared"):
-        upper = g.nodes[-2] + draw(st.floats(0, 1, exclude_min=True, exclude_max=True),
-                                   label="cut") * g.h
-        return g, rule, kernel, g.nodes, upper
-    limit = st.one_of(st.integers(0, n).map(lambda k: g.nodes[k]),
-                      st.floats(0, 1).map(lambda t: min(a + t * width, g.b)),
-                      st.just(g.b))
-    upper = np.array(draw(st.lists(limit, min_size=1, max_size=12), label="limits"))
+        return g, rule, kernel, g.nodes, g.nodes[-2]
+    upper = np.array(draw(st.lists(node_limit(g), min_size=1, max_size=12), label="limits"))
     return g, rule, kernel, upper, upper
-
-
-SUBNORMAL_LIMIT = np.array([1.11253693e-311])
 
 
 @given(operator_case())
 @settings(max_examples=100, deadline=None)
-# a limit drawn next to a = 0 is subnormal, and so is the one moment it
-# gives: W and the oracle differ there in its last bits
-@example((make_grid(0.0, 0.5, 2), gauss_legendre(1), poly_kernel(np.diag([0.625, 0, 0, 0])),
-          SUBNORMAL_LIMIT, SUBNORMAL_LIMIT))
 def test_operator_rows_match_summed_piece_weights_for_any_rule_and_limits(case):
-    # full pieces take the folded weights, cut and empty ones their rho
-    # correction; with the oracle on the same rule, only rounding differs,
-    # and subnormal moments round absolutely
+    # reached pieces take the folded weights, and empty ones are zeroed;
+    # with the oracle on the same rule, only rounding differs, and
+    # subnormal moments (a kernel's powers of a node near 0) round
+    # absolutely
     g, rule, kernel, xs, upper = case
     W = _integral_operator(kernel, g, rule, xs, upper)
     oracle = summed_piece_weights(kernel, g, xs, np.broadcast_to(upper, len(xs)), rule)
     scale = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(W - oracle) <= 1e-12 * scale + 1e3 * np.finfo(float).tiny)
+
+
+@st.composite
+def limits_inside_a_piece(draw):
+    """A grid with n in [2, 40], a Gauss rule, and limits of which at least
+    one lies strictly inside a piece: one shared limit, or per-row limits
+    that mix such points with the limits the operator takes; with the
+    first such point."""
+    a = draw(st.floats(-2, 2), label="a")
+    width = draw(st.floats(0.5, 4), label="width")
+    n = draw(st.integers(2, 40), label="n")
+    g = make_grid(a, a + width, n)
+    rule = gauss_legendre(draw(st.sampled_from([1, 2, 3, 8, 12]), label="q"))
+    inside = st.builds(lambda k, t: g.nodes[k - 1] + t * g.h, st.integers(1, n),
+                       st.floats(0, 1, exclude_min=True, exclude_max=True))
+    inside = inside.filter(lambda u: g.a < u < g.b and not (g.nodes == u).any())
+    first = draw(inside, label="first")
+    if draw(st.booleans(), label="shared"):
+        return g, rule, first, first
+    before = draw(st.lists(node_limit(g), max_size=6), label="before")
+    after = draw(st.lists(st.one_of(node_limit(g), inside), max_size=6), label="after")
+    return g, rule, np.array(before + [first] + after), first
+
+
+@given(limits_inside_a_piece())
+@settings(max_examples=100, deadline=None)
+# next to a = 0: a subnormal limit inside the first piece
+@example((make_grid(0.0, 0.5, 2), gauss_legendre(1), 1.11253693e-311, 1.11253693e-311))
+def test_operator_refuses_a_limit_inside_a_piece(case):
+    # every reached piece is integrated whole: the first limit inside a
+    # piece is named, for any rule, before the kernel is called
+    g, rule, upper, first = case
+    calls = []
+    xs = g.nodes if np.ndim(upper) == 0 else upper
+    with pytest.raises(ValueError, match=re.escape(f"limit {float(first)!r} lies inside")):
+        _integral_operator(lambda x, s: calls.append(1), g, rule, xs, upper)
+    assert calls == []
 
 
 # kernels with K(-x, -s) = K(x, s): the Gaussian is positive definite for

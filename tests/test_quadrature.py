@@ -44,6 +44,12 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(order)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, "3"])
+    def test_non_integer_order_refused(self, order):
+        # the package's ValueError, not numpy's TypeError
+        with pytest.raises(ValueError, match="unsupported quadrature order"):
+            gauss_legendre(order)
+
 
 class TestQuadratureRule:
     @pytest.mark.parametrize("order,nodes,weights", [
@@ -115,6 +121,8 @@ class TestIntegratePanels:
         (0.0, np.nan, 2, InvalidDomainError, "finite endpoints"),
         (0.0, np.inf, 2, InvalidDomainError, "finite endpoints"),
         (-np.inf, 0.0, 2, InvalidDomainError, "finite endpoints"),
+        # finite ends whose width overflows: the step would be inf
+        (-1.7e308, 1.7e308, 4, InvalidDomainError, "finite width"),
         (0.0, 1.0, 2.5, ValueError, "integer panels"),
         (0.0, 1.0, 2.0, ValueError, "integer panels"),
     ])
@@ -251,10 +259,19 @@ class TestMaxError:
         with pytest.raises(InvalidDomainError, match="need finite endpoints"):
             max_error(np.cos, np.cos, lo, hi)
 
-    @pytest.mark.parametrize("lo, hi", [(3.0, 0.0), (0.5, 0.5)])
-    def test_reversed_and_collapsed_bounds_keep_the_linspace_result(self, lo, hi):
-        xs = np.linspace(lo, hi, 2001)
-        assert max_error(np.exp, np.cos, lo, hi) \
+    def test_width_that_overflows_refused(self):
+        # finite ends, but the step of the mesh would be inf
+        with pytest.raises(InvalidDomainError, match="finite width"):
+            max_error(np.cos, np.sin, -1.7e308, 1.7e308)
+
+    def test_reversed_bounds_refused(self):
+        # as integrate_panels does: no caller sweeps backwards
+        with pytest.raises(ValueError, match=r"need lo <= hi, got \[1.0, 0.0\]"):
+            max_error(np.cos, np.sin, 1.0, 0.0)
+
+    def test_collapsed_bounds_keep_the_linspace_result(self):
+        xs = np.linspace(0.5, 0.5, 2001)
+        assert max_error(np.exp, np.cos, 0.5, 0.5) \
             == float(np.max(np.abs(np.exp(xs) - np.cos(xs))))
 
     def test_read_only_result_is_not_written(self):
@@ -295,10 +312,10 @@ class TestStreamedMesh:
 
     @given(bounds, bounds, counts)
     @example(0.25, 0.25, 2 * _BLOCK + 1)           # lo == hi
-    @example(3.0, -1.5, _BLOCK + 1)                # hi < lo
     @example(0.0, 1e-320, 2 * _BLOCK - 1)          # the step underflows to 0
     @settings(max_examples=60, deadline=None)
     def test_blocks_are_the_linspace_bit_for_bit(self, lo, hi, count):
+        lo, hi = min(lo, hi), max(lo, hi)  # a reversed range is refused
         blocks = swept_blocks(lo, hi, count)
         assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, count).tobytes()
         assert [b.size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
