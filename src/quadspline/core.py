@@ -90,13 +90,19 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     InvalidDomainError, and any other exception, propagate after that one
     call, as does numpy's ValueError for a write into a read-only
     argument, raised as a ValueError naming f: f must not write into its
-    arguments, and calling it per point would only hide that.
+    arguments, and calling it per point would only hide that. A per-point
+    call that also gives an array raises a ValueError naming f, the shape
+    its array call gave and the one its arguments broadcast to.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
+    got = "an exception"
     try:
         vals = np.asarray(f(*args), dtype=float)
-        return vals if vals.shape == shape else np.array(np.broadcast_to(vals, shape))
+        if vals.shape == shape:
+            return vals
+        got = f"shape {vals.shape}"
+        return np.array(np.broadcast_to(vals, shape))
     except (OutOfDomainError, InvalidDomainError):
         raise
     except (TypeError, ValueError) as exc:
@@ -109,7 +115,15 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
         _log.debug("%r on arrays of shape %s failed with %r; calling it per point "
                    "(per node when sampling a grid)", f, shape, exc)
     points = zip(*(a.flat for a in np.broadcast_arrays(*args)))
-    return np.array([float(f(*p)) for p in points]).reshape(shape)
+    values = [f(*p) for p in points]
+    try:
+        return np.array([float(v) for v in values]).reshape(shape)
+    except TypeError:
+        wrong = next((np.shape(v) for v in values if np.ndim(v)), None)
+        if wrong is None:
+            raise
+        raise ValueError(f"{f!r} gives shape {wrong} at a single point; on arrays it "
+                         f"gave {got}, where their broadcast shape is {shape}") from None
 
 
 def checked_samples(grid: Grid, values, finite: bool = True) -> np.ndarray:

@@ -3,8 +3,9 @@
 The unknown is replaced by the interpolating quadratic spline and the
 equation is enforced at the grid nodes. One entry point, solve(problem, n),
 takes every kind, and every kind gets its rows from one integral operator,
-int_a^upper K(x, s) S(s) ds as a linear map of the node samples; Fredholm
-rows integrate up to b, Volterra rows up to their own point. Because every
+K(x, s) S(s) integrated over the first r whole pieces as a linear map of
+the node samples; a Fredholm row reaches all n pieces, and a Volterra row
+at x_i the i pieces up to its own node. Because every
 piece's quadratic coefficient is a linear functional of ALL node samples
 (the closed form of spline.py applied to the columns of the identity), the
 collocation systems are dense even for Volterra problems; they stay small,
@@ -17,13 +18,14 @@ Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
 as the (q, rows, p) stack of every row's own quadrature nodes on the
 p <= n pieces that the block's rows reach, and only at a <= s <= the
-row's limit (s = x included, so a kernel infinite on the diagonal is not
-supported); blocks are sized by rows x reach, so a Volterra row is not
-evaluated on the pieces beyond its own point. A broadcastable result such
-as a constant is accepted, and a kernel is called per point only when the
-array call raises TypeError or ValueError. When every row shares one
-limit (fredholm2, fredholm_eigen), s is a read-only broadcast of one
-(q, 1, p) stack, and no kernel may write into its arguments.
+row's limit, the node that ends its last piece (s = x included, so a
+kernel infinite on the diagonal is not supported); blocks are sized by
+rows x reach, so a Volterra row is not evaluated on the pieces beyond its
+own point. A broadcastable result such as a constant is accepted, and a
+kernel is called per point only when the array call raises TypeError or
+ValueError. When every row reaches all n pieces (fredholm2,
+fredholm_eigen), s is a read-only broadcast of one (q, 1, p) stack, and no
+kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -76,7 +78,7 @@ class DegenerateProblemError(ArithmeticError):
 class IntegralProblem:
     """One integral equation on [a, b]; solve(problem, n) discretizes it at n pieces.
 
-    bracket = (lo, hi), lo < hi, is the search interval of a fredholm_eigen
+    bracket = (lo, hi), finite lo < hi, is the search interval of a fredholm_eigen
     problem's characteristic values; the other kinds take none. Every field
     check raises InvalidDomainError. Every kind integrates from a, and the
     causal (Volterra) kinds up to x: volterra1 is f(x) = int_a^x K y.
@@ -102,6 +104,9 @@ class IntegralProblem:
                                              and self.bracket[0] < self.bracket[1]):
             raise InvalidDomainError(f"bracket must be (lo, hi) with lo < hi, "
                                      f"got {self.bracket!r}")
+        for name, end in zip(("lo", "hi"), () if self.bracket is None else self.bracket):
+            if not math.isfinite(end):
+                raise InvalidDomainError(f"bracket end {name} = {end!r} is not finite")
         if self.lam is not None and not math.isfinite(self.lam):
             raise InvalidDomainError(f"need a finite lam, got {self.lam!r}")
 
@@ -130,38 +135,35 @@ class SolveReport:
 
 
 def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
-                       xs: np.ndarray, upper) -> np.ndarray:
-    """Matrix W with W[i] @ y = int_a^{upper_i} K(xs_i, s) S(s) ds.
+                       xs: np.ndarray, reach) -> np.ndarray:
+    """Matrix W with W[i] @ y = int_a^{x_{reach_i}} K(xs_i, s) S(s) ds.
 
-    S is the spline through any samples y. `upper` is one limit per row,
-    or a scalar limit that every row shares, taken per row if below b.
-    Every limit must be a node, or lie at or below a or at or beyond b, so
-    that each piece is integrated whole or not at all; any other limit
-    raises ValueError (solve's rows end at nodes or at b, and _volterra1
-    integrates its part of the last piece itself). Row i reaches the r_i
-    pieces that start below upper_i (one binary search per call; r_i = n
-    for a limit at or beyond b), and the pieces beyond its reach hold
-    nothing.
+    S is the spline through any samples y. `reach` is the number of whole
+    pieces each row integrates, one integer per row or one that every row
+    shares, in 0..n; a float raises TypeError, so that a limit is never
+    truncated to a count. Row i reaches its first reach_i pieces, and the
+    pieces beyond hold nothing.
     Rows go in blocks sized by rows x reach: a block works on the first p
     pieces of its rows, p their widest reach (at least 2: a product with
     one column goes to BLAS's matrix-vector routine, which rounds
     differently), and grows row by row while q x rows x p stays within
     _OPERATOR_BLOCK. So causal rows, whose reach grows with the row, go in
     blocks of many short rows and then of fewer long ones, and a shared
-    limit at b in blocks of equal rows of all n pieces.
+    count of n in blocks of equal rows of all n pieces.
 
-    Every piece is integrated with `rule` (nodes t, weights w) over
-    [x_{k-1}, clip(upper_i, x_{k-1}, x_k)], whose half-width `half` is h/2
-    for a piece that the row reaches (full) and 0 for one beyond it
-    (empty). Each row has its own nodes, s = half (1 + t) + min(x_{k-1},
-    upper_i): one (q, 2) x (2, rows p) product of the rule's columns
-    1 + t, 1 with the rows' half-widths and starts. So the kernel is
-    called once per block, on a (rows, 1) column of x and the (q, rows, p)
-    stack of s, and only at a <= s <= upper_i (an empty piece's nodes all
-    sit at upper_i). A shared limit at or beyond b gives every row the
-    same nodes: its (q, 1, p) stack is built once, and the kernel gets a
-    read-only broadcast of it (row stride 0); per-row limits are built per
-    block. The kernel must not write into its arguments.
+    Every piece k is integrated with `rule` (nodes t, weights w) at the
+    half-width `half` = (x_k - x_{k-1})/2 when the row reaches it (full)
+    and 0 when it lies beyond (empty). Each row has its own nodes,
+    s = half (1 + t) + start, where start is x_{k-1} for a full piece and
+    x_{reach_i} for an empty one: one (q, 2) x (2, rows p) product of the
+    rule's columns 1 + t, 1 with the rows' half-widths and starts. So the
+    kernel is called once per block, on a (rows, 1) column of x and the
+    (q, rows, p) stack of s, and only at a <= s <= x_{reach_i} (an empty
+    piece's nodes all sit at x_{reach_i}). A shared count of n gives every
+    row the same nodes: its (q, 1, p) stack is built once, and the kernel
+    gets a read-only broadcast of it (row stride 0); any other count is
+    taken per row, and its nodes are built per block. The kernel must not
+    write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the folded
     weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
@@ -173,29 +175,26 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     (spline._closed_form_adjoint), written straight into W's rows, so no
     coefficient matrix is built. The node stack, the rows and W are buffers
     made once per call, written in one order of operations, so W is the
-    same to the bit whether a shared limit is given as a scalar or per row,
-    and however the rows are blocked.
+    same to the bit whether a shared count is given once or per row, and
+    however the rows are blocked.
     """
+    reach = np.asarray(reach)
+    if reach.dtype.kind not in "iu":
+        raise TypeError(f"reach must be integer piece counts, got {reach.dtype}")
     xs = np.asarray(xs, dtype=float)[:, None]
-    upper = np.asarray(upper, dtype=float).reshape(-1, 1)
     n, h, q = grid.n, grid.h, rule.order
-    starts, ends = grid.nodes[:-1], grid.nodes[1:]
+    nodes = grid.nodes
+    starts = nodes[:-1]
+    halves = 0.5 * (nodes[1:] - starts)
     weights = rule._piece_rows * np.array([h / 4, h / 4, h**3 / 8])[:, None]
-    per_row = len(upper) > 1 or upper[0, 0] < grid.b
-    if per_row:
-        upper = np.broadcast_to(upper, (len(xs), 1))
-    # a row reaches the pieces that start below its limit, and must end
-    # every one of them
-    reach = starts.searchsorted(upper[:, 0])
-    inside = (ends.searchsorted(upper[:, 0], "right") != reach).nonzero()[0]
-    if inside.size:
-        raise ValueError(f"limit {float(upper[inside[0], 0])!r} lies inside a piece; "
-                         f"limits must be nodes, <= a or >= b")
+    per_row = reach.ndim > 0 or reach < n
+    reach = np.broadcast_to(reach, len(xs))
     # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
     # rows' widest reach but at least 2 (n >= 2): a product with one column
     # would go to BLAS's matrix-vector routine, which rounds differently
-    widest = np.maximum(reach, 2).repeat(len(xs) // len(upper))
-    count = np.arange(1, len(xs) + 1)
+    widest = np.maximum(reach, 2)
+    # rows per block for the planner, piece numbers for the empty mask
+    count = np.arange(1, max(len(xs), n) + 1)
     blocks = []
     lo = max_rows = max_size = 0
     while lo < len(xs):
@@ -205,39 +204,34 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
         blocks.append((lo, lo + rows, p))
         max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
         lo += rows
-    # each block takes the leading part of every buffer; the limits' own
-    # buffers have one row when the limit is shared (every block's p is then
-    # the same)
-    hs_buf = np.empty(2 * (max_size if per_row else p))
-    s_buf = np.empty(q * hs_buf.size // 2)
+    # each block takes the leading part of every buffer; a shared count of
+    # n has one node stack, of every piece, for all rows
+    hs_buf = np.empty(2 * max_size if per_row else 0)
+    s_buf = np.empty(q * max_size if per_row else 0)
     m_buf = np.empty(3 * max_size)
     quad_buf = np.empty(max_rows * n)
     W = np.empty((len(xs), n + 1))
+    if not per_row:
+        s = np.matmul(rule._node_map, np.array((halves, starts))).reshape(q, 1, n)
+        s = np.broadcast_to(s, (q, blocks[0][1], n))
     for lo, hi, p in blocks:
         x = xs[lo:hi]
         m = len(x)
-        if lo == 0 or per_row:  # a shared limit's nodes are built once
-            u = upper[lo:hi]
-            size = len(u) * p
-            hs = hs_buf[:2 * size].reshape(2, -1)
-            half = hs[0].reshape(-1, p)
-            start = hs[1].reshape(-1, p)
-            np.maximum(u, starts[:p], out=half)
-            np.minimum(half, ends[:p], out=half)
-            half -= starts[:p]
-            half *= 0.5
-            np.minimum(starts[:p], u, out=start)
-            s = np.matmul(rule._node_map, hs,
-                          out=s_buf[:q * size].reshape(q, -1)).reshape(q, -1, p)
-            if per_row:  # the pieces beyond a row's reach are empty
-                empty = half == 0.0
-            else:
-                s = np.broadcast_to(s, (q, blocks[0][1], p))
+        if per_row:  # the pieces beyond a row's reach are empty
+            hs = hs_buf[:2 * m * p].reshape(2, m, p)
+            half, start = hs
+            r = reach[lo:hi, None]
+            empty = count[:p] > r
+            np.copyto(half, halves[:p])
+            np.copyto(half, 0.0, where=empty)
+            np.minimum(starts[:p], nodes[r], out=start)
+            s = np.matmul(rule._node_map, hs.reshape(2, -1),
+                          out=s_buf[:q * m * p].reshape(q, -1)).reshape(q, m, p)
         K = eval_many(kernel, x, s[:, :m])
         # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),
                         out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
-        if per_row:  # a shared limit at or beyond b leaves no piece empty
+        if per_row:  # a shared count of n leaves no piece empty
             np.copyto(lrq, 0.0, where=empty)
         left, right, quad = lrq[0], lrq[1], lrq[2]
         if p < n:  # the pieces beyond every row's reach hold nothing
@@ -319,7 +313,7 @@ def solve(problem: IntegralProblem, n: int,
     rule = rule or gauss_legendre(8)
     grid = make_grid(*problem.interval, n)
     W = _integral_operator(problem.kernel, grid, rule, grid.nodes,
-                           grid.nodes if problem.causal else grid.b)
+                           np.arange(grid.n + 1) if problem.causal else grid.n)
     if problem.kind == "volterra1":
         return _volterra1(problem, grid, rule, W[1:])
     if problem.kind == "fredholm_eigen":
@@ -341,8 +335,8 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     n x n subsystem. y_0 is then chosen to minimize the integral of the
     squared equation defect over the last piece, a quadratic with a
     closed-form minimizer. The defect at a point x of that piece has two
-    parts: the operator with the shared limit x_{n-1}, which covers the
-    pieces before it, and `rule` applied to K(x, s) S(s) on [x_{n-1}, x],
+    parts: the operator over the shared n - 1 pieces before it, up to
+    x_{n-1}, and `rule` applied to K(x, s) S(s) on [x_{n-1}, x],
     its nodes clipped to x so that the kernel is never called beyond its
     limit. Raises DegenerateProblemError when the defect does not depend
     on y_0 (e.g. a kernel that annihilates the first piece).
@@ -366,7 +360,7 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     last = grid.nodes[-2]
     pts, half = panel_points(last, grid.b, 4, rule)
     pts = pts.ravel()
-    R = _integral_operator(problem.kernel, grid, rule, pts, last)
+    R = _integral_operator(problem.kernel, grid, rule, pts, grid.n - 1)
     x = pts[:, None]
     part = 0.5 * (x - last)
     s = np.minimum(last + part * (1.0 + rule.nodes), x)

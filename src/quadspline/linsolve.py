@@ -30,6 +30,7 @@ against lives in tests/oracles.py.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,29 +319,45 @@ def _merged_roots(lams: np.ndarray) -> list[float]:
 def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[EigenResult]:
     """All real roots of det(I - lambda*alpha) in [lo, hi].
 
-    The roots are lambda = 1/mu for the nonzero eigenvalues mu of alpha.
+    The roots are lambda = 1/mu for the eigenvalues mu of alpha above
+    rounding level: every |mu| <= (n + 1) eps ||alpha||_inf is dropped
+    before it is inverted, since the computed eigenvalues are exact only
+    for alpha + E with ||E|| of order n u ||alpha|| (Golub and Van Loan,
+    Matrix Computations, 4th ed., sec. 7.5.6): such a mu cannot be told
+    from 0, and a rule relative to ||alpha|| does not depend on its scale.
     Eigenvalues with |Im mu| <= 1e-6 |mu| count as real, and sorted values
     within 1e-6 (1 + |lambda|) of each other merge into their mean: LAPACK
     returns a defective double root as a pair split by about sqrt(eps),
     and the pair's mean is far more accurate than either member. Each root
     is paired with its null vector (see _null_vector); candidates whose
     residual exceeds 1e-8 * ||alpha||_inf are discarded as spurious.
-    Raises ValueError naming the first non-finite entry of alpha.
+    Raises ValueError for a bracket end that is not finite, naming it, for
+    lo >= hi, naming the first non-finite entry of alpha, and for an alpha
+    whose ||alpha||_inf overflows.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError(f"matrix not square: {alpha.shape}")
+    for name, end in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(end):
+            raise ValueError(f"bracket end {name} = {end!r} is not finite")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     _require_finite("alpha", alpha)
-
-    mu = np.linalg.eigvals(alpha)
-    mu = mu[(mu != 0) & (np.abs(mu.imag) <= 1e-6 * np.abs(mu))]
-    lams = 1.0 / mu.real
+    # among subnormals 1/mu can overflow, and inf lies outside every finite
+    # bracket
+    with np.errstate(over="ignore"):
+        norm = _inf_norm(alpha)
+        if norm == np.inf:
+            raise ValueError(f"||alpha||_inf overflows a double for the {alpha.shape} alpha")
+        mu = np.linalg.eigvals(alpha)
+        size = np.abs(mu)
+        mu = mu[(size > (len(alpha) + 1) * _EPS * norm) & (np.abs(mu.imag) <= 1e-6 * size)]
+        lams = 1.0 / mu.real
     lams.sort()
     lams = lams[(lams >= lo) & (lams <= hi)]
 
-    tol = 1e-8 * _inf_norm(alpha)
+    tol = 1e-8 * norm
     results = []
     for lam in _merged_roots(lams):
         vector, residual = _null_vector(alpha, lam)

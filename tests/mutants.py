@@ -35,6 +35,7 @@ LAGRANGE = "src/quadspline/lagrange.py"
 POLICY = "tests/test_core.py::TestCallPolicy::"
 ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
 V1 = "tests/test_integral_eq.py::TestSolveVolterra1::"
+EIGEN = "tests/test_linsolve.py::TestFindRealEigenvalues::"
 
 MUTANTS = [
     # eval_many retries the package's own callables point by point
@@ -51,6 +52,11 @@ MUTANTS = [
     (CORE, "except (OutOfDomainError, InvalidDomainError):", "except ():",
      [POLICY + "test_out_of_domain_raises_after_one_call",
       POLICY + "test_invalid_domain_raises_after_one_call"]),
+    # an array from a per-point call left to float()'s TypeError
+    (CORE, "if wrong is None:", "if True:",
+     ["tests/test_core.py::TestEvalMany::test_array_at_a_single_point_is_named[constant_array]",
+      "tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_kernel_that_gives_an_array_per_point_is_named"]),
     # a write into a read-only argument is retried point by point
     (CORE, 'if "read-only" in str(exc) and not all(a.flags.writeable for a in args):',
      "if False:",
@@ -60,15 +66,32 @@ MUTANTS = [
      [ROWS + "test_empty_pieces_never_write_into_the_kernel_result[returns_s]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-unsorted_nodes]",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_product_kernel_benchmark"]),
-    # a shared limit below b taken as if it were b: the pieces beyond its
-    # reach in a block's p are not emptied
-    (OPERATOR, "per_row = len(upper) > 1 or upper[0, 0] < grid.b", "per_row = len(upper) > 1",
-     [ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[first_node-7-1-constant]",
-      ROWS + "test_shared_limit_matches_per_row_limits_bit_for_bit[first_node-40-8-polynomial]"]),
-    # a limit inside a piece taken as if it ended the piece
-    (OPERATOR, "if inside.size:", "if False:",
-     [ROWS + "test_limit_inside_a_piece_is_refused[mid_last_piece]",
-      "tests/test_properties.py::test_operator_refuses_a_limit_inside_a_piece"]),
+    # the empty mask one piece short: each row's last reached piece zeroed
+    (OPERATOR, "empty = count[:p] > r", "empty = count[:p] >= r",
+     [ROWS + "test_rows_match_summed_piece_weights[3-polynomial-causal]",
+      "tests/test_properties.py::test_operator_rows_match_summed_piece_weights[volterra]"]),
+    # empty pieces left at their own starts, beyond the row's limit
+    (OPERATOR, "np.minimum(starts[:p], nodes[r], out=start)", "np.copyto(start, starts[:p])",
+     [ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-causal]",
+      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-unsorted_nodes]"]),
+    # a block of rows that reach one piece takes one column, which BLAS's
+    # matrix-vector routine rounds differently
+    (OPERATOR, "widest = np.maximum(reach, 2)", "widest = np.maximum(reach, 1)",
+     [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
+      ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
+    # the shared node stack copied per row instead of broadcast read-only
+    (OPERATOR, "s = np.broadcast_to(s, (q, blocks[0][1], n))",
+     "s = np.broadcast_to(s, (q, blocks[0][1], n)).copy()",
+     [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
+      POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
+    # A = I - lam W formed in place without its identity
+    (OPERATOR, "W.flat[::grid.n + 2] += 1.0", "pass",
+     ["tests/test_integral_eq.py::TestSolveFredholm::test_zero_lambda_passthrough",
+      "tests/test_integral_eq.py::TestSolveVolterra2::test_zero_lambda_passthrough"]),
+    # a bracket end that is not finite accepted by the problem
+    (OPERATOR, "if not math.isfinite(end):", "if False:",
+     ["tests/test_integral_eq.py::TestProblemValidation::"
+      "test_bracket_end_that_is_not_finite_refused[both]"]),
     # the Volterra-1 closure without its part of the last piece
     (OPERATOR, "Kw = eval_many(problem.kernel, x, s) * (part * rule.weights)",
      "Kw = 0.0 * eval_many(problem.kernel, x, s)",
@@ -86,6 +109,16 @@ MUTANTS = [
     # eigenvalue clusters broken one value early
     (LINSOLVE, "gaps.nonzero()[0] + 1", "gaps.nonzero()[0]",
      ["tests/test_properties.py::test_merged_roots_are_the_split_form_bit_for_bit"]),
+    # eigenvalues at rounding level inverted into roots
+    (LINSOLVE, "size > (len(alpha) + 1) * _EPS * norm", "size > 0",
+     ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
+      "test_constant_kernel_has_one_root_at_any_scale[1e+300]"]),
+    # an alpha whose norm overflows searched with an infinite tolerance
+    (LINSOLVE, "if norm == np.inf:", "if False:",
+     [EIGEN + "test_alpha_whose_norm_overflows_refused_without_warning"]),
+    # a bracket end that is not finite accepted by the eigen search
+    (LINSOLVE, "if not math.isfinite(end):", "if False:",
+     [EIGEN + "test_bracket_end_that_is_not_finite_refused[both]"]),
     # a solution taken as finite without its check
     (LINSOLVE, "if np.isfinite(x).all():", "if True:",
      ["tests/test_linsolve.py::TestSolveDense::"

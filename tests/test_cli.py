@@ -180,6 +180,14 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error:") and "'fredholm2'" in err
 
+    def test_infinite_bracket_is_a_usage_error(self, capsys):
+        # it passes the parser's lo < hi; the problem refuses it, exit 2
+        code, out, err = run_cli(capsys, "solve", "-p", "krasnov2", "--n", "5",
+                                 "--bracket=-inf,inf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bracket end lo = -inf is not finite\n"
+
     def test_identity_passthrough(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "-p", "identity", "--n", "6")
         _, rows = parse_csv(out)

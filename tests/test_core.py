@@ -149,6 +149,18 @@ class TestEvalMany:
         xs = np.linspace(0, 1, 7)
         np.testing.assert_allclose(eval_many(math.sin, xs), np.sin(xs), rtol=1e-15)
 
+    @pytest.mark.parametrize("f,point,got", [
+        (lambda x, s: np.ones(3), "(3,)", "shape (3,)"),
+        (lambda x, s: [x, s] if np.ndim(x) == 0 else x @ s, "(2,)", "an exception"),
+    ], ids=["constant_array", "raises_on_arrays"])
+    def test_array_at_a_single_point_is_named(self, f, point, got):
+        # the array call's result does not broadcast, or it raises, and the
+        # retry per point gives an array as well: f is named with the shapes
+        with pytest.raises(ValueError) as info:
+            eval_many(f, np.zeros((4, 1)), np.zeros(5))
+        assert str(info.value) == (f"{f!r} gives shape {point} at a single point; on arrays "
+                                   f"it gave {got}, where their broadcast shape is (4, 5)")
+
 
 def array_hostile(calls, exc_type):
     """A callable whose array call raises exc_type; scalar calls give exp(x)."""
@@ -242,7 +254,7 @@ class TestCallPolicy:
         np.testing.assert_array_equal(got, expected)
 
     def test_kernel_writing_into_shared_node_stack_refused(self):
-        # a shared limit hands the kernel a read-only broadcast of one node
+        # a shared count of n hands the kernel a read-only broadcast of one node
         # stack; one call per point would hide the write, not mend it
         def writes(x, s):
             s *= 1.0
@@ -252,7 +264,7 @@ class TestCallPolicy:
         calls = []
         kernel = counting(writes, calls)
         with pytest.raises(ValueError, match="writes into its arguments") as info:
-            _integral_operator(kernel, g, gauss_legendre(8), g.nodes, g.b)
+            _integral_operator(kernel, g, gauss_legendre(8), g.nodes, g.n)
         assert repr(kernel) in str(info.value)
         assert len(calls) == 1
 

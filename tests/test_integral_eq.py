@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -161,6 +160,16 @@ class TestProblemValidation:
         with pytest.raises(InvalidDomainError, match="bracket must be"):
             registry.solve_entry("krasnov2", 5, bracket=bracket)
 
+    @pytest.mark.parametrize("bracket,end", [((-np.inf, np.inf), "lo = -inf"),
+                                             ((-1.0, np.inf), "hi = inf")], ids=["both", "hi"])
+    def test_bracket_end_that_is_not_finite_refused(self, bracket, end):
+        # it passes lo < hi; with K = 1e-320 the search once took 1/mu = inf
+        # as a root and ended in numpy's LinAlgError
+        with pytest.raises(InvalidDomainError, match=f"bracket end {end} is not finite"):
+            IntegralProblem("fredholm_eigen", lambda x, s: 1e-320, (0, 1), bracket=bracket)
+        with pytest.raises(InvalidDomainError, match=f"bracket end {end} is not finite"):
+            registry.solve_entry("krasnov2", 5, bracket=bracket)
+
     def test_replace_rebuilds_a_validated_problem(self):
         p = get_problem("krasnov2")
         q = replace(p, bracket=(-3.0, -2.5))
@@ -243,12 +252,9 @@ class TestIntegralOperator:
     def test_rows_match_summed_piece_weights(self, rows, name, n):
         kernel = self.KERNELS[name]
         g = make_grid(-0.5, 1.5, n)
-        if rows == "full":
-            xs, upper = g.nodes, np.full(n + 1, g.b)
-        else:
-            xs = upper = g.nodes
-        W = _integral_operator(kernel, g, RULE8, xs, upper)
-        oracle = summed_piece_weights(kernel, g, xs, upper)
+        reach = np.full(n + 1, n) if rows == "full" else np.arange(n + 1)
+        W = _integral_operator(kernel, g, RULE8, g.nodes, reach)
+        oracle = summed_piece_weights(kernel, g, g.nodes, g.nodes[reach])
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
 
@@ -258,22 +264,23 @@ class TestIntegralOperator:
         # at n = 40 a full row holds 8 x 40 kernel values; the rows go in
         # blocks of at most 13 or 1 such rows, more of them when they reach
         # fewer pieces, and W is the one-block W to the bit. Interior rows
-        # end at sorted interior nodes; unsorted limits are nodes with runs
-        # at a (no piece reached) and at b (every piece)
+        # sit at sorted interior nodes and reach up to their own; unsorted
+        # counts come with runs of 0 (no piece reached) and n (every piece)
         g = make_grid(-0.5, 1.5, 40)
         rng = np.random.default_rng(7)
         if rows == "full":
-            xs, upper = g.nodes, g.b
+            xs, reach = g.nodes, g.n
         elif rows == "causal":
-            xs = upper = g.nodes
+            xs, reach = g.nodes, np.arange(g.n + 1)
         elif rows == "interior":
-            xs = upper = np.sort(rng.choice(g.nodes[1:-1], 50))
+            reach = np.sort(rng.choice(np.arange(1, g.n), 50))
+            xs = g.nodes[reach]
         else:
-            upper = rng.choice(g.nodes, 60)
-            upper[rng.permutation(60)[:20]] = g.b
-            upper[:6] = upper[30:35] = g.a
+            reach = rng.choice(np.arange(g.n + 1), 60)
+            reach[rng.permutation(60)[:20]] = g.n
+            reach[:6] = reach[30:35] = 0
             if rows == "ends":
-                upper = np.sort(upper)
+                reach = np.sort(reach)
             xs = rng.uniform(g.a, g.b, 60)
         calls = []
 
@@ -281,19 +288,38 @@ class TestIntegralOperator:
             calls.append(s.shape)
             return self.KERNELS["polynomial"](x, s)
 
-        one = _integral_operator(kernel, g, RULE8, xs, upper)
+        one = _integral_operator(kernel, g, RULE8, xs, reach)
         assert len(calls) == 1
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", block_rows * RULE8.order * g.n)
-        blocked = _integral_operator(kernel, g, RULE8, xs, upper)
+        blocked = _integral_operator(kernel, g, RULE8, xs, reach)
         assert len(calls) > 3  # at least three blocks
         assert blocked.tobytes() == one.tobytes()
 
-    def test_scalar_upper_broadcasts(self):
+    @pytest.mark.parametrize("q", [3, 8])
+    def test_one_piece_rows_are_the_same_alone_or_in_a_wide_block(self, monkeypatch, q):
+        # rows that reach one piece, in one block beside a row of all n
+        # pieces or each alone: a block takes at least 2 pieces a row, as a
+        # product with one column would go to BLAS's matrix-vector routine,
+        # which rounds differently
+        g = make_grid(-0.5, 1.5, 9)
+        rule = gauss_legendre(q)
+
+        def kernel(x, s):
+            return np.exp(0.7 * x * s) + np.sin(1.3 * s - 0.4 * x)
+
+        xs = np.random.default_rng(3).uniform(-1, 2, 6)
+        reach = np.array([1, 1, 1, 1, 1, 9])
+        together = _integral_operator(kernel, g, rule, xs, reach)
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", q)  # one row a block
+        alone = _integral_operator(kernel, g, rule, xs, reach)
+        assert alone.tobytes() == together.tobytes()
+
+    def test_scalar_reach_broadcasts(self):
         g = make_grid(0, 1, 5)
         kernel = self.KERNELS["polynomial"]
         np.testing.assert_array_equal(
-            _integral_operator(kernel, g, RULE8, g.nodes, g.b),
-            _integral_operator(kernel, g, RULE8, g.nodes, np.full(6, g.b)))
+            _integral_operator(kernel, g, RULE8, g.nodes, 5),
+            _integral_operator(kernel, g, RULE8, g.nodes, np.full(6, 5)))
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("n,q", [(7, 1), (12, 3), (40, 8)])
@@ -302,25 +328,25 @@ class TestIntegralOperator:
                                                              name, n, q, limit):
         # one (q, 1, n) stack for every row, or one stack row per row: the
         # same W to the bit, over at least three blocks of rows, for node
-        # and off-node rows and for a limit at b, at x_{n-1} (the Volterra-1
-        # closure's) or at x_1, where each block's 2 pieces leave one empty
+        # and off-node rows and for a shared count of n, n - 1 (the
+        # Volterra-1 closure's) or 1, where each block's 2 pieces leave one
+        # empty
         g = make_grid(-0.5, 1.5, n)
         rule = gauss_legendre(q)
-        b = {"b": g.b, "last_node": g.nodes[-2], "first_node": g.nodes[1]}[limit]
-        reach = max(2, int(np.sum(g.nodes[:-1] < b)))
-        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 3 * q * reach)
+        reach = {"b": n, "last_node": n - 1, "first_node": 1}[limit]
+        monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 3 * q * max(2, reach))
         for xs in (g.nodes, np.sort(np.random.default_rng(n).uniform(g.a, g.b, 11))):
             assert len(xs) > 2 * 3
-            shared = _integral_operator(self.KERNELS[name], g, rule, xs, b)
+            shared = _integral_operator(self.KERNELS[name], g, rule, xs, reach)
             per_row = _integral_operator(self.KERNELS[name], g, rule, xs,
-                                         np.full(len(xs), b))
+                                         np.full(len(xs), reach))
             assert shared.tobytes() == per_row.tobytes()
 
     def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
-        # the kernel sees the (q, rows, p) shape, but for a shared limit its
-        # rows are one read-only (q, 1, p) stack, not a rebuilt full stack;
-        # per-row limits get a writeable stack of p pieces a row, p each
-        # block's widest reach
+        # the kernel sees the (q, rows, p) shape, but for a shared count of
+        # n its rows are one read-only (q, 1, p) stack, not a rebuilt full
+        # stack; per-row counts get a writeable stack of p pieces a row, p
+        # each block's widest reach
         seen = []
 
         def kernel(x, s):
@@ -329,11 +355,11 @@ class TestIntegralOperator:
 
         g = make_grid(0, 1, 20)
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 5 * RULE8.order * g.n)
-        _integral_operator(kernel, g, RULE8, g.nodes, g.b)
+        _integral_operator(kernel, g, RULE8, g.nodes, g.n)
         assert [shape for shape, _, _ in seen] == [(8, 5, 20)] * 4 + [(8, 1, 20)]
         assert all(stride == 0 and not writeable for _, stride, writeable in seen)
         seen.clear()
-        _integral_operator(kernel, g, RULE8, g.nodes, g.nodes)
+        _integral_operator(kernel, g, RULE8, g.nodes, np.arange(g.n + 1))
         assert seen == [((8, 10, 9), 9 * 8, True), ((8, 6, 15), 15 * 8, True),
                         ((8, 5, 20), 20 * 8, True)]
 
@@ -347,40 +373,27 @@ class TestIntegralOperator:
             return math.exp(x * s)
 
         with pytest.raises(RuntimeError, match="vectorised kernel broken"):
-            _integral_operator(kernel, make_grid(0, 1, 4), RULE8, np.linspace(0, 1, 5), 1.0)
+            _integral_operator(kernel, make_grid(0, 1, 4), RULE8, np.linspace(0, 1, 5), 4)
         assert len(calls) == 1
 
     def test_scalar_only_kernel_matches_vectorised(self):
         g = make_grid(0, 1, 4)
-        args = (g, RULE8, g.nodes, 1.0)
+        args = (g, RULE8, g.nodes, 4)
         np.testing.assert_allclose(
             _integral_operator(lambda x, s: math.exp(x * s), *args),
             _integral_operator(lambda x, s: np.exp(x * s), *args), rtol=1e-15)
 
-    @pytest.mark.parametrize("limits", ["mid_last_piece", "shared", "one_of_many",
-                                        "next_to_a", "next_to_b", "next_to_a_node"])
-    def test_limit_inside_a_piece_is_refused(self, limits):
-        # every reached piece is integrated whole, so a limit strictly
-        # inside a piece is refused, named (the first such, in row order),
-        # before the kernel is called
-        g = make_grid(-0.5, 1.5, 8)
-        inner = g.nodes[-2] + g.h * np.array([0.1, 0.5, 0.9])
-        upper = {"mid_last_piece": inner,
-                 "shared": inner[1],
-                 "one_of_many": np.concatenate((g.nodes[::-1], inner[::-1], g.nodes)),
-                 "next_to_a": np.nextafter(g.a, g.b),
-                 "next_to_b": np.nextafter(g.b, g.a),
-                 "next_to_a_node": np.append(g.nodes, np.nextafter(g.nodes[3], g.b))}[limits]
-        first = np.atleast_1d(upper)[~np.isin(np.atleast_1d(upper), g.nodes)][0]
+    @pytest.mark.parametrize("reach", [1.0, np.float64(4.0), np.array([0.0, 1.0]),
+                                       np.nan, True],
+                             ids=["b", "float64", "array", "nan", "bool"])
+    def test_reach_that_is_not_an_integer_count_is_refused(self, reach):
+        # a limit such as b = 1.0 passed where a count belongs would be
+        # truncated to a count of 1 piece; it is refused before the kernel
+        # is called
         calls = []
-
-        def kernel(x, s):
-            calls.append(s.shape)
-            return np.exp(x * s)
-
-        xs = g.nodes if np.ndim(upper) == 0 else upper
-        with pytest.raises(ValueError, match=re.escape(f"limit {float(first)!r} lies inside")):
-            _integral_operator(kernel, g, RULE8, xs, upper)
+        g = make_grid(0, 1, 4)
+        with pytest.raises(TypeError, match="reach must be integer piece counts"):
+            _integral_operator(lambda x, s: calls.append(1), g, RULE8, g.nodes[:2], reach)
         assert calls == []
 
     @pytest.mark.parametrize("kernel", [
@@ -390,14 +403,16 @@ class TestIntegralOperator:
         lambda x, s: s,
     ], ids=["read_only", "returns_s"])
     def test_empty_pieces_never_write_into_the_kernel_result(self, monkeypatch, kernel):
-        # unsorted node limits, a and b among them, one row per block: the
-        # rows of the pieces beyond a row's reach are zeroed in the
-        # operator's own buffer, not in what the kernel returned
+        # rows at unsorted nodes, a and b among them, each reaching up to
+        # its own, one row per block: the rows of the pieces beyond a row's
+        # reach are zeroed in the operator's own buffer, not in what the
+        # kernel returned
         g = make_grid(-0.5, 1.5, 6)
-        xs = upper = np.random.default_rng(8).permutation(np.append(g.nodes, g.nodes[2:5]))
+        reach = np.random.default_rng(8).permutation(np.append(np.arange(7), np.arange(2, 5)))
+        xs = g.nodes[reach]
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", RULE8.order * g.n)
-        W = _integral_operator(kernel, g, RULE8, xs, upper)
-        oracle = summed_piece_weights(kernel, g, xs, upper)
+        W = _integral_operator(kernel, g, RULE8, xs, reach)
+        oracle = summed_piece_weights(kernel, g, xs, xs)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
 
@@ -411,9 +426,10 @@ class TestIntegralOperator:
             return np.where(s <= x, np.cos(x - s), np.nan)
 
         g = make_grid(-0.5, 1.5, 8)
-        xs = {"causal": g.nodes, "tail": g.nodes[1:],
-              "unsorted_nodes": np.random.default_rng(9).choice(g.nodes, 11)}[rows]
-        W = _integral_operator(kernel, g, RULE8, xs, xs)
+        reach = {"causal": np.arange(9), "tail": np.arange(1, 9),
+                 "unsorted_nodes": np.random.default_rng(9).choice(np.arange(9), 11)}[rows]
+        xs = g.nodes[reach]
+        W = _integral_operator(kernel, g, RULE8, xs, reach)
         oracle = summed_piece_weights(kernel, g, xs, xs)
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W - oracle) <= 1e-12 * scale)
@@ -438,11 +454,11 @@ class CountingKernel:
         return math.exp(x * s)
 
 
-def planned_blocks(grid, q, upper, rows, block):
-    """(rows, p) of each row block, from the definition: row i reaches the
-    r_i pieces that start below its limit, and a block takes p = max(2,
-    max r_i) pieces of each row, growing row by row while q rows p <= block."""
-    reach = [max(2, int(np.sum(grid.nodes[:-1] < u))) for u in np.broadcast_to(upper, rows)]
+def planned_blocks(q, reach, rows, block):
+    """(rows, p) of each row block, from the definition: row i reaches r_i
+    pieces, and a block takes p = max(2, max r_i) pieces of each row,
+    growing row by row while q rows p <= block."""
+    reach = [max(2, int(r)) for r in np.broadcast_to(reach, rows)]
     blocks, lo = [], 0
     while lo < rows:
         hi, p = lo + 1, reach[lo]
@@ -462,15 +478,15 @@ class TestOperatorCalls:
     N, BLOCK_ROWS = 40, 13
     GRID = make_grid(-0.5, 1.5, N)
     ROWS = {
-        "fredholm": (GRID.nodes, GRID.b),
-        "causal": (GRID.nodes, GRID.nodes),
+        "fredholm": (GRID.nodes, N),
+        "causal": (GRID.nodes, np.arange(N + 1)),
         "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),
-                     np.sort(np.random.default_rng(7).choice(GRID.nodes, 50))),
+                     np.sort(np.random.default_rng(7).choice(np.arange(N + 1), 50))),
     }
-    # a shared limit at b reaches every piece, so its blocks are BLOCK_ROWS
+    # a shared count of N reaches every piece, so its blocks are BLOCK_ROWS
     # rows of N pieces; row i of the causal rows reaches i pieces, so each
     # of their blocks takes more rows of fewer pieces, and so do off-node
-    # rows with sorted node limits
+    # rows with sorted counts
     BLOCKS = {"fredholm": [(13, 40)] * 3 + [(2, 40)],
               "causal": [(23, 22), (14, 36), (4, 40)],
               "off_node": [(25, 20), (15, 33), (10, 40)]}
@@ -480,9 +496,9 @@ class TestOperatorCalls:
         block's (rows, p), checked against the definition."""
         block = self.BLOCK_ROWS * RULE8.order * self.N
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", block)
-        xs, upper = self.ROWS[rows]
-        _integral_operator(kernel, self.GRID, RULE8, xs, upper)
-        blocks = planned_blocks(self.GRID, RULE8.order, upper, len(xs), block)
+        xs, reach = self.ROWS[rows]
+        _integral_operator(kernel, self.GRID, RULE8, xs, reach)
+        blocks = planned_blocks(RULE8.order, reach, len(xs), block)
         assert blocks == self.BLOCKS[rows]
         return blocks
 
@@ -503,7 +519,7 @@ class TestOperatorCalls:
     def test_scalar_only_kernel_point_calls(self, monkeypatch, rows):
         # q values per (row, piece) pair of each block's p pieces, whether
         # the row covers or skips the piece, after one failed array
-        # call per block; per-row limits skip the pieces no row of a block
+        # call per block; per-row counts skip the pieces no row of a block
         # reaches
         kernel = CountingKernel(scalar_only=True)
         blocks = self.run(monkeypatch, rows, kernel)
@@ -516,7 +532,7 @@ class TestOperatorCalls:
 def fredholm_operator(p, n):
     """The collocation operator a Fredholm problem's solve uses at n pieces: rows to b."""
     g = make_grid(*p.interval, n)
-    return _integral_operator(p.kernel, g, RULE8, g.nodes, g.b)
+    return _integral_operator(p.kernel, g, RULE8, g.nodes, n)
 
 
 class TestAssembleFredholm:
@@ -596,6 +612,19 @@ class TestSolveFredholm:
         r5 = solve(p, 5)
         assert 0.5 * 1.17e-3 <= r5.error_l2 <= 2 * 1.17e-3
 
+    def test_kernel_that_gives_an_array_per_point_is_named(self):
+        # np.ones(3) does not broadcast to the operator's node stack, and
+        # one call per point gives an array too
+        def kernel(x, s):
+            return np.ones(3)
+
+        p = IntegralProblem("fredholm2", kernel, (0.0, 1.0), forcing=np.sin, lam=0.5)
+        with pytest.raises(ValueError, match=r"gives shape \(3,\) at a single point; on "
+                           r"arrays it gave shape \(3,\), where their broadcast shape is "
+                           r"\(8, 6, 5\)") as info:
+            solve(p, 5)
+        assert repr(kernel) in str(info.value)
+
     def test_no_reference_means_no_error_fields(self):
         p = IntegralProblem("fredholm2", lambda x, s: x * s, (0, 1),
                             forcing=np.sin, lam=0.5)
@@ -668,6 +697,17 @@ class TestSolveFredholmEigen:
         for (_, sub), res in zip(r.eigen, roots):
             assert sub.error_l2 is None and sub.error_max is None
             np.testing.assert_array_equal(sub.samples, res.vector)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_constant_kernel_has_one_root_at_any_scale(self, scale):
+        # K = scale on [0, 1] has rank 1 and the one root 1/scale; W's other
+        # eigenvalues are rounding, and 1/mu of one of them was once
+        # reported in place of 1e-300, while at scale 1 the same noise fell
+        # outside the bracket
+        p = IntegralProblem("fredholm_eigen", lambda x, s: scale, (0.0, 1.0), bracket=(-2.0, 2.0))
+        values = [v for v, _ in solve(p, 5).eigen]
+        assert len(values) == 1
+        assert values[0] == pytest.approx(1.0 / scale, rel=1e-12, abs=0.0)
 
     def test_empty_bracket(self):
         r = solve(replace(self.problem(), bracket=(5, 10)), 5)
@@ -859,15 +899,15 @@ class TestSolveVolterra1:
         # and only one for its closure rows on the last piece
         p = get_problem("krasnov4")
         g = make_grid(*p.interval, n)
-        W = _integral_operator(p.kernel, g, RULE8, g.nodes, g.nodes)
+        W = _integral_operator(p.kernel, g, RULE8, g.nodes, np.arange(n + 1))
         np.testing.assert_array_equal(
-            W[1:], _integral_operator(p.kernel, g, RULE8, g.nodes[1:], g.nodes[1:]))
+            W[1:], _integral_operator(p.kernel, g, RULE8, g.nodes[1:], np.arange(1, n + 1)))
         calls = []
         operator = integral_eq._integral_operator
 
-        def recorded(kernel, grid, rule, xs, upper):
+        def recorded(kernel, grid, rule, xs, reach):
             calls.append(len(xs))
-            return operator(kernel, grid, rule, xs, upper)
+            return operator(kernel, grid, rule, xs, reach)
 
         monkeypatch.setattr(integral_eq, "_integral_operator", recorded)
         if n <= 21:

@@ -23,7 +23,7 @@ def fredholm_system(pid, n):
     Fredholm-2 problem."""
     problem = get_problem(pid)
     g = make_grid(*problem.interval, n)
-    W = _integral_operator(problem.kernel, g, gauss_legendre(8), g.nodes, g.b)
+    W = _integral_operator(problem.kernel, g, gauss_legendre(8), g.nodes, n)
     return np.eye(n + 1) - problem.lam * W, sample(problem.forcing, g)
 
 
@@ -655,7 +655,7 @@ class TestFindRealEigenvalues:
     def test_determinant_oracle_krasnov2(self, n):
         entry = get_problem("krasnov2")
         g = make_grid(*entry.interval, n)
-        alpha = _integral_operator(entry.kernel, g, gauss_legendre(8), g.nodes, g.b)
+        alpha = _integral_operator(entry.kernel, g, gauss_legendre(8), g.nodes, n)
         assert_sign_changes_are_roots(alpha, *entry.bracket)
 
     def test_validation(self):
@@ -663,3 +663,21 @@ class TestFindRealEigenvalues:
             find_real_eigenvalues(np.eye(2), 1, 1)
         with pytest.raises(ValueError):
             find_real_eigenvalues(np.ones((2, 3)), 0, 1)
+
+    @pytest.mark.parametrize("lo,hi,end", [(-np.inf, np.inf, "lo = -inf"),
+                                           (0.0, np.inf, "hi = inf"), (np.nan, 1.0, "lo = nan")],
+                             ids=["both", "hi", "nan"])
+    def test_bracket_end_that_is_not_finite_refused(self, lo, hi, end):
+        # 1/mu of an eigenvalue of a subnormal alpha overflows to inf, which
+        # an infinite bracket holds
+        with pytest.raises(ValueError, match=f"bracket end {end} is not finite"):
+            find_real_eigenvalues(np.full((3, 3), 1e-320), lo, hi)
+
+    def test_alpha_whose_norm_overflows_refused_without_warning(self):
+        # ||alpha||_inf = 3e308 is inf, and so was the residual tolerance
+        # 1e-8 ||alpha||_inf, which once accepted lam = 0, never a root
+        # since det(I) = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\|\|alpha\|\|_inf overflows"):
+                find_real_eigenvalues(np.full((3, 3), 1e308), -1e-300, 1e-300)

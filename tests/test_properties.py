@@ -4,14 +4,11 @@ Grids are [a, a + width] with n pieces, drawn as in the other suites:
 a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
 operator, whose oracle is a Python loop over rows and pieces; n in
 [2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
-checks every rule and layout of limits, and when it refuses a limit
-inside a piece). The parity
-properties solve symmetric Fredholm problems on [-L, L]. The last ones
+checks every rule and layout of piece counts). The parity properties
+solve symmetric Fredholm problems on [-L, L]. The last ones
 hold the package's ufunc and array-method forms to the bit against the
 numpy wrappers they replaced (tests/oracles.py).
 """
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -176,15 +173,12 @@ def grid_and_kernel(draw):
 @settings(max_examples=60, deadline=None)
 def test_operator_rows_match_summed_piece_weights(rows, grid_kernel):
     # row i of the operator is the sum of the oracle's piece weights over
-    # the pieces that [a, upper_i] covers: all of them for Fredholm rows
-    # (upper = b), pieces 1..i for Volterra rows (upper = x_i)
+    # the pieces it reaches: all of them for Fredholm rows (up to b),
+    # pieces 1..i for Volterra rows (up to x_i)
     g, kernel = grid_kernel
-    if rows == "fredholm":
-        xs, upper = g.nodes, np.full(g.n + 1, g.b)
-    else:
-        xs = upper = g.nodes
-    W = _integral_operator(kernel, g, RULE8, xs, upper)
-    oracle = summed_piece_weights(kernel, g, xs, upper)
+    reach = np.full(g.n + 1, g.n) if rows == "fredholm" else np.arange(g.n + 1)
+    W = _integral_operator(kernel, g, RULE8, g.nodes, reach)
+    oracle = summed_piece_weights(kernel, g, g.nodes, g.nodes[reach])
     # the oracle takes s - x_{k-1} from absolute positions, so its roundoff
     # grows like eps |x| / h; the operator builds the offsets directly.
     # Subnormal moments (from tiny drawn coefficients) round absolutely.
@@ -193,18 +187,12 @@ def test_operator_rows_match_summed_piece_weights(rows, grid_kernel):
     assert np.all(np.abs(W - oracle) <= rtol * scale + 1e3 * np.finfo(float).tiny)
 
 
-def node_limit(g):
-    """Limits the operator takes: a node, a point below a or one beyond b."""
-    return st.one_of(st.integers(0, g.n).map(lambda k: g.nodes[k]),
-                     st.floats(0.5, 2).map(lambda u: g.a - u),
-                     st.floats(0.5, 2).map(lambda u: g.b + u))
-
-
 @st.composite
 def operator_case(draw):
     """A grid with n in [2, 40], a Gauss rule of q points, a kernel
-    sum c_pq x^p s^q with p, q <= 3, and rows whose limits mix nodes,
-    points below a and beyond b, or share one limit, the node x_{n-1}."""
+    sum c_pq x^p s^q with p, q <= 3, and rows at points in [a - 2, b + 2]
+    with counts in 0..n each, or at the nodes with the count n - 1 shared
+    (the Volterra-1 closure's)."""
     a = draw(st.floats(-2, 2), label="a")
     width = draw(st.floats(0.5, 4), label="width")
     n = draw(st.integers(2, 40), label="n")
@@ -215,60 +203,25 @@ def operator_case(draw):
              label="c")
     kernel = poly_kernel(c)
     if draw(st.booleans(), label="shared"):
-        return g, rule, kernel, g.nodes, g.nodes[-2]
-    upper = np.array(draw(st.lists(node_limit(g), min_size=1, max_size=12), label="limits"))
-    return g, rule, kernel, upper, upper
+        return g, rule, kernel, g.nodes, n - 1
+    reach = np.array(draw(st.lists(st.integers(0, n), min_size=1, max_size=12), label="reach"))
+    xs = np.array(draw(st.lists(st.floats(g.a - 2, g.b + 2), min_size=len(reach),
+                                max_size=len(reach)), label="xs"))
+    return g, rule, kernel, xs, reach
 
 
 @given(operator_case())
 @settings(max_examples=100, deadline=None)
-def test_operator_rows_match_summed_piece_weights_for_any_rule_and_limits(case):
+def test_operator_rows_match_summed_piece_weights_for_any_rule_and_counts(case):
     # reached pieces take the folded weights, and empty ones are zeroed;
     # with the oracle on the same rule, only rounding differs, and
-    # subnormal moments (a kernel's powers of a node near 0) round
+    # subnormal moments (a kernel's powers of a point near 0) round
     # absolutely
-    g, rule, kernel, xs, upper = case
-    W = _integral_operator(kernel, g, rule, xs, upper)
-    oracle = summed_piece_weights(kernel, g, xs, np.broadcast_to(upper, len(xs)), rule)
+    g, rule, kernel, xs, reach = case
+    W = _integral_operator(kernel, g, rule, xs, reach)
+    oracle = summed_piece_weights(kernel, g, xs, g.nodes[np.broadcast_to(reach, len(xs))], rule)
     scale = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(W - oracle) <= 1e-12 * scale + 1e3 * np.finfo(float).tiny)
-
-
-@st.composite
-def limits_inside_a_piece(draw):
-    """A grid with n in [2, 40], a Gauss rule, and limits of which at least
-    one lies strictly inside a piece: one shared limit, or per-row limits
-    that mix such points with the limits the operator takes; with the
-    first such point."""
-    a = draw(st.floats(-2, 2), label="a")
-    width = draw(st.floats(0.5, 4), label="width")
-    n = draw(st.integers(2, 40), label="n")
-    g = make_grid(a, a + width, n)
-    rule = gauss_legendre(draw(st.sampled_from([1, 2, 3, 8, 12]), label="q"))
-    inside = st.builds(lambda k, t: g.nodes[k - 1] + t * g.h, st.integers(1, n),
-                       st.floats(0, 1, exclude_min=True, exclude_max=True))
-    inside = inside.filter(lambda u: g.a < u < g.b and not (g.nodes == u).any())
-    first = draw(inside, label="first")
-    if draw(st.booleans(), label="shared"):
-        return g, rule, first, first
-    before = draw(st.lists(node_limit(g), max_size=6), label="before")
-    after = draw(st.lists(st.one_of(node_limit(g), inside), max_size=6), label="after")
-    return g, rule, np.array(before + [first] + after), first
-
-
-@given(limits_inside_a_piece())
-@settings(max_examples=100, deadline=None)
-# next to a = 0: a subnormal limit inside the first piece
-@example((make_grid(0.0, 0.5, 2), gauss_legendre(1), 1.11253693e-311, 1.11253693e-311))
-def test_operator_refuses_a_limit_inside_a_piece(case):
-    # every reached piece is integrated whole: the first limit inside a
-    # piece is named, for any rule, before the kernel is called
-    g, rule, upper, first = case
-    calls = []
-    xs = g.nodes if np.ndim(upper) == 0 else upper
-    with pytest.raises(ValueError, match=re.escape(f"limit {float(first)!r} lies inside")):
-        _integral_operator(lambda x, s: calls.append(1), g, rule, xs, upper)
-    assert calls == []
 
 
 # kernels with K(-x, -s) = K(x, s): the Gaussian is positive definite for
