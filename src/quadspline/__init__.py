@@ -9,8 +9,7 @@ reproduces the published error tables. Everything is numpy; there is no compiled
 """
 from .core import (Grid, InvalidDomainError, OutOfDomainError, ScalarFunction,
                    make_grid, sample)
-from .integral_eq import (DegenerateProblemError, IntegralProblem, Kernel,
-                          SolveReport, solve)
+from .integral_eq import IntegralProblem, Kernel, SolveReport, solve
 from .linsolve import (EigenResult, SingularMatrixError, find_real_eigenvalues,
                        solve_dense)
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels,
@@ -30,6 +29,6 @@ __all__ = [
     "QuadratureRule", "gauss_legendre", "integrate_panels", "l2_error",
     "max_error",
     "SingularMatrixError", "EigenResult", "solve_dense", "find_real_eigenvalues",
-    "Kernel", "IntegralProblem", "SolveReport", "DegenerateProblemError", "solve",
+    "Kernel", "IntegralProblem", "SolveReport", "solve",
     "__version__",
 ]

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import registry
 from .core import InvalidDomainError, eval_many
-from .integral_eq import DegenerateProblemError
 from .linsolve import SingularMatrixError
 from .quadrature import MAX_ORDER, gauss_legendre
 from .spline import convergence_study
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except InvalidDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, DegenerateProblemError, OSError) as exc:
+    except (SingularMatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

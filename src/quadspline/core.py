@@ -78,21 +78,24 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     """f on the broadcast of args: one array call, else one call per point.
 
     The args are made float arrays and f is called once on them. A result of
-    the full broadcast shape is returned as it is; one that only broadcasts
-    to it (a constant function returning 3.0, say) is materialised as a
-    writeable array. f is called per point, logged at DEBUG, only when the
-    array call raises TypeError or ValueError (what a scalar-only callable
-    raises on an array) or gives a shape that does not broadcast, and f is
-    defined outside this package. One defined in it (by its __module__, an
-    instance's being its class's; a missing or non-string one is outside),
-    registry entries included, takes arrays, so a retry would only hide a
-    defect behind one call per point. The package's own OutOfDomainError and
-    InvalidDomainError, and any other exception, propagate after that one
-    call, as does numpy's ValueError for a write into a read-only
-    argument, raised as a ValueError naming f: f must not write into its
-    arguments, and calling it per point would only hide that. A per-point
-    call that also gives an array raises a ValueError naming f, the shape
-    its array call gave and the one its arguments broadcast to.
+    the full broadcast shape is returned as it is. One that is 0-d (a
+    constant function returning 3.0, say) or has one argument's own shape
+    (a kernel of x alone) is broadcast and materialised as a writeable
+    array; any other shape, even one that happens to broadcast, fails the
+    array call with a ValueError naming f and both shapes. f is called per
+    point, logged at DEBUG, only when the array call raises TypeError or
+    ValueError (what a scalar-only callable raises on an array) or gives
+    such a shape, and f is defined outside this package. One defined in it
+    (by its __module__, an instance's being its class's; a missing or
+    non-string one is outside), registry entries included, takes arrays, so
+    a retry would only hide a defect behind one call per point. The
+    package's own OutOfDomainError and InvalidDomainError, and any other
+    exception, propagate after that one call, as does numpy's ValueError
+    for a write into a read-only argument, raised as a ValueError naming f:
+    f must not write into its arguments, and calling it per point would
+    only hide that. A per-point call that also gives an array raises a
+    ValueError naming f, the shape its array call gave and the one its
+    arguments broadcast to.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
@@ -102,6 +105,8 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
         if vals.shape == shape:
             return vals
         got = f"shape {vals.shape}"
+        if vals.ndim and all(vals.shape != a.shape for a in args):
+            raise ValueError(f"{f!r} gives {got} on arrays whose broadcast shape is {shape}")
         return np.array(np.broadcast_to(vals, shape))
     except (OutOfDomainError, InvalidDomainError):
         raise

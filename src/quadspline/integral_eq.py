@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
-from .linsolve import find_real_eigenvalues, solve_dense
+from .linsolve import SingularMatrixError, find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
 from .spline import SplineModel, _closed_form_adjoint, build_spline
@@ -68,10 +68,6 @@ _OPERATOR_BLOCK = 1 << 16
 # kind: whether it takes (forcing, lam, bracket)
 _FIELDS = {"fredholm2": (True, True, False), "fredholm_eigen": (False, False, True),
            "volterra2": (True, True, False), "volterra1": (True, False, False)}
-
-
-class DegenerateProblemError(ArithmeticError):
-    """The free parameter of a first-kind solve is not determined by the data."""
 
 
 @dataclass(frozen=True)
@@ -330,16 +326,17 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     closure for the undetermined left-endpoint value.
 
     Collocating at x_1..x_n, whose operator rows B integrate up to their
-    own node, gives n equations in n+1 unknowns; the solution
-    is affine in y_0, obtained from one two-column solve of the trailing
+    own node, gives n equations in n+1 unknowns; the solution is affine,
+    u + y_0 w, from one two-column solve of the trailing
     n x n subsystem. y_0 is then chosen to minimize the integral of the
     squared equation defect over the last piece, a quadratic with a
     closed-form minimizer. The defect at a point x of that piece has two
     parts: the operator over the shared n - 1 pieces before it, up to
     x_{n-1}, and `rule` applied to K(x, s) S(s) on [x_{n-1}, x],
     its nodes clipped to x so that the kernel is never called beyond its
-    limit. Raises DegenerateProblemError when the defect does not depend
-    on y_0 (e.g. a kernel that annihilates the first piece).
+    limit. The defect's terms in u and w are scaled by one power of two, so
+    K, f or [a, b] scaled by 2^k give the same y_0; raises
+    SingularMatrixError, as the trailing solve does, when they fix no y_0.
 
     Usable only for small n: C1 quadratic spline collocation of first-kind
     Volterra equations is unstable (Brunner, Collocation Methods for
@@ -367,11 +364,14 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     Kw = eval_many(problem.kernel, x, s) * (part * rule.weights)
     defect_u = R @ u + (Kw * build_spline(grid, u)(s)).sum(1) - eval_many(problem.forcing, pts)
     defect_w = R @ w + (Kw * build_spline(grid, w)(s)).sum(1)
+    # both scaled by one power of two, so that no square under- or overflows
+    e = math.frexp(float(np.abs(defect_w).max()))[1]
+    defect_u, defect_w = np.ldexp(defect_u, -e), np.ldexp(defect_w, -e)
     weights = np.outer(half, rule.weights).ravel()
     num = float(weights @ (defect_u * defect_w))
     den = float(weights @ defect_w**2)
-    if den < 1e-14:
-        raise DegenerateProblemError(
-            f"defect is insensitive to the endpoint value (integral {den!r})")
+    if not (den > 0.0 and math.isfinite(den)):
+        raise SingularMatrixError(f"the closure's defect does not determine the endpoint "
+                                  f"value: its sensitivity to it integrates to {den!r}")
     y0 = -num / den
     return _report(problem, grid, u + y0 * w)

@@ -290,7 +290,7 @@ class EigenResult:
     """A real characteristic value with its max-norm-1 null vector.
 
     residual = ||(I - lambda*alpha) v||_inf; reported results satisfy
-    residual <= 1e-8 * ||alpha||_inf.
+    residual <= 1e-8 |lambda| ||alpha||_inf.
     """
 
     value: float
@@ -308,10 +308,10 @@ def _null_vector(alpha: np.ndarray, lam: float):
 
 
 def _merged_roots(lams: np.ndarray) -> list[float]:
-    """The sorted values lams with each run of neighbours within
-    1e-6 (1 + |lambda|) of each other merged into its mean, taken as
-    np.add.reduce(run) / len(run), the division run.mean takes."""
-    gaps = lams[1:] - lams[:-1] > 1e-6 * (1.0 + np.abs(lams[:-1]))
+    """The sorted values lams with each run of neighbours at most
+    1e-6 |lambda| apart, lambda the lower of the two, merged into its mean,
+    taken as np.add.reduce(run) / len(run), the division run.mean takes."""
+    gaps = lams[1:] - lams[:-1] > 1e-6 * np.abs(lams[:-1])
     ends = [0, *(gaps.nonzero()[0] + 1).tolist(), len(lams)]
     return [float(np.add.reduce(lams[i:j]) / (j - i)) for i, j in zip(ends, ends[1:]) if j > i]
 
@@ -326,11 +326,13 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
     Matrix Computations, 4th ed., sec. 7.5.6): such a mu cannot be told
     from 0, and a rule relative to ||alpha|| does not depend on its scale.
     Eigenvalues with |Im mu| <= 1e-6 |mu| count as real, and sorted values
-    within 1e-6 (1 + |lambda|) of each other merge into their mean: LAPACK
-    returns a defective double root as a pair split by about sqrt(eps),
-    and the pair's mean is far more accurate than either member. Each root
-    is paired with its null vector (see _null_vector); candidates whose
-    residual exceeds 1e-8 * ||alpha||_inf are discarded as spurious.
+    at most 1e-6 |lambda| apart merge into their mean: LAPACK returns a
+    defective double root as a pair split by about sqrt(eps), and the
+    pair's mean is far more accurate than either member. Each root is
+    paired with its null vector (see _null_vector); candidates whose
+    residual exceeds 1e-8 |lambda| ||alpha||_inf are discarded as spurious.
+    As |mu| <= ||alpha||_inf, that tolerance is never below 1e-8, and
+    alpha scaled by 2^k gives the same decisions, with roots scaled by 2^-k.
     Raises ValueError for a bracket end that is not finite, naming it, for
     lo >= hi, naming the first non-finite entry of alpha, and for an alpha
     whose ||alpha||_inf overflows.
@@ -357,11 +359,10 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
     lams.sort()
     lams = lams[(lams >= lo) & (lams <= hi)]
 
-    tol = 1e-8 * norm
     results = []
     for lam in _merged_roots(lams):
         vector, residual = _null_vector(alpha, lam)
-        if residual <= tol:
+        if residual <= 1e-8 * abs(lam) * norm:
             vector.setflags(write=False)
             results.append(EigenResult(lam, vector, residual))
     return results

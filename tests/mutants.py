@@ -57,6 +57,12 @@ MUTANTS = [
      ["tests/test_core.py::TestEvalMany::test_array_at_a_single_point_is_named[constant_array]",
       "tests/test_integral_eq.py::TestSolveFredholm::"
       "test_kernel_that_gives_an_array_per_point_is_named"]),
+    # a result of the wrong shape taken whenever it broadcasts
+    (CORE, "if vals.ndim and all(vals.shape != a.shape for a in args):", "if False:",
+     ["tests/test_core.py::TestEvalMany::test_array_at_a_single_point_is_named"
+      "[broadcastable_array]",
+      "tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_kernel_that_gives_an_array_per_point_is_named[3]"]),
     # a write into a read-only argument is retried point by point
     (CORE, 'if "read-only" in str(exc) and not all(a.flags.writeable for a in args):',
      "if False:",
@@ -101,6 +107,15 @@ MUTANTS = [
     (OPERATOR, "s = np.minimum(last + part * (1.0 + rule.nodes), x)",
      "s = last + part * (1.0 + rule.nodes)",
      [V1 + "test_closure_integrates_its_part_of_the_last_piece[affine-lobatto3]"]),
+    # the closure's absolute cutoff restored: a problem on a short interval
+    # is refused
+    (OPERATOR, "den > 0.0", "den > 1e-14",
+     [V1 + "test_interval_scaled_by_a_power_of_two_gives_the_same_samples[5]"]),
+    # the closure's defects squared at the data's own scale, which under- or
+    # overflows
+    (OPERATOR, "defect_u, defect_w = np.ldexp(defect_u, -e), np.ldexp(defect_w, -e)", "pass",
+     [V1 + "test_data_scaled_by_a_power_of_two_gives_the_same_samples[21]",
+      V1 + "test_interval_scaled_by_a_power_of_two_gives_the_same_samples[5]"]),
     # equispaced points without their underflow branch: k * 0 + lo when the
     # step underflows
     (QUADRATURE, "if step == 0:", "if False:",
@@ -109,6 +124,15 @@ MUTANTS = [
     # eigenvalue clusters broken one value early
     (LINSOLVE, "gaps.nonzero()[0] + 1", "gaps.nonzero()[0]",
      ["tests/test_properties.py::test_merged_roots_are_the_split_form_bit_for_bit"]),
+    # the merge gap absolute for roots below 1: a pair of roots scaled down
+    # merges into its mean
+    (LINSOLVE, "1e-6 * np.abs(lams[:-1])", "1e-6 * (1.0 + np.abs(lams[:-1]))",
+     [EIGEN + "test_scaled_pair_of_roots_is_exact[20]",
+      "tests/test_properties.py::test_merged_roots_are_the_split_form_bit_for_bit"]),
+    # the residual test without |lambda|: roots of a scaled-down alpha refused
+    (LINSOLVE, "1e-8 * abs(lam) * norm", "1e-8 * norm",
+     [EIGEN + "test_scaled_pair_of_roots_is_exact[-300]",
+      EIGEN + "test_scaled_krasnov2_gives_the_scaled_roots[5]"]),
     # eigenvalues at rounding level inverted into roots
     (LINSOLVE, "size > (len(alpha) + 1) * _EPS * norm", "size > 0",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"

@@ -241,5 +241,5 @@ def power_rows_diff(model):
 
 def merged_roots_split(lams):
     """linsolve._merged_roots through np.diff, np.split and ndarray.mean."""
-    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * (1.0 + np.abs(lams[:-1]))) + 1
+    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * np.abs(lams[:-1])) + 1
     return [float(c.mean()) for c in np.split(lams, breaks) if c.size]

@@ -151,11 +151,13 @@ class TestEvalMany:
 
     @pytest.mark.parametrize("f,point,got", [
         (lambda x, s: np.ones(3), "(3,)", "shape (3,)"),
+        (lambda x, s: np.ones((1, 5)), "(1, 5)", "shape (1, 5)"),
         (lambda x, s: [x, s] if np.ndim(x) == 0 else x @ s, "(2,)", "an exception"),
-    ], ids=["constant_array", "raises_on_arrays"])
+    ], ids=["constant_array", "broadcastable_array", "raises_on_arrays"])
     def test_array_at_a_single_point_is_named(self, f, point, got):
-        # the array call's result does not broadcast, or it raises, and the
-        # retry per point gives an array as well: f is named with the shapes
+        # the array call's result does not broadcast, is neither 0-d nor an
+        # argument's own shape, or it raises, and the retry per point gives
+        # an array as well: f is named with the shapes
         with pytest.raises(ValueError) as info:
             eval_many(f, np.zeros((4, 1)), np.zeros(5))
         assert str(info.value) == (f"{f!r} gives shape {point} at a single point; on arrays "

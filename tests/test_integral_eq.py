@@ -1,12 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dataclasses import fields, replace
 
-from quadspline import (DegenerateProblemError, IntegralProblem,
-                        InvalidDomainError, QuadratureRule, SingularMatrixError,
+from quadspline import (IntegralProblem, InvalidDomainError, QuadratureRule, SingularMatrixError,
                         build_spline, find_real_eigenvalues, gauss_legendre,
                         integrate_panels, l2_error, make_grid, registry, solve)
 from quadspline import integral_eq
@@ -243,6 +243,9 @@ class TestIntegralOperator:
     KERNELS = {
         "polynomial": random_poly_kernel(np.random.default_rng(41)),
         "constant": lambda x, s: 1.0,
+        # a result of x's own shape is broadcast to the node stack
+        "x_only": lambda x, s: np.cos(x),
+        "s_only": lambda x, s: np.exp(s),
         "scalar_only": lambda x, s: math.exp(x * s),
     }
 
@@ -612,8 +615,10 @@ class TestSolveFredholm:
         r5 = solve(p, 5)
         assert 0.5 * 1.17e-3 <= r5.error_l2 <= 2 * 1.17e-3
 
-    def test_kernel_that_gives_an_array_per_point_is_named(self):
-        # np.ones(3) does not broadcast to the operator's node stack, and
+    @pytest.mark.parametrize("n", [5, 3])
+    def test_kernel_that_gives_an_array_per_point_is_named(self, n):
+        # np.ones(3) is neither 0-d nor the shape of x or s, whether or not
+        # it broadcasts to the operator's node stack (it does at n = 3), and
         # one call per point gives an array too
         def kernel(x, s):
             return np.ones(3)
@@ -621,8 +626,8 @@ class TestSolveFredholm:
         p = IntegralProblem("fredholm2", kernel, (0.0, 1.0), forcing=np.sin, lam=0.5)
         with pytest.raises(ValueError, match=r"gives shape \(3,\) at a single point; on "
                            r"arrays it gave shape \(3,\), where their broadcast shape is "
-                           r"\(8, 6, 5\)") as info:
-            solve(p, 5)
+                           rf"\(8, {n + 1}, {n}\)") as info:
+            solve(p, n)
         assert repr(kernel) in str(info.value)
 
     def test_no_reference_means_no_error_fields(self):
@@ -994,15 +999,48 @@ class TestSolveVolterra1:
         with pytest.raises(SingularMatrixError):
             solve(p, 4)
 
-    def test_degenerate_closure_detected(self):
-        # scaling the kernel down leaves the subsystem regular (the condition
-        # gate is scale-invariant) but pushes the defect's sensitivity to y_0
-        # below the absolute cutoff
+    def test_scaled_down_problem_is_solved(self):
+        # the defect's sensitivity to y_0 integrates to about 1e-22 here,
+        # which an absolute cutoff of 1e-14 once refused
         p = IntegralProblem("volterra1",
                             lambda x, s: 1e-7 * (x - s) ** 2, (0.0, 1.0),
                             forcing=lambda x: 1e-7 * np.asarray(x, dtype=float) ** 3)
-        with pytest.raises(DegenerateProblemError):
-            solve(p, 4)
+        np.testing.assert_allclose(solve(p, 4).samples, 3.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 10, 21])
+    def test_data_scaled_by_a_power_of_two_gives_the_same_samples(self, n):
+        # every step is linear in K and f, and the closure's two defects are
+        # scaled by one power of two, so no square under- or overflows
+        entry = self.make()
+        want = solve(entry, n).samples.tobytes()
+        for k in [*range(-900, 901, 25), -540, 520]:
+            p = replace(entry, kernel=lambda x, s: np.ldexp(entry.kernel(x, s), k),
+                        forcing=lambda x: np.ldexp(entry.forcing(x), k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert solve(p, n).samples.tobytes() == want, k
+
+    @pytest.mark.parametrize("n", [5, 10, 21])
+    def test_interval_scaled_by_a_power_of_two_gives_the_same_samples(self, n):
+        # on [0, L], (x - s)^2 y with y = 3 still integrates to x^3; at
+        # L = 2^-150 the defect's sensitivity to y_0 reads about 1e-48 of
+        # its value at L = 1 unless the closure rescales it
+        entry = self.make()
+        want = solve(entry, n).samples.tobytes()
+        for j in range(-150, 151, 25):
+            p = replace(entry, interval=(0.0, 2.0**j))
+            assert solve(p, n).samples.tobytes() == want, j
+
+    def test_defect_that_does_not_depend_on_y0_is_refused_without_warning(self):
+        # a kernel that vanishes off the nodes: the collocation rows are
+        # krasnov4's, but the closure's defect over the last piece is f alone
+        g = make_grid(0.0, 1.0, 5)
+        p = replace(self.make(), kernel=lambda x, s: np.where(np.isin(x, g.nodes),
+                                                              (x - s) ** 2, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match="does not determine the endpoint"):
+                solve(p, 5)
 
     def test_krasnov4_breaks_down_between_n20_and_n30(self):
         # the trailing subsystem's 1/cond_inf falls from 2.2e-13 at n = 21 to

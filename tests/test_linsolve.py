@@ -599,6 +599,29 @@ class TestFindRealEigenvalues:
         values = [r.value for r in results]
         np.testing.assert_allclose(values, [1 / 3, 1.0], atol=1e-9)
 
+    @pytest.mark.parametrize("k", [0, 20, 300, -300])
+    def test_scaled_pair_of_roots_is_exact(self, k):
+        # roots 1/3 and 1 of [[2, 1], [1, 2]], scaled by 2^-k: an absolute
+        # merge gap once merged them at k = 20, and a residual test of
+        # 1e-8 ||alpha||_inf once took their mean at k = 300 and refused
+        # both at k = -300
+        alpha = np.array([[2.0, 1.0], [1.0, 2.0]]) * 2.0**k
+        values = [r.value for r in find_real_eigenvalues(alpha, 0.0, 2.0 * 2.0**-k)]
+        assert values == [2.0**-k / 3, 2.0**-k]
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 11, 64, 200])
+    def test_scaled_krasnov2_gives_the_scaled_roots(self, n):
+        entry = get_problem("krasnov2")
+        g = make_grid(*entry.interval, n)
+        alpha = _integral_operator(entry.kernel, g, gauss_legendre(8), g.nodes, n)
+        want = [r.value for r in find_real_eigenvalues(alpha, *entry.bracket)]
+        assert want
+        for k in range(-400, 401, 50):
+            lo, hi = (2.0**-k * end for end in entry.bracket)
+            got = [2.0**k * r.value for r in find_real_eigenvalues(2.0**k * alpha, lo, hi)]
+            assert len(got) == len(want), k
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"k = {k}")
+
     def test_eigen_results_satisfy_invariants(self):
         rng = np.random.default_rng(10)
         alpha = rng.standard_normal((5, 5))

@@ -5,10 +5,13 @@ a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
 operator, whose oracle is a Python loop over rows and pieces; n in
 [2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
 checks every rule and layout of piece counts). The parity properties
-solve symmetric Fredholm problems on [-L, L]. The last ones
+solve symmetric Fredholm problems on [-L, L]. The next ones
 hold the package's ufunc and array-method forms to the bit against the
-numpy wrappers they replaced (tests/oracles.py).
+numpy wrappers they replaced (tests/oracles.py). The last one feeds the
+eigen search extreme doubles and scaled registry matrices.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +19,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadspline import (IntegralProblem, OutOfDomainError, build_spline, coeffs_closed_form,
-                        gauss_legendre, make_grid, solve)
+                        find_real_eigenvalues, gauss_legendre, make_grid, solve)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import _merged_roots
 from quadspline.quadrature import panel_points
+from quadspline.registry import get_problem
 
 from oracles import (RULE8, chord_plus_correction, coeffs_closed_form_mean, merged_roots_split,
                      panel_points_linspace, power_rows_diff, summed_piece_weights)
@@ -347,3 +351,49 @@ SPLIT = 3.0 * 1.5e-8  # LAPACK splits a defective double root by about sqrt(eps)
 def test_merged_roots_are_the_split_form_bit_for_bit(lams):
     got, want = _merged_roots(lams), merged_roots_split(lams)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# ±0, the smallest subnormal and a larger one, the smallest normal, ±1e±308,
+# the largest double, ±inf and NaN
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                            1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308,
+                            np.inf, -np.inf, np.nan]) | st.floats(allow_subnormal=True)
+KRASNOV2 = get_problem("krasnov2")
+
+
+@st.composite
+def eigen_search(draw):
+    """alpha and a bracket: extreme entries and ends, or krasnov2's W and
+    bracket scaled by 2^k and 2^-k for |k| <= 1000."""
+    if draw(st.booleans(), label="registry"):
+        n = draw(st.sampled_from([2, 5, 11]), label="n")
+        k = draw(st.integers(-1000, 1000), label="k")
+        g = make_grid(*KRASNOV2.interval, n)
+        alpha = np.ldexp(_integral_operator(KRASNOV2.kernel, g, RULE8, g.nodes, n), k)
+        if draw(st.booleans(), label="registry bracket"):
+            lo, hi = (float(np.ldexp(end, -k)) for end in KRASNOV2.bracket)
+            return alpha, lo, hi
+    else:
+        m = draw(st.integers(1, 4), label="m")
+        alpha = draw(arrays(np.float64, (m, m), elements=EXTREMES), label="alpha")
+    return alpha, draw(EXTREMES, label="lo"), draw(EXTREMES, label="hi")
+
+
+@given(eigen_search())
+@example((np.full((3, 3), 1e-320), -1e308, 1e308))   # 1/mu overflows
+@example((np.full((3, 3), 1e308), -1.0, 1.0))        # ||alpha||_inf overflows
+@settings(max_examples=300, deadline=None)
+def test_eigen_search_returns_finite_roots_or_names_the_bad_input(case):
+    alpha, lo, hi = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            results = find_real_eigenvalues(alpha, lo, hi)
+        except ValueError as exc:
+            # numpy's LinAlgError is a ValueError too, and must not escape
+            assert not isinstance(exc, np.linalg.LinAlgError), exc
+            assert any(name in str(exc) for name in ("alpha", "lo", "hi")), exc
+            return
+    for r in results:
+        assert lo <= r.value <= hi
+        assert np.isfinite(r.vector).all() and np.isfinite(r.residual)
