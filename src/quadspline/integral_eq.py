@@ -137,7 +137,8 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     S is the spline through any samples y. `reach` is the number of whole
     pieces each row integrates, one integer per row or one that every row
     shares, in 0..n; a float raises TypeError, so that a limit is never
-    truncated to a count. Row i reaches its first reach_i pieces, and the
+    truncated to a count, and a count outside 0..n ValueError, before the
+    kernel is called. Row i reaches its first reach_i pieces, and the
     pieces beyond hold nothing.
     Rows go in blocks sized by rows x reach: a block works on the first p
     pieces of its rows, p their widest reach (at least 2: a product with
@@ -161,28 +162,34 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     taken per row, and its nodes are built per block. The kernel must not
     write into its arguments.
 
-    One (3, q) x (q, rows p) product of the kernel values with the folded
-    weights w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h^3/8 gives every
-    piece's left-node row L, right-node row R and quadratic row Q, exact
-    for a full piece of width h; an empty piece's rows are zeroed. L and R
-    go to the piece's two end nodes, columns 0..p of W's rows; Q,
-    zero-extended to all n pieces, goes to every node through the
-    transposed closed form of the coefficients
-    (spline._closed_form_adjoint), written straight into W's rows, so no
-    coefficient matrix is built. The node stack, the rows and W are buffers
-    made once per call, written in one order of operations, so W is the
-    same to the bit whether a shared count is given once or per row, and
-    however the rows are blocked.
+    One (3, q) x (q, rows p) product of the kernel values with the weights
+    w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h/8, h times the rule's
+    rows, gives every piece's left-node row L, right-node row R and
+    quadratic row Q; an empty piece's rows are zeroed. L and R are exact
+    for a full piece of width h, and go to the piece's two end nodes,
+    columns 0..p of W's rows. The quadratic moment is w (t^2 - 1) h^3/8 and
+    the coefficients of a grid of width h are those of a unit grid over
+    h^2, so Q, zero-extended to all n pieces, goes to every node through
+    the transposed closed form of a unit grid's coefficients
+    (spline._closed_form_adjoint), written straight into W's rows: no
+    coefficient matrix is built, and no power of h is formed that could
+    overflow or underflow before W's entries do. The node stack, the rows
+    and W are buffers made once per call, written in one order of
+    operations, so W is the same to the bit whether a shared count is
+    given once or per row, and however the rows are blocked.
     """
     reach = np.asarray(reach)
     if reach.dtype.kind not in "iu":
         raise TypeError(f"reach must be integer piece counts, got {reach.dtype}")
-    xs = np.asarray(xs, dtype=float)[:, None]
     n, h, q = grid.n, grid.h, rule.order
+    outside = np.flatnonzero((reach < 0) | (reach > n))
+    if outside.size:
+        raise ValueError(f"reach must count pieces in 0..{n}, got {reach.flat[outside[0]]}")
+    xs = np.asarray(xs, dtype=float)[:, None]
     nodes = grid.nodes
     starts = nodes[:-1]
     halves = 0.5 * (nodes[1:] - starts)
-    weights = rule._piece_rows * np.array([h / 4, h / 4, h**3 / 8])[:, None]
+    weights = h * rule._piece_rows
     per_row = reach.ndim > 0 or reach < n
     reach = np.broadcast_to(reach, len(xs))
     # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
@@ -236,7 +243,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
             ext[:, p:] = 0.0
             quad = ext
         Wb = W[lo:hi]
-        _closed_form_adjoint(quad, h, out=Wb)
+        _closed_form_adjoint(quad, out=Wb)
         Wb[:, 1:p + 1] += right
         Wb[:, :p] += left
     return W
@@ -345,7 +352,7 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     trailing system is 2.2e-13 at n = 21 and 8.1e-14 at n = 22, so
     solve_dense accepts n <= 21 at RCOND_MIN = 1e-13 and raises
     SingularMatrixError beyond; the L2 error grows about 2.4x per unit of
-    n, from 3.4e-13 at n = 5 to 3.4e-7 at n = 21.
+    n, from 1.9e-13 at n = 5 to 2.8e-7 at n = 21.
     """
     f = sample(problem.forcing, grid)[1:]
     u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T

@@ -37,8 +37,9 @@ class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     # integral_eq._integral_operator's tables, made once per rule, read-only:
-    # rows w (1 - t), w (1 + t), w (t^2 - 1) of each piece's left-node,
-    # right-node and quadratic moments, and the columns 1 + t, 1 that map a
+    # rows w (1 - t)/4, w (1 + t)/4, w (t^2 - 1)/8 of each piece's
+    # left-node, right-node and quadratic moments per unit of its width h
+    # (the divisions are exact), and the columns 1 + t, 1 that map a
     # piece's (half-width, start) to its nodes
     _piece_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _node_map: np.ndarray = field(init=False, repr=False, compare=False)
@@ -55,7 +56,7 @@ class QuadratureRule:
             raise InvalidDomainError(f"quadrature weights must be finite, got {w}")
         if not (np.abs(t) <= 1.0).all():  # NaN fails too
             raise InvalidDomainError(f"quadrature nodes must lie in [-1, 1], got {t}")
-        rows = np.stack((w * (1.0 - t), w * (1.0 + t), w * (t * t - 1.0)))
+        rows = np.stack((w * (1.0 - t) / 4.0, w * (1.0 + t) / 4.0, w * (t * t - 1.0) / 8.0))
         node_map = np.stack((1.0 + t, np.ones_like(t)), axis=1)
         rows.setflags(write=False)
         node_map.setflags(write=False)

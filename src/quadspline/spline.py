@@ -94,14 +94,18 @@ def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:
     return c
 
 
-def _closed_form_adjoint(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """r @ C for the n x (n+1) map C from node samples to coefficients.
+def _closed_form_adjoint(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r @ C for the n x (n+1) map C from node samples to coefficients on a
+    unit grid.
 
-    C is coeffs_closed_form of second_differences, so r @ C runs its steps
-    transposed and in reverse, in O(n) per row of the m x n array r,
-    without forming C: the sign flip of every other coefficient, the mean
-    removal, the prefix sum (a reverse cumsum), its signs, and the
-    scattering of each second difference to its three nodes. Overwrites r,
+    C is coeffs_closed_form of second_differences at h = 1, so r @ C runs
+    its steps transposed and in reverse, in O(n) per row of the m x n array
+    r, without forming C: the sign flip of every other coefficient, the
+    mean removal, the prefix sum (a reverse cumsum), the sign flip of every
+    other second difference, and the scattering of each to its three nodes.
+    No power of h is formed: a grid of width h has the map C / h^2, which
+    the caller folds into r (the collocation operator's quadratic rows
+    carry h/8, not h^3/8). Overwrites r,
     whose reverse cumsum is taken in place, and writes the m x (n+1)
     result into `out`, which must be C-contiguous, such as a row block of a
     larger C-contiguous matrix (ValueError otherwise): the scatter runs
@@ -114,13 +118,10 @@ def _closed_form_adjoint(r: np.ndarray, h: float, out: np.ndarray) -> np.ndarray
     r[:, 1::2] *= -1.0
     r -= np.add.reduce(r, axis=1, keepdims=True) / n  # the mean, as r.mean takes it
     r[:, :0:-1].cumsum(axis=1, out=r[:, :0:-1])
-    # the signs folded into the divisor -h^2, h^2, -h^2, ..., which is exact;
+    r[:, 1::2] *= -1.0
     # each row's two zeros of padding end its scatter before the next row
-    signs = np.empty(n - 1)
-    signs[::2] = -(h * h)
-    signs[1::2] = h * h
     v = np.zeros((m, n + 1))
-    np.divide(r[:, 1:], signs, out=v[:, :-2])
+    v[:, :-2] = r[:, 1:]
     v, flat = v.reshape(-1), out.reshape(-1)
     # 0.0 + v, not a copy of v, so that a -0.0 comes out as 0.0, as when
     # the scatter starts from zeros
@@ -260,10 +261,12 @@ def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
 def fluctuation_energy(model: SplineModel) -> float:
     """Squared L2 distance between the spline and the piecewise-linear interpolant.
 
-    Equals (h^5 / 30) * sum(a_k^2); zero exactly for affine data.
+    Equals (h^5 / 30) * sum(a_k^2); zero exactly for affine data. Taken as
+    (h / 30) * sum((h^2 a_k)^2), so no h^5 or a_k^2 is formed: h^2 a_k is
+    on the scale of the samples, whatever the width of the interval.
     """
     h = model.grid.h
-    return float(h**5 / 30.0 * np.sum(model.coeffs**2))
+    return float(h / 30.0 * np.sum((h * h * model.coeffs) ** 2))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,14 @@ MUTANTS = [
      "s = np.broadcast_to(s, (q, blocks[0][1], n)).copy()",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
+    # the weights without their h: every row of a piece's width other than 1 wrong
+    (OPERATOR, "weights = h * rule._piece_rows", "weights = rule._piece_rows",
+     [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-full]",
+      ROWS + "test_rows_match_summed_piece_weights[8-polynomial-causal]"]),
+    # a piece count outside 0..n taken: a negative one gives a row of zeros
+    (OPERATOR, "if outside.size:", "if False:",
+     [ROWS + "test_count_outside_0_to_n_is_refused[negative]",
+      ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
     # A = I - lam W formed in place without its identity
     (OPERATOR, "W.flat[::grid.n + 2] += 1.0", "pass",
      ["tests/test_integral_eq.py::TestSolveFredholm::test_zero_lambda_passthrough",
@@ -133,6 +141,18 @@ MUTANTS = [
     (LINSOLVE, "1e-8 * abs(lam) * norm", "1e-8 * norm",
      [EIGEN + "test_scaled_pair_of_roots_is_exact[-300]",
       EIGEN + "test_scaled_krasnov2_gives_the_scaled_roots[5]"]),
+    # the sketch's rho without its R E term: a sketch whose remainder makes
+    # the system singular certified
+    (LINSOLVE, "rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())",
+     "rho = (1 + g) * (t_norm * (1 + g) * vt_rows.max())",
+     ["tests/test_linsolve.py::TestSolveDense::"
+      "test_sketch_refuses_a_system_its_remainder_makes_singular"]),
+    # the sketch's rho without its (Q - P T) Vt term: a wrong inverse of T
+    # certified
+    (LINSOLVE, "rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())",
+     "rho = (1 + g) * (r_norm * e_norm)",
+     ["tests/test_linsolve.py::TestSolveDense::test_sketch_is_sound_for_a_wrong_inverse_of_t",
+      "tests/test_linsolve.py::TestSolveDense::test_stalled_sketch_solve_falls_back_to_lu"]),
     # eigenvalues at rounding level inverted into roots
     (LINSOLVE, "size > (len(alpha) + 1) * _EPS * norm", "size > 0",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
@@ -157,6 +177,21 @@ MUTANTS = [
     (SPLINE, "c -= np.add.reduce(c, axis=0) / n", "pass",
      ["tests/test_spline.py::TestCoefficientPaths::test_closed_form_matches_recursion",
       "tests/test_properties.py::test_closed_form_is_the_mean_form_bit_for_bit[None]"]),
+    # the transposed closed form without the sign of every other second
+    # difference
+    (SPLINE, "out=r[:, :0:-1])\n    r[:, 1::2] *= -1.0", "out=r[:, :0:-1])",
+     ["tests/test_spline.py::TestCoefficientMatrix::test_adjoint_is_product_with_matrix[7]",
+      ROWS + "test_rows_match_summed_piece_weights[8-polynomial-full]"]),
+    # a run of pieces starting after its first t = k: a node on a grid of
+    # exact t takes the piece on its left
+    (SPLINE, "edges[1:-1] = t.searchsorted(np.arange(first + 1, last + 1))",
+     'edges[1:-1] = t.searchsorted(np.arange(first + 1, last + 1), side="right")',
+     ["tests/test_spline.py::test_sorted_input_takes_each_node_from_the_piece_on_its_right"]),
+    # the convergence bound without its rounding allowance: an affine
+    # target, which deviates by rounding alone, fails it
+    (SPLINE, " + 4 * (grid.n + 1) * _EPS * scale", "",
+     ["tests/test_spline.py::TestConvergence::test_affine_rounding_within_allowance",
+      "tests/test_cli.py::TestConverge::test_linear_within_bound_at_every_n"]),
     # the power form's c1 without its - a_k w_k
     (SPLINE, "power[1] -= a * (g.nodes[1:] - g.nodes[:-1])", "pass",
      ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",

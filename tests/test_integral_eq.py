@@ -399,6 +399,20 @@ class TestIntegralOperator:
             _integral_operator(lambda x, s: calls.append(1), g, RULE8, g.nodes[:2], reach)
         assert calls == []
 
+    @pytest.mark.parametrize("reach,first", [(-1, -1), (5, 5), (np.array([0, 4, -1, 7]), -1),
+                                             (np.array([2, 6, 0]), 6)],
+                             ids=["negative", "above_n", "negative_first", "above_n_first"])
+    def test_count_outside_0_to_n_is_refused(self, reach, first):
+        # a negative count would give a row of zeros, and one above n would
+        # end in numpy's reshape or broadcast error; both are refused, the
+        # first bad count named, before the kernel is called
+        calls = []
+        g = make_grid(0, 1, 4)
+        with pytest.raises(ValueError, match=rf"reach must count pieces in 0\.\.4, got {first}$"):
+            _integral_operator(lambda x, s: calls.append(1), g, RULE8,
+                               np.zeros(np.size(reach)), reach)
+        assert calls == []
+
     @pytest.mark.parametrize("kernel", [
         # a full-shape read-only view, which eval_many passes on uncopied
         lambda x, s: np.broadcast_to(x * s, np.broadcast_shapes(np.shape(x), np.shape(s))),
@@ -629,6 +643,20 @@ class TestSolveFredholm:
                            rf"\(8, {n + 1}, {n}\)") as info:
             solve(p, n)
         assert repr(kernel) in str(info.value)
+
+    def test_wide_interval_is_the_unit_problem_scaled(self):
+        # (0, 4e103) is 1e103 a piece at n = 4, where h^3 overflows: with
+        # s, x and the width scaled by 1e103, lam by 1e-103, it is the
+        # problem on [0, 4] with lam = 0.1 and a kernel of width 10
+        def problem(b, lam, width):
+            return IntegralProblem("fredholm2", lambda x, s: np.exp(-((x - s) / width) ** 2),
+                                   (0.0, b), forcing=np.ones_like, lam=lam)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = solve(problem(4e103, 1e-104, 1e104), 4).samples
+            unit = solve(problem(4.0, 0.1, 10.0), 4).samples
+        np.testing.assert_allclose(wide, unit, rtol=1e-12, atol=0)
 
     def test_no_reference_means_no_error_fields(self):
         p = IntegralProblem("fredholm2", lambda x, s: x * s, (0, 1),
@@ -890,7 +918,7 @@ class TestSolveVolterra1:
     def test_shifted_interval_integrates_from_a(self, a, n):
         # (x - a)^3 = int_a^x (x - s)^2 y(s) ds on [a, a + 1] or [a, a + 2]
         # is krasnov4 moved to start at a, with the same y = 3; it is solved
-        # as well as at a = 0 (l2 3.4e-13 and 1.9e-12 at n = 5 and 10)
+        # as well as at a = 0 (l2 1.9e-13 and 3.1e-12 at n = 5 and 10)
         b = a + (1.0 if a > 0 else 2.0)
         p = replace(self.make(), interval=(a, b), forcing=lambda x: (x - a) ** 3)
         r = solve(p, n)
@@ -1024,12 +1052,16 @@ class TestSolveVolterra1:
     def test_interval_scaled_by_a_power_of_two_gives_the_same_samples(self, n):
         # on [0, L], (x - s)^2 y with y = 3 still integrates to x^3; at
         # L = 2^-150 the defect's sensitivity to y_0 reads about 1e-48 of
-        # its value at L = 1 unless the closure rescales it
+        # its value at L = 1 unless the closure rescales it, and from
+        # L = 2^207 the operator's entries are near 2^621, beyond which h^3
+        # alone would overflow
         entry = self.make()
         want = solve(entry, n).samples.tobytes()
-        for j in range(-150, 151, 25):
-            p = replace(entry, interval=(0.0, 2.0**j))
-            assert solve(p, n).samples.tobytes() == want, j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(-325, 326, 25):
+                p = replace(entry, interval=(0.0, 2.0**j))
+                assert solve(p, n).samples.tobytes() == want, j
 
     def test_defect_that_does_not_depend_on_y0_is_refused_without_warning(self):
         # a kernel that vanishes off the nodes: the collocation rows are

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import zlib
 from fractions import Fraction
 
@@ -163,10 +164,9 @@ class TestCoefficientMatrix:
         # the collocation operator applies the closed form transposed, to
         # rows of moments, instead of multiplying by the dense matrix
         rng = np.random.default_rng(300 + n)
-        h = float(rng.uniform(0.01, 2.0))
         r = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-3, 4, (5, 1))
-        expected = r @ coefficient_matrix(n, h).entries
-        got = _closed_form_adjoint(r.copy(), h, np.empty((5, n + 1)))
+        expected = r @ coefficient_matrix(n, 1.0).entries
+        got = _closed_form_adjoint(r.copy(), np.empty((5, n + 1)))
         scale = np.max(np.abs(expected), axis=1, keepdims=True)
         assert got.shape == (5, n + 1)
         assert np.all(np.abs(got - expected) <= 1e-13 * scale)
@@ -180,20 +180,19 @@ class TestCoefficientMatrix:
         # entries make -0.0 partial sums, which the scatter turns into 0.0
         # by adding
         rng = np.random.default_rng(400 + n)
-        h = float(rng.uniform(0.01, 2.0))
         r = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-3, 4, (6, 1))
         r[0] = 0.0
         r[1, ::3] = -0.0
-        expected = _closed_form_adjoint(r.copy(), h, np.full((6, n + 1), np.nan))
+        expected = _closed_form_adjoint(r.copy(), np.full((6, n + 1), np.nan))
         assert not np.isnan(expected).any()
         W = np.full((10, n + 1), np.nan)
-        got = _closed_form_adjoint(r.copy(), h, out=W[2:8])
+        got = _closed_form_adjoint(r.copy(), out=W[2:8])
         assert got.base is W
         assert W[2:8].tobytes() == expected.tobytes()
         assert np.isnan(W[:2]).all() and np.isnan(W[8:]).all()
         # a zero row maps to +0.0 everywhere, as a scatter from zeros gives
         assert not np.signbit(W[2]).any()
-        oracle = r @ coefficient_matrix(n, h).entries
+        oracle = r @ coefficient_matrix(n, 1.0).entries
         scale = np.max(np.abs(oracle), axis=1, keepdims=True)
         assert np.all(np.abs(W[2:8] - oracle) <= 1e-14 * scale)
 
@@ -208,7 +207,7 @@ class TestCoefficientMatrix:
                "every_other_row": W[::2, :n + 1], "short": W[:3, :n + 1]}[out]
         before = W.copy()
         with pytest.raises(ValueError, match="C-contiguous"):
-            _closed_form_adjoint(r.copy(), 0.5, out)
+            _closed_form_adjoint(r.copy(), out)
         assert W.tobytes() == before.tobytes()
 
     def test_validation(self):
@@ -392,6 +391,21 @@ class TestFluctuationEnergy:
         _, m = spline_for(lambda x: x * x, -1, 1, 4)
         assert fluctuation_energy(m) == pytest.approx(0.5**5 / 30 * 4, rel=1e-12)
 
+    def test_wide_and_narrow_intervals_give_the_energy_without_warning(self):
+        # samples 0, 1, 0 on [0, b]: a_1 = a_2 = -1/h^2 with h = b/2, so the
+        # energy is h/15 = b/30, and scaling b by 2^j scales it by 2^j exactly
+        y = np.array([0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in 10.0 ** np.arange(-150, 151, 10):
+                energy = fluctuation_energy(build_spline(make_grid(0.0, b, 2), y))
+                assert energy == pytest.approx(b / 30, rel=1e-14), b
+            z = np.random.default_rng(12).standard_normal(8)
+            unit = fluctuation_energy(build_spline(make_grid(0.0, 1.0, 7), z))
+            for j in range(-490, 491, 35):
+                scaled = build_spline(make_grid(0.0, 2.0**j, 7), z)
+                assert fluctuation_energy(scaled) == math.ldexp(unit, j), j
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-1, 1.0])
     def test_variational_minimality(self, eps):
         rng = np.random.default_rng(11)
@@ -570,6 +584,22 @@ def test_eval_matches_scalar_closed_form_bit_for_bit(data):
     for deriv, call in ((0, m), (1, m.derivative)):
         want = [power_form_at(m, float(x), deriv) for x in xs]
         np.testing.assert_array_equal(call(xs), want)
+
+
+def test_sorted_input_takes_each_node_from_the_piece_on_its_right():
+    # on a grid of 8 pieces of [0, 1] a node's t = (x - a)/h is its index
+    # exactly, and the run of piece k starts at the first t >= k: each
+    # interior node takes the piece on its right, where its value is its
+    # sample exactly, as it is point by point
+    g = make_grid(0.0, 1.0, 8)
+    y = np.random.default_rng(13).standard_normal(9)
+    m = build_spline(g, y)
+    xs = np.sort(np.concatenate([np.linspace(0.0, 1.0, _RUN_MIN_POINTS), g.nodes]))
+    at = xs.searchsorted(g.nodes[1:-1])
+    for call in (m, m.derivative):
+        got = call(xs)
+        assert got[at].tobytes() == call(g.nodes[1:-1]).tobytes()
+    assert m(xs)[at].tobytes() == y[1:-1].tobytes()
 
 
 @given(st.data())
