@@ -130,6 +130,7 @@ class SolveReport:
     eigen: Optional[tuple[tuple[float, "SolveReport"], ...]] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
                        xs: np.ndarray, reach) -> np.ndarray:
     """Matrix W with W[i] @ y = int_a^{x_{reach_i}} K(xs_i, s) S(s) ds.
@@ -176,7 +177,9 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     overflow or underflow before W's entries do. The node stack, the rows
     and W are buffers made once per call, written in one order of
     operations, so W is the same to the bit whether a shared count is
-    given once or per row, and however the rows are blocked.
+    given once or per row, and however the rows are blocked. The kernel and
+    this arithmetic run with numpy's overflow and invalid warnings off: a W
+    that is not finite is returned as it is, for solve to refuse.
     """
     reach = np.asarray(reach)
     if reach.dtype.kind not in "iu":
@@ -312,18 +315,27 @@ def solve(problem: IntegralProblem, n: int,
     in the problem's bracket (see _eigen), and volterra1 collocates W's
     rows 1..n with a closure for its free endpoint value (see _volterra1).
     `rule` integrates every piece (default: 8-point Gauss-Legendre).
+    A W, or an A = I - lam W, that is not finite (a kernel or an interval
+    so large that they overflow) raises InvalidDomainError naming the
+    kernel, the interval and n.
     """
     rule = rule or gauss_legendre(8)
     grid = make_grid(*problem.interval, n)
     W = _integral_operator(problem.kernel, grid, rule, grid.nodes,
                            np.arange(grid.n + 1) if problem.causal else grid.n)
+    if problem.kind in ("fredholm2", "volterra2"):
+        # A = I - lam W, formed in W's own buffer
+        with np.errstate(over="ignore", invalid="ignore"):
+            W *= -problem.lam
+        W.flat[::grid.n + 2] += 1.0
+    if not np.isfinite(W).all():
+        raise InvalidDomainError(
+            f"the collocation matrix of the kernel {problem.kernel!r} on [{grid.a}, {grid.b}] "
+            f"at n = {grid.n} is not finite: the kernel or its integrals overflow")
     if problem.kind == "volterra1":
         return _volterra1(problem, grid, rule, W[1:])
     if problem.kind == "fredholm_eigen":
         return _eigen(problem, grid, W)
-    # A = I - lam W, formed in W's own buffer
-    W *= -problem.lam
-    W.flat[::grid.n + 2] += 1.0
     return _report(problem, grid, solve_dense(W, sample(problem.forcing, grid)))
 
 

@@ -98,6 +98,11 @@ MUTANTS = [
     (OPERATOR, "if outside.size:", "if False:",
      [ROWS + "test_count_outside_0_to_n_is_refused[negative]",
       ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
+    # a W, or an A = I - lam W, that is not finite passed on to the solve
+    (OPERATOR, "if not np.isfinite(W).all():", "if False:",
+     [V1 + "test_operator_that_overflows_is_refused_by_name_without_warning",
+      "tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_system_that_overflows_is_refused_by_name_without_warning"]),
     # A = I - lam W formed in place without its identity
     (OPERATOR, "W.flat[::grid.n + 2] += 1.0", "pass",
      ["tests/test_integral_eq.py::TestSolveFredholm::test_zero_lambda_passthrough",
@@ -157,6 +162,12 @@ MUTANTS = [
     (LINSOLVE, "size > (len(alpha) + 1) * _EPS * norm", "size > 0",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
       "test_constant_kernel_has_one_root_at_any_scale[1e+300]"]),
+    # Varah's margin certifying systems at a quarter of RCOND_MIN: a
+    # diagonal system just inside the gate solved without it
+    (LINSOLVE, "certified = lower > 2.0 * RCOND_MIN * norm",
+     "certified = lower > 0.25 * RCOND_MIN * norm",
+     ["tests/test_linsolve.py::TestSolveDense::test_gate_boundary_is_cond_inf[diag-0.999999]",
+      "tests/test_linsolve.py::TestSolveDense::test_gate_boundary_is_cond_inf[permuted-0.999999]"]),
     # an alpha whose norm overflows searched with an infinite tolerance
     (LINSOLVE, "if norm == np.inf:", "if False:",
      [EIGEN + "test_alpha_whose_norm_overflows_refused_without_warning"]),
@@ -169,10 +180,24 @@ MUTANTS = [
       "test_overflowing_solution_is_refused_without_warning[varah]",
       "tests/test_linsolve.py::TestSolveDense::"
       "test_overflowing_solution_is_refused_without_warning[inverse]"]),
-    # Lagrange's blocks taken as all finite: no node-hit fix-up
+    # Lagrange's points taken as all finite: no node-hit fix-up
     (LAGRANGE, "if not finite.all():", "if False:",
      ["tests/test_lagrange.py::test_node_hit_returns_sample_exactly",
       "tests/test_lagrange.py::test_node_hit_in_a_later_block_returns_sample_exactly"]),
+    # the node-hit fix-up dropped: a point on a node refused
+    (LAGRANGE, "out[bad[hit]] = values[j[hit]]", "pass",
+     ["tests/test_lagrange.py::test_node_hit_returns_sample_exactly",
+      "tests/test_lagrange.py::test_node_hit_in_a_later_block_returns_sample_exactly"]),
+    # Lagrange's sums over the even nodes first, then the odd: the same-sign
+    # grouping whose cancellation the node order avoids
+    (LAGRANGE, "for xj, wj, yj in terms:", "for xj, wj, yj in terms[::2] + terms[1::2]:",
+     ["tests/test_lagrange.py::test_sums_run_in_node_order_bit_for_bit[100]",
+      "tests/test_lagrange.py::test_cancelling_sums_stay_accurate[100-2e-12]",
+      "tests/test_lagrange.py::test_cancelling_sums_stay_accurate[200-1e-06]"]),
+    # Lagrange's denominator summing w_j y_j / (x - x_j), the numerator's terms
+    (LAGRANGE, "den += t\n                t *= yj", "t *= yj\n                den += t",
+     ["tests/test_lagrange.py::test_matches_per_point_reference[10]",
+      "tests/test_lagrange.py::test_sums_run_in_node_order_bit_for_bit[20]"]),
     # the closed form without its mean removal
     (SPLINE, "c -= np.add.reduce(c, axis=0) / n", "pass",
      ["tests/test_spline.py::TestCoefficientPaths::test_closed_form_matches_recursion",
@@ -192,6 +217,17 @@ MUTANTS = [
     (SPLINE, " + 4 * (grid.n + 1) * _EPS * scale", "",
      ["tests/test_spline.py::TestConvergence::test_affine_rounding_within_allowance",
       "tests/test_cli.py::TestConverge::test_linear_within_bound_at_every_n"]),
+    # the convergence bound's rounding allowance scaled by max|y_k| alone,
+    # without the slopes times the ends' size: an affine target on a
+    # narrow interval about its root fails it
+    (SPLINE, "scale = np.abs(y).max() + max(abs(a), abs(b)) * np.abs(np.diff(y)).max() / grid.h",
+     "scale = np.abs(y).max()",
+     ["tests/test_spline.py::TestConvergence::test_affine_rounding_within_allowance"]),
+    # the last run's piece left unclipped: sorted points that end at b run
+    # one piece beyond the last
+    (SPLINE, "min(int(t[-1]), g.n - 1)", "int(t[-1])",
+     ["tests/test_spline.py::test_sorted_runs_match_scalar_form_and_gather_bit_for_bit",
+      "tests/test_spline.py::test_sorted_input_takes_each_node_from_the_piece_on_its_right"]),
     # the power form's c1 without its - a_k w_k
     (SPLINE, "power[1] -= a * (g.nodes[1:] - g.nodes[:-1])", "pass",
      ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",

@@ -603,6 +603,16 @@ class TestAssembleFredholm:
 
 
 class TestSolveFredholm:
+    def test_system_that_overflows_is_refused_by_name_without_warning(self):
+        # W's entries are near 1e300, finite; lam W's near 1e310 are not
+        kernel = lambda x, s: 1e300 + 0.0 * s
+        p = IntegralProblem("fredholm2", kernel, (0.0, 1.0), forcing=np.ones_like, lam=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match="not finite") as exc:
+                solve(p, 4)
+        assert f"{kernel!r} on [0.0, 1.0] at n = 4" in str(exc.value)
+
     def test_zero_lambda_passthrough(self):
         p = IntegralProblem("fredholm2", lambda x, s: np.cos(x + s), (0, 2),
                             forcing=np.exp, lam=0.0, reference=np.exp)
@@ -871,7 +881,7 @@ class TestManufacturedSolutions:
     def test_square_root_kernel_converges_at_order_one_and_a_half(self):
         # K = sqrt(x - s), lam = 1, y = 1 + x: the square root's singularity
         # at s = x sets the order to about 1.5, and NaN at s > x would fail
-        # the solve (and raise under error::RuntimeWarning)
+        # the solve (a W that is not finite is refused)
         forcing = lambda x: 1.0 + x - 2.0 / 3.0 * x**1.5 - 4.0 / 15.0 * x**2.5
         errors = []
         for n in (10, 20, 40, 80):
@@ -1062,6 +1072,21 @@ class TestSolveVolterra1:
             for j in range(-325, 326, 25):
                 p = replace(entry, interval=(0.0, 2.0**j))
                 assert solve(p, n).samples.tobytes() == want, j
+
+    def test_operator_that_overflows_is_refused_by_name_without_warning(self):
+        # on [0, 2^300] W's entries are near 2^900; on [0, 2^400] near 2^1200,
+        # beyond a double, so the moment product overflows
+        entry = self.make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = solve(replace(entry, interval=(0.0, 2.0**300)), 5).samples
+            np.testing.assert_allclose(wide, 3.0, rtol=0, atol=1e-12)
+            with pytest.raises(InvalidDomainError) as exc:
+                solve(replace(entry, interval=(0.0, 2.0**400)), 5)
+        message = str(exc.value)
+        assert "is not finite" in message
+        assert repr(entry.kernel) in message
+        assert f"[0.0, {2.0**400}] at n = 5" in message
 
     def test_defect_that_does_not_depend_on_y0_is_refused_without_warning(self):
         # a kernel that vanishes off the nodes: the collocation rows are

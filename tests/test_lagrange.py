@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadspline import InvalidDomainError, gauss_legendre, make_grid, registry
-from quadspline.lagrange import _BLOCK, lagrange_interpolant
+from quadspline.lagrange import lagrange_interpolant
 from quadspline.quadrature import panel_points
 
 
@@ -20,6 +20,17 @@ def barycentric_reference(nodes, values, weights, x):
             q = weights / d
             out.append(np.sum(q * values) / np.sum(q))
     return np.array(out)
+
+
+def node_order_reference(grid, values, x):
+    """Oracle: the evaluation's operations at one point off the nodes, in
+    Python floats, over the nodes in order."""
+    num = den = 0.0
+    for j, (xj, yj) in enumerate(zip(grid.nodes.tolist(), values.tolist())):
+        t = (-1.0) ** j * comb(grid.n, j) / (x - xj)
+        den += t
+        num += t * yj
+    return num / den
 
 
 def equidistant_weights(n):
@@ -54,7 +65,7 @@ def test_node_hit_in_a_later_block_returns_sample_exactly():
     grid = make_grid(0.0, 1.0, 12)
     values = np.sin(7.0 * grid.nodes) + 0.1
     f = lagrange_interpolant(grid, values)
-    rows = _BLOCK // 13
+    rows = 10_082  # hits far into a long array of points
     x = np.linspace(0.01, 0.99, 3 * rows)
     at = [rows + 5, 2 * rows + 1, 3 * rows - 1]
     x[at] = grid.nodes[[2, 0, 12]]
@@ -108,9 +119,9 @@ def test_weights_beyond_a_double_are_refused():
 
 def test_evaluation_memory_is_blocked():
     # the n = 100 error integral evaluates 19,200 points against 101 nodes:
-    # unblocked, each (points, nodes) temporary was 15.5 MB and the peak 49 MB;
-    # blocked, the quotients overwrite the differences, and no hit mask or
-    # second copy of a block is made
+    # a (points, nodes) temporary would be 15.5 MB; the node loop keeps
+    # three arrays of the points' length, 0.5 MB, and makes no hit mask
+    # unless a point is not finite
     tracemalloc.start()
     try:
         registry.lagrange_error("abs", 100)
@@ -143,3 +154,45 @@ def test_bad_samples_refused_when_built(values, message):
     # refused as build_spline refuses them, before any evaluation
     with pytest.raises(ValueError, match=message):
         lagrange_interpolant(make_grid(0.0, 1.0, 4), values)
+
+
+# The exact values below are 400-digit mpmath evaluations over the same
+# doubles: the degree-n interpolant through the double nodes and samples,
+# at the double Gauss points of the error integral, with its double
+# weights and half-widths, every operation at 400 digits.
+EXACT_ABS_ERROR_100 = 5.0073831263751726188e+28   # lagrange_error("abs", 100)
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_sums_run_in_node_order_bit_for_bit(n):
+    grid = make_grid(-1.0, 1.0, n)
+    values = np.random.default_rng(n).standard_normal(n + 1)
+    x = np.array([-0.97, -0.5 + 1e-7, 0.013, 0.25, 0.9, 0.999])
+    got = lagrange_interpolant(grid, values)(x)
+    want = np.array([node_order_reference(grid, values, xi) for xi in x])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n, bound", [(100, 2e-12), (200, 1e-6)])
+def test_cancelling_sums_stay_accurate(n, bound):
+    # cos is interpolated to far below rounding, so the error is rounding
+    # alone: summed in node order it is 7.3e-13 at n = 100 and 2.8e-7 at
+    # n = 200; in numpy's eight same-sign partial sums of a row, 2.2e-11
+    # and 5.6e-6
+    grid = make_grid(-1.0, 1.0, n)
+    f = lagrange_interpolant(grid, np.cos(grid.nodes))
+    x = np.linspace(-0.5, 0.5, 2001) + 1e-7
+    assert np.max(np.abs(f(x) - np.cos(x))) <= bound
+
+
+def test_sums_near_the_ends_at_n200_are_finite():
+    # summed in same-sign groups they cancelled to 0 near x = -0.908
+    grid = make_grid(-1.0, 1.0, 200)
+    f = lagrange_interpolant(grid, np.cos(grid.nodes))
+    assert np.isfinite(f(np.linspace(-0.999, 0.999, 2001))).all()
+
+
+def test_blowup_error_within_a_factor_of_1000_of_exact():
+    # 5.232289e+30 summed in node order; 9.837482e+39 in same-sign groups
+    err = registry.lagrange_error("abs", 100)
+    assert EXACT_ABS_ERROR_100 / 1e3 <= err <= EXACT_ABS_ERROR_100 * 1e3

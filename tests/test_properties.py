@@ -7,10 +7,13 @@ operator, whose oracle is a Python loop over rows and pieces; n in
 checks every rule and layout of piece counts). The parity properties
 solve symmetric Fredholm problems on [-L, L]. The next ones
 hold the package's ufunc and array-method forms to the bit against the
-numpy wrappers they replaced (tests/oracles.py). The last one feeds the
-eigen search extreme doubles and scaled registry matrices.
+numpy wrappers they replaced (tests/oracles.py). The eigen search is fed
+extreme doubles and scaled registry matrices, and the last property solves
+every registry problem with its data or its interval scaled by a power of
+two, with every warning an error.
 """
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadspline import (IntegralProblem, OutOfDomainError, build_spline, coeffs_closed_form,
-                        find_real_eigenvalues, gauss_legendre, make_grid, solve)
+from quadspline import (IntegralProblem, InvalidDomainError, OutOfDomainError, SingularMatrixError,
+                        build_spline, coeffs_closed_form, find_real_eigenvalues, gauss_legendre,
+                        make_grid, solve)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import _merged_roots
 from quadspline.quadrature import panel_points
-from quadspline.registry import get_problem
+from quadspline.registry import PROBLEMS, get_problem
 
 from oracles import (RULE8, chord_plus_correction, coeffs_closed_form_mean, merged_roots_split,
                      panel_points_linspace, power_rows_diff, summed_piece_weights)
@@ -397,3 +401,45 @@ def test_eigen_search_returns_finite_roots_or_names_the_bad_input(case):
     for r in results:
         assert lo <= r.value <= hi
         assert np.isfinite(r.vector).all() and np.isfinite(r.residual)
+
+
+@st.composite
+def scaled_registry_problem(draw):
+    """A registry problem of any kind, its kernel and forcing scaled by 2^k
+    (an eigen problem's bracket by 2^-k), or its interval by 2^j, and n."""
+    pid = draw(st.sampled_from(sorted(PROBLEMS)), label="problem")
+    what = draw(st.sampled_from(["data", "interval"]), label="scaled")
+    bound = 1000 if what == "data" else 600
+    return pid, what, draw(st.integers(-bound, bound), label="power"), draw(st.integers(2, 12))
+
+
+def scaled(pid, what, e):
+    """The registry problem with its data or its interval scaled by 2^e; an
+    interval the grid refuses raises InvalidDomainError here."""
+    entry = get_problem(pid)
+    if what == "interval":
+        return replace(entry, interval=tuple(np.ldexp(entry.interval, e).tolist()))
+    kernel, forcing = entry.kernel, entry.forcing
+    return replace(entry, kernel=lambda x, s: np.ldexp(kernel(x, s), e),
+                   forcing=forcing and (lambda x: np.ldexp(forcing(x), e)),
+                   bracket=entry.bracket and tuple(np.ldexp(entry.bracket, -e).tolist()))
+
+
+@given(scaled_registry_problem())
+@example(("krasnov4", "interval", 400, 5))   # W's entries overflow: near 2^1200
+@settings(max_examples=200, deadline=None)
+def test_scaled_registry_problem_solves_or_names_the_bad_input(case):
+    pid, what, e, n = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = solve(scaled(pid, what, e), n)
+        except (InvalidDomainError, OutOfDomainError, SingularMatrixError):
+            return
+        except ValueError as exc:
+            # numpy's LinAlgError is a ValueError too, and must not escape
+            assert not isinstance(exc, np.linalg.LinAlgError), exc
+            assert "x=" in str(exc), exc
+            return
+    for sub in [report] + [sub for _, sub in report.eigen or ()]:
+        assert sub.samples is None or np.isfinite(sub.samples).all()
