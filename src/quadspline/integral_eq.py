@@ -309,11 +309,13 @@ def solve(problem: IntegralProblem, n: int,
 
     The second kinds are (I - lam W) y = f, with W the integral operator at
     the nodes: its rows integrate up to b, or up to their own node when the
-    problem is causal (volterra2's row 0 is then y_0 = f_0). The system is
-    dense either way (the spline couples all nodes), so it is one
-    (n+1) x (n+1) solve. fredholm_eigen finds the roots of det(I - lam W)
-    in the problem's bracket (see _eigen), and volterra1 collocates W's
-    rows 1..n with a closure for its free endpoint value (see _volterra1).
+    problem is causal. The spline couples all nodes, so fredholm2 is one
+    dense (n+1) x (n+1) solve. A causal row 0 reaches no piece, so both
+    causal kinds make one two-column solve of the trailing n x n block of
+    M = I - lam W (volterra2) or W (volterra1), column 0 moved to the right:
+    y = (0, u) + y_0 (1, w), with y_0 = f_0 for volterra2 (M's row 0 is e_0)
+    and picked by a closure for volterra1 (see _volterra1). fredholm_eigen
+    finds the roots of det(I - lam W) in the problem's bracket (see _eigen).
     `rule` integrates every piece (default: 8-point Gauss-Legendre).
     A W, or an A = I - lam W, that is not finite (a kernel or an interval
     so large that they overflow) raises InvalidDomainError naming the
@@ -332,29 +334,32 @@ def solve(problem: IntegralProblem, n: int,
         raise InvalidDomainError(
             f"the collocation matrix of the kernel {problem.kernel!r} on [{grid.a}, {grid.b}] "
             f"at n = {grid.n} is not finite: the kernel or its integrals overflow")
-    if problem.kind == "volterra1":
-        return _volterra1(problem, grid, rule, W[1:])
     if problem.kind == "fredholm_eigen":
         return _eigen(problem, grid, W)
-    return _report(problem, grid, solve_dense(W, sample(problem.forcing, grid)))
+    f = sample(problem.forcing, grid)
+    if not problem.causal:
+        return _report(problem, grid, solve_dense(W, f))
+    u, w = np.vstack(([0.0, 1.0], solve_dense(W[1:, 1:], np.column_stack((f[1:], -W[1:, 0]))))).T
+    if problem.kind == "volterra1":
+        return _volterra1(problem, grid, rule, u, w)
+    return _report(problem, grid, u + f[0] * w)
 
 
 def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
-               B: np.ndarray) -> SolveReport:
+               u: np.ndarray, w: np.ndarray) -> SolveReport:
     """Solve a first-kind Volterra problem by collocation plus a variational
     closure for the undetermined left-endpoint value.
 
-    Collocating at x_1..x_n, whose operator rows B integrate up to their
-    own node, gives n equations in n+1 unknowns; the solution is affine,
-    u + y_0 w, from one two-column solve of the trailing
-    n x n subsystem. y_0 is then chosen to minimize the integral of the
-    squared equation defect over the last piece, a quadratic with a
-    closed-form minimizer. The defect at a point x of that piece has two
-    parts: the operator over the shared n - 1 pieces before it, up to
-    x_{n-1}, and `rule` applied to K(x, s) S(s) on [x_{n-1}, x],
-    its nodes clipped to x so that the kernel is never called beyond its
-    limit. The defect's terms in u and w are scaled by one power of two, so
-    K, f or [a, b] scaled by 2^k give the same y_0; raises
+    Collocating at x_1..x_n, whose operator rows integrate up to their
+    own node, gives n equations in n+1 unknowns; solve passes their affine
+    solution u + y_0 w (u_0 = 0, w_0 = 1), and y_0 is chosen to minimize
+    the integral of the squared equation defect over the last piece, a
+    quadratic with a closed-form minimizer. The defect at a point x of
+    that piece has two parts: the operator over the shared n - 1 pieces
+    before it, up to x_{n-1}, and `rule` applied to K(x, s) S(s) on
+    [x_{n-1}, x], its nodes clipped to x so that the kernel is never called
+    beyond its limit. The defect's terms in u and w are scaled by one power
+    of two, so K, f or [a, b] scaled by 2^k give the same y_0; raises
     SingularMatrixError, as the trailing solve does, when they fix no y_0.
 
     Usable only for small n: C1 quadratic spline collocation of first-kind
@@ -366,11 +371,6 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     SingularMatrixError beyond; the L2 error grows about 2.4x per unit of
     n, from 1.9e-13 at n = 5 to 2.8e-7 at n = 21.
     """
-    f = sample(problem.forcing, grid)[1:]
-    u, w = solve_dense(B[:, 1:], np.column_stack((f, -B[:, 0]))).T
-    u = np.concatenate(([0.0], u))
-    w = np.concatenate(([1.0], w))
-
     # the defect int_a^x K(x, s) S(s) ds - f(x) over the last piece, at the
     # points of a 4-panel composite rule
     last = grid.nodes[-2]

@@ -107,6 +107,16 @@ MUTANTS = [
     (OPERATOR, "W.flat[::grid.n + 2] += 1.0", "pass",
      ["tests/test_integral_eq.py::TestSolveFredholm::test_zero_lambda_passthrough",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_zero_lambda_passthrough"]),
+    # a causal solve without y_0 (1, w): Volterra-2's y_0 = f_0 dropped
+    (OPERATOR, "u + f[0] * w", "u",
+     ["tests/test_integral_eq.py::TestSolveVolterra2::test_zero_lambda_passthrough",
+      "tests/test_integral_eq.py::TestSolveVolterra2::test_data_scaled_up_solves[krasnov3-73-5]"]),
+    # the trailing system's column 0 moved to the right-hand side without
+    # its change of sign
+    (OPERATOR, "-W[1:, 0]", "W[1:, 0]",
+     ["tests/test_integral_eq.py::TestSolveVolterra2::"
+      "test_rational_kernel_benchmark[5-0.00093-6.1e-05]",
+      V1 + "test_constant_solution_benchmark[5-1.4e-09-6.3e-09]"]),
     # a bracket end that is not finite accepted by the problem
     (OPERATOR, "if not math.isfinite(end):", "if False:",
      ["tests/test_integral_eq.py::TestProblemValidation::"

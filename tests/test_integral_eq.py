@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -820,6 +821,25 @@ class TestSolveVolterra2:
         r = solve(p, 5)
         assert 0.5 * 5.0e-5 <= r.error_max <= 2 * 5.0e-5
 
+    @pytest.mark.parametrize("n", [5, 200])
+    @pytest.mark.parametrize("k", [73, 200, 300, 515])
+    @pytest.mark.parametrize("pid", ["krasnov3", "malek1"])
+    def test_data_scaled_up_solves(self, pid, k, n):
+        # K and f scaled by 2^k: rows 1..n of I - lam W grow as 2^k while row
+        # 0 stays e_0, so the whole system's 1/cond_inf reads 4.2e-22 at
+        # k = 73 (krasnov3, n = 5), and the gate once refused it. Only the
+        # trailing n x n block is solved, whose 1/cond_inf is 0.014 at n = 5
+        # and 3.8e-6 at n = 200 (krasnov3, k = 73). The registry's reference
+        # solves the unscaled problem, so it is dropped
+        entry = get_problem(pid)
+        p = replace(entry, kernel=lambda x, s: np.ldexp(entry.kernel(x, s), k),
+                    forcing=lambda x: np.ldexp(entry.forcing(x), k), reference=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = solve(p, n).samples
+        assert np.isfinite(samples).all()
+        assert samples[0] == np.ldexp(entry.forcing(0.0), k)
+
     def test_row_oracle(self):
         # row j of the system must integrate the kernel against the spline
         # over [a, x_j] only
@@ -1098,6 +1118,29 @@ class TestSolveVolterra1:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="does not determine the endpoint"):
                 solve(p, 5)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_narrow_interval_is_solved_or_refused_never_wrong(self, n):
+        # on [0, 2^j] the forcing x^3 and W's entries scale as 2^(3j): from
+        # j = -333 (n = 10) and -336 (n = 5) the trailing system's inverse
+        # overflows and the gate refuses it, further down the data reach the
+        # subnormals and lose their relative precision, and from j = -508
+        # (n = 10) and -509 (n = 5) make_grid refuses the interval. A limit
+        # of the doubles, but never a wrong answer
+        entry = self.make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in itertools.count(-330, -1):
+                try:
+                    make_grid(0.0, 2.0**j, n)
+                except InvalidDomainError:
+                    break
+                try:
+                    samples = solve(replace(entry, interval=(0.0, 2.0**j)), n).samples
+                except (SingularMatrixError, InvalidDomainError):
+                    continue
+                assert np.abs(samples - 3.0).max() <= 1e-6, j
+        assert j < -500
 
     def test_krasnov4_breaks_down_between_n20_and_n30(self):
         # the trailing subsystem's 1/cond_inf falls from 2.2e-13 at n = 21 to

@@ -238,10 +238,12 @@ class TestSolveDense:
                                               ("krasnov1", False), ("wang", False)])
     def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, dominant):
         # the Volterra-2 systems are diagonally dominant by rows: Varah's
-        # margin certifies them at every n, the sketch never runs, and b is
-        # solved alone. The Fredholm ones are not: at n = 10, below the
-        # sketch's size, they solve b with the identity's n + 1 columns; at
-        # n = 200 the sketch certifies them and solves b itself, with no LU
+        # margin certifies their trailing n x n block at every n, the sketch
+        # never runs, and b (the forcing and the moved column 0) is solved
+        # without the identity's columns. The Fredholm ones are not: at
+        # n = 10, below the sketch's size, they solve b with the identity's
+        # n + 1 columns; at n = 200 the sketch certifies them and solves b
+        # itself, with no LU
         shapes, sketched = [], []
         solve = np.linalg.solve
         bound = linsolve._sketch_inverse_bound
@@ -258,7 +260,7 @@ class TestSolveDense:
         monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
         solve_entry(pid, 10)
         solve_entry(pid, 200)
-        assert shapes == ([(11,), (201,)] if dominant else [(11, 12)])
+        assert shapes == ([(10, 2), (200, 2)] if dominant else [(11, 12)])
         assert sketched == ([] if dominant else [201])
 
     @pytest.mark.parametrize("pid", ["krasnov1", "wang"])

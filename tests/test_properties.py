@@ -8,9 +8,11 @@ checks every rule and layout of piece counts). The parity properties
 solve symmetric Fredholm problems on [-L, L]. The next ones
 hold the package's ufunc and array-method forms to the bit against the
 numpy wrappers they replaced (tests/oracles.py). The eigen search is fed
-extreme doubles and scaled registry matrices, and the last property solves
+extreme doubles and scaled registry matrices, and the last properties solve
 every registry problem with its data or its interval scaled by a power of
-two, with every warning an error.
+two, and the Volterra-2 problems with their forcing, or their kernel
+against lam, scaled so that the samples scale exactly, with every warning
+an error.
 """
 import warnings
 from dataclasses import replace
@@ -443,3 +445,22 @@ def test_scaled_registry_problem_solves_or_names_the_bad_input(case):
             return
     for sub in [report] + [sub for _, sub in report.eigen or ()]:
         assert sub.samples is None or np.isfinite(sub.samples).all()
+
+
+@given(st.sampled_from(["krasnov3", "malek1"]), st.integers(2, 40), st.integers(-600, 600))
+@settings(max_examples=60, deadline=None)
+def test_volterra2_scalings_are_exact(pid, n, k):
+    # y = f + lam int K y: f x 2^k gives y x 2^k, and K x 2^k with lam x 2^-k
+    # the same y, both bit for bit, since powers of two scale every step of
+    # the solve exactly. The registry's reference solves the unscaled
+    # problem, so it is dropped
+    entry = replace(get_problem(pid), reference=None)
+    kernel, forcing = entry.kernel, entry.forcing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = solve(entry, n).samples
+        y_f = solve(replace(entry, forcing=lambda x: np.ldexp(forcing(x), k)), n).samples
+        y_k = solve(replace(entry, kernel=lambda x, s: np.ldexp(kernel(x, s), k),
+                            lam=float(np.ldexp(entry.lam, -k))), n).samples
+    assert y_f.tobytes() == np.ldexp(y, k).tobytes()
+    assert y_k.tobytes() == y.tobytes()
