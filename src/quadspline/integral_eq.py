@@ -263,12 +263,15 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     ref_y = sample(ref, grid)
     eigen = problem.kind == "fredholm_eigen"
     model = build_spline(grid, _rescale_to_reference(problem, grid, y, ref_y[1]) if eigen else y)
-    e2 = l2_error(model, ref, grid.a, grid.b, grid.n, gauss_legendre(8))
+    e_max = float(np.abs(model.samples - ref_y).max())
+    # the deviation is scaled by the power of two of its nodal max before
+    # l2_error squares it, so that no square overflows a finite norm
+    e = math.frexp(e_max)[1]
+    e2 = l2_error(lambda x: np.ldexp(model(x) - eval_many(ref, x), -e), np.zeros_like,
+                  grid.a, grid.b, grid.n, gauss_legendre(8))
     if eigen:
         e_max = max_error(model, ref, grid.a, grid.b)
-    else:
-        e_max = float(np.abs(model.samples - ref_y).max())
-    return SolveReport(problem, model.samples, model, math.sqrt(max(e2, 0.0)), e_max)
+    return SolveReport(problem, model.samples, model, math.ldexp(math.sqrt(max(e2, 0.0)), e), e_max)
 
 
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,

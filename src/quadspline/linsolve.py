@@ -8,21 +8,18 @@ strictly diagonally dominant by rows with a wide enough margin, Varah's
 bound proves that the gate passes, and b is solved alone; this catches
 the second-kind systems I - lam*K whose rows have |lam| times the
 integral of |K(x_i, s)| below 1, roughly, such as the Volterra-2
-benchmark problems. When that misses and n >= _SKETCH_MIN_N = 73, a
-second proof comes from a rank-8 sketch of M = I - A: with
-Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
-R = I + P Vt, I - R A = R E + (Q - P T) Vt holds exactly, so a small
-enough rho = ||R|| ||E|| + ||Q - P T|| ||Vt|| bounds ||A^-1||_inf (Rump's
-approximate inverse bound, Acta Numerica 19, 2010, on the range sketch of
-Halko, Martinsson and Tropp, SIAM Review 53, 2011); this catches the
-Fredholm-2 benchmark problems, whose kernels are smooth. Then b is solved
-by the sketch, with no LU: x = R b, refined by x <- x + R (b - A x), in
-O(n^2) a step, until its residual shows the backward error of a stable
-solve, and LU solves b alone only when _REFINE_STEPS steps do not get
-there. Any other A is solved with the identity beside b, which gives x
-and the exact inverse the gate needs. Both ways accept and refuse the
-same systems; a certified solve knows only a lower bound on
-1/cond_inf(A), not its value. Characteristic
+benchmark problems. When that misses and n >= _TWO_GRID_MIN_N = 71, a
+second proof comes from the two-grid approximate inverse B of I - A,
+built from the rows of A at every 8th index and their cubic
+interpolation in the row index (see _two_grid_inverse_bound); this
+catches the Fredholm-2 benchmark problems, whose rows vary smoothly with
+the row index. Then b is solved by B, with no LU: x = B b, refined by
+x <- x + B (b - A x), in O(n^2) a step, until its residual shows the
+backward error of a stable solve, and LU solves b alone only when
+_REFINE_STEPS steps do not get there. Any other A is solved with the
+identity beside b, which gives x and the exact inverse the gate needs.
+Both ways accept and refuse the same systems; a certified solve knows
+only a lower bound on 1/cond_inf(A), not its value. Characteristic
 values, the roots of det(I - lambda*alpha), come from the eigenvalues of
 alpha, and each null vector is the last right singular vector of
 I - lambda*alpha. The sign-tracked determinant those roots are tested
@@ -34,32 +31,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 RCOND_MIN = 1e-13
 # rounding in solve_dense's certificates: relative, and absolute among
 # subnormals
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
-# rank of the sketch certificate, and the smallest n it is tried at. Timed
-# on the Fredholm-2 systems of krasnov1 and wang (best of 400-800 calls
-# alternating the two paths, one BLAS thread, 2-vCPU Xeon VM), the inverse
-# path took 0.93-1.02 of the certified sketch path's time at n = 60-63 and
-# 0.85-0.96 at n = 64; the sketch won on both problems from n = 66 in two
-# sweeps and from n = 73 in all three, by 1.04-1.3x at 73, 1.1-1.3x at 80
-# and 1.8-2.0x at 100
-_RANK = 8
-_SKETCH_MIN_N = 73
-# a sketch-certified solve refines R b by steps x <- x + R (b - A x) until
-# the residual is within _RESIDUAL_C (n + 1) eps (||A|| ||x|| + ||b||), and
-# falls back to LU after _REFINE_STEPS steps (see _Sketch.solve). On
-# krasnov1 and wang at n = 64..1280 LU's residuals read 0.002-0.016 of
-# (n + 1) eps (...), R b's 0.005-0.07 and those after one step
-# 0.0003-0.01, so R b itself is accepted. With c = 1 a slowly refined x
-# was accepted at 0.83 (n + 1) eps (...) on a symmetric problem of
-# cond_inf 21, and lost its parity by 8.6e-13 where LU's x lost 1e-15. With
-# ||I - R A|| near 1e-4, 1e-2 and 5e-2, 2, 4 and 6 steps are needed. A
-# step costs 1/3 of an LU at n = 64, 1/25 at 200 and 1/50 at 640 (one BLAS
-# thread, 2-vCPU Xeon VM), so an exhausted cap of 6 costs about two LUs.
+# the two-grid certificate's coarse-row spacing, and the smallest n it is
+# tried at. Spacing 8 certifies cos(20 x s), lam = 2, at n = 100 (rho 0.27;
+# 1.85 at spacing 12). On krasnov1 and wang (best of 600 calls alternating
+# the paths, one BLAS thread, 2-vCPU Xeon VM) the inverse path won on both
+# up to n = 64, the two-grid on both from 71, by 1.2-1.4x at 80
+_COARSE = 8
+_TWO_GRID_MIN_N = 71
+# a certified solve refines B b until the residual is within _RESIDUAL_C
+# (n + 1) eps (||A|| ||x|| + ||b||), or gives up after _REFINE_STEPS steps
+# (see _TwoGrid.solve); with c = 1 a refined x lost its parity by 8.6e-13 on
+# a problem of cond_inf 21, where LU's x lost 1e-15
 _RESIDUAL_C = 0.125
 _REFINE_STEPS = 6
 
@@ -81,68 +70,44 @@ def _require_finite(name: str, A: np.ndarray) -> None:
     raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
-def _sketch_signs(n: int) -> np.ndarray:
-    """The fixed (n, _RANK) sketch matrix: entry (i, j) is -1 or +1 by the
-    top bit of the splitmix64 finalizer of its flat index i*_RANK + j.
-
-    It is rebuilt per call (15 us at n = 200): cached per n, its arrays
-    outlived the solves that made them and raised the peak RSS of a run
-    over many n."""
-    z = (np.arange(n * _RANK, dtype=np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.where(z >> np.uint64(63), -1.0, 1.0).reshape(n, _RANK)
-
-
 @dataclass(frozen=True)
-class _Sketch:
-    """What _sketch_inverse_bound proves, with the factors that prove it.
-
-    bound is an upper bound on ||A^-1||_inf, inf when the sketch proves
-    nothing, and R = I + P Vt is the approximate inverse with
-    ||I - R A||_inf <= rho < 1 behind a finite bound. P and Vt are None
-    when T is singular and there is no R.
-    """
+class _TwoGrid:
+    """What _two_grid_inverse_bound proves: bound >= ||A^-1||_inf, inf when
+    it proves nothing, and the P and V = Z M_c that apply B = I + P Z M_c,
+    None when S = I - M_c P is singular."""
 
     bound: float
     P: np.ndarray | None = field(repr=False)
-    Vt: np.ndarray | None = field(repr=False)
+    V: np.ndarray | None = field(repr=False)
 
     def solve(self, A: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray | None:
-        """x with A x = b to the backward error of LU's solve, from R and
+        """x with A x = b to the backward error of LU's solve, from B and
         refinement, or None when _REFINE_STEPS steps do not reach it.
 
-        x starts at R b, with R applied as b + P (Vt b), and each step is
-        x <- x + R (b - A x). Since ||I - R A|| <= rho, the error shrinks
-        by rho a step down to rounding level (fixed precision iterative
-        refinement, N. J. Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., SIAM 2002, ch. 12). x is accepted once, in
-        every column, the residual r computed for the next step meets
-        ||r||_inf <= c (n + 1) eps (||A||_inf ||x||_inf + ||b||_inf) with a
-        finite right-hand side, c = _RESIDUAL_C = 1/8.
-        ||r||/(||A|| ||x|| + ||b||) is the normwise backward error of x
-        (J. L. Rigal and J. Gaches, J. ACM 14, 1967), the least e with
-        (A + dA) x = b + db, ||dA|| <= e ||A|| and ||db|| <= e ||b||, so the
-        test asks for a backward error of at most c (n + 1) eps, and then
-        the relative forward error is at most about 2 c (n + 1) eps
-        cond_inf(A). Forming r rounds by up to gamma_{n+1} (|A| |x| + |b|),
-        but with independent roundings by about sqrt(n + 1) u (Higham,
-        sec. 2.8), at most (n + 1) eps/16 for the n >= _SKETCH_MIN_N = 73
-        the sketch runs at. So c = 1/8 is twice what the computed residual
-        of the exact solution typically reads: the backward error a
-        backward stable solve such as LU with partial pivoting attains
-        (Higham, ch. 9). A test that fails sends the caller to LU, never
-        a wrong x.
+        x starts at B b = b + P (V b), and each step is x <- x + B (b - A x),
+        which shrinks the error by about ||I - B A|| <= rho down to rounding
+        level (fixed precision iterative refinement, N. J. Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12).
+        x is accepted once, in every column, the residual r computed for the
+        next step meets ||r||_inf <= c (n + 1) eps (||A||_inf ||x||_inf +
+        ||b||_inf) with a finite right-hand side, c = _RESIDUAL_C = 1/8: a
+        normwise backward error (J. L. Rigal and J. Gaches, J. ACM 14, 1967)
+        of at most c (n + 1) eps, so a relative forward error of at most
+        about 2 c (n + 1) eps cond_inf(A). Forming r rounds by about
+        sqrt(n + 1) u (|A| |x| + |b|) (Higham, sec. 2.8), at most
+        (n + 1) eps/16 for n >= 63, so c = 1/8 is twice what the residual of
+        the exact solution typically reads, the backward error that LU with
+        partial pivoting attains (Higham, ch. 9). A test that fails sends
+        the caller to LU, never a wrong x.
         """
-        P, Vt = self.P, self.Vt
+        P, V = self.P, self.V
         tol = _RESIDUAL_C * (len(A) + 1) * _EPS
         b_norm = np.abs(b).max(axis=0)
         x = np.zeros_like(b)
         r = b
         for _ in range(_REFINE_STEPS + 1):
             x += r
-            x += P @ (Vt @ r)
+            x += P @ (V @ r)
             r = b - A @ x
             limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
             if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
@@ -150,52 +115,87 @@ class _Sketch:
         return None
 
 
-def _sketch_inverse_bound(A: np.ndarray) -> _Sketch:
-    """An upper bound on ||A^-1||_inf from a rank-_RANK sketch of M = I - A,
-    inf when the sketch proves nothing, with the P and Vt of R = I + P Vt.
+def _cubic_weights(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The Lagrange weights at integer rows of the cubic through 4 integer
+    nodes, (len(rows), 4); a row at a node gets its unit row exactly."""
+    eye = np.eye(4, dtype=bool)
+    return (np.where(eye, 1.0, np.subtract.outer(rows, nodes)[:, None, :]).prod(axis=2)
+            / np.where(eye, 1.0, np.subtract.outer(nodes, nodes)).prod(axis=1))
 
-    Q = qr(M Omega), Vt = Q^T M, E = M - Q Vt, T = I - Vt Q, P = Q T^-1 and
-    R = I + P Vt satisfy I - R A = R E + (Q - P T) Vt exactly, whatever the
-    stored Q, Vt and P are. So rho = ||R|| ||E|| + ||Q - P T|| ||Vt|| < 1
-    proves ||A^-1||_inf <= ||R||/(1 - rho) (S. M. Rump, Acta Numerica 19,
-    2010), and a poor sketch (N. Halko, P.-G. Martinsson and J. A. Tropp,
-    SIAM Review 53, 2011) only makes rho large. Each norm is bounded above
-    with its rounding: relatively by g = (n + _RANK + 4) eps, about twice
-    the gamma_k = k u/(1 - k u) of the longest inner product or row sum
-    here, so that it covers a few of them compounded, and absolutely by
-    `tiny` for underflow. R is never formed, ||R|| <= 1 + || |P| |Vt| ||,
-    and the one n x n buffer holds |A + Q Vt - I| = |E|; it is freed on
-    return, and the record keeps only the n x _RANK and _RANK x n factors.
+
+# P's rows in the first coarse interval, then in every interior one
+_HEAD = _cubic_weights(np.arange(2 * _COARSE), _COARSE * np.arange(4))
+_HEAD.setflags(write=False)
+
+
+def _interpolate(tail: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P X for (m, n) coarse rows X, tail P's rows from the
+    third-last coarse row on, the interior in one batched product."""
+    k, (m, n) = _COARSE, X.shape
+    # X's rows j..j+3 for every j < m - 4, a read-only view
+    windows = as_strided(X, (m - 4, 4, n), (X.strides[0],) + X.strides, writeable=False)
+    np.matmul(_HEAD[:k], X[:4], out=out[:k])
+    np.matmul(_HEAD[k:], windows, out=out[k:(m - 3) * k].reshape(m - 4, k, n))
+    np.matmul(tail, X[m - 4:], out=out[(m - 3) * k:])
+    return out
+
+
+def _two_grid_inverse_bound(A: np.ndarray) -> _TwoGrid:
+    """An upper bound on ||A^-1||_inf from the two-grid approximate inverse
+    B = I + P Z M_c of A = I - M, n x n with n >= 3 _COARSE + 2.
+
+    Row i of a collocation system is its operator at x_i, so M ~ P M_c (the
+    two-grid iteration of Atkinson and Brakhage in algebraic form:
+    K. Atkinson, The Numerical Solution of Integral Equations of the Second
+    Kind, CUP 1997, ch. 6). M_c holds M's rows at every _COARSE-th index and
+    the last one, m in all; P interpolates them by the cubic through the 4
+    coarse rows around each row, or the 4 at either end. With E = M - P M_c,
+    S = I - M_c P and Z the inverse of the stored S, I - B A =
+    B E + P (I - Z S) M_c holds exactly for any stored P, M_c and Z, so
+    rho = ||B|| ||E|| + ||P (I - Z S)|| ||M_c|| < 1 proves
+    ||A^-1||_inf <= ||B||/(1 - rho) (S. M. Rump, Acta Numerica 19, 2010).
+    Each norm is bounded above with its rounding: relatively by
+    g = (n + m + 4) eps, about twice the gamma_k = k u/(1 - k u) of the
+    longest inner product or row sum here, and absolutely by `tiny` for
+    underflow. B is never formed: ||B|| <= 1 + || |P| |V| || with V = Z M_c
+    and its rounding, and the one n x n buffer, |A + P M_c - I| = |E|, is
+    freed on return.
     """
-    n = len(A)
-    g = (n + _RANK + 4) * _EPS
-    tiny = (n + _RANK) * _RANK * _TINY
-    omega = _sketch_signs(n)
-    Q = np.linalg.qr(omega - A @ omega)[0]
-    Vt = Q.T - Q.T @ A
-    vt_rows = np.abs(Vt).sum(axis=1)
-    E = Q @ Vt
+    n, k = len(A), _COARSE
+    coarse = np.append(np.arange(0, n - 1, k), n - 1)
+    m = len(coarse)
+    g = (n + m + 4) * _EPS
+    tiny = (n + m) * m * _TINY
+    tail = _cubic_weights(np.arange(coarse[-3], n), coarse[-4:])
+    P = _interpolate(tail, np.eye(m), np.empty((n, m)))
+    abs_p = np.abs(P)
+    p_norm = (1 + g) * abs_p.sum(axis=1).max()
+    Mc = -A[coarse]
+    Mc[np.arange(m), coarse] += 1.0
+    mc_norm = (1 + g) * np.abs(Mc).sum(axis=1).max()
+    E = _interpolate(tail, Mc, np.empty((n, n)))
     E += A
     E.flat[::n + 1] -= 1.0
     np.abs(E, out=E)
-    # E is formed from A, not from M: the product Q Vt rounds by at most
-    # gamma_r |Q| |Vt|, the sum and the diagonal by u (I + |E|) more
-    e_norm = (1 + g) * E.sum(axis=1).max() + g * (1.0 + (np.abs(Q) @ vt_rows).max()) + tiny
-    T = np.eye(_RANK) - Vt @ Q
+    # P M_c rounds by gamma_4 |P| |M_c|, the sum and the diagonal by u (I + |E|)
+    e_norm = (1 + g) * E.sum(axis=1).max() + g * (1.0 + p_norm * mc_norm) + tiny
+    S = np.eye(m) - Mc @ P
     try:
-        P = Q @ np.linalg.inv(T)
+        Z = np.linalg.inv(S)
     except np.linalg.LinAlgError:
-        return _Sketch(np.inf, None, None)
-    pv = (np.abs(P) @ vt_rows).max()
-    p_norm = _inf_norm(P)
-    r_norm = (1 + g) * (1.0 + pv) + tiny
-    # the stored T rounds by gamma_n |Vt| |Q| + u |T|, and P T by gamma_r |P| |T|
-    t_norm = ((1 + g) * _inf_norm(Q - P @ T)
-              + g * (p_norm * _inf_norm(T) + pv * _inf_norm(Q)) + tiny * (1.0 + p_norm))
-    rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())
+        return _TwoGrid(np.inf, None, None)
+    z_norm = _inf_norm(Z)
+    V = Z @ Mc
+    b_norm = (1 + g) * (1.0 + (abs_p @ np.abs(V).sum(axis=1)).max()
+                        + g * p_norm * z_norm * mc_norm) + tiny
+    # the stored S rounds by gamma_n |M_c| |P| + u |S|, and Z S by
+    # gamma_m |Z| |S| + u |I - Z S|
+    t_norm = p_norm * ((1 + g) * _inf_norm(np.eye(m) - Z @ S)
+                       + z_norm * (g * (2.0 * _inf_norm(S) + mc_norm * p_norm) + tiny) + tiny)
+    rho = (1 + g) * (b_norm * e_norm + t_norm * mc_norm)
     # the first factor covers the rounding of this line and of the caller's
     # product with the bound
-    return _Sketch((1 + g) * r_norm / (1.0 - rho) if rho < 1.0 else np.inf, P, Vt)
+    return _TwoGrid((1 + g) * b_norm / (1.0 - rho) if rho < 1.0 else np.inf, P, V)
 
 
 def _finite_solution(x: np.ndarray) -> np.ndarray:
@@ -219,26 +219,22 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     If that proved bound, less the rounding of the row sums, clears twice
     RCOND_MIN, the gate is known to pass with room for the rounding of any
     computed inverse, and A x = b is solved alone. When it does not and
-    n >= _SKETCH_MIN_N, the rank-_RANK sketch of I - A gives a second proof,
-    1/cond_inf(A) >= (1 - rho)/(||R||_inf ||A||_inf) from the exact identity
-    I - R A = R E + (Q - P T) Vt (see _sketch_inverse_bound), and the same
-    test against twice RCOND_MIN applies; below that size the sketch costs
-    more than the inverse it would save. A system the sketch certifies is
-    solved by the sketch: x = R b, refined by x <- x + R (b - A x), is
-    accepted once its residual in every column is within
-    _RESIDUAL_C (n + 1) eps (||A||_inf ||x||_inf + ||b||_inf), and after
-    _REFINE_STEPS steps without that, A x = b is solved alone by LU (see
-    _Sketch.solve). Otherwise the columns
-    of b and of the identity are solved together, one LU factorization
-    giving x and the inverse, and the gate is applied to the value cond
-    computes from that inverse. Either way the gate accepts and refuses
-    the same systems. Neither proof certifies when its bound on
+    n >= _TWO_GRID_MIN_N, the two-grid approximate inverse B gives a second
+    proof, 1/cond_inf(A) >= (1 - rho)/(||B||_inf ||A||_inf) (see
+    _two_grid_inverse_bound), and the same test applies; below that size it
+    costs more than the inverse it would save. A system the two-grid
+    certifies is solved by B and refinement, and after _REFINE_STEPS steps
+    that miss the residual test by LU of b alone (see _TwoGrid.solve).
+    Otherwise the columns of b and of the identity are solved together, one
+    LU factorization giving x and the inverse, and the gate is applied to
+    the value cond computes from that inverse. Either way the gate accepts
+    and refuses the same systems. Neither proof certifies when its bound on
     ||A^-1||_inf is not finite in doubles (an A of subnormals, say): the
     inverse path decides, and an inverse that overflows gives
     1/cond_inf(A) = 0, as cond does, and a refusal that says so. Raises
     SingularMatrixError when LAPACK finds an exactly singular factor, the
-    gate refuses A, or x overflows to a non-finite value on any path,
-    and ValueError for an empty A, a shape mismatch, or naming the first
+    gate refuses A, or x overflows to a non-finite value on any path, and
+    ValueError for an empty A, a shape mismatch, or naming the first
     non-finite entry of A or b.
     """
     A = np.asarray(A, dtype=float)
@@ -259,14 +255,14 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         slack = (n + 1) * (_EPS * norm + _TINY)
         # a bound on ||A^-1||_inf that is not finite proves nothing: among
         # subnormals Varah's 1/(margin - slack) overflows while the
-        # factorization loses its relative precision. An infinite sketch
+        # factorization loses its relative precision. An infinite two-grid
         # bound fails its own test below.
         lower = margin - slack
         certified = lower > 2.0 * RCOND_MIN * norm and np.isfinite(1.0 / lower)
-        if not certified and n >= _SKETCH_MIN_N:
-            sketch = _sketch_inverse_bound(A)
-            certified = 2.0 * RCOND_MIN * (norm + slack) * sketch.bound < 1.0
-            x = sketch.solve(A, b, norm) if certified else None
+        if not certified and n >= _TWO_GRID_MIN_N:
+            two_grid = _two_grid_inverse_bound(A)
+            certified = 2.0 * RCOND_MIN * (norm + slack) * two_grid.bound < 1.0
+            x = two_grid.solve(A, b, norm) if certified else None
             if x is not None:
                 return x
         try:

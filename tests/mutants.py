@@ -156,18 +156,18 @@ MUTANTS = [
     (LINSOLVE, "1e-8 * abs(lam) * norm", "1e-8 * norm",
      [EIGEN + "test_scaled_pair_of_roots_is_exact[-300]",
       EIGEN + "test_scaled_krasnov2_gives_the_scaled_roots[5]"]),
-    # the sketch's rho without its R E term: a sketch whose remainder makes
-    # the system singular certified
-    (LINSOLVE, "rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())",
-     "rho = (1 + g) * (t_norm * (1 + g) * vt_rows.max())",
+    # the two-grid's rho without ||B|| in its E term: a system whose
+    # remainder makes it singular certified
+    (LINSOLVE, "rho = (1 + g) * (b_norm * e_norm + t_norm * mc_norm)",
+     "rho = (1 + g) * (e_norm + t_norm * mc_norm)",
      ["tests/test_linsolve.py::TestSolveDense::"
-      "test_sketch_refuses_a_system_its_remainder_makes_singular"]),
-    # the sketch's rho without its (Q - P T) Vt term: a wrong inverse of T
-    # certified
-    (LINSOLVE, "rho = (1 + g) * (r_norm * e_norm + t_norm * (1 + g) * vt_rows.max())",
-     "rho = (1 + g) * (r_norm * e_norm)",
-     ["tests/test_linsolve.py::TestSolveDense::test_sketch_is_sound_for_a_wrong_inverse_of_t",
-      "tests/test_linsolve.py::TestSolveDense::test_stalled_sketch_solve_falls_back_to_lu"]),
+      "test_two_grid_refuses_a_system_its_remainder_makes_singular"]),
+    # the two-grid's rho without its P (I - Z S) M_c term: a wrong inverse
+    # of S certified
+    (LINSOLVE, "rho = (1 + g) * (b_norm * e_norm + t_norm * mc_norm)",
+     "rho = (1 + g) * (b_norm * e_norm)",
+     ["tests/test_linsolve.py::TestSolveDense::test_two_grid_is_sound_for_a_wrong_inverse_of_s",
+      "tests/test_linsolve.py::TestSolveDense::test_stalled_two_grid_solve_falls_back_to_lu"]),
     # eigenvalues at rounding level inverted into roots
     (LINSOLVE, "size > (len(alpha) + 1) * _EPS * norm", "size > 0",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"

@@ -47,8 +47,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_solve_does_not_load_numpy_random():
-    # importing numpy.random costs about 16 ms and 6 MB; the sketch
-    # certificate that krasnov1 takes at n = 200 draws its signs from a hash
+    # importing numpy.random costs about 16 ms and 6 MB; the two-grid
+    # certificate that krasnov1 takes at n = 200 draws nothing at random
     code = ("import contextlib, io, sys\n"
             "from quadspline import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -840,6 +840,25 @@ class TestSolveVolterra2:
         assert np.isfinite(samples).all()
         assert samples[0] == np.ldexp(entry.forcing(0.0), k)
 
+    def test_report_of_data_scaled_up_keeps_its_finite_errors(self):
+        # K and f x 2^515 with the registry's reference kept: the samples
+        # are near 1e155, and the square of their deviation from the
+        # reference overflows while its L2 norm does not. _report scales the
+        # deviation by a power of two before squaring, so the norm is that
+        # of the samples and the reference scaled down by 2^515, scaled up
+        entry = get_problem("krasnov3")
+        p = replace(entry, kernel=lambda x, s: np.ldexp(entry.kernel(x, s), 515),
+                    forcing=lambda x: np.ldexp(entry.forcing(x), 515))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve(p, 5)
+        g = make_grid(0.0, 1.0, 5)
+        down = l2_error(build_spline(g, np.ldexp(r.samples, -515)),
+                        lambda x: np.ldexp(entry.reference(x), -515), 0.0, 1.0, 5, gauss_legendre(8))
+        assert np.abs(r.samples).max() > 1e154
+        assert r.error_l2 == pytest.approx(np.ldexp(math.sqrt(down), 515), rel=1e-14)
+        assert r.error_max == np.abs(r.samples - entry.reference(g.nodes)).max()
+
     def test_row_oracle(self):
         # row j of the system must integrate the kernel against the spline
         # over [a, x_j] only

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadspline import (SingularMatrixError, find_real_eigenvalues, gauss_legendre,
-                        linsolve, make_grid, sample, solve_dense)
+from quadspline import (IntegralProblem, SingularMatrixError, find_real_eigenvalues,
+                        gauss_legendre, linsolve, make_grid, sample, solve, solve_dense)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
 from quadspline.registry import get_problem, solve_entry
 
 from oracles import determinant
 
-# the smallest system solve_dense tries the sketch certificate on
-SKETCH_N = linsolve._SKETCH_MIN_N
+# the smallest system solve_dense tries the two-grid certificate on
+TWO_GRID_N = linsolve._TWO_GRID_MIN_N
+# kernels that vary fast near the diagonal, or oscillate
+LOCALIZED = {"gauss": lambda x, s: np.exp(-100.0 * (x - s) ** 2),
+             "tanh": lambda x, s: np.tanh(50.0 * (x - s)),
+             "cos": lambda x, s: np.cos(20.0 * x * s)}
 
 
 def fredholm_system(pid, n):
@@ -182,21 +186,21 @@ class TestSolveDense:
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(5))
 
-    @pytest.mark.parametrize("A,b,columns,sketched", [
+    @pytest.mark.parametrize("A,b,columns,two_grid", [
         # dominant: Varah's margin certifies it, b is solved alone
         (1e-300 * np.eye(3), 1e10 * np.ones(3), 1, []),
-        # not dominant (margin -0.5); the sketch bounds ||A^-1||_inf by 4,
-        # its R b overflows and fails the residual test, and LU solves b alone
-        (np.eye(SKETCH_N) - 1.5 * np.ones((SKETCH_N, SKETCH_N)) / SKETCH_N,
-         1e308 * np.ones(SKETCH_N), 1, [SKETCH_N]),
-        # below the sketch's size: b with the identity's columns
+        # not dominant (margin -0.5); the two-grid bounds ||A^-1||_inf, its
+        # B b overflows and fails the residual test, and LU solves b alone
+        (np.eye(TWO_GRID_N) - 1.5 * np.ones((TWO_GRID_N, TWO_GRID_N)) / TWO_GRID_N,
+         1e308 * np.ones(TWO_GRID_N), 1, [TWO_GRID_N]),
+        # below the two-grid's size: b with the identity's columns
         (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1e308, -1e308]), 3, []),
-    ], ids=["varah", "sketch", "inverse"])
+    ], ids=["varah", "two_grid", "inverse"])
     def test_overflowing_solution_is_refused_without_warning(self, monkeypatch, A, b,
-                                                             columns, sketched):
+                                                             columns, two_grid):
         shapes, sizes = [], []
         solve = np.linalg.solve
-        bound = linsolve._sketch_inverse_bound
+        bound = linsolve._two_grid_inverse_bound
 
         def recorded(A, B):
             shapes.append(B.shape)
@@ -207,24 +211,24 @@ class TestSolveDense:
             return bound(A)
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
+        monkeypatch.setattr(linsolve, "_two_grid_inverse_bound", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="the solution overflows"):
                 solve_dense(A, b)
         assert [1 if len(s) == 1 else s[1] for s in shapes] == [columns]
-        assert sizes == sketched
+        assert sizes == two_grid
 
     @pytest.mark.parametrize("scale,M", [
         # Varah's margin, 0.7e-320, would prove ||A^-1||_inf <= 1.4e320,
         # which is not a double; certified, the solve returned a finite but
         # wrong x (1.36 down to 1.06 where 1/0.7 is exact)
         (1e-320, np.eye(5) - 0.3 * np.ones((5, 5)) / 5),
-        # at the sketch's size it is tried too, and proves nothing
-        (1e-320, np.eye(SKETCH_N) - 0.3 * np.ones((SKETCH_N, SKETCH_N)) / SKETCH_N),
+        # at the two-grid's size it is tried too, and proves nothing
+        (1e-320, np.eye(TWO_GRID_N) - 0.3 * np.ones((TWO_GRID_N, TWO_GRID_N)) / TWO_GRID_N),
         # not dominant: the inverse overflows on to nan, which cond reads as inf
         (1e-315, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0]])),
-    ], ids=["varah", "sketch", "inverse"])
+    ], ids=["varah", "two_grid", "inverse"])
     def test_subnormal_system_is_refused_by_the_gate(self, scale, M):
         # the inverse path decides, as cond does: 1/cond_inf(A) is 0
         A = scale * M
@@ -238,84 +242,123 @@ class TestSolveDense:
                                               ("krasnov1", False), ("wang", False)])
     def test_dominant_systems_skip_the_inverse(self, monkeypatch, pid, dominant):
         # the Volterra-2 systems are diagonally dominant by rows: Varah's
-        # margin certifies their trailing n x n block at every n, the sketch
-        # never runs, and b (the forcing and the moved column 0) is solved
-        # without the identity's columns. The Fredholm ones are not: at
-        # n = 10, below the sketch's size, they solve b with the identity's
-        # n + 1 columns; at n = 200 the sketch certifies them and solves b
-        # itself, with no LU
-        shapes, sketched = [], []
+        # margin certifies their trailing n x n block at every n, the
+        # two-grid never runs, and b (the forcing and the moved column 0) is
+        # solved without the identity's columns. The Fredholm ones are not:
+        # at n = 10, below the two-grid's size, they solve b with the
+        # identity's n + 1 columns; at n = 200 the two-grid certifies them
+        # and solves b itself, with no LU
+        shapes, two_grid = [], []
         solve = np.linalg.solve
-        bound = linsolve._sketch_inverse_bound
+        bound = linsolve._two_grid_inverse_bound
 
         def recorded(A, B):
             shapes.append(B.shape)
             return solve(A, B)
 
         def counted(A):
-            sketched.append(len(A))
+            two_grid.append(len(A))
             return bound(A)
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        monkeypatch.setattr(linsolve, "_sketch_inverse_bound", counted)
+        monkeypatch.setattr(linsolve, "_two_grid_inverse_bound", counted)
         solve_entry(pid, 10)
         solve_entry(pid, 200)
         assert shapes == ([(10, 2), (200, 2)] if dominant else [(11, 12)])
-        assert sketched == ([] if dominant else [201])
+        assert two_grid == ([] if dominant else [201])
+
+    @pytest.mark.parametrize("lam,kernel", [
+        (3.0, "gauss"), (-3.0, "gauss"), (1.0, "tanh"), (2.0, "cos")])
+    def test_localized_kernels_skip_the_inverse(self, monkeypatch, lam, kernel):
+        # at n = 200 and f = 1 on [0, 1], the identity's n + 1 columns are
+        # never solved beside b: the Gaussian and tanh rows keep a Varah
+        # margin (0.34-0.38 and 0.01), so b is solved alone, and cos(20 x s),
+        # margin -1, which the rank-8 sketch did not certify, is certified by
+        # the two-grid (rho 0.038) and solved by it, with no LU
+        n = 200
+        shapes = []
+        lu = np.linalg.solve
+
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return lu(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        p = IntegralProblem("fredholm2", LOCALIZED[kernel], (0.0, 1.0),
+                            forcing=np.ones_like, lam=lam)
+        assert np.isfinite(solve(p, n).samples).all()
+        assert shapes == ([] if kernel == "cos" else [(n + 1,)])
+
+    @pytest.mark.parametrize("kernel,lam", [
+        (lambda x, s: np.abs(x - s), -3.0), (lambda x, s: np.minimum(x, s), 2.0),
+        (LOCALIZED["cos"], 2.0), (LOCALIZED["gauss"], 3.0), (LOCALIZED["gauss"], -3.0),
+        (LOCALIZED["tanh"], 1.0), (get_problem("krasnov1").kernel, -2.0),
+        (get_problem("wang").kernel, 1.0)],
+        ids=["abs", "min", "cos", "gauss+3", "gauss-3", "tanh", "krasnov1", "wang"])
+    def test_two_grid_certifies_smooth_and_localized_kernels(self, kernel, lam):
+        # at n = 100, 200 and 640 the two-grid bound proves the gate for
+        # each, with rho at most 0.27 (cos(20 x s) at n = 100); the rank-8
+        # sketch it replaces proved nothing for the last three localized
+        # ones at any of these n, nor for cos(20 x s) from n = 200
+        for n in (100, 200, 640):
+            g = make_grid(0.0, 1.0, n)
+            A = np.eye(n + 1) - lam * _integral_operator(kernel, g, gauss_legendre(8), g.nodes, n)
+            bound = linsolve._two_grid_inverse_bound(A).bound
+            assert 2.0 * RCOND_MIN * _inf_norm(A) * bound < 1.0
+            assert bound >= _inf_norm(np.linalg.inv(A))
 
     @pytest.mark.parametrize("pid", ["krasnov1", "wang"])
-    def test_sketch_certified_x_matches_the_inverse_path(self, monkeypatch, pid):
-        # at n = 640 the sketch certifies the Fredholm-2 system and solves
-        # it; with the sketch's size moved out of reach, the same system
+    def test_two_grid_certified_x_matches_the_inverse_path(self, monkeypatch, pid):
+        # at n = 640 the two-grid certifies the Fredholm-2 system and solves
+        # it; with the two-grid's size moved out of reach, the same system
         # takes the identity's columns, and both give the same x
         A, b = fredholm_system(pid, 640)
         x = solve_dense(A, b)
-        monkeypatch.setattr(linsolve, "_SKETCH_MIN_N", 10**9)
+        monkeypatch.setattr(linsolve, "_TWO_GRID_MIN_N", 10**9)
         x_inverse = solve_dense(A, b)
         assert np.max(np.abs(x - x_inverse)) <= 1e-12 * np.max(np.abs(x_inverse))
 
-    def test_sketch_refuses_a_system_its_remainder_makes_singular(self):
-        # the rank-8 part L is benign (I - L has 1/cond_inf about 1.5e-3)
-        # and dominates M = I - A, so the sketch captures it; the remainder
-        # E = M - L = (1 - d) I makes A = d I - L singular to 1/cond_inf
-        # about 8e-18. Only ||E|| in rho stops the sketch from proving it
-        # well conditioned
-        n, d = 100, 1e-14
+    def test_two_grid_refuses_a_system_its_remainder_makes_singular(self):
+        # M = I - A = c I + L with L smooth of rank 8: P M_c captures L but
+        # not c I, whose remainder E leaves ||E|| about 0.8, and
+        # A = (1 - c) I - L is singular to 1/cond_inf about 3e-15. Only ||B||,
+        # here about 6e6, in the E term of rho stops the two-grid from
+        # proving it well conditioned
+        n, c = 100, 0.25
         U = smooth_orthonormal_columns(n)
-        L = -(U * np.arange(10.0, 90.0, 10.0)) @ U.T
-        A = d * np.eye(n) - L
-        assert 1.0 / np.linalg.cond(np.eye(n) - L, np.inf) > 1e-3
+        lam = (1 - c) * np.array([1.0 - 1e-14, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125, 0.1])
+        A = (1 - c) * np.eye(n) - (U * lam) @ U.T
         assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
-        assert linsolve._sketch_inverse_bound(A).bound == np.inf
+        assert linsolve._two_grid_inverse_bound(A).bound == np.inf
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(n))
 
-    def test_sketch_is_sound_for_a_wrong_inverse_of_t(self, monkeypatch):
-        # the identity I - R A = R E + (Q - P T) Vt holds for any stored P:
-        # with T^-1 replaced by I, R = I + Q Vt approximates no inverse, and
-        # only the (Q - P T) Vt term in rho keeps A = I - L, singular to
-        # 1/cond_inf about 3e-15 with M = L of rank 8, from being certified
+    def test_two_grid_is_sound_for_a_wrong_inverse_of_s(self, monkeypatch):
+        # the identity I - B A = B E + P (I - Z S) M_c holds for any stored
+        # Z: with S^-1 replaced by I, B = I + P M_c approximates no inverse,
+        # and only the P (I - Z S) M_c term in rho keeps A = I - L, singular
+        # to 1/cond_inf about 3e-15 with M = L smooth, from being certified
         n = 100
         U = smooth_orthonormal_columns(n)
         L = (U * np.array([1.0 - 1e-14, 0.5, -0.5, 0.25, -0.25, 0.125, -0.125, 0.1])) @ U.T
         A = np.eye(n) - L
         assert 1.0 / np.linalg.cond(A, np.inf) <= RCOND_MIN
-        monkeypatch.setattr(np.linalg, "inv", lambda T: np.eye(len(T)))
-        assert linsolve._sketch_inverse_bound(A).bound == np.inf
+        monkeypatch.setattr(np.linalg, "inv", lambda S: np.eye(len(S)))
+        assert linsolve._two_grid_inverse_bound(A).bound == np.inf
         with pytest.raises(SingularMatrixError, match="cond"):
             solve_dense(A, np.ones(n))
 
-    def test_singular_t_proves_nothing(self, monkeypatch):
-        # wang at n = 100 is certified by the sketch alone; with T = I - Vt Q
-        # taken as singular (inv raises), there is no P, the bound is inf,
-        # and the inverse path decides, with the very x it gives when the
-        # sketch is out of reach
+    def test_singular_s_proves_nothing(self, monkeypatch):
+        # wang at n = 100 is certified by the two-grid alone; with
+        # S = I - M_c P taken as singular (inv raises), there is no Z, the
+        # bound is inf, and the inverse path decides, with the very x it
+        # gives when the two-grid is out of reach
         A, b = fredholm_system("wang", 100)
         n = len(A)
         shapes = []
         solve = np.linalg.solve
 
-        def singular(T):
+        def singular(S):
             raise np.linalg.LinAlgError("Singular matrix")
 
         def recorded(A, B):
@@ -323,21 +366,20 @@ class TestSolveDense:
             return solve(A, B)
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        sketch = linsolve._sketch_inverse_bound(A)
-        assert sketch.bound == np.inf and sketch.P is None and sketch.Vt is None
+        two_grid = linsolve._two_grid_inverse_bound(A)
+        assert two_grid.bound == np.inf and two_grid.P is None and two_grid.V is None
         monkeypatch.setattr(np.linalg, "solve", recorded)
         x = solve_dense(A, b)
         assert shapes == [(n, n + 1)]
-        monkeypatch.setattr(linsolve, "_SKETCH_MIN_N", 10**9)
+        monkeypatch.setattr(linsolve, "_TWO_GRID_MIN_N", 10**9)
         np.testing.assert_array_equal(solve_dense(A, b), x)
 
-    def test_stalled_sketch_solve_falls_back_to_lu(self, monkeypatch):
-        # the certificate is sound for any stored P: with T^-1 scaled by
-        # 0.95 it still certifies wang at n = 100, but with a bound of about
-        # 60 (rho near 1; the sound P gives 19), and R contracts the error
-        # by only about 0.08 a step. _REFINE_STEPS steps leave the residual
-        # above the test, and the certified LU's x comes back, bit for bit,
-        # from b alone
+    def test_stalled_two_grid_solve_falls_back_to_lu(self, monkeypatch):
+        # the certificate is sound for any stored Z: with S^-1 scaled by
+        # 0.95 it still certifies wang at n = 100, with a bound of about 31
+        # (the sound Z gives 28), but B contracts the error by only about
+        # 0.075 a step. _REFINE_STEPS steps leave the residual above the
+        # test, and the certified LU's x comes back, bit for bit, from b alone
         A, b = fredholm_system("wang", 100)
         n, x_lu = len(A), np.linalg.solve(A, b)
         shapes = []
@@ -347,23 +389,29 @@ class TestSolveDense:
             shapes.append(B.shape)
             return solve(A, B)
 
-        monkeypatch.setattr(np.linalg, "inv", lambda T: 0.95 * inv(T))
-        sketch = linsolve._sketch_inverse_bound(A)
-        assert 30.0 < sketch.bound and 2.0 * RCOND_MIN * _inf_norm(A) * sketch.bound < 1.0
-        assert 0.05 < _inf_norm(np.eye(n) - A - sketch.P @ (sketch.Vt @ A)) < 0.2
+        monkeypatch.setattr(np.linalg, "inv", lambda S: 0.95 * inv(S))
+        two_grid = linsolve._two_grid_inverse_bound(A)
+        assert 30.0 < two_grid.bound and 2.0 * RCOND_MIN * _inf_norm(A) * two_grid.bound < 1.0
+        assert 0.05 < _inf_norm(np.eye(n) - A - two_grid.P @ (two_grid.V @ A)) < 0.2
         monkeypatch.setattr(np.linalg, "solve", recorded)
         np.testing.assert_array_equal(solve_dense(A, b), x_lu)
         assert shapes == [(n,)]
 
-    def test_sketch_signs_are_fixed(self):
-        # +-1 from an integer hash of the flat index, about half of each
-        # sign, the same on every call, and the first rows do not depend on n
-        omega = linsolve._sketch_signs(100)
-        assert omega.shape == (100, linsolve._RANK)
-        assert set(np.unique(omega)) == {-1.0, 1.0}
-        np.testing.assert_array_equal(linsolve._sketch_signs(100), omega)
-        np.testing.assert_array_equal(linsolve._sketch_signs(64), omega[:64])
-        assert 300 < (omega > 0).sum() < 500
+    @pytest.mark.parametrize("n", [26, 27, 33, 71, 200])
+    def test_interpolation_is_exact_on_cubic_rows(self, n):
+        # rows that are cubics in the row index are interpolated exactly
+        # from the coarse rows, at every size and last coarse gap: E = 0 to
+        # rounding, so that M = I - A is all the two-grid needs, and
+        # ||A^-1||_inf is bounded at once
+        i = np.arange(n) / n
+        M = 0.5 * np.outer(1.0 - 2.0 * i + 3.0 * i**2 - i**3, np.cos(np.arange(n))) / n
+        A = np.eye(n) - M
+        two_grid = linsolve._two_grid_inverse_bound(A)
+        coarse = np.append(np.arange(0, n - 1, linsolve._COARSE), n - 1)
+        assert two_grid.P.shape == (n, len(coarse))
+        np.testing.assert_allclose(two_grid.P @ M[coarse], M, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(two_grid.P[coarse], np.eye(len(coarse)))
+        assert _inf_norm(np.linalg.inv(A)) <= two_grid.bound < np.inf
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(77)
@@ -388,7 +436,7 @@ def gated_systems(draw, families=("dominant", "barely", "graded", "diag", "fredh
     1/cond_inf straddles RCOND_MIN; diag: diag(1, s)
     with s within a factor of 4 of RCOND_MIN and more entries in [s, 1],
     symmetrically permuted; fredholm: I - lam*K of size 32..100, on both
-    sides of the sketch certificate's _SKETCH_MIN_N, with K a symmetric
+    sides of the two-grid certificate's _TWO_GRID_MIN_N, with K a symmetric
     smooth part of rank 1..6 plus a small full-rank part, and lam the
     reciprocal of K's largest eigenvalue times 1 - d, so that A has the
     eigenvalue d, |d| in 1e-15..2, and 1/cond_inf straddles RCOND_MIN.
@@ -463,31 +511,31 @@ def test_gate_accepts_exactly_when_cond_inf_allows(system):
 
 @given(gated_systems(families=["fredholm"]))
 @settings(max_examples=200, deadline=None)
-def test_sketch_bound_holds(system):
-    # a finite sketch bound is never below ||A^-1||_inf, here computed from
-    # an inverse whose relative error is about eps/rcond
+def test_two_grid_bound_holds(system):
+    # a finite two-grid bound is never below ||A^-1||_inf, here computed
+    # from an inverse whose relative error is about eps/rcond
     _, A, _ = system
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = linsolve._sketch_inverse_bound(A).bound
+        bound = linsolve._two_grid_inverse_bound(A).bound
     if np.isfinite(bound):
         rcond = 1.0 / np.linalg.cond(A, np.inf)
         assert _inf_norm(np.linalg.inv(A)) * (1.0 - 1e-15 / rcond) <= bound
 
 
 @st.composite
-def sketched_systems(draw):
-    """A = I + K - eps G/n of size _SKETCH_MIN_N..160, with a right-hand
+def two_grid_systems(draw):
+    """A = I + K - eps G/n of size _TWO_GRID_MIN_N..160, with a right-hand
     side of 1 or 3 columns.
 
     K = U C C^T U^T is smooth, of rank 1..6, positive semidefinite with its
     largest eigenvalue 0.5..4, so I + K is well conditioned (cond_inf below
-    about 20) and seldom diagonally dominant, and the rank-8 sketch captures
-    it. The full-rank part, G uniform in [-1, 1] and eps 1e-8..0.3, is left
-    in E: ||I - R A||_inf comes out from about 1e-8 to 0.4, from a start
-    value R b that one step mends to a refinement that exhausts
-    _REFINE_STEPS and falls back to LU.
+    about 20) and seldom diagonally dominant, and the coarse rows and their
+    cubic interpolation capture it. The full-rank part, G uniform in
+    [-1, 1] and eps 1e-8..0.3, is left in E: ||I - B A||_inf comes out from
+    about 1e-8 to 0.4, from a start value B b that one step mends to a
+    refinement that exhausts _REFINE_STEPS and falls back to LU.
     """
-    n = draw(st.integers(SKETCH_N, 160), label="n")
+    n = draw(st.integers(TWO_GRID_N, 160), label="n")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     x = np.linspace(0.0, 1.0, n)
     rank = draw(st.integers(1, 6), label="rank")
@@ -501,20 +549,20 @@ def sketched_systems(draw):
     return A, rng.standard_normal(n if k == 1 else (n, k))
 
 
-@given(sketched_systems())
+@given(two_grid_systems())
 @settings(max_examples=100, deadline=None)
-def test_sketch_solve_meets_the_residual_test(system):
-    # x from the sketch meets the residual test in every column, x from the
-    # fallback is LU's own, and either agrees with LU's to 1e-12 relative,
-    # or to the 2 cond_inf c (n + 1) eps that two solves with that backward
-    # error allow. When ||I - R A||_inf <= 1e-2, at most 4 steps after R b
-    # reach the test, and no LU runs
+def test_two_grid_solve_meets_the_residual_test(system):
+    # x from the two-grid meets the residual test in every column, x from
+    # the fallback is LU's own, and either agrees with LU's to 1e-12
+    # relative, or to the 2 cond_inf c (n + 1) eps that two solves with that
+    # backward error allow. When ||I - B A||_inf <= 1e-2, at most 4 steps
+    # after B b reach the test, and no LU runs
     A, b = system
     n, norm = len(A), _inf_norm(A)
-    sketch = linsolve._sketch_inverse_bound(A)
+    two_grid = linsolve._two_grid_inverse_bound(A)
     assume((2.0 * np.abs(A.diagonal()) - np.abs(A).sum(axis=1)).min() <= 0.0)
-    assume(2.0 * RCOND_MIN * norm * sketch.bound < 1.0)
-    contraction = _inf_norm(np.eye(n) - A - sketch.P @ (sketch.Vt @ A))
+    assume(2.0 * RCOND_MIN * norm * two_grid.bound < 1.0)
+    contraction = _inf_norm(np.eye(n) - A - two_grid.P @ (two_grid.V @ A))
     with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.solve) as lu:
         x = solve_dense(A, b)
     assert x.shape == b.shape

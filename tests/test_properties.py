@@ -234,6 +234,25 @@ def test_operator_rows_match_summed_piece_weights_for_any_rule_and_counts(case):
     assert np.all(np.abs(W - oracle) <= 1e-12 * scale + 1e3 * np.finfo(float).tiny)
 
 
+@given(operator_case(), st.floats(-3, 3), st.floats(0.1, 30))
+@settings(max_examples=100, deadline=None)
+def test_causal_operator_is_rank_one_above_the_diagonal(case, shift, freq):
+    # a causal row i reaches only the pieces up to x_i, but every piece's
+    # quadratic coefficient depends on all samples through the closed form,
+    # whose dependence on the samples beyond x_i is one alternating vector:
+    # the strict upper triangle of W is u v^T with u = W[:, n],
+    # v_j = (-1)^(n - j) 4 (n - j) for j < n and v_n = 1, for any kernel,
+    # interval and rule (a kernel with a non-polynomial part here)
+    g, rule, poly, _, _ = case
+    n = g.n
+    W = _integral_operator(lambda x, s: poly(x, s) + np.sin(freq * (x - shift * s)),
+                           g, rule, g.nodes, np.arange(n + 1))
+    j = np.arange(n + 1)
+    v = np.where(j < n, (-1.0) ** (n - j) * 4.0 * (n - j), 1.0)
+    residue = np.triu(W - np.outer(W[:, n], v), 1)
+    assert np.abs(residue).max() <= (n + 1) * np.finfo(float).eps * np.abs(W).max()
+
+
 # kernels with K(-x, -s) = K(x, s): the Gaussian is positive definite for
 # every c > 0, and 1 + c x s positive semidefinite (rank 2) for c >= 0
 SYMMETRIC_KERNELS = {
