@@ -49,7 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, InvalidDomainError, ScalarFunction, eval_many, make_grid, sample
+from .core import (Grid, InvalidDomainError, ScalarFunction, checked_samples, eval_many,
+                   make_grid, sample)
 from .linsolve import SingularMatrixError, find_real_eigenvalues, solve_dense
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
                          max_error, panel_points)
@@ -320,38 +321,44 @@ def solve(problem: IntegralProblem, n: int,
     and picked by a closure for volterra1 (see _volterra1). fredholm_eigen
     finds the roots of det(I - lam W) in the problem's bracket (see _eigen).
     `rule` integrates every piece (default: 8-point Gauss-Legendre).
-    A W, or an A = I - lam W, that is not finite (a kernel or an interval
-    so large that they overflow) raises InvalidDomainError naming the
-    kernel, the interval and n.
+    A W, or an A = I - lam W, with an entry or a row sum that is not
+    finite (a kernel or an interval so large that they overflow) raises
+    InvalidDomainError naming the kernel, the interval and n, so that
+    linsolve, which reads the same row sums, refuses nothing unnamed; a
+    forcing that is not finite at a node raises ValueError naming it.
     """
     rule = rule or gauss_legendre(8)
     grid = make_grid(*problem.interval, n)
     W = _integral_operator(problem.kernel, grid, rule, grid.nodes,
                            np.arange(grid.n + 1) if problem.causal else grid.n)
-    if problem.kind in ("fredholm2", "volterra2"):
-        # A = I - lam W, formed in W's own buffer
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.kind in ("fredholm2", "volterra2"):
+            # A = I - lam W, formed in W's own buffer
             W *= -problem.lam
-        W.flat[::grid.n + 2] += 1.0
-    if not np.isfinite(W).all():
-        raise InvalidDomainError(
-            f"the collocation matrix of the kernel {problem.kernel!r} on [{grid.a}, {grid.b}] "
-            f"at n = {grid.n} is not finite: the kernel or its integrals overflow")
+            W.flat[::grid.n + 2] += 1.0
+        # entries or row sums that are not finite, as linsolve would find them
+        if not np.abs(W).sum(axis=1).max() < np.inf:
+            raise InvalidDomainError(
+                f"the collocation matrix of the kernel {problem.kernel!r} on [{grid.a}, "
+                f"{grid.b}] at n = {grid.n} is not finite in its row sums: the kernel or its "
+                f"integrals overflow")
     if problem.kind == "fredholm_eigen":
         return _eigen(problem, grid, W)
-    f = sample(problem.forcing, grid)
-    if not problem.causal:
-        return _report(problem, grid, solve_dense(W, f))
-    u, w = np.vstack(([0.0, 1.0], solve_dense(W[1:, 1:], np.column_stack((f[1:], -W[1:, 0]))))).T
-    if problem.kind == "volterra1":
-        return _volterra1(problem, grid, rule, u, w)
-    return _report(problem, grid, u + f[0] * w)
+    f = checked_samples(grid, sample(problem.forcing, grid))
+    if problem.causal:
+        uw = solve_dense(W[1:, 1:], np.column_stack((f[1:], -W[1:, 0])))
+        u, w = np.vstack(([0.0, 1.0], uw)).T
+        y0 = _volterra1(problem, grid, rule, u, w) if problem.kind == "volterra1" else f[0]
+        y = u + y0 * w
+    else:
+        y = solve_dense(W, f)
+    return _report(problem, grid, y)
 
 
 def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
-               u: np.ndarray, w: np.ndarray) -> SolveReport:
-    """Solve a first-kind Volterra problem by collocation plus a variational
-    closure for the undetermined left-endpoint value.
+               u: np.ndarray, w: np.ndarray) -> float:
+    """The left-endpoint value y_0 of a first-kind Volterra problem, which
+    collocation leaves undetermined, picked by a variational closure.
 
     Collocating at x_1..x_n, whose operator rows integrate up to their
     own node, gives n equations in n+1 unknowns; solve passes their affine
@@ -395,5 +402,4 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     if not (den > 0.0 and math.isfinite(den)):
         raise SingularMatrixError(f"the closure's defect does not determine the endpoint "
                                   f"value: its sensitivity to it integrates to {den!r}")
-    y0 = -num / den
-    return _report(problem, grid, u + y0 * w)
+    return -num / den

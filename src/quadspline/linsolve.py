@@ -3,8 +3,10 @@
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
-does not depend on the pivot order; A is factored at most once. When A is
-strictly diagonally dominant by rows with a wide enough margin, Varah's
+does not depend on the pivot order; A is factored at most once, and its
+row sums, which Varah's bound below takes, also show an entry that is not
+finite, so A is read once more only to name it. When A is strictly
+diagonally dominant by rows with a wide enough margin, Varah's
 bound proves that the gate passes, and b is solved alone; this catches
 the second-kind systems I - lam*K whose rows have |lam| times the
 integral of |K(x_i, s)| below 1, roughly, such as the Volterra-2
@@ -15,8 +17,8 @@ interpolation in the row index (see _two_grid_inverse_bound); this
 catches the Fredholm-2 benchmark problems, whose rows vary smoothly with
 the row index. Then b is solved by B, with no LU: x = B b, refined by
 x <- x + B (b - A x), in O(n^2) a step, until its residual shows the
-backward error of a stable solve, and LU solves b alone only when
-_REFINE_STEPS steps do not get there. Any other A is solved with the
+backward error of a stable solve (see _RESIDUAL_C), and LU solves b
+alone when _REFINE_STEPS steps miss it. Any other A is solved with the
 identity beside b, which gives x and the exact inverse the gate needs.
 Both ways accept and refuse the same systems; a certified solve knows
 only a lower bound on 1/cond_inf(A), not its value. Characteristic
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,10 +48,21 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 # up to n = 64, the two-grid on both from 71, by 1.2-1.4x at 80
 _COARSE = 8
 _TWO_GRID_MIN_N = 71
-# a certified solve refines B b until the residual is within _RESIDUAL_C
-# (n + 1) eps (||A|| ||x|| + ||b||), or gives up after _REFINE_STEPS steps
-# (see _TwoGrid.solve); with c = 1 a refined x lost its parity by 8.6e-13 on
-# a problem of cond_inf 21, where LU's x lost 1e-15
+# a certified solve refines x = B b by x <- x + B (b - A x), which shrinks the
+# error by about ||I - B A|| <= rho a step down to rounding level (fixed
+# precision iterative refinement, N. J. Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12), and accepts x once, in
+# every column, the residual r computed for the next step meets
+# ||r||_inf <= c (n + 1) eps (||A||_inf ||x||_inf + ||b||_inf) with a finite
+# right-hand side, c = _RESIDUAL_C: a normwise backward error (J. L. Rigal
+# and J. Gaches, J. ACM 14, 1967) of at most c (n + 1) eps, so a relative
+# forward error of at most about 2 c (n + 1) eps cond_inf(A). Forming r
+# rounds by about sqrt(n + 1) u (|A| |x| + |b|) (Higham, sec. 2.8), at most
+# (n + 1) eps/16 for n >= 63, so c = 1/8 is twice what the residual of the
+# exact solution typically reads, the backward error that LU with partial
+# pivoting attains (Higham, ch. 9); with c = 1 a refined x lost its parity by
+# 8.6e-13 on a problem of cond_inf 21, where LU's x lost 1e-15. After
+# _REFINE_STEPS steps that miss the test LU solves b, so a wrong x never passes
 _RESIDUAL_C = 0.125
 _REFINE_STEPS = 6
 
@@ -70,49 +84,14 @@ def _require_finite(name: str, A: np.ndarray) -> None:
     raise ValueError(f"{name}{list(idx)} is not finite: {A[idx]}")
 
 
-@dataclass(frozen=True)
-class _TwoGrid:
+class _TwoGrid(NamedTuple):
     """What _two_grid_inverse_bound proves: bound >= ||A^-1||_inf, inf when
     it proves nothing, and the P and V = Z M_c that apply B = I + P Z M_c,
     None when S = I - M_c P is singular."""
 
     bound: float
-    P: np.ndarray | None = field(repr=False)
-    V: np.ndarray | None = field(repr=False)
-
-    def solve(self, A: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray | None:
-        """x with A x = b to the backward error of LU's solve, from B and
-        refinement, or None when _REFINE_STEPS steps do not reach it.
-
-        x starts at B b = b + P (V b), and each step is x <- x + B (b - A x),
-        which shrinks the error by about ||I - B A|| <= rho down to rounding
-        level (fixed precision iterative refinement, N. J. Higham, Accuracy
-        and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 12).
-        x is accepted once, in every column, the residual r computed for the
-        next step meets ||r||_inf <= c (n + 1) eps (||A||_inf ||x||_inf +
-        ||b||_inf) with a finite right-hand side, c = _RESIDUAL_C = 1/8: a
-        normwise backward error (J. L. Rigal and J. Gaches, J. ACM 14, 1967)
-        of at most c (n + 1) eps, so a relative forward error of at most
-        about 2 c (n + 1) eps cond_inf(A). Forming r rounds by about
-        sqrt(n + 1) u (|A| |x| + |b|) (Higham, sec. 2.8), at most
-        (n + 1) eps/16 for n >= 63, so c = 1/8 is twice what the residual of
-        the exact solution typically reads, the backward error that LU with
-        partial pivoting attains (Higham, ch. 9). A test that fails sends
-        the caller to LU, never a wrong x.
-        """
-        P, V = self.P, self.V
-        tol = _RESIDUAL_C * (len(A) + 1) * _EPS
-        b_norm = np.abs(b).max(axis=0)
-        x = np.zeros_like(b)
-        r = b
-        for _ in range(_REFINE_STEPS + 1):
-            x += r
-            x += P @ (V @ r)
-            r = b - A @ x
-            limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
-            if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
-                return x
-        return None
+    P: np.ndarray | None = None
+    V: np.ndarray | None = None
 
 
 def _cubic_weights(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -183,7 +162,7 @@ def _two_grid_inverse_bound(A: np.ndarray) -> _TwoGrid:
     try:
         Z = np.linalg.inv(S)
     except np.linalg.LinAlgError:
-        return _TwoGrid(np.inf, None, None)
+        return _TwoGrid(np.inf)
     z_norm = _inf_norm(Z)
     V = Z @ Mc
     b_norm = (1 + g) * (1.0 + (abs_p @ np.abs(V).sum(axis=1)).max()
@@ -212,7 +191,8 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The condition gate refuses 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf)
     <= RCOND_MIN, the value numpy.linalg.cond(A, inf) gives, and one pass
-    over |A| decides how it is applied. Its row sums r_i give ||A||_inf
+    over |A| decides how it is applied. Its row sums r_i give ||A||_inf,
+    not finite when an entry of A is not (then named) or when they overflow,
     and Varah's margin m = min_i (2|a_ii| - r_i); when A is strictly
     diagonally dominant by rows, ||A^-1||_inf <= 1/m (J. M. Varah,
     Linear Algebra Appl. 11, 1975), so 1/cond_inf(A) >= m/||A||_inf.
@@ -223,8 +203,8 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     proof, 1/cond_inf(A) >= (1 - rho)/(||B||_inf ||A||_inf) (see
     _two_grid_inverse_bound), and the same test applies; below that size it
     costs more than the inverse it would save. A system the two-grid
-    certifies is solved by B and refinement, and after _REFINE_STEPS steps
-    that miss the residual test by LU of b alone (see _TwoGrid.solve).
+    certifies is solved by x = B b and refinement, and after _REFINE_STEPS
+    steps that miss the residual test by LU of b alone (see _RESIDUAL_C).
     Otherwise the columns of b and of the identity are solved together, one
     LU factorization giving x and the inverse, and the gate is applied to
     the value cond computes from that inverse. Either way the gate accepts
@@ -239,18 +219,21 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    _require_finite("A", A)
     _require_finite("b", b)
     if (A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size
             or b.ndim not in (1, 2) or b.shape[0] != A.shape[0]):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     n = len(A)
     k = 1 if b.ndim == 1 else b.shape[1]
-    # row sums that overflow give norm inf: no certificate, and rcond 0 as
-    # cond makes it; an inverse near the overflow threshold does the same
+    # an entry that is not finite makes norm inf or nan, and is named. Row
+    # sums of a finite A that overflow give norm inf too: no certificate,
+    # and rcond 0 as cond makes it; an inverse near the overflow threshold
+    # does the same
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(A).sum(axis=1)
         norm = rows.max()
+        if not norm < np.inf:
+            _require_finite("A", A)
         margin = (2.0 * np.abs(A.diagonal()) - rows).min()
         slack = (n + 1) * (_EPS * norm + _TINY)
         # a bound on ||A^-1||_inf that is not finite proves nothing: among
@@ -260,11 +243,19 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         lower = margin - slack
         certified = lower > 2.0 * RCOND_MIN * norm and np.isfinite(1.0 / lower)
         if not certified and n >= _TWO_GRID_MIN_N:
-            two_grid = _two_grid_inverse_bound(A)
-            certified = 2.0 * RCOND_MIN * (norm + slack) * two_grid.bound < 1.0
-            x = two_grid.solve(A, b, norm) if certified else None
-            if x is not None:
-                return x
+            bound, P, V = _two_grid_inverse_bound(A)
+            certified = 2.0 * RCOND_MIN * (norm + slack) * bound < 1.0
+            if certified:  # x = B b, refined until the test of _RESIDUAL_C
+                tol = _RESIDUAL_C * (n + 1) * _EPS
+                b_norm = np.abs(b).max(axis=0)
+                x, r = np.zeros_like(b), b
+                for _ in range(_REFINE_STEPS + 1):
+                    x += r
+                    x += P @ (V @ r)
+                    r = b - A @ x
+                    limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
+                    if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
+                        return x
         try:
             X = np.linalg.solve(A, b if certified else np.column_stack((b, np.eye(n))))
         except np.linalg.LinAlgError as exc:
@@ -341,12 +332,12 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
             raise ValueError(f"bracket end {name} = {end!r} is not finite")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    _require_finite("alpha", alpha)
     # among subnormals 1/mu can overflow, and inf lies outside every finite
     # bracket
     with np.errstate(over="ignore"):
         norm = _inf_norm(alpha)
-        if norm == np.inf:
+        if not math.isfinite(norm):  # an entry that is not finite is named
+            _require_finite("alpha", alpha)
             raise ValueError(f"||alpha||_inf overflows a double for the {alpha.shape} alpha")
         mu = np.linalg.eigvals(alpha)
         size = np.abs(mu)

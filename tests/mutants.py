@@ -36,6 +36,7 @@ POLICY = "tests/test_core.py::TestCallPolicy::"
 ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
 V1 = "tests/test_integral_eq.py::TestSolveVolterra1::"
 EIGEN = "tests/test_linsolve.py::TestFindRealEigenvalues::"
+DENSE = "tests/test_linsolve.py::TestSolveDense::"
 
 MUTANTS = [
     # eval_many retries the package's own callables point by point
@@ -99,16 +100,28 @@ MUTANTS = [
      [ROWS + "test_count_outside_0_to_n_is_refused[negative]",
       ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
     # a W, or an A = I - lam W, that is not finite passed on to the solve
-    (OPERATOR, "if not np.isfinite(W).all():", "if False:",
+    (OPERATOR, "if not np.abs(W).sum(axis=1).max() < np.inf:", "if False:",
      [V1 + "test_operator_that_overflows_is_refused_by_name_without_warning",
       "tests/test_integral_eq.py::TestSolveFredholm::"
       "test_system_that_overflows_is_refused_by_name_without_warning"]),
+    # a finite W whose row sums overflow passed on to the eigen search,
+    # which refuses it without naming the problem
+    (OPERATOR, "np.abs(W).sum(axis=1).max() < np.inf", "np.isfinite(W).all()",
+     ["tests/test_properties.py::test_scaled_registry_problem_solves_or_names_the_bad_input"]),
+    # a forcing that is not finite left for the solve to name by its row
+    (OPERATOR, "f = checked_samples(grid, sample(problem.forcing, grid))",
+     "f = sample(problem.forcing, grid)",
+     ["tests/test_integral_eq.py::TestProblemValidation::"
+      "test_forcing_that_is_not_finite_is_named_by_node[fredholm2]",
+      "tests/test_integral_eq.py::TestProblemValidation::"
+      "test_forcing_that_is_not_finite_is_named_by_node[volterra2]"]),
     # A = I - lam W formed in place without its identity
     (OPERATOR, "W.flat[::grid.n + 2] += 1.0", "pass",
      ["tests/test_integral_eq.py::TestSolveFredholm::test_zero_lambda_passthrough",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_zero_lambda_passthrough"]),
     # a causal solve without y_0 (1, w): Volterra-2's y_0 = f_0 dropped
-    (OPERATOR, "u + f[0] * w", "u",
+    (OPERATOR, 'if problem.kind == "volterra1" else f[0]',
+     'if problem.kind == "volterra1" else 0.0',
      ["tests/test_integral_eq.py::TestSolveVolterra2::test_zero_lambda_passthrough",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_data_scaled_up_solves[krasnov3-73-5]"]),
     # the trailing system's column 0 moved to the right-hand side without
@@ -178,9 +191,32 @@ MUTANTS = [
      "certified = lower > 0.25 * RCOND_MIN * norm",
      ["tests/test_linsolve.py::TestSolveDense::test_gate_boundary_is_cond_inf[diag-0.999999]",
       "tests/test_linsolve.py::TestSolveDense::test_gate_boundary_is_cond_inf[permuted-0.999999]"]),
-    # an alpha whose norm overflows searched with an infinite tolerance
-    (LINSOLVE, "if norm == np.inf:", "if False:",
-     [EIGEN + "test_alpha_whose_norm_overflows_refused_without_warning"]),
+    # an alpha whose norm overflows searched with an infinite tolerance,
+    # and one that is not finite handed to LAPACK unnamed
+    (LINSOLVE, "if not math.isfinite(norm):", "if False:",
+     [EIGEN + "test_alpha_whose_norm_overflows_refused_without_warning",
+      EIGEN + "test_non_finite_alpha_named"]),
+    # an A that is not finite taken on to the solve unnamed
+    (LINSOLVE, "if not norm < np.inf:", "if False:",
+     [DENSE + "test_non_finite_matrix_named[nan]",
+      DENSE + "test_non_finite_matrix_named[inf]"]),
+    # the two-grid never tried: certified Fredholm-2 systems take the
+    # inverse path's n + 1 extra columns
+    (LINSOLVE, "if not certified and n >= _TWO_GRID_MIN_N:", "if False:",
+     [DENSE + "test_dominant_systems_skip_the_inverse[krasnov1-False]",
+      DENSE + "test_localized_kernels_skip_the_inverse[2.0-cos]"]),
+    # B b returned unrefined, whatever its residual
+    (LINSOLVE, "if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():", "if True:",
+     [DENSE + "test_two_grid_certified_x_matches_the_inverse_path[krasnov1]",
+      DENSE + "test_overflowing_solution_is_refused_without_warning[two_grid]"]),
+    # no LU after refinement steps that miss the residual test
+    (LINSOLVE, "return x\n        try:", "return x\n                return x\n        try:",
+     [DENSE + "test_stalled_two_grid_solve_falls_back_to_lu",
+      DENSE + "test_overflowing_solution_is_refused_without_warning[two_grid]"]),
+    # refinement by the residual alone, without its P (V r) term
+    (LINSOLVE, "x += P @ (V @ r)", "pass",
+     [DENSE + "test_dominant_systems_skip_the_inverse[krasnov1-False]",
+      DENSE + "test_localized_kernels_skip_the_inverse[2.0-cos]"]),
     # a bracket end that is not finite accepted by the eigen search
     (LINSOLVE, "if not math.isfinite(end):", "if False:",
      [EIGEN + "test_bracket_end_that_is_not_finite_refused[both]"]),

@@ -118,6 +118,18 @@ class TestProblemValidation:
             solve(p, 4)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
+    @pytest.mark.parametrize("kind", ["fredholm2", "volterra2", "volterra1"])
+    def test_forcing_that_is_not_finite_is_named_by_node(self, kind):
+        # NaN at node 6 of 10 is named by that node before any solve, not by
+        # the row of the system it lands in: b[6] for fredholm2, and b[5, 0]
+        # in the causal kinds' trailing system, which starts at node 1
+        x6 = make_grid(0.0, 1.0, 10).nodes[6]
+        p = IntegralProblem(kind, lambda x, s: x * s, (0, 1),
+                            forcing=lambda x: np.where(x == x6, np.nan, 1.0),
+                            lam=None if kind == "volterra1" else 0.5)
+        with pytest.raises(ValueError, match=rf"^sample 6 at x={x6} is not finite: nan$"):
+            solve(p, 10)
+
     @pytest.mark.parametrize("kind", ["fredholm2", "volterra2", "fredholm_eigen"])
     def test_failing_reference_is_named_by_node(self, kind):
         # the report samples the reference at the nodes before any other use

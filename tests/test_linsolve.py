@@ -125,6 +125,32 @@ class TestSolveDense:
         with pytest.raises(ValueError, match=r"b\[2\] is not finite"):
             solve_dense(np.eye(3), b)
 
+    @pytest.mark.parametrize("A,error", [
+        # finite: the row sums show it, and A is not scanned again
+        (np.eye(3), None),
+        # finite, but its row sums overflow: A is scanned, found finite, and
+        # takes the inverse path, whose rcond is 0, as cond makes it
+        (1e308 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "cond"),
+    ], ids=["finite", "row_sums_overflow"])
+    def test_matrix_is_scanned_only_when_its_row_sums_are_not_finite(self, monkeypatch,
+                                                                     A, error):
+        scanned = []
+        require = linsolve._require_finite
+
+        def spied(name, X):
+            scanned.append(name)
+            require(name, X)
+
+        monkeypatch.setattr(linsolve, "_require_finite", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is None:
+                np.testing.assert_array_equal(solve_dense(A, np.ones(3)), np.ones(3))
+            else:
+                with pytest.raises(SingularMatrixError, match=error):
+                    solve_dense(A, np.ones(3))
+        assert scanned == (["b"] if error is None else ["b", "A"])
+
     def test_one_factorization_per_call(self, monkeypatch):
         # the gate reads the inverse from the solve itself: neither cond nor
         # inv runs, and numpy.linalg.solve runs once, for (2, 1) and (2, k) b
@@ -745,6 +771,14 @@ class TestFindRealEigenvalues:
         # an infinite bracket holds
         with pytest.raises(ValueError, match=f"bracket end {end} is not finite"):
             find_real_eigenvalues(np.full((3, 3), 1e-320), lo, hi)
+
+    def test_finite_alpha_is_not_scanned_again(self, monkeypatch):
+        # its norm shows that alpha is finite; only an alpha whose norm is
+        # not finite is scanned, to name an entry
+        monkeypatch.setattr(linsolve, "_require_finite", mock.Mock())
+        roots = find_real_eigenvalues(np.diag([2.0, 4.0]), 0.0, 1.0)
+        assert [r.value for r in roots] == [0.25, 0.5]
+        linsolve._require_finite.assert_not_called()
 
     def test_alpha_whose_norm_overflows_refused_without_warning(self):
         # ||alpha||_inf = 3e308 is inf, and so was the residual tolerance

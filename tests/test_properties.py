@@ -448,6 +448,7 @@ def scaled(pid, what, e):
 
 @given(scaled_registry_problem())
 @example(("krasnov4", "interval", 400, 5))   # W's entries overflow: near 2^1200
+@example(("krasnov2", "interval", 341, 2))   # W's entries are finite, its row sums not
 @settings(max_examples=200, deadline=None)
 def test_scaled_registry_problem_solves_or_names_the_bad_input(case):
     pid, what, e, n = case
