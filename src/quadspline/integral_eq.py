@@ -16,16 +16,18 @@ lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
-as the (q, rows, p) stack of every row's own quadrature nodes on the
-p <= n pieces that the block's rows reach, and only at a <= s <= the
-row's limit, the node that ends its last piece (s = x included, so a
-kernel infinite on the diagonal is not supported); blocks are sized by
-rows x reach, so a Volterra row is not evaluated on the pieces beyond its
-own point. A broadcastable result such as a constant is accepted, and a
+as the (q, rows, p) stack of the quadrature nodes of the p <= n pieces
+that the block's rows reach. It is one stack of every piece's nodes,
+built once per call, with the nodes of the pieces beyond a row's reach
+set to its limit, the node that ends its last piece, so the kernel is
+called only at a <= s <= that limit (s = x included, so a kernel
+infinite on the diagonal is not supported); blocks are sized by rows x
+reach, so a Volterra row is not evaluated on the pieces beyond its own
+point. A broadcastable result such as a constant is accepted, and a
 kernel is called per point only when the array call raises TypeError or
 ValueError. When every row reaches all n pieces (fredholm2,
-fredholm_eigen), s is a read-only broadcast of one (q, 1, p) stack, and no
-kernel may write into its arguments.
+fredholm_eigen), no node is set and s is a read-only broadcast of the
+one stack, and no kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -151,17 +153,17 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     count of n in blocks of equal rows of all n pieces.
 
     Every piece k is integrated with `rule` (nodes t, weights w) at the
-    half-width `half` = (x_k - x_{k-1})/2 when the row reaches it (full)
-    and 0 when it lies beyond (empty). Each row has its own nodes,
-    s = half (1 + t) + start, where start is x_{k-1} for a full piece and
-    x_{reach_i} for an empty one: one (q, 2) x (2, rows p) product of the
-    rule's columns 1 + t, 1 with the rows' half-widths and starts. So the
-    kernel is called once per block, on a (rows, 1) column of x and the
-    (q, rows, p) stack of s, and only at a <= s <= x_{reach_i} (an empty
-    piece's nodes all sit at x_{reach_i}). A shared count of n gives every
-    row the same nodes: its (q, 1, p) stack is built once, and the kernel
-    gets a read-only broadcast of it (row stride 0); any other count is
-    taken per row, and its nodes are built per block. The kernel must not
+    nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: one (q, 2) x (2, n) product
+    of the rule's columns 1 + t, 1 with the pieces' half-widths and starts
+    gives the (q, 1, n) stack of every piece's nodes, once per call. Row i
+    takes that stack with every node of a piece beyond its reach (empty)
+    set to its limit x_{reach_i}, and a piece it reaches (full) keeps its
+    nodes, none of which lies beyond x_k <= x_{reach_i}. So the kernel is
+    called once per block, on a (rows, 1) column of x and the
+    (q, rows, p) stack of s, and only at a <= s <= x_{reach_i}. A shared
+    count of n sets nothing: the kernel gets a read-only broadcast of the
+    stack (row stride 0); any other count is copied per block into a
+    buffer, where the empty pieces' nodes are set. The kernel must not
     write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the weights
@@ -211,29 +213,24 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
         blocks.append((lo, lo + rows, p))
         max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
         lo += rows
-    # each block takes the leading part of every buffer; a shared count of
-    # n has one node stack, of every piece, for all rows
-    hs_buf = np.empty(2 * max_size if per_row else 0)
+    # each block takes the leading part of every buffer; one node stack, of
+    # every piece, serves all rows
     s_buf = np.empty(q * max_size if per_row else 0)
     m_buf = np.empty(3 * max_size)
     quad_buf = np.empty(max_rows * n)
     W = np.empty((len(xs), n + 1))
+    shared = np.matmul(rule._node_map, np.array((halves, starts))).reshape(q, 1, n)
     if not per_row:
-        s = np.matmul(rule._node_map, np.array((halves, starts))).reshape(q, 1, n)
-        s = np.broadcast_to(s, (q, blocks[0][1], n))
+        s = np.broadcast_to(shared, (q, blocks[0][1], n))
     for lo, hi, p in blocks:
         x = xs[lo:hi]
         m = len(x)
         if per_row:  # the pieces beyond a row's reach are empty
-            hs = hs_buf[:2 * m * p].reshape(2, m, p)
-            half, start = hs
             r = reach[lo:hi, None]
             empty = count[:p] > r
-            np.copyto(half, halves[:p])
-            np.copyto(half, 0.0, where=empty)
-            np.minimum(starts[:p], nodes[r], out=start)
-            s = np.matmul(rule._node_map, hs.reshape(2, -1),
-                          out=s_buf[:q * m * p].reshape(q, -1)).reshape(q, m, p)
+            s = s_buf[:q * m * p].reshape(q, m, p)
+            np.copyto(s, shared[:, :, :p])
+            np.copyto(s, nodes[r], where=empty)
         K = eval_many(kernel, x, s[:, :m])
         # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),

@@ -4,6 +4,11 @@ l2_error returns the integral of the squared deviation itself, NOT its
 square root; that is the convention of the interpolation benchmark tables.
 (The equation solvers report the root of this quantity; see
 integral_eq.SolveReport.)
+
+An integral or a max deviation is returned only when it is finite in
+doubles, or NaN when a NaN value is carried through; one that is not
+raises InvalidDomainError naming the range, and no overflow or invalid
+warning escapes.
 """
 from __future__ import annotations
 
@@ -84,7 +89,27 @@ def integrate_panels(
     Exact per panel for polynomials up to degree 2*order - 1; additive
     across adjacent ranges. Raises InvalidDomainError for a non-finite lo
     or hi or width hi - lo, and ValueError for lo > hi or unless panels is
-    an integer >= 1.
+    an integer >= 1. A finite integral is returned finite, even where a
+    panel's weighted sum of f overflows before its half-width scales it
+    down (f = 1e308 on [0, 1e-300]); one that is not finite in doubles, an
+    infinite value of f or an integral beyond the largest double, raises
+    InvalidDomainError. A NaN of f is carried through to a NaN result.
+    """
+    return _integral(f, 1, lo, hi, panels, rule, "the integral")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _integral(f: ScalarFunction, power: int, lo: float, hi: float, panels: int,
+              rule: QuadratureRule, what: str) -> float:
+    """integrate_panels of f ** power (power 1 or 2), with `what` naming
+    the integral in its refusal.
+
+    The plain sum, sum(half * (f(nodes) ** power @ rule.weights)), is
+    taken first, so every finite result keeps its bits. Only when it is
+    not finite and f's values are, it is taken again with f's values and
+    the half-widths each scaled by the power of two of their max, and
+    scaled back: no sum or product then overflows that the integral does
+    not.
     """
     _check_range(lo, hi)
     if not (isinstance(panels, Integral) and panels >= 1):
@@ -93,7 +118,15 @@ def integrate_panels(
         return 0.0
     pts, half = panel_points(lo, hi, panels, rule)
     vals = eval_many(f, pts.ravel()).reshape(pts.shape)
-    return float(np.add.reduce(half * (vals @ rule.weights)))
+    total = float(np.add.reduce(half * (vals ** power @ rule.weights)))
+    if not math.isfinite(total) and np.isfinite(vals).all():
+        e = math.frexp(float(np.abs(vals).max()))[1]
+        k = math.frexp(float(half.max()))[1]
+        scaled = np.ldexp(half, -k) * (np.ldexp(vals, -e) ** power @ rule.weights)
+        total = float(np.ldexp(np.add.reduce(scaled), power * e + k))
+    if math.isinf(total) or (math.isnan(total) and not np.isnan(vals).any()):
+        raise InvalidDomainError(f"{what} over [{lo}, {hi}] is not finite: {total}")
+    return total
 
 
 def _check_range(lo: float, hi: float) -> None:
@@ -164,20 +197,23 @@ def l2_error(
 ) -> float:
     """Integral of (approx - reference)^2 over [lo, hi] (the squared L2 norm).
 
-    Raises InvalidDomainError when it is not finite: when the deviation or
-    the interval is so large that the integral overflows a double, or when
-    a panel too narrow for its ends to differ in doubles meets an infinite
+    Integrated as integrate_panels does, the deviation scaled before it
+    is squared, so a finite integral is returned finite even where a
+    square or a weighted sum overflows (a deviation of 1e200 on
+    [0, 1e-300]). Raises InvalidDomainError when it is not finite: when
+    the deviation overflows a double (1e308 against -1e308) or is NaN at
+    a node, when the integral is beyond the largest double, or when a
+    panel too narrow for its ends to differ in doubles meets an infinite
     integrand (0 * inf).
     """
+    what = "the integral of the squared deviation"
 
-    def sq_diff(x):
-        return (eval_many(approx, x) - eval_many(reference, x)) ** 2
+    def diff(x):
+        return eval_many(approx, x) - eval_many(reference, x)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate_panels(sq_diff, lo, hi, panels, rule)
-    if not math.isfinite(total):
-        raise InvalidDomainError(f"the integral of the squared deviation over "
-                                 f"[{lo}, {hi}] is not finite: {total}")
+    total = _integral(diff, 2, lo, hi, panels, rule, what)
+    if math.isnan(total):
+        raise InvalidDomainError(f"{what} over [{lo}, {hi}] is not finite: {total}")
     return total
 
 
@@ -197,9 +233,11 @@ def max_error(
     arithmetic of np.linspace. The deviation is taken in place in
     approx's result, or in a fresh array when that one is read-only. The
     max is bit-identical to the unblocked np.max(np.abs(...)): max is exact
-    and np.maximum carries a NaN through. Raises InvalidDomainError for a
-    non-finite lo or hi or width hi - lo, and ValueError for lo > hi or
-    unless samples is an integer >= 2.
+    and np.maximum carries a NaN through, to a NaN result. Raises
+    InvalidDomainError for a non-finite lo or hi or width hi - lo, or a
+    deviation that is not finite in doubles (an infinite value, or finite
+    ones whose difference overflows: 1e308 against -1e308), and ValueError
+    for lo > hi or unless samples is an integer >= 2.
     """
     _check_range(lo, hi)
     if not (isinstance(samples, Integral) and samples >= 2):
@@ -207,9 +245,12 @@ def max_error(
     lo, hi, count = float(lo), float(hi), int(samples)
     base = np.arange(min(count, _BLOCK), dtype=float)
     dev = 0.0
-    for start in range(0, count, _BLOCK):
-        xs = _equispaced(lo, hi, count, base[:count - start] + start)
-        d = eval_many(approx, xs)
-        d = np.subtract(d, eval_many(reference, xs), out=d if d.flags.writeable else None)
-        dev = np.maximum(dev, np.abs(d, out=d).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, _BLOCK):
+            xs = _equispaced(lo, hi, count, base[:count - start] + start)
+            d = eval_many(approx, xs)
+            d = np.subtract(d, eval_many(reference, xs), out=d if d.flags.writeable else None)
+            dev = np.maximum(dev, np.abs(d, out=d).max())
+    if dev == np.inf:
+        raise InvalidDomainError(f"the max deviation over [{lo}, {hi}] is not finite: {dev}")
     return float(dev)

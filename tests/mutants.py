@@ -7,9 +7,16 @@ time to that copy and runs only that entry's tests on it. A mutant is
 killed when at least one of them fails; the run exits non-zero when a
 mutant survives, when the tests fail or error otherwise, or when an old
 text, here or in EQUIVALENT, does not occur exactly once in its file, so
-that a change to the code must update the list. pytest runs from a
-temporary working directory, so hypothesis's example database in the
-repository never stores a mutant's failures.
+that a change to the code must update the list.
+
+Each pytest run is a child forked from this process, which has imported
+numpy, pytest and hypothesis but never quadspline: the child puts the
+copy of src first on sys.path, runs pytest.main and exits with its
+status, so no run pays for a fresh interpreter and those imports. BLAS
+is held to one thread, since forking after its threads start is unsafe.
+The runs are made from a temporary working directory, where hypothesis
+is imported, so hypothesis's example database in the repository never
+stores a mutant's failures.
 
 EQUIVALENT lists mutants that no test can kill, because the program
 behaves the same with them, each with the reason; they are checked for
@@ -19,11 +26,18 @@ from __future__ import annotations
 
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
+# no bytecode is cached, so a mutant of the same length as its old text is
+# never run from the cache of the text it replaced
+sys.dont_write_bytecode = True
+import numpy  # noqa: E402,F401  (imported once, for every child)
+import pytest  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 CORE = "src/quadspline/core.py"
@@ -37,6 +51,9 @@ ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
 V1 = "tests/test_integral_eq.py::TestSolveVolterra1::"
 EIGEN = "tests/test_linsolve.py::TestFindRealEigenvalues::"
 DENSE = "tests/test_linsolve.py::TestSolveDense::"
+PANELS = "tests/test_quadrature.py::TestIntegratePanels::"
+L2 = "tests/test_quadrature.py::TestL2Error::"
+MAX = "tests/test_quadrature.py::TestMaxError::"
 
 MUTANTS = [
     # eval_many retries the package's own callables point by point
@@ -77,9 +94,10 @@ MUTANTS = [
     (OPERATOR, "empty = count[:p] > r", "empty = count[:p] >= r",
      [ROWS + "test_rows_match_summed_piece_weights[3-polynomial-causal]",
       "tests/test_properties.py::test_operator_rows_match_summed_piece_weights[volterra]"]),
-    # empty pieces left at their own starts, beyond the row's limit
-    (OPERATOR, "np.minimum(starts[:p], nodes[r], out=start)", "np.copyto(start, starts[:p])",
+    # empty pieces left at their own nodes, beyond the row's limit
+    (OPERATOR, "np.copyto(s, nodes[r], where=empty)", "None",
      [ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-causal]",
+      ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-tail]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-unsorted_nodes]"]),
     # a block of rows that reach one piece takes one column, which BLAS's
     # matrix-vector routine rounds differently
@@ -87,8 +105,8 @@ MUTANTS = [
      [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
     # the shared node stack copied per row instead of broadcast read-only
-    (OPERATOR, "s = np.broadcast_to(s, (q, blocks[0][1], n))",
-     "s = np.broadcast_to(s, (q, blocks[0][1], n)).copy()",
+    (OPERATOR, "s = np.broadcast_to(shared, (q, blocks[0][1], n))",
+     "s = np.broadcast_to(shared, (q, blocks[0][1], n)).copy()",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
     # the weights without their h: every row of a piece's width other than 1 wrong
@@ -157,6 +175,36 @@ MUTANTS = [
     (QUADRATURE, "if step == 0:", "if False:",
      ["tests/test_properties.py::test_panel_points_are_the_linspace_form_bit_for_bit",
       "tests/test_quadrature.py::TestStreamedMesh::test_blocks_are_the_linspace_bit_for_bit"]),
+    # the overflow warnings of an integrand and its sums left to escape
+    (QUADRATURE, '@np.errstate(over="ignore", invalid="ignore")\ndef _integral', "def _integral",
+     [PANELS + "test_finite_integral_whose_sums_overflow_is_finite[sums_overflow]"]),
+    # a sum that overflows never taken again scaled
+    (QUADRATURE, "if not math.isfinite(total) and np.isfinite(vals).all():", "if False:",
+     [PANELS + "test_finite_integral_whose_sums_overflow_is_finite[sums_overflow]",
+      L2 + "test_finite_integral_whose_squares_overflow_is_finite[squares_overflow]"]),
+    # the half-widths left unscaled: a subnormal one rounds its panel's sum
+    (QUADRATURE, "k = math.frexp(float(half.max()))[1]", "k = 0",
+     [PANELS + "test_finite_integral_whose_sums_overflow_is_finite[subnormal_half]"]),
+    # a scaled integral of squares scaled back as one of values
+    (QUADRATURE, "power * e + k", "e + k",
+     [L2 + "test_finite_integral_whose_squares_overflow_is_finite[sums_overflow]"]),
+    # an integral beyond the largest double returned as inf
+    (QUADRATURE, "if math.isinf(total) or (math.isnan(total) and not np.isnan(vals).any()):",
+     "if False:",
+     [PANELS + "test_integral_beyond_a_double_is_refused_by_its_range[1.5e+308]"]),
+    # a NaN integrand refused instead of carried through
+    (QUADRATURE, "math.isinf(total) or (math.isnan(total) and not np.isnan(vals).any())",
+     "not math.isfinite(total)",
+     [PANELS + "test_nan_integrand_is_carried_through"]),
+    # a NaN squared deviation carried through by l2_error
+    (QUADRATURE, "if math.isnan(total):", "if False:",
+     [L2 + "test_deviation_that_is_not_finite_is_refused_by_its_range[nan]"]),
+    # a max deviation that overflows returned as inf, or its warning let out
+    (QUADRATURE, "if dev == np.inf:", "if False:",
+     [MAX + "test_deviation_that_is_not_finite_is_refused_by_its_range[difference_overflows]"]),
+    (QUADRATURE, 'with np.errstate(over="ignore", invalid="ignore"):\n        for start',
+     "with np.errstate():\n        for start",
+     [MAX + "test_deviation_that_is_not_finite_is_refused_by_its_range[difference_overflows]"]),
     # eigenvalue clusters broken one value early
     (LINSOLVE, "gaps.nonzero()[0] + 1", "gaps.nonzero()[0]",
      ["tests/test_properties.py::test_merged_roots_are_the_split_form_bit_for_bit"]),
@@ -253,6 +301,10 @@ MUTANTS = [
     (SPLINE, "out=r[:, :0:-1])\n    r[:, 1::2] *= -1.0", "out=r[:, :0:-1])",
      ["tests/test_spline.py::TestCoefficientMatrix::test_adjoint_is_product_with_matrix[7]",
       ROWS + "test_rows_match_summed_piece_weights[8-polynomial-full]"]),
+    # the adjoint's flat scatter without its third update: each row's
+    # quadratic moments go to two of their three nodes
+    (SPLINE, "flat[2:] += v[:-2]", "pass",
+     [ROWS + "test_rows_match_summed_piece_weights[3-constant-full]"]),
     # a run of pieces starting after its first t = k: a node on a grid of
     # exact t takes the piece on its left
     (SPLINE, "edges[1:-1] = t.searchsorted(np.arange(first + 1, last + 1))",
@@ -287,14 +339,27 @@ EQUIVALENT = [
 ]
 
 
-def pytest_status(src: Path, ids: list[str], cwd: Path, show: bool = False) -> int:
-    """pytest's exit status on `ids`, with `src` in place of the package's
-    source; its report is printed only when `show`."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "--tb=short", "-p", "no:cacheprovider",
-         *(str(REPO / i) for i in ids)],
-        cwd=cwd, env=env, stdout=None if show else subprocess.DEVNULL).returncode
+def pytest_status(src: Path, ids: list[str], show: bool = False) -> int:
+    """pytest's exit status on `ids`, run in a child forked from this
+    process with `src` first on its sys.path; its report is printed only
+    when `show`."""
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 3  # pytest's internal error, should pytest.main itself raise
+        try:
+            if not show:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            sys.path.insert(0, str(src))
+            status = int(pytest.main(["-q", "-x", "--tb=short", "-p", "no:cacheprovider",
+                                      *(str(REPO / i) for i in ids)]))
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main() -> int:
@@ -308,10 +373,12 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        os.chdir(tmp)
+        import hypothesis  # noqa: F401  (its database is under the working directory)
         src = tmp / "src"
         shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         every = list(dict.fromkeys(i for *_, ids in MUTANTS for i in ids))
-        status = pytest_status(src, every, tmp, show=True)
+        status = pytest_status(src, every, show=True)
         if status != 0:
             print(f"the listed tests do not pass on the untouched source (pytest exit {status})")
             return 1
@@ -320,11 +387,12 @@ def main() -> int:
             path = src / Path(file).relative_to("src")
             text = path.read_text()
             path.write_text(text.replace(old, new))
-            status = pytest_status(src, ids, tmp)
+            status = pytest_status(src, ids)
             path.write_text(text)
             verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
             print(f"{verdict:8} {file}: {old!r} -> {new!r}")
             survivors += status != 1
+        os.chdir(REPO)
     print(f"{len(MUTANTS)} mutants, {survivors} not killed, {len(EQUIVALENT)} equivalent "
           f"listed, {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0

@@ -14,8 +14,10 @@ two, and the Volterra-2 problems with their forcing, or their kernel
 against lam, scaled so that the samples scale exactly, with every warning
 an error.
 """
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 
 from quadspline import (IntegralProblem, InvalidDomainError, OutOfDomainError, SingularMatrixError,
                         build_spline, coeffs_closed_form, find_real_eigenvalues, gauss_legendre,
-                        make_grid, solve)
+                        integrate_panels, l2_error, make_grid, max_error, solve)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import _merged_roots
 from quadspline.quadrature import panel_points
@@ -422,6 +424,105 @@ def test_eigen_search_returns_finite_roots_or_names_the_bad_input(case):
     for r in results:
         assert lo <= r.value <= hi
         assert np.isfinite(r.vector).all() and np.isfinite(r.residual)
+
+
+# the finite doubles of EXTREMES: ±0, subnormals, ±1e±308 and the largest
+FINITE_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                                   1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308]) \
+    | st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def by_position(values):
+    """A function that gives `values`, repeated, at the points it is called on."""
+    return lambda x: np.resize(values, np.shape(x))
+
+
+@st.composite
+def quadrature_case(draw):
+    """One of the three quadrature functions, the values of its integrand
+    (or of approx and reference) drawn from FINITE_EXTREMES, and two
+    distinct ends drawn from EXTREMES, in order or not."""
+    func = draw(st.sampled_from(["integrate_panels", "l2_error", "max_error"]), label="func")
+    values = [draw(arrays(np.float64, draw(st.integers(1, 6), label="k"),
+                          elements=FINITE_EXTREMES), label="values") for _ in range(2)]
+    ends = draw(st.lists(EXTREMES, min_size=2, max_size=2, unique=True), label="ends")
+    if draw(st.booleans(), label="sorted"):
+        ends.sort()
+    lo, hi = ends
+    if func == "max_error":
+        return func, values, lo, hi, draw(st.integers(2, 40), label="samples")
+    return func, values, lo, hi, draw(st.integers(1, 6), label="panels"), \
+        gauss_legendre(draw(st.sampled_from([1, 2, 4, 8]), label="q"))
+
+
+def integral_bounds(vals, half, weights, power):
+    """The exact integral of the composite rule on these doubles, and the
+    error the doubles may make: 1e-12 of the sum of the absolute terms,
+    plus the spacing of the subnormals at the scale the rule sums them,
+    unscaled or scaled by the powers of two of max |vals| and max half."""
+    terms = [Fraction(h) * Fraction(w) * Fraction(v) ** power
+             for h, row in zip(half, vals) for w, v in zip(weights, row)]
+    e = math.frexp(float(np.abs(vals).max()))[1]
+    k = math.frexp(float(half.max()))[1]
+    floor = Fraction(2) ** (power * e + k - 1074) + Fraction(2) ** -1074 * (1 + Fraction(half.max()))
+    return sum(terms), Fraction(1, 10 ** 12) * sum(map(abs, terms)) + 64 * len(terms) * floor
+
+
+@given(quadrature_case())
+@example(("integrate_panels", [np.array([1e308]), np.array([0.0])], 0.0, 1e-300, 3,
+          gauss_legendre(4)))
+@example(("l2_error", [np.array([1e200]), np.array([0.0])], 0.0, 1e-300, 3, gauss_legendre(4)))
+@example(("max_error", [np.array([1e308]), np.array([-1e308])], 0.0, 1.0, 11))
+# the step of the panel ends times 3 overflows where hi replaces it
+@example(("integrate_panels", [np.array([0.0]), np.array([0.0])], 0.0, 1.7976931348623157e308,
+          3, gauss_legendre(1)))
+@settings(max_examples=300, deadline=None)
+def test_quadrature_returns_finite_values_or_names_the_range(case):
+    # a finite integral or max deviation is returned, to within the
+    # rounding of its terms; one beyond the largest double, a deviation
+    # that overflows or a range that is not one is refused by its range
+    func, (a, r), lo, hi, *args = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if func == "integrate_panels":
+                got = integrate_panels(by_position(a), lo, hi, *args)
+            else:
+                got = globals()[func](by_position(a), by_position(r), lo, hi, *args)
+        except (InvalidDomainError, ValueError) as exc:
+            assert f"{lo}" in str(exc) and f"{hi}" in str(exc), exc
+            refused = exc
+        else:
+            refused = None
+    if not math.isfinite(hi - lo):
+        assert isinstance(refused, InvalidDomainError) and "finite endpoints" in str(refused)
+        return
+    if lo > hi:
+        assert type(refused) is ValueError and "lo <= hi" in str(refused)
+        return
+    if hi == lo and func != "max_error":  # no point is evaluated
+        assert refused is None and got == 0.0
+        return
+    if func != "integrate_panels":
+        count = args[0] if func == "max_error" else args[0] * args[1].order
+        with np.errstate(over="ignore"):
+            dev = np.resize(a, count) - np.resize(r, count)
+        if not np.isfinite(dev).all():
+            assert isinstance(refused, InvalidDomainError), got
+            return
+    if func == "max_error":
+        assert refused is None and got == np.abs(dev).max()
+        return
+    panels, rule = args
+    with np.errstate(over="ignore"):  # k * step may overflow where k[-1] = hi replaces it
+        pts, half = panel_points(lo, hi, panels, rule)
+    vals = np.resize(a, pts.shape) if func == "integrate_panels" else dev.reshape(pts.shape)
+    exact, tol = integral_bounds(vals, half, rule.weights, 1 if func == "integrate_panels" else 2)
+    if refused is not None:
+        assert isinstance(refused, InvalidDomainError)
+        assert abs(exact) + tol >= Fraction(np.finfo(float).max), (float(exact), refused)
+    else:
+        assert math.isfinite(got) and abs(Fraction(got) - exact) <= tol, (got, float(exact))
 
 
 @st.composite

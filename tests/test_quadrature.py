@@ -153,6 +153,34 @@ class TestIntegratePanels:
         got = integrate_panels(math.exp, 0, 1, 2, gauss_legendre(8))
         assert got == pytest.approx(math.e - 1, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, panels, want", [
+        (0.0, 1.0, 3, 1e308),      # each panel's weighted sum overflows
+        (0.0, 1e-300, 3, 1e8),     # so does each one scaled down to 1e8
+        # one panel of the smallest subnormal half-width, 2^-1074: its
+        # weighted sum of 1e308 times it rounds to 2^-1074 unless the
+        # half-width is scaled up as well
+        (0.0, 1e-323, 1, 1e308 * 2.0 ** -1073),
+    ], ids=["sums_overflow", "scaled_sums_overflow", "subnormal_half"])
+    def test_finite_integral_whose_sums_overflow_is_finite(self, lo, hi, panels, want):
+        got = integrate_panels(lambda x: np.full_like(x, 1e308), lo, hi, panels,
+                               gauss_legendre(4))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1.5e308, np.inf])
+    def test_integral_beyond_a_double_is_refused_by_its_range(self, value):
+        # 1.5e308 on [0, 2] integrates to 3e308, finite values or not
+        with pytest.raises(InvalidDomainError,
+                           match=r"^the integral over \[0.0, 2.0\] is not finite: inf$"):
+            integrate_panels(lambda x: np.full_like(x, value), 0.0, 2.0, 3, gauss_legendre(4))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_integrand_is_carried_through(self):
+        got = integrate_panels(lambda x: np.where(x > 0.5, np.nan, 1e308), 0.0, 1.0, 3,
+                               gauss_legendre(4))
+        assert math.isnan(got)
+
 
 class TestPanelPoints:
     def test_zero_width_range_has_zero_half_widths(self):
@@ -214,6 +242,26 @@ class TestL2Error:
         with pytest.raises(InvalidDomainError, match="is not finite: inf"):
             l2_error(approx, lambda x: np.full_like(x, 2.0), lo, hi, 4, gauss_legendre(8))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("deviation, want", [
+        (1e154, 1e8),     # the squares are finite, their weighted sums not
+        (1e200, 1e100),   # the squares overflow too
+    ], ids=["sums_overflow", "squares_overflow"])
+    def test_finite_integral_whose_squares_overflow_is_finite(self, deviation, want):
+        got = l2_error(lambda x: np.full_like(x, deviation), np.zeros_like, 0.0, 1e-300, 3,
+                       gauss_legendre(4))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("approx, total", [(1e308, "inf"), (np.nan, "nan")],
+                             ids=["overflows", "nan"])
+    def test_deviation_that_is_not_finite_is_refused_by_its_range(self, approx, total):
+        # 1e308 against -1e308 overflows; a NaN is not carried through here
+        with pytest.raises(InvalidDomainError, match=r"^the integral of the squared "
+                           rf"deviation over \[0.0, 1e-300\] is not finite: {total}$"):
+            l2_error(lambda x: np.full_like(x, approx), lambda x: np.full_like(x, -1e308),
+                     0.0, 1e-300, 3, gauss_legendre(4))
+
     def test_published_interpolation_value(self):
         # |x| on [-1,1] with 100 pieces: published squared error 2.6e-5
         g = make_grid(-1, 1, 100)
@@ -247,6 +295,15 @@ class TestMaxError:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             max_error(np.cos, np.cos, 0, 1, samples=1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("approx", [lambda x: np.full_like(x, 1e308),
+                                        lambda x: np.where(x > 0.5, np.inf, 0.0)],
+                             ids=["difference_overflows", "infinite"])
+    def test_deviation_that_is_not_finite_is_refused_by_its_range(self, approx):
+        with pytest.raises(InvalidDomainError,
+                           match=r"^the max deviation over \[0.0, 1.0\] is not finite: inf$"):
+            max_error(approx, lambda x: np.full_like(x, -1e308), 0.0, 1.0, 11)
 
     @pytest.mark.parametrize("samples", [2.5, 2.0, "3"])
     def test_non_integer_sample_count_refused(self, samples):
