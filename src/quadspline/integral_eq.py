@@ -153,18 +153,18 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     count of n in blocks of equal rows of all n pieces.
 
     Every piece k is integrated with `rule` (nodes t, weights w) at the
-    nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: one (q, 2) x (2, n) product
-    of the rule's columns 1 + t, 1 with the pieces' half-widths and starts
-    gives the (q, 1, n) stack of every piece's nodes, once per call. Row i
-    takes that stack with every node of a piece beyond its reach (empty)
-    set to its limit x_{reach_i}, and a piece it reaches (full) keeps its
-    nodes, none of which lies beyond x_k <= x_{reach_i}. So the kernel is
-    called once per block, on a (rows, 1) column of x and the
-    (q, rows, p) stack of s, and only at a <= s <= x_{reach_i}. A shared
-    count of n sets nothing: the kernel gets a read-only broadcast of the
-    stack (row stride 0); any other count is copied per block into a
-    buffer, where the empty pieces' nodes are set. The kernel must not
-    write into its arguments.
+    nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: the outer product of 1 + t
+    with the pieces' half-widths, plus their starts, each product rounded
+    before its sum whatever the BLAS, gives the (q, 1, n) stack of every
+    piece's nodes, once per call. Row i takes that stack with every node of
+    a piece beyond its reach (empty) set to its limit x_{reach_i}, and a
+    piece it reaches (full) keeps its nodes, none of which lies beyond
+    x_k <= x_{reach_i}. So the kernel is called once per block, on a
+    (rows, 1) column of x and the (q, rows, p) stack of s, and only at
+    a <= s <= x_{reach_i}. A shared count of n sets nothing: the kernel
+    gets a read-only broadcast of the stack (row stride 0); any other count
+    is copied per block into a buffer, where the empty pieces' nodes are
+    set. The kernel must not write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the weights
     w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h/8, h times the rule's
@@ -219,7 +219,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     m_buf = np.empty(3 * max_size)
     quad_buf = np.empty(max_rows * n)
     W = np.empty((len(xs), n + 1))
-    shared = np.matmul(rule._node_map, np.array((halves, starts))).reshape(q, 1, n)
+    shared = (np.multiply.outer(1.0 + rule.nodes, halves) + starts).reshape(q, 1, n)
     if not per_row:
         s = np.broadcast_to(shared, (q, blocks[0][1], n))
     for lo, hi, p in blocks:

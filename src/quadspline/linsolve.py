@@ -3,29 +3,22 @@
 Matrices are plain 2-D float arrays, and every factorization is LAPACK's
 through numpy.linalg. `solve_dense` refuses ill-conditioned systems with a
 condition gate, 1/cond_inf(A) <= RCOND_MIN, which unlike a pivot threshold
-does not depend on the pivot order; A is factored at most once, and its
-row sums, which Varah's bound below takes, also show an entry that is not
-finite, so A is read once more only to name it. When A is strictly
-diagonally dominant by rows with a wide enough margin, Varah's
-bound proves that the gate passes, and b is solved alone; this catches
-the second-kind systems I - lam*K whose rows have |lam| times the
-integral of |K(x_i, s)| below 1, roughly, such as the Volterra-2
-benchmark problems. When that misses and n >= _TWO_GRID_MIN_N = 71, a
-second proof comes from the two-grid approximate inverse B of I - A,
-built from the rows of A at every 8th index and their cubic
-interpolation in the row index (see _two_grid_inverse_bound); this
-catches the Fredholm-2 benchmark problems, whose rows vary smoothly with
-the row index. Then b is solved by B, with no LU: x = B b, refined by
-x <- x + B (b - A x), in O(n^2) a step, until its residual shows the
-backward error of a stable solve (see _RESIDUAL_C), and LU solves b
-alone when _REFINE_STEPS steps miss it. Any other A is solved with the
-identity beside b, which gives x and the exact inverse the gate needs.
-Both ways accept and refuse the same systems; a certified solve knows
-only a lower bound on 1/cond_inf(A), not its value. Characteristic
-values, the roots of det(I - lambda*alpha), come from the eigenvalues of
-alpha, and each null vector is the last right singular vector of
-I - lambda*alpha. The sign-tracked determinant those roots are tested
-against lives in tests/oracles.py.
+does not depend on the pivot order, and factors A at most once. Each of
+its certificates is a proved upper bound on ||A^-1||_inf, judged by one
+test. Varah's, for A strictly diagonally dominant by rows, catches the
+second-kind systems I - lam*K whose rows have |lam| times the integral of
+|K(x_i, s)| below 1, roughly, such as the Volterra-2 benchmark problems,
+and b is solved alone. From n = _TWO_GRID_MIN_N = 71 the two-grid
+approximate inverse B of I - A (see _two_grid_inverse_bound) catches the
+Fredholm-2 benchmark problems, whose rows vary smoothly with the row
+index, and solves b by refinement with B, with no LU. Any other A is
+solved with the identity beside b, which gives x and the exact inverse
+the gate needs. Both ways accept and refuse the same systems; a certified
+solve knows only a lower bound on 1/cond_inf(A), not its value.
+Characteristic values, the roots of det(I - lambda*alpha), come from the
+eigenvalues of alpha, and each null vector is the last right singular
+vector of I - lambda*alpha. The sign-tracked determinant those roots are
+tested against lives in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -189,29 +182,28 @@ def _finite_solution(x: np.ndarray) -> np.ndarray:
 def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for b of shape (n,) or (n, k), one column per system.
 
-    The condition gate refuses 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf)
-    <= RCOND_MIN, the value numpy.linalg.cond(A, inf) gives, and one pass
-    over |A| decides how it is applied. Its row sums r_i give ||A||_inf,
-    not finite when an entry of A is not (then named) or when they overflow,
-    and Varah's margin m = min_i (2|a_ii| - r_i); when A is strictly
-    diagonally dominant by rows, ||A^-1||_inf <= 1/m (J. M. Varah,
-    Linear Algebra Appl. 11, 1975), so 1/cond_inf(A) >= m/||A||_inf.
-    If that proved bound, less the rounding of the row sums, clears twice
-    RCOND_MIN, the gate is known to pass with room for the rounding of any
-    computed inverse, and A x = b is solved alone. When it does not and
-    n >= _TWO_GRID_MIN_N, the two-grid approximate inverse B gives a second
-    proof, 1/cond_inf(A) >= (1 - rho)/(||B||_inf ||A||_inf) (see
-    _two_grid_inverse_bound), and the same test applies; below that size it
-    costs more than the inverse it would save. A system the two-grid
+    The condition gate refuses 1/cond_inf(A) = 1/(||A||_inf ||A^-1||_inf) <=
+    RCOND_MIN, the value numpy.linalg.cond(A, inf) gives, and one pass over
+    |A| decides how it is applied. Its row sums r_i give ||A||_inf, which is
+    not finite when an entry of A is not (then named) or when they overflow
+    (then 1/cond_inf(A) = 0, as cond gives, and A is refused at once). Each
+    certificate is an upper bound on ||A^-1||_inf, inf when it proves
+    nothing, and certifies A when 2 RCOND_MIN (||A||_inf + s) bound < 1, s
+    the rounding of the row sums: the gate then passes with room for the
+    rounding of any computed inverse. Varah's bound is 1/(m - s) when that
+    is positive, for the margin m = min_i (2|a_ii| - r_i) (J. M. Varah,
+    Linear Algebra Appl. 11, 1975), and inf among subnormals, where it
+    overflows; a system it certifies is solved alone. When it does not
+    certify and n >= _TWO_GRID_MIN_N, the two-grid approximate inverse B
+    gives ||B||_inf/(1 - rho) (see _two_grid_inverse_bound); below that size
+    it costs more than the inverse it would save. A system the two-grid
     certifies is solved by x = B b and refinement, and after _REFINE_STEPS
     steps that miss the residual test by LU of b alone (see _RESIDUAL_C).
     Otherwise the columns of b and of the identity are solved together, one
     LU factorization giving x and the inverse, and the gate is applied to
-    the value cond computes from that inverse. Either way the gate accepts
-    and refuses the same systems. Neither proof certifies when its bound on
-    ||A^-1||_inf is not finite in doubles (an A of subnormals, say): the
-    inverse path decides, and an inverse that overflows gives
-    1/cond_inf(A) = 0, as cond does, and a refusal that says so. Raises
+    the value cond computes from that inverse; one that overflows gives
+    1/cond_inf(A) = 0, as cond does, and a refusal that says so. Either way
+    the gate accepts and refuses the same systems. Raises
     SingularMatrixError when LAPACK finds an exactly singular factor, the
     gate refuses A, or x overflows to a non-finite value on any path, and
     ValueError for an empty A, a shape mismatch, or naming the first
@@ -225,37 +217,32 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     n = len(A)
     k = 1 if b.ndim == 1 else b.shape[1]
-    # an entry that is not finite makes norm inf or nan, and is named. Row
-    # sums of a finite A that overflow give norm inf too: no certificate,
-    # and rcond 0 as cond makes it; an inverse near the overflow threshold
-    # does the same
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(A).sum(axis=1)
         norm = rows.max()
-        if not norm < np.inf:
+        if not norm < np.inf:  # an entry that is not finite is named
             _require_finite("A", A)
-        margin = (2.0 * np.abs(A.diagonal()) - rows).min()
+            raise SingularMatrixError(f"1/cond_inf(A) = 0 <= {RCOND_MIN}: ||A||_inf overflows")
         slack = (n + 1) * (_EPS * norm + _TINY)
-        # a bound on ||A^-1||_inf that is not finite proves nothing: among
-        # subnormals Varah's 1/(margin - slack) overflows while the
-        # factorization loses its relative precision. An infinite two-grid
-        # bound fails its own test below.
-        lower = margin - slack
-        certified = lower > 2.0 * RCOND_MIN * norm and np.isfinite(1.0 / lower)
-        if not certified and n >= _TWO_GRID_MIN_N:
+        # Varah's margin, its terms halved so that 2|a_ii| cannot overflow
+        lower = 2.0 * (np.abs(A.diagonal()) - 0.5 * rows).min() - slack
+        bound = 1.0 / lower if lower > 0.0 else np.inf
+        gate = 2.0 * RCOND_MIN * (norm + slack)
+        P = None
+        if not gate * bound < 1.0 and n >= _TWO_GRID_MIN_N:
             bound, P, V = _two_grid_inverse_bound(A)
-            certified = 2.0 * RCOND_MIN * (norm + slack) * bound < 1.0
-            if certified:  # x = B b, refined until the test of _RESIDUAL_C
-                tol = _RESIDUAL_C * (n + 1) * _EPS
-                b_norm = np.abs(b).max(axis=0)
-                x, r = np.zeros_like(b), b
-                for _ in range(_REFINE_STEPS + 1):
-                    x += r
-                    x += P @ (V @ r)
-                    r = b - A @ x
-                    limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
-                    if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
-                        return x
+        certified = gate * bound < 1.0
+        if certified and P is not None:  # x = B b, refined until the test of _RESIDUAL_C
+            tol = _RESIDUAL_C * (n + 1) * _EPS
+            b_norm = np.abs(b).max(axis=0)
+            x, r = np.zeros_like(b), b
+            for _ in range(_REFINE_STEPS + 1):
+                x += r
+                x += P @ (V @ r)
+                r = b - A @ x
+                limit = tol * (norm * np.abs(x).max(axis=0) + b_norm)
+                if ((np.abs(r).max(axis=0) <= limit) & (limit < np.inf)).all():
+                    return x
         try:
             X = np.linalg.solve(A, b if certified else np.column_stack((b, np.eye(n))))
         except np.linalg.LinAlgError as exc:

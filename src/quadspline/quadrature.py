@@ -41,13 +41,11 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    # integral_eq._integral_operator's tables, made once per rule, read-only:
+    # integral_eq._integral_operator's table, made once per rule, read-only:
     # rows w (1 - t)/4, w (1 + t)/4, w (t^2 - 1)/8 of each piece's
     # left-node, right-node and quadratic moments per unit of its width h
-    # (the divisions are exact), and the columns 1 + t, 1 that map a
-    # piece's (half-width, start) to its nodes
+    # (the divisions are exact)
     _piece_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _node_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.order, Integral) and self.order >= 1
@@ -62,11 +60,8 @@ class QuadratureRule:
         if not (np.abs(t) <= 1.0).all():  # NaN fails too
             raise InvalidDomainError(f"quadrature nodes must lie in [-1, 1], got {t}")
         rows = np.stack((w * (1.0 - t) / 4.0, w * (1.0 + t) / 4.0, w * (t * t - 1.0) / 8.0))
-        node_map = np.stack((1.0 + t, np.ones_like(t)), axis=1)
         rows.setflags(write=False)
-        node_map.setflags(write=False)
         object.__setattr__(self, "_piece_rows", rows)
-        object.__setattr__(self, "_node_map", node_map)
 
 
 @cache
@@ -176,6 +171,8 @@ def _equispaced(lo: float, hi: float, count: int, k: np.ndarray) -> np.ndarray:
     delta = hi - lo
     step = delta / div
     last = k[-1] == div
+    if last:  # hi replaces it below, where k * step may overflow
+        k[-1] = 0.0
     if step == 0:
         k /= div
         k *= delta

@@ -206,25 +206,33 @@ class SplineModel:
             def piece(row, out=None):
                 return row.take(km1, out=out, mode="clip")
         c0, c1, c2 = self._power
-        np.subtract(flat, piece(g.nodes[:-1], out=t), out=t)
-        out = piece(c2)
-        out *= t
-        if deriv:
-            out *= 2.0
-            out += piece(c1, out=t)
-        else:
-            c = piece(c1)
-            out += c
-            out *= t
-            out += piece(c0, out=c)
+        # an overflow raises at once, so no pass over the result looks for it
+        try:
+            with np.errstate(over="raise"):
+                np.subtract(flat, piece(g.nodes[:-1], out=t), out=t)
+                out = piece(c2)
+                out *= t
+                if deriv:
+                    out *= 2.0
+                    out += piece(c1, out=t)
+                else:
+                    c = piece(c1)
+                    out += c
+                    out *= t
+                    out += piece(c0, out=c)
+        except FloatingPointError:
+            raise ValueError(f"the spline's {('value', 'slope')[deriv]} overflows a double "
+                             f"at some x in [{lo}, {hi}]") from None
         return float(out[0]) if scalar else out.reshape(xs.shape)
 
     def __call__(self, x):
-        """Spline value at x (scalar or array); raises OutOfDomainError outside [a, b]."""
+        """Spline value at x (scalar or array); raises OutOfDomainError outside
+        [a, b], and ValueError when a value overflows a double."""
         return self._eval(x, 0)
 
     def derivative(self, x):
-        """First derivative at x; continuous across interior nodes."""
+        """First derivative at x; continuous across interior nodes. Raises as
+        __call__ does, for a slope that overflows."""
         return self._eval(x, 1)
 
 

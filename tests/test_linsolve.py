@@ -125,31 +125,61 @@ class TestSolveDense:
         with pytest.raises(ValueError, match=r"b\[2\] is not finite"):
             solve_dense(np.eye(3), b)
 
-    @pytest.mark.parametrize("A,error", [
+    @pytest.mark.parametrize("A,refused", [
         # finite: the row sums show it, and A is not scanned again
-        (np.eye(3), None),
+        (np.eye(3), False),
         # finite, but its row sums overflow: A is scanned, found finite, and
-        # takes the inverse path, whose rcond is 0, as cond makes it
-        (1e308 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "cond"),
-    ], ids=["finite", "row_sums_overflow"])
+        # refused at once, with the rcond of 0 that cond gives, before any
+        # certificate or LU
+        (1e308 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), True),
+        # the same at the two-grid's size
+        (1e308 * (np.eye(TWO_GRID_N) + np.eye(TWO_GRID_N, k=1)), True),
+    ], ids=["finite", "row_sums_overflow", "row_sums_overflow_two_grid_size"])
     def test_matrix_is_scanned_only_when_its_row_sums_are_not_finite(self, monkeypatch,
-                                                                     A, error):
-        scanned = []
-        require = linsolve._require_finite
+                                                                     A, refused):
+        scanned, shapes, two_grid = [], [], []
+        require, lu = linsolve._require_finite, np.linalg.solve
+        bound = linsolve._two_grid_inverse_bound
 
         def spied(name, X):
             scanned.append(name)
             require(name, X)
 
+        def recorded(A, B):
+            shapes.append(B.shape)
+            return lu(A, B)
+
+        def counted(A):
+            two_grid.append(len(A))
+            return bound(A)
+
         monkeypatch.setattr(linsolve, "_require_finite", spied)
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(linsolve, "_two_grid_inverse_bound", counted)
+        b = np.ones(len(A))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if error is None:
-                np.testing.assert_array_equal(solve_dense(A, np.ones(3)), np.ones(3))
+            if not refused:
+                np.testing.assert_array_equal(solve_dense(A, b), b)
             else:
-                with pytest.raises(SingularMatrixError, match=error):
-                    solve_dense(A, np.ones(3))
-        assert scanned == (["b"] if error is None else ["b", "A"])
+                with pytest.raises(SingularMatrixError,
+                                   match=r"1/cond_inf\(A\) = 0 <= 1e-13: \|\|A\|\|_inf overflows"):
+                    solve_dense(A, b)
+        assert scanned == (["b", "A"] if refused else ["b"])
+        assert shapes == ([] if refused else [(3,)])
+        assert two_grid == []
+
+    def test_margin_near_the_largest_double_does_not_overflow(self):
+        # |a_ii| = 2^1023, so 2|a_ii| overflows though the row sums are
+        # finite, the margin is 2^975 and 1/cond_inf(A) is about 2^-49: the
+        # gate refuses A, as cond says, and no infinite margin certifies it
+        a = 2.0**1023
+        A = np.array([[a, a - 2.0**975], [a - 2.0**975, a]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1.0 / np.linalg.cond(A, np.inf) < 2e-15
+            with pytest.raises(SingularMatrixError, match="cond"):
+                solve_dense(A, np.ones(2))
 
     def test_one_factorization_per_call(self, monkeypatch):
         # the gate reads the inverse from the solve itself: neither cond nor

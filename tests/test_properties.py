@@ -1,23 +1,25 @@
 """Property tests of the spline, the collocation operator and the solve.
 
-Grids are [a, a + width] with n pieces, drawn as in the other suites:
-a in [-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the
-operator, whose oracle is a Python loop over rows and pieces; n in
-[2, 40] on [a, a + width], a in [-2, 2], width in [0.5, 4], when it
-checks every rule and layout of piece counts). The parity properties
-solve symmetric Fredholm problems on [-L, L]. The next ones
-hold the package's ufunc and array-method forms to the bit against the
-numpy wrappers they replaced (tests/oracles.py). The eigen search is fed
-extreme doubles and scaled registry matrices, and the last properties solve
-every registry problem with its data or its interval scaled by a power of
-two, and the Volterra-2 problems with their forcing, or their kernel
-against lam, scaled so that the samples scale exactly, with every warning
-an error.
+Grids are [a, a + width] with n pieces, drawn as in the other suites: a in
+[-10, 10], width in [0.01, 10], n in [2, 60] (n in [2, 30] for the operator,
+whose oracle is a Python loop over rows and pieces; n in [2, 40] on
+[a, a + width], a in [-2, 2], width in [0.5, 4], when it checks every rule
+and layout of piece counts). The parity properties solve symmetric Fredholm
+problems on [-L, L]. The next ones hold the package's ufunc and array-method
+forms to the bit against the numpy wrappers they replaced
+(tests/oracles.py). The eigen search and the dense solve are fed extreme
+doubles and scaled registry matrices, the grid, the spline and its
+evaluation extreme ends, samples and points, and the quadrature functions
+extreme ends and values; the last properties solve every registry problem
+with its data or its interval scaled by a power of two, and the Volterra-2
+problems with their forcing, or their kernel against lam, scaled so that the
+samples scale exactly, with every warning an error.
 """
 import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -27,9 +29,10 @@ from hypothesis.extra.numpy import arrays
 
 from quadspline import (IntegralProblem, InvalidDomainError, OutOfDomainError, SingularMatrixError,
                         build_spline, coeffs_closed_form, find_real_eigenvalues, gauss_legendre,
-                        integrate_panels, l2_error, make_grid, max_error, solve)
+                        integrate_panels, l2_error, make_grid, max_error, sample, solve,
+                        solve_dense)
 from quadspline.integral_eq import _integral_operator
-from quadspline.linsolve import _merged_roots
+from quadspline.linsolve import RCOND_MIN, _merged_roots
 from quadspline.quadrature import panel_points
 from quadspline.registry import PROBLEMS, get_problem
 
@@ -426,6 +429,119 @@ def test_eigen_search_returns_finite_roots_or_names_the_bad_input(case):
         assert np.isfinite(r.vector).all() and np.isfinite(r.residual)
 
 
+@cache
+def registry_system(pid, n):
+    """The system solve hands solve_dense for a registry problem: I - lam W
+    and f, or for a causal one the trailing block and its two columns."""
+    entry = get_problem(pid)
+    g = make_grid(*entry.interval, n)
+    A = np.eye(n + 1) - entry.lam * _integral_operator(
+        entry.kernel, g, RULE8, g.nodes, np.arange(n + 1) if entry.causal else n)
+    f = sample(entry.forcing, g)
+    return (A[1:, 1:], np.column_stack((f[1:], -A[1:, 0]))) if entry.causal else (A, f)
+
+
+@st.composite
+def dense_system(draw):
+    """A and b: extreme entries, m = 1..4, with one or two columns of b, or
+    krasnov1's or krasnov3's system at n = 80 with A scaled by 2^k and b by
+    2^j, |k|, |j| <= 1100."""
+    if draw(st.booleans(), label="registry"):
+        pid = draw(st.sampled_from(["krasnov1", "krasnov3"]), label="problem")
+        A, b = registry_system(pid, 80)
+        k, j = (draw(st.integers(-1100, 1100), label=name) for name in ("k", "j"))
+        with np.errstate(over="ignore"):
+            return np.ldexp(A, k), np.ldexp(b, j)
+    m = draw(st.integers(1, 4), label="m")
+    shape = (m,) if draw(st.booleans(), label="vector b") else (m, 2)
+    return (draw(arrays(np.float64, (m, m), elements=EXTREMES), label="A"),
+            draw(arrays(np.float64, shape, elements=EXTREMES), label="b"))
+
+
+# 2|a_ii| overflows, though the margin is 2^975 and 1/cond_inf(A) about 2^-49
+@example((np.array([[2.0**1023, 2.0**1023 - 2.0**975], [2.0**1023 - 2.0**975, 2.0**1023]]),
+          np.ones(2)))
+@example((np.full((3, 3), 1e308), np.ones(3)))        # ||A||_inf overflows
+@example((np.full((3, 3), 1e-320), np.ones(3)))       # subnormal: Varah's bound overflows
+@given(dense_system())
+@settings(max_examples=300, deadline=None)
+def test_dense_solve_returns_finite_x_or_names_the_bad_input(case):
+    # a finite x that passes the gate, or a refusal: SingularMatrixError, or
+    # a ValueError naming A or b, never numpy's LinAlgError or a warning
+    A, b = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = solve_dense(A, b)
+        except SingularMatrixError:
+            return
+        except ValueError as exc:
+            # numpy's LinAlgError is a ValueError too, and must not escape
+            assert not isinstance(exc, np.linalg.LinAlgError), exc
+            assert str(exc).startswith(("A[", "b[")), exc
+            return
+    assert x.shape == b.shape and np.isfinite(x).all()
+    assert 1.0 / np.linalg.cond(A, np.inf) > RCOND_MIN
+
+
+@st.composite
+def spline_case(draw):
+    """Ends, in order or not, n in {2, 3, 10, 1000}, samples and points
+    from EXTREMES, the fractions of [a, b] at which more points lie, and
+    whether to evaluate a sorted mesh of 4096 points of [a, b] too, which
+    goes by runs of pieces."""
+    ends = draw(st.lists(EXTREMES, min_size=2, max_size=2), label="ends")
+    if draw(st.booleans(), label="sorted"):
+        ends.sort()
+    a, b = ends
+    n = draw(st.sampled_from([2, 3, 10, 1000]), label="n")
+    y = draw(arrays(np.float64, n + 1, elements=EXTREMES), label="y")
+    points = draw(arrays(np.float64, draw(st.integers(1, 4), label="k"), elements=EXTREMES),
+                  label="points")
+    fractions = draw(arrays(np.float64, draw(st.integers(1, 4), label="j"),
+                            elements=st.floats(0.0, 1.0)), label="fractions")
+    return a, b, n, y, points, fractions, draw(st.booleans(), label="mesh")
+
+
+@given(spline_case())
+# the last piece's slope, near 2.9e308 at b, overflows, and its value may
+# round beyond the largest double there
+@example((0.0, 12.0, 10, np.append(np.zeros(10), 1.7976931348623157e308), np.zeros(1),
+          np.zeros(1), True))
+@settings(max_examples=300, deadline=None)
+def test_spline_gives_finite_values_or_names_the_bad_input(case):
+    # a grid, a model and finite values and slopes, or a refusal that names
+    # the ends, a sample, a coefficient or slope, a point outside [a, b], or
+    # the range of points where a value or slope overflows; no warning escapes
+    a, b, n, y, points, fractions, mesh = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = make_grid(a, b, n)
+        except InvalidDomainError as exc:
+            assert f"a={a}" in str(exc) or f"[{a}, {b}]" in str(exc), exc
+            return
+        try:
+            model = build_spline(g, y)
+        except ValueError as exc:
+            assert type(exc) is ValueError, exc
+            assert str(exc).startswith(("sample ", "coefficient a", "power-form slope c1")), exc
+            return
+        inner = np.clip(a + fractions * (b - a), a, b)
+        for x in [points, inner] + [np.linspace(a, b, 4096)] * mesh:
+            for f in (model, model.derivative):
+                try:
+                    values = f(x)
+                except OutOfDomainError as exc:
+                    assert str(exc).startswith("x=") and f"[{a}, {b}]" in str(exc), exc
+                    continue
+                except ValueError as exc:  # a value or slope beyond the doubles
+                    where = f"overflows a double at some x in [{x.min()}, {x.max()}]"
+                    assert where in str(exc), exc
+                    continue
+                assert np.isfinite(values).all(), (x, values)
+
+
 # the finite doubles of EXTREMES: ±0, subnormals, ±1e±308 and the largest
 FINITE_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                                    1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308]) \
@@ -514,8 +630,7 @@ def test_quadrature_returns_finite_values_or_names_the_range(case):
         assert refused is None and got == np.abs(dev).max()
         return
     panels, rule = args
-    with np.errstate(over="ignore"):  # k * step may overflow where k[-1] = hi replaces it
-        pts, half = panel_points(lo, hi, panels, rule)
+    pts, half = panel_points(lo, hi, panels, rule)
     vals = np.resize(a, pts.shape) if func == "integrate_panels" else dev.reshape(pts.shape)
     exact, tol = integral_bounds(vals, half, rule.weights, 1 if func == "integrate_panels" else 2)
     if refused is not None:

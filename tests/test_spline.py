@@ -301,6 +301,21 @@ class TestSplineModel:
         with pytest.raises(ValueError, match=match):
             build_spline(grid, y)
 
+    @pytest.mark.filterwarnings("error")
+    def test_slope_beyond_the_doubles_named(self):
+        # finite samples, coefficients and power form, but the last piece's
+        # slope passes the largest double from about x = 3.54 on: a
+        # ValueError names the points' range, and no overflow warning
+        # escapes; the values stay finite
+        m = build_spline(make_grid(0, 4, 4), [0, 0, 0, 0, 1.7e308])
+        xs = np.linspace(0, 4, 101)
+        for x in (xs, np.linspace(0, 4, 2 * _RUN_MIN_POINTS)):  # by points and by runs
+            assert np.isfinite(m(x)).all()
+            with pytest.raises(ValueError, match=r"the spline's slope overflows a double at "
+                                                 r"some x in \[0\.0, 4\.0\]"):
+                m.derivative(x)
+        assert np.isfinite(m.derivative(3.5))
+
     @pytest.mark.parametrize("count", [4, 6])
     def test_sample_count_must_match_grid(self, count):
         with pytest.raises(ValueError, match=rf"expected 5 samples, got \({count},\)"):
