@@ -25,9 +25,10 @@ infinite on the diagonal is not supported); blocks are sized by rows x
 reach, so a Volterra row is not evaluated on the pieces beyond its own
 point. A broadcastable result such as a constant is accepted, and a
 kernel is called per point only when the array call raises TypeError or
-ValueError. When every row reaches all n pieces (fredholm2,
-fredholm_eigen), no node is set and s is a read-only broadcast of the
-one stack, and no kernel may write into its arguments.
+ValueError. When every row reaches the same r >= 2 pieces (all n for
+fredholm2 and fredholm_eigen, n - 1 for the Volterra-1 closure's rows), no
+node is set and s is a read-only broadcast of the one stack's first r
+pieces, and no kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -37,11 +38,13 @@ for the Volterra kinds, whose integrals end at x.
 
 Every kind reports through _report, whose error metrics follow the
 published tables: `error_l2` is the L2 NORM of (spline - reference), the
-square root of quadrature.l2_error with the 8-point rule, and `error_max`
-the max deviation at the nodes. _report also applies both conventions of
-the eigenvalue table: an eigenfunction is first rescaled to match the
-reference at the first interior node, and its `error_max` is the max over
-2001 equispaced points (quadrature.max_error), not at the nodes.
+square root of the integral quadrature.l2_error gives, with the 8-point
+rule (taken through quadrature._integral, the deviation scaled by a power
+of two), and `error_max` the max deviation at the nodes. _report also
+applies both conventions of the eigenvalue table: an eigenfunction is
+first rescaled to match the reference at the first interior node, and its
+`error_max` is the max over 2001 equispaced points (quadrature.max_error),
+not at the nodes.
 """
 from __future__ import annotations
 
@@ -53,8 +56,9 @@ import numpy as np
 
 from .core import (Grid, InvalidDomainError, ScalarFunction, checked_samples, eval_many,
                    make_grid, sample)
-from .linsolve import SingularMatrixError, find_real_eigenvalues, solve_dense
-from .quadrature import (QuadratureRule, gauss_legendre, integrate_panels, l2_error,
+from .linsolve import (SingularMatrixError, _finite_solution, find_real_eigenvalues,
+                       solve_dense)
+from .quadrature import (QuadratureRule, _integral, gauss_legendre, integrate_panels,
                          max_error, panel_points)
 from .spline import SplineModel, _closed_form_adjoint, build_spline
 
@@ -150,7 +154,9 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     differently), and grows row by row while q x rows x p stays within
     _OPERATOR_BLOCK. So causal rows, whose reach grows with the row, go in
     blocks of many short rows and then of fewer long ones, and a shared
-    count of n in blocks of equal rows of all n pieces.
+    count r >= 2 in blocks of equal rows of r pieces, planned from the
+    integers alone: max(1, _OPERATOR_BLOCK // q // r) rows a block, the
+    blocks the row-by-row planner makes for them.
 
     Every piece k is integrated with `rule` (nodes t, weights w) at the
     nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: the outer product of 1 + t
@@ -161,10 +167,13 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     piece it reaches (full) keeps its nodes, none of which lies beyond
     x_k <= x_{reach_i}. So the kernel is called once per block, on a
     (rows, 1) column of x and the (q, rows, p) stack of s, and only at
-    a <= s <= x_{reach_i}. A shared count of n sets nothing: the kernel
-    gets a read-only broadcast of the stack (row stride 0); any other count
-    is copied per block into a buffer, where the empty pieces' nodes are
-    set. The kernel must not write into its arguments.
+    a <= s <= x_{reach_i}. A shared count r >= 2, such as the n of
+    Fredholm rows or the n - 1 of the Volterra-1 closure's, leaves no piece
+    of its blocks empty and sets nothing: the kernel gets a read-only
+    broadcast of the stack's first r pieces (row stride 0). Per-row counts,
+    and a shared count of 1, whose blocks take 2 pieces, are copied per
+    block into a buffer, where the empty pieces' nodes are set. The kernel
+    must not write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the weights
     w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h/8, h times the rule's
@@ -188,31 +197,38 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     if reach.dtype.kind not in "iu":
         raise TypeError(f"reach must be integer piece counts, got {reach.dtype}")
     n, h, q = grid.n, grid.h, rule.order
-    outside = np.flatnonzero((reach < 0) | (reach > n))
-    if outside.size:
+    if reach.size and not (reach.min() >= 0 and reach.max() <= n):
+        outside = np.flatnonzero((reach < 0) | (reach > n))
         raise ValueError(f"reach must count pieces in 0..{n}, got {reach.flat[outside[0]]}")
     xs = np.asarray(xs, dtype=float)[:, None]
     nodes = grid.nodes
     starts = nodes[:-1]
     halves = 0.5 * (nodes[1:] - starts)
     weights = h * rule._piece_rows
-    per_row = reach.ndim > 0 or reach < n
-    reach = np.broadcast_to(reach, len(xs))
     # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
     # rows' widest reach but at least 2 (n >= 2): a product with one column
     # would go to BLAS's matrix-vector routine, which rounds differently
-    widest = np.maximum(reach, 2)
-    # rows per block for the planner, piece numbers for the empty mask
-    count = np.arange(1, max(len(xs), n) + 1)
-    blocks = []
-    lo = max_rows = max_size = 0
-    while lo < len(xs):
-        p = np.maximum.accumulate(widest[lo:])
-        rows = max(1, int((p * count[:len(p)]).searchsorted(_OPERATOR_BLOCK // q, "right")))
-        p = int(p[rows - 1])
-        blocks.append((lo, lo + rows, p))
-        max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
-        lo += rows
+    per_row = reach.ndim > 0 or reach < 2
+    if per_row:
+        reach = np.broadcast_to(reach, len(xs))
+        widest = np.maximum(reach, 2)
+        # rows per block for the planner, piece numbers for the empty mask
+        count = np.arange(1, max(len(xs), n) + 1)
+        blocks = []
+        lo = max_rows = max_size = 0
+        while lo < len(xs):
+            p = np.maximum.accumulate(widest[lo:])
+            rows = max(1, int((p * count[:len(p)]).searchsorted(_OPERATOR_BLOCK // q, "right")))
+            p = int(p[rows - 1])
+            blocks.append((lo, lo + rows, p))
+            max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
+            lo += rows
+    else:  # every block of equal rows of the same p pieces, as the planner makes them
+        p = int(reach)
+        rows = max(1, _OPERATOR_BLOCK // q // p)
+        blocks = [(lo, min(lo + rows, len(xs)), p) for lo in range(0, len(xs), rows)]
+        max_rows = min(rows, len(xs))
+        max_size = max_rows * p
     # each block takes the leading part of every buffer; one node stack, of
     # every piece, serves all rows
     s_buf = np.empty(q * max_size if per_row else 0)
@@ -221,7 +237,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     W = np.empty((len(xs), n + 1))
     shared = (np.multiply.outer(1.0 + rule.nodes, halves) + starts).reshape(q, 1, n)
     if not per_row:
-        s = np.broadcast_to(shared, (q, blocks[0][1], n))
+        s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p))
     for lo, hi, p in blocks:
         x = xs[lo:hi]
         m = len(x)
@@ -235,7 +251,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
         # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),
                         out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
-        if per_row:  # a shared count of n leaves no piece empty
+        if per_row:  # a shared count of 2 or more leaves no piece empty
             np.copyto(lrq, 0.0, where=empty)
         left, right, quad = lrq[0], lrq[1], lrq[2]
         if p < n:  # the pieces beyond every row's reach hold nothing
@@ -252,7 +268,11 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
 
 def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
-    reference when there is one (conventions in the module docstring)."""
+    reference when there is one (conventions in the module docstring).
+
+    A deviation that is NaN or not finite in doubles, or an L2 norm beyond
+    the largest double, raises InvalidDomainError naming the interval.
+    """
     ref = problem.reference
     if ref is None:
         model = build_spline(grid, y)
@@ -261,15 +281,24 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     ref_y = sample(ref, grid)
     eigen = problem.kind == "fredholm_eigen"
     model = build_spline(grid, _rescale_to_reference(problem, grid, y, ref_y[1]) if eigen else y)
-    e_max = float(np.abs(model.samples - ref_y).max())
+    with np.errstate(over="ignore"):  # a deviation that overflows is refused below
+        e_max = float(np.abs(model.samples - ref_y).max())
     # the deviation is scaled by the power of two of its nodal max before
-    # l2_error squares it, so that no square overflows a finite norm
+    # it is squared, so that no square overflows a finite norm
     e = math.frexp(e_max)[1]
-    e2 = l2_error(lambda x: np.ldexp(model(x) - eval_many(ref, x), -e), np.zeros_like,
-                  grid.a, grid.b, grid.n, gauss_legendre(8))
+    what = "the integral of the squared deviation"
+    e2 = _integral(lambda x: np.ldexp(model(x) - eval_many(ref, x), -e), 2,
+                   grid.a, grid.b, grid.n, gauss_legendre(8), what)
+    if math.isnan(e2):
+        raise InvalidDomainError(f"{what} over [{grid.a}, {grid.b}] is not finite: {e2}")
+    try:
+        e_l2 = math.ldexp(math.sqrt(e2), e)
+    except OverflowError:
+        raise InvalidDomainError(f"the L2 norm of the deviation over [{grid.a}, {grid.b}] "
+                                 f"overflows a double") from None
     if eigen:
         e_max = max_error(model, ref, grid.a, grid.b)
-    return SolveReport(problem, model.samples, model, math.ldexp(math.sqrt(max(e2, 0.0)), e), e_max)
+    return SolveReport(problem, model.samples, model, e_l2, e_max)
 
 
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
@@ -322,7 +351,9 @@ def solve(problem: IntegralProblem, n: int,
     finite (a kernel or an interval so large that they overflow) raises
     InvalidDomainError naming the kernel, the interval and n, so that
     linsolve, which reads the same row sums, refuses nothing unnamed; a
-    forcing that is not finite at a node raises ValueError naming it.
+    forcing that is not finite at a node raises ValueError naming it. A
+    causal solution (0, u) + y_0 (1, w) that overflows raises
+    SingularMatrixError, as an overflowing solve_dense solution does.
     """
     rule = rule or gauss_legendre(8)
     grid = make_grid(*problem.interval, n)
@@ -346,12 +377,14 @@ def solve(problem: IntegralProblem, n: int,
         uw = solve_dense(W[1:, 1:], np.column_stack((f[1:], -W[1:, 0])))
         u, w = np.vstack(([0.0, 1.0], uw)).T
         y0 = _volterra1(problem, grid, rule, u, w) if problem.kind == "volterra1" else f[0]
-        y = u + y0 * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _finite_solution(u + y0 * w)
     else:
         y = solve_dense(W, f)
     return _report(problem, grid, y)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
                u: np.ndarray, w: np.ndarray) -> float:
     """The left-endpoint value y_0 of a first-kind Volterra problem, which

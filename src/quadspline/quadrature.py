@@ -106,12 +106,12 @@ def _integral(f: ScalarFunction, power: int, lo: float, hi: float, panels: int,
     scaled back: no sum or product then overflows that the integral does
     not.
     """
-    _check_range(lo, hi)
     if not (isinstance(panels, Integral) and panels >= 1):
         raise ValueError(f"need an integer panels >= 1, got {panels!r}")
+    # first, so that [inf, inf] is refused as a range, not integrated to 0
+    pts, half = panel_points(lo, hi, panels, rule)
     if hi == lo:
         return 0.0
-    pts, half = panel_points(lo, hi, panels, rule)
     vals = eval_many(f, pts.ravel()).reshape(pts.shape)
     total = float(np.add.reduce(half * (vals ** power @ rule.weights)))
     if not math.isfinite(total) and np.isfinite(vals).all():
@@ -150,8 +150,11 @@ def panel_points(
     bit-identical to 0.5 * (e1 + e0) and 0.5 * (e1 - e0). Each node is
     clipped to its panel: rounding can put mid + half t an ulp outside it
     at a Gauss-Lobatto end t = -1 or 1, and on a panel a few ulps wide at
-    any t (at 1.0, where the ulp below is half the one above).
+    any t (at 1.0, where the ulp below is half the one above). Raises as
+    integrate_panels does for ends that are not finite a finite width
+    apart, or out of order.
     """
+    _check_range(lo, hi)
     edges = _equispaced(lo, hi, panels + 1, np.arange(panels + 1, dtype=float))
     e0, e1 = 0.5 * edges[:-1], 0.5 * edges[1:]
     mid = e1 + e0

@@ -221,8 +221,17 @@ class SplineModel:
                     out *= t
                     out += piece(c0, out=c)
         except FloatingPointError:
-            raise ValueError(f"the spline's {('value', 'slope')[deriv]} overflows a double "
-                             f"at some x in [{lo}, {hi}]") from None
+            # the value at b is its sample y_n, though the power form may
+            # round it beyond the doubles; any other overflow is refused
+            inner = flat != g.b
+            try:
+                if deriv or inner.all():
+                    raise ValueError
+                out = np.full(flat.shape, self.samples[-1])
+                out[inner] = self._eval(flat[inner], 0)
+            except ValueError:
+                raise ValueError(f"the spline's {('value', 'slope')[deriv]} overflows a "
+                                 f"double at some x in [{lo}, {hi}]") from None
         return float(out[0]) if scalar else out.reshape(xs.shape)
 
     def __call__(self, x):

@@ -46,6 +46,7 @@ QUADRATURE = "src/quadspline/quadrature.py"
 SPLINE = "src/quadspline/spline.py"
 LINSOLVE = "src/quadspline/linsolve.py"
 LAGRANGE = "src/quadspline/lagrange.py"
+CLI = "src/quadspline/cli.py"
 POLICY = "tests/test_core.py::TestCallPolicy::"
 ROWS = "tests/test_integral_eq.py::TestIntegralOperator::"
 V1 = "tests/test_integral_eq.py::TestSolveVolterra1::"
@@ -110,16 +111,22 @@ MUTANTS = [
      [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
     # the shared node stack copied per row instead of broadcast read-only
-    (OPERATOR, "s = np.broadcast_to(shared, (q, blocks[0][1], n))",
-     "s = np.broadcast_to(shared, (q, blocks[0][1], n)).copy()",
+    (OPERATOR, "s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p))",
+     "s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p)).copy()",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
+    # a shared count of 1 sent down the shared path: its blocks take one
+    # piece, and a block of one row one column, which BLAS's matrix-vector
+    # routine rounds differently
+    (OPERATOR, "per_row = reach.ndim > 0 or reach < 2", "per_row = reach.ndim > 0 or reach < 1",
+     [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
+      ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]"]),
     # the weights without their h: every row of a piece's width other than 1 wrong
     (OPERATOR, "weights = h * rule._piece_rows", "weights = rule._piece_rows",
      [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-full]",
       ROWS + "test_rows_match_summed_piece_weights[8-polynomial-causal]"]),
     # a piece count outside 0..n taken: a negative one gives a row of zeros
-    (OPERATOR, "if outside.size:", "if False:",
+    (OPERATOR, "if reach.size and not (reach.min() >= 0 and reach.max() <= n):", "if False:",
      [ROWS + "test_count_outside_0_to_n_is_refused[negative]",
       ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
     # a W, or an A = I - lam W, that is not finite passed on to the solve
@@ -170,6 +177,20 @@ MUTANTS = [
     # is refused
     (OPERATOR, "den > 0.0", "den > 1e-14",
      [V1 + "test_interval_scaled_by_a_power_of_two_gives_the_same_samples[5]"]),
+    # the report's squared deviation that is NaN between the nodes taken
+    # as an error of NaN
+    (OPERATOR, "if math.isnan(e2):", "if False:",
+     ["tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_reference_that_is_nan_between_the_nodes_is_refused"]),
+    # the report's nodal deviation taken with its overflow warning let out
+    (OPERATOR, 'with np.errstate(over="ignore"):  # a deviation that overflows',
+     'with np.errstate():  # a deviation that overflows',
+     ["tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_nodal_deviation_that_overflows_is_refused_without_warning"]),
+    # the closure's overflow warnings let out
+    (OPERATOR, '@np.errstate(over="ignore", invalid="ignore")\ndef _volterra1', "def _volterra1",
+     [V1 + "test_closure_that_overflows_is_refused_without_warning[defect_overflows]",
+      V1 + "test_closure_that_overflows_is_refused_without_warning[endpoint_value_overflows]"]),
     # the closure's defects squared at the data's own scale, which under- or
     # overflows
     (OPERATOR, "defect_u, defect_w = np.ldexp(defect_u, -e), np.ldexp(defect_w, -e)", "pass",
@@ -210,6 +231,13 @@ MUTANTS = [
     (QUADRATURE, 'with np.errstate(over="ignore", invalid="ignore"):\n        for start',
      "with np.errstate():\n        for start",
      [MAX + "test_deviation_that_is_not_finite_is_refused_by_its_range[difference_overflows]"]),
+    # panel_points without its range check: a width that overflows warns,
+    # and ends out of order give points
+    (QUADRATURE, "_check_range(lo, hi)\n    edges = _equispaced(", "edges = _equispaced(",
+     ["tests/test_quadrature.py::TestPanelPoints::test_range_that_is_not_one_is_refused"
+      "[width_overflows]",
+      "tests/test_quadrature.py::TestPanelPoints::test_range_that_is_not_one_is_refused"
+      "[reversed]"]),
     # the panel ends' last index multiplied by the step before hi replaces
     # it: its overflow warning escapes
     (QUADRATURE, "k[-1] = 0.0", "pass",
@@ -348,10 +376,21 @@ MUTANTS = [
     # a value or slope that overflows returned as inf, its warning let out
     (SPLINE, 'with np.errstate(over="raise"):', "with np.errstate():",
      ["tests/test_spline.py::TestSplineModel::test_slope_beyond_the_doubles_named"]),
+    # the value at b refused when the power form rounds beyond its sample
+    (SPLINE, "if deriv or inner.all():", "if True:",
+     ["tests/test_spline.py::TestSplineModel::"
+      "test_value_at_b_is_its_sample_where_the_power_form_rounds_beyond_it"]),
     # the power form's c1 without its - a_k w_k
     (SPLINE, "power[1] -= a * (g.nodes[1:] - g.nodes[:-1])", "pass",
      ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",
       "tests/test_properties.py::test_power_rows_are_the_diff_form_bit_for_bit"]),
+
+    # a parser that keeps the last --bracket: each call's bracket becomes the
+    # default of the next
+    (CLI, "args = build_parser().parse_args(argv)\n",
+     "args = build_parser().parse_args(argv)\n    build_parser()._subparsers._group_actions[0]"
+     '.choices["solve"].set_defaults(bracket=getattr(args, "bracket", None))\n',
+     ["tests/test_cli.py::TestParserReuse::test_bracket_does_not_stick"]),
 ]
 
 EQUIVALENT = [

@@ -12,6 +12,7 @@ from quadspline import (IntegralProblem, InvalidDomainError, QuadratureRule, Sin
                         integrate_panels, l2_error, make_grid, registry, solve)
 from quadspline import integral_eq
 from quadspline.integral_eq import _integral_operator
+from quadspline.quadrature import _integral
 from quadspline.registry import get_problem
 
 from oracles import coefficient_matrix, kernel_piece_weights, summed_piece_weights
@@ -329,6 +330,8 @@ class TestIntegralOperator:
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", q)  # one row a block
         alone = _integral_operator(kernel, g, rule, xs, reach)
         assert alone.tobytes() == together.tobytes()
+        # and so does a row that shares its count of 1 with no other
+        assert _integral_operator(kernel, g, rule, xs[:1], 1).tobytes() == together[:1].tobytes()
 
     def test_scalar_reach_broadcasts(self):
         g = make_grid(0, 1, 5)
@@ -360,9 +363,10 @@ class TestIntegralOperator:
 
     def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
         # the kernel sees the (q, rows, p) shape, but for a shared count of
-        # n its rows are one read-only (q, 1, p) stack, not a rebuilt full
-        # stack; per-row counts get a writeable stack of p pieces a row, p
-        # each block's widest reach
+        # 2 or more its rows are one read-only (q, 1, p) stack, cut to the
+        # first p pieces, not a rebuilt stack; a shared count of 1, whose
+        # blocks take 2 pieces with one empty, and per-row counts get a
+        # writeable stack of p pieces a row, p each block's widest reach
         seen = []
 
         def kernel(x, s):
@@ -371,9 +375,14 @@ class TestIntegralOperator:
 
         g = make_grid(0, 1, 20)
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 5 * RULE8.order * g.n)
-        _integral_operator(kernel, g, RULE8, g.nodes, g.n)
-        assert [shape for shape, _, _ in seen] == [(8, 5, 20)] * 4 + [(8, 1, 20)]
-        assert all(stride == 0 and not writeable for _, stride, writeable in seen)
+        for reach in (g.n, g.n - 1):  # 5 rows a block either way
+            seen.clear()
+            _integral_operator(kernel, g, RULE8, g.nodes, reach)
+            assert [shape for shape, _, _ in seen] == [(8, 5, reach)] * 4 + [(8, 1, reach)]
+            assert all(stride == 0 and not writeable for _, stride, writeable in seen)
+        seen.clear()
+        _integral_operator(kernel, g, RULE8, g.nodes[:3], 1)
+        assert seen == [((8, 3, 2), 2 * 8, True)]
         seen.clear()
         _integral_operator(kernel, g, RULE8, g.nodes, np.arange(g.n + 1))
         assert seen == [((8, 10, 9), 9 * 8, True), ((8, 6, 15), 15 * 8, True),
@@ -701,6 +710,41 @@ class TestSolveFredholm:
         np.testing.assert_allclose(r.spline(r.spline.grid.nodes), r.samples,
                                    rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def passthrough(forcing, reference, b=1.0):
+        # lam = 0: the samples are the forcing's, and the report's deviation
+        # is the forcing's from the reference
+        return IntegralProblem("fredholm2", lambda x, s: 0.0 * (x - s), (0.0, b),
+                               forcing=forcing, lam=0.0, reference=reference)
+
+    def test_reference_that_is_nan_between_the_nodes_is_refused(self):
+        # finite at the nodes, NaN at every Gauss point of the L2 error
+        nodes = make_grid(0.0, 1.0, 4).nodes
+        p = self.passthrough(np.cos, lambda x: np.where(np.isin(x, nodes), np.cos(x), np.nan))
+        with pytest.raises(InvalidDomainError, match=r"^the integral of the squared deviation "
+                                                     r"over \[0.0, 1.0\] is not finite: nan$"):
+            solve(p, 4)
+
+    def test_nodal_deviation_that_overflows_is_refused_without_warning(self):
+        # 8e307 against -1e308 at every node: the difference is beyond a double
+        p = self.passthrough(lambda x: np.full(np.shape(x), 8e307),
+                             lambda x: np.full(np.shape(x), -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match="squared deviation over "
+                                                         r"\[0.0, 1.0\] is not finite: inf"):
+                solve(p, 4)
+
+    def test_l2_norm_beyond_the_doubles_is_refused(self):
+        # every deviation is finite, and the scaled integral of their squares
+        # too, but the norm, about 1.9e308, is not a double
+        p = self.passthrough(lambda x: 0.0 * x, lambda x: 1e308 * np.cos(x), b=7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match=r"^the L2 norm of the deviation over "
+                                                         r"\[0.0, 7.0\] overflows a double$"):
+                solve(p, 4)
+
 
 class TestSolveFredholmEigen:
     def problem(self):
@@ -788,16 +832,17 @@ class TestSolveFredholmEigen:
         assert r.error_max <= 1e-12
 
     def test_one_l2_error_per_root(self, monkeypatch):
+        # the report integrates its squared deviation itself, once per root
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return l2_error(*args)
+            return _integral(*args)
 
-        monkeypatch.setattr(integral_eq, "l2_error", counted)
+        monkeypatch.setattr(integral_eq, "_integral", counted)
         r = solve(self.problem(), 5)
         assert len(r.eigen) == 2
-        assert len(calls) == 2
+        assert [args[1] for args in calls] == [2, 2]
 
     def test_eigen_max_error_is_global(self):
         r = solve(self.problem(), 5)
@@ -1149,6 +1194,32 @@ class TestSolveVolterra1:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match="does not determine the endpoint"):
                 solve(p, 5)
+
+    def test_kernel_writing_into_its_arguments_is_refused(self):
+        # the closure's rows reach the n - 1 pieces before the last one, and
+        # share one read-only node stack, as Fredholm rows do
+        def writes(x, s):
+            s *= 1.0
+            return (x - s) ** 2
+
+        with pytest.raises(ValueError, match="writes into its arguments") as exc:
+            solve(replace(self.make(), kernel=writes), 5)
+        assert repr(writes) in str(exc.value)
+
+    @pytest.mark.parametrize("scale,interval,n,match", [
+        (1e308, (0.0, 21.0), 2, "does not determine the endpoint value"),
+        (2.2250738585072014e-308, (-8.555380143128981e+20, 1e-310), 10,
+         "the solution overflows: 11 of its 11 entries"),
+    ], ids=["defect_overflows", "endpoint_value_overflows"])
+    def test_closure_that_overflows_is_refused_without_warning(self, scale, interval, n, match):
+        # a kernel scaled to the largest double overflows the closure's
+        # defect; a tiny one on a wide interval leaves y_0 beyond the doubles
+        p = IntegralProblem("volterra1", lambda x, s: scale * np.cos(x - s), interval,
+                            forcing=lambda x: -4.6e16 * np.cos(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=match):
+                solve(p, n)
 
     @pytest.mark.parametrize("n", [5, 10])
     def test_narrow_interval_is_solved_or_refused_never_wrong(self, n):

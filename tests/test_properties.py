@@ -9,11 +9,13 @@ problems on [-L, L]. The next ones hold the package's ufunc and array-method
 forms to the bit against the numpy wrappers they replaced
 (tests/oracles.py). The eigen search and the dense solve are fed extreme
 doubles and scaled registry matrices, the grid, the spline and its
-evaluation extreme ends, samples and points, and the quadrature functions
-extreme ends and values; the last properties solve every registry problem
-with its data or its interval scaled by a power of two, and the Volterra-2
-problems with their forcing, or their kernel against lam, scaled so that the
-samples scale exactly, with every warning an error.
+evaluation extreme ends, samples and points, the quadrature functions
+extreme ends and values, panel_points extreme ends, and solve user problems
+of every kind whose kernel and forcing scales, lam, interval and bracket
+are extreme; the last properties solve every registry problem with its
+data or its interval scaled by a power of two, and the Volterra-2 problems
+with their forcing, or their kernel against lam, scaled so that the samples
+scale exactly, with every warning an error.
 """
 import math
 import warnings
@@ -31,7 +33,7 @@ from quadspline import (IntegralProblem, InvalidDomainError, OutOfDomainError, S
                         build_spline, coeffs_closed_form, find_real_eigenvalues, gauss_legendre,
                         integrate_panels, l2_error, make_grid, max_error, sample, solve,
                         solve_dense)
-from quadspline.integral_eq import _integral_operator
+from quadspline.integral_eq import _FIELDS as FIELDS, _integral_operator
 from quadspline.linsolve import RCOND_MIN, _merged_roots
 from quadspline.quadrature import panel_points
 from quadspline.registry import PROBLEMS, get_problem
@@ -638,6 +640,82 @@ def test_quadrature_returns_finite_values_or_names_the_range(case):
         assert abs(exact) + tol >= Fraction(np.finfo(float).max), (float(exact), refused)
     else:
         assert math.isfinite(got) and abs(Fraction(got) - exact) <= tol, (got, float(exact))
+
+
+@given(EXTREMES, EXTREMES, st.integers(1, 64), st.sampled_from([1, 2, 3, 8]))
+@example(-1.7976931348623157e308, 1.7976931348623157e308, 3, 2)   # the width overflows
+@example(0.0, 1.7976931348623157e308, 3, 1)    # the last end's step overflows
+@settings(max_examples=300, deadline=None)
+def test_panel_points_returns_finite_points_or_names_the_range(lo, hi, panels, order):
+    # np.linspace's points and half-widths, finite and in order, or the
+    # refusal integrate_panels makes, naming the ends; no warning escapes
+    rule = gauss_legendre(order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pts, half = panel_points(lo, hi, panels, rule)
+        except (InvalidDomainError, ValueError) as exc:
+            assert f"{lo}" in str(exc) and f"{hi}" in str(exc), exc
+            refused = exc
+        else:
+            refused = None
+    if not math.isfinite(hi - lo):
+        assert isinstance(refused, InvalidDomainError) and "finite endpoints" in str(refused)
+        return
+    if lo > hi:
+        assert type(refused) is ValueError and "lo <= hi" in str(refused)
+        return
+    assert refused is None
+    with np.errstate(over="ignore"):  # np.linspace itself overflows on [0, 1.8e308]
+        want_pts, want_half = panel_points_linspace(lo, hi, panels, rule)
+    assert pts.tobytes() == want_pts.tobytes() and half.tobytes() == want_half.tobytes()
+    assert np.isfinite(pts).all() and (lo <= pts).all() and (pts <= hi).all()
+    assert np.isfinite(half).all() and (half >= 0.0).all()
+
+
+@st.composite
+def user_problem(draw):
+    """A user problem of any kind: K = c cos(x - s) and f = d cos(x), its
+    scales c and d, lam, the interval's ends (in order or not) and an eigen
+    problem's bracket all drawn from EXTREMES, and n in {2, 3, 10}."""
+    kind = draw(st.sampled_from(sorted(FIELDS)), label="kind")
+    c, d, lam = (draw(EXTREMES, label=name) for name in ("c", "d", "lam"))
+    ends = draw(st.lists(EXTREMES, min_size=2, max_size=2), label="ends")
+    if draw(st.booleans(), label="sorted"):
+        ends.sort()
+    bracket = tuple(draw(st.lists(EXTREMES, min_size=2, max_size=2), label="bracket"))
+    return kind, c, d, lam, tuple(ends), bracket, draw(st.sampled_from([2, 3, 10]), label="n")
+
+
+@given(user_problem())
+# the closure's defect overflows, and its y_0 is beyond the doubles
+@example(("volterra1", 1e308, 0.0, None, (0.0, 21.0), None, 2))
+@example(("volterra1", 2.2250738585072014e-308, -4.619600092193867e+16, None,
+          (-8.555380143128981e+20, 1e-310), None, 10))
+@settings(max_examples=300, deadline=None)
+def test_user_problem_solves_or_names_the_bad_input(case):
+    # finite samples, or a refusal: the problem's, the package's own error
+    # types, or a ValueError naming a forcing sample or the spline
+    # coefficient that is not finite; never numpy's LinAlgError or a warning
+    kind, c, d, lam, interval, bracket, n = case
+    takes_forcing, takes_lam, takes_bracket = FIELDS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            problem = IntegralProblem(kind, lambda x, s: c * np.cos(x - s), interval,
+                                      forcing=(lambda x: d * np.cos(x)) if takes_forcing else None,
+                                      lam=lam if takes_lam else None,
+                                      bracket=bracket if takes_bracket else None)
+            report = solve(problem, n)
+        except (InvalidDomainError, OutOfDomainError, SingularMatrixError):
+            return
+        except ValueError as exc:
+            # numpy's LinAlgError is a ValueError too, and must not escape
+            assert not isinstance(exc, np.linalg.LinAlgError), exc
+            assert str(exc).startswith(("sample ", "coefficient a", "power-form slope c1")), exc
+            return
+    for sub in [report] + [sub for _, sub in report.eigen or ()]:
+        assert sub.samples is None or np.isfinite(sub.samples).all()
 
 
 @st.composite

@@ -210,6 +210,19 @@ class TestPanelPoints:
         assert pts.tobytes() == want_pts.tobytes() and np.isfinite(pts).all()
         assert half.tobytes() == want_half.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo,hi,error,match", [
+        (-1.7976931348623157e308, 1.7976931348623157e308, InvalidDomainError,
+         "finite endpoints a finite width apart"),
+        (np.inf, np.inf, InvalidDomainError, "finite endpoints a finite width apart"),
+        (0.0, np.nan, InvalidDomainError, "finite endpoints a finite width apart"),
+        (1.0, 0.0, ValueError, r"need lo <= hi, got \[1.0, 0.0\]"),
+    ], ids=["width_overflows", "inf", "nan", "reversed"])
+    def test_range_that_is_not_one_is_refused(self, lo, hi, error, match):
+        # as integrate_panels refuses it, with no overflow warning
+        with pytest.raises(error, match=match):
+            panel_points(lo, hi, 3, gauss_legendre(2))
+
     def test_nodes_stay_in_panels_a_few_ulps_wide(self):
         # 54 panels of about 1.5 ulps of 1.0: unclipped, mid + half t of the
         # first panel rounds to 0.9999999999999999, below 1.0

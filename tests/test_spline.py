@@ -316,6 +316,24 @@ class TestSplineModel:
                 m.derivative(x)
         assert np.isfinite(m.derivative(3.5))
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_at_b_is_its_sample_where_the_power_form_rounds_beyond_it(self):
+        # the last sample is the largest double, and the last piece's power
+        # form rounds beyond it at b: the value there is that sample, alone
+        # or among other points, by points and by runs; the slope at b is
+        # beyond the doubles and still refused
+        big = 1.7976931348623157e308
+        m = build_spline(make_grid(0, 12, 10), [0.0] * 10 + [big])
+        assert m(12.0) == big
+        for x in (np.array([12.0, 0.5, 12.0]), np.linspace(0, 12, 2 * _RUN_MIN_POINTS)):
+            at_b = x == 12.0
+            values = m(x)
+            assert (values[at_b] == big).all() and np.isfinite(values).all()
+            assert values[~at_b].tobytes() == m(x[~at_b]).tobytes()
+        with pytest.raises(ValueError, match=r"slope overflows a double at some x in "
+                                             r"\[12\.0, 12\.0\]"):
+            m.derivative(12.0)
+
     @pytest.mark.parametrize("count", [4, 6])
     def test_sample_count_must_match_grid(self, count):
         with pytest.raises(ValueError, match=rf"expected 5 samples, got \({count},\)"):
