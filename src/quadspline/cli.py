@@ -2,7 +2,8 @@
 
 Output is CSV (stdout or --out) with one metric per row so runs diff
 cleanly in CI; --pretty renders an aligned text table instead. Exit codes:
-0 success, 1 tolerance/solver failure, 2 usage error.
+0 success, 1 tolerance/solver failure or an array too large for memory,
+2 usage error.
 """
 from __future__ import annotations
 
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
     except InvalidDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, OSError) as exc:
+    except (SingularMatrixError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,18 +17,16 @@ lives in tests/oracles.py.
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
 as the (q, rows, p) stack of the quadrature nodes of the p <= n pieces
-that the block's rows reach. It is one stack of every piece's nodes,
-built once per call, with the nodes of the pieces beyond a row's reach
-set to its limit, the node that ends its last piece, so the kernel is
-called only at a <= s <= that limit (s = x included, so a kernel
-infinite on the diagonal is not supported); blocks are sized by rows x
-reach, so a Volterra row is not evaluated on the pieces beyond its own
-point. A broadcastable result such as a constant is accepted, and a
-kernel is called per point only when the array call raises TypeError or
-ValueError. When every row reaches the same r >= 2 pieces (all n for
-fredholm2 and fredholm_eigen, n - 1 for the Volterra-1 closure's rows), no
-node is set and s is a read-only broadcast of the one stack's first r
-pieces, and no kernel may write into its arguments.
+that the block's rows reach, cut from one stack of every piece's nodes
+built once per call. The nodes of the pieces beyond a row's reach are set
+to its limit, the node that ends its last piece, so the kernel is called
+only at a <= s <= that limit (s = x included, so a kernel infinite on the
+diagonal is not supported). A broadcastable result such as a constant is
+accepted, and a kernel is called per point only when the array call
+raises TypeError or ValueError. A block whose rows all reach its p >= 2
+pieces (every block of the Fredholm kinds and of the Volterra-1 closure's
+rows) sets no node: s is a read-only broadcast of the one stack, and no
+kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -65,11 +63,11 @@ from .spline import SplineModel, _closed_form_adjoint, build_spline
 Kernel = Callable[[float, float], float]
 
 # Doubles in each of _integral_operator's (q, rows, p) buffers, the nodes s and
-# the kernel values, 512 KB at most; rows are taken in blocks of that size, so
-# large n needs no more. Operator medians (one BLAS thread, 2-vCPU VM) at
-# 2^16, 2^17 and 2^18: krasnov3 2.1, 4.8 and 6.9 ms at n = 200, and 54, 54
-# and 62 ms at n = 1280; krasnov1 2.5, 2.6 and 5.2 ms, and 71, 74 and 75 ms.
-# 2^15 was 14-23 % slower than 2^16 at n = 64, whose rows it splits in two.
+# the kernel values, 512 KB at most, so large n needs no more. Operator medians
+# over 5 fresh processes (one BLAS thread, 2-vCPU VM) at 2^15, 2^16 and 2^17:
+# krasnov3 0.34, 0.37, 0.32 ms at n = 64; 1.5, 1.6, 2.0 ms at n = 200; 54, 37,
+# 35 ms at n = 1280; krasnov1 0.35, 0.32, 0.31; 1.7, 1.8, 2.6; 64, 55, 54 ms.
+# 2^15 loses 15-46 % at n = 1280, and 2^17 20-44 % at n = 200.
 _OPERATOR_BLOCK = 1 << 16
 
 # kind: whether it takes (forcing, lam, bracket)
@@ -148,15 +146,11 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     truncated to a count, and a count outside 0..n ValueError, before the
     kernel is called. Row i reaches its first reach_i pieces, and the
     pieces beyond hold nothing.
-    Rows go in blocks sized by rows x reach: a block works on the first p
-    pieces of its rows, p their widest reach (at least 2: a product with
-    one column goes to BLAS's matrix-vector routine, which rounds
-    differently), and grows row by row while q x rows x p stays within
-    _OPERATOR_BLOCK. So causal rows, whose reach grows with the row, go in
-    blocks of many short rows and then of fewer long ones, and a shared
-    count r >= 2 in blocks of equal rows of r pieces, planned from the
-    integers alone: max(1, _OPERATOR_BLOCK // q // r) rows a block, the
-    blocks the row-by-row planner makes for them.
+    Rows go in blocks of max(1, _OPERATOR_BLOCK // q // P) rows, P the
+    widest reach of any row, the last block the rows left; a block works
+    on the first p pieces of its rows, p their widest reach (P and p at
+    least 2: a product with one column goes to BLAS's matrix-vector
+    routine, which rounds differently).
 
     Every piece k is integrated with `rule` (nodes t, weights w) at the
     nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: the outer product of 1 + t
@@ -167,13 +161,12 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     piece it reaches (full) keeps its nodes, none of which lies beyond
     x_k <= x_{reach_i}. So the kernel is called once per block, on a
     (rows, 1) column of x and the (q, rows, p) stack of s, and only at
-    a <= s <= x_{reach_i}. A shared count r >= 2, such as the n of
-    Fredholm rows or the n - 1 of the Volterra-1 closure's, leaves no piece
-    of its blocks empty and sets nothing: the kernel gets a read-only
-    broadcast of the stack's first r pieces (row stride 0). Per-row counts,
-    and a shared count of 1, whose blocks take 2 pieces, are copied per
-    block into a buffer, where the empty pieces' nodes are set. The kernel
-    must not write into its arguments.
+    a <= s <= x_{reach_i}. A block whose rows all reach its p pieces, such
+    as the Fredholm rows' or the Volterra-1 closure's, sets nothing: the
+    kernel gets a read-only broadcast of the stack (row stride 0). Any
+    other block, such as causal rows or a shared count of 1, is copied
+    into a buffer, made only when a block needs it, where the empty pieces'
+    nodes are set. The kernel must not write into its arguments.
 
     One (3, q) x (q, rows p) product of the kernel values with the weights
     w (1 - t) h/4, w (1 + t) h/4 and w (t^2 - 1) h/8, h times the rule's
@@ -186,12 +179,12 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     the transposed closed form of a unit grid's coefficients
     (spline._closed_form_adjoint), written straight into W's rows: no
     coefficient matrix is built, and no power of h is formed that could
-    overflow or underflow before W's entries do. The node stack, the rows
-    and W are buffers made once per call, written in one order of
-    operations, so W is the same to the bit whether a shared count is
-    given once or per row, and however the rows are blocked. The kernel and
-    this arithmetic run with numpy's overflow and invalid warnings off: a W
-    that is not finite is returned as it is, for solve to refuse.
+    overflow or underflow before W's entries do. Every buffer is made at
+    most once per call and written in one order of operations, so W is the
+    same to the bit however the rows are blocked and whichever stack a
+    block takes. The kernel and this arithmetic run with numpy's overflow
+    and invalid warnings off: a W that is not finite is returned as it is,
+    for solve to refuse.
     """
     reach = np.asarray(reach)
     if reach.dtype.kind not in "iu":
@@ -201,57 +194,44 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
         outside = np.flatnonzero((reach < 0) | (reach > n))
         raise ValueError(f"reach must count pieces in 0..{n}, got {reach.flat[outside[0]]}")
     xs = np.asarray(xs, dtype=float)[:, None]
+    reach = np.zeros(len(xs), reach.dtype) + reach  # one count per row
+    counts = reach.tolist()
     nodes = grid.nodes
     starts = nodes[:-1]
     halves = 0.5 * (nodes[1:] - starts)
     weights = h * rule._piece_rows
-    # a block grows while q x rows x p stays within _OPERATOR_BLOCK, p its
-    # rows' widest reach but at least 2 (n >= 2): a product with one column
-    # would go to BLAS's matrix-vector routine, which rounds differently
-    per_row = reach.ndim > 0 or reach < 2
-    if per_row:
-        reach = np.broadcast_to(reach, len(xs))
-        widest = np.maximum(reach, 2)
-        # rows per block for the planner, piece numbers for the empty mask
-        count = np.arange(1, max(len(xs), n) + 1)
-        blocks = []
-        lo = max_rows = max_size = 0
-        while lo < len(xs):
-            p = np.maximum.accumulate(widest[lo:])
-            rows = max(1, int((p * count[:len(p)]).searchsorted(_OPERATOR_BLOCK // q, "right")))
-            p = int(p[rows - 1])
-            blocks.append((lo, lo + rows, p))
-            max_rows, max_size = max(max_rows, rows), max(max_size, rows * p)
-            lo += rows
-    else:  # every block of equal rows of the same p pieces, as the planner makes them
-        p = int(reach)
-        rows = max(1, _OPERATOR_BLOCK // q // p)
-        blocks = [(lo, min(lo + rows, len(xs)), p) for lo in range(0, len(xs), rows)]
-        max_rows = min(rows, len(xs))
-        max_size = max_rows * p
-    # each block takes the leading part of every buffer; one node stack, of
-    # every piece, serves all rows
-    s_buf = np.empty(q * max_size if per_row else 0)
-    m_buf = np.empty(3 * max_size)
+    # blocks of equal rows, sized by the widest reach of any row; each works
+    # on its rows' widest reach p, both at least 2 (n >= 2): a product with
+    # one column would go to BLAS's matrix-vector routine, which rounds
+    # differently. Each block takes the leading part of every buffer
+    widest = max([2, *counts])
+    rows = max(1, _OPERATOR_BLOCK // q // widest)
+    max_rows = min(rows, len(xs))
+    s_buf = None
+    m_buf = np.empty(3 * max_rows * widest)
     quad_buf = np.empty(max_rows * n)
     W = np.empty((len(xs), n + 1))
     shared = (np.multiply.outer(1.0 + rule.nodes, halves) + starts).reshape(q, 1, n)
-    if not per_row:
-        s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p))
-    for lo, hi, p in blocks:
-        x = xs[lo:hi]
-        m = len(x)
-        if per_row:  # the pieces beyond a row's reach are empty
-            r = reach[lo:hi, None]
-            empty = count[:p] > r
+    stack = np.broadcast_to(shared, (q, max_rows, n))  # read-only, row stride 0
+    for lo in range(0, len(xs), rows):
+        x, block = xs[lo:lo + rows], counts[lo:lo + rows]
+        m, p = len(block), max(2, *block)
+        full = min(block) >= p
+        if full:  # every row reaches all p pieces: the read-only stack
+            s = stack[:, :m, :p]
+        else:  # a copy, with the pieces beyond a row's reach empty
+            if s_buf is None:
+                s_buf = np.empty(q * max_rows * widest)
+                count, limits = np.arange(1, widest + 1), nodes[reach][:, None]
+            empty = count[:p] > reach[lo:lo + m, None]
             s = s_buf[:q * m * p].reshape(q, m, p)
-            np.copyto(s, shared[:, :, :p])
-            np.copyto(s, nodes[r], where=empty)
-        K = eval_many(kernel, x, s[:, :m])
+            np.copyto(s, stack[:, :m, :p])
+            np.copyto(s, limits[lo:lo + m], where=empty)
+        K = eval_many(kernel, x, s)
         # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),
                         out=m_buf[:3 * m * p].reshape(3, -1)).reshape(3, m, p)
-        if per_row:  # a shared count of 2 or more leaves no piece empty
+        if not full:
             np.copyto(lrq, 0.0, where=empty)
         left, right, quad = lrq[0], lrq[1], lrq[2]
         if p < n:  # the pieces beyond every row's reach hold nothing
@@ -259,7 +239,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
             ext[:, :p] = quad
             ext[:, p:] = 0.0
             quad = ext
-        Wb = W[lo:hi]
+        Wb = W[lo:lo + m]
         _closed_form_adjoint(quad, out=Wb)
         Wb[:, 1:p + 1] += right
         Wb[:, :p] += left
@@ -301,6 +281,7 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     return SolveReport(problem, model.samples, model, e_l2, e_max)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
                           vector: np.ndarray, ref1: float) -> np.ndarray:
     """Scale an eigenvector to the reference eigenfunction's normalization.
@@ -308,17 +289,24 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     The published benchmarks fix the scale by matching the value at the
     first interior node, ref1 the reference's value there (the textbook
     move of pinning one unknown when solving the homogeneous system); fall
-    back to a least-squares fit when that component is degenerate.
+    back to a least-squares fit when that component is degenerate. A
+    vector scaled beyond the doubles raises InvalidDomainError.
     """
     v1 = vector[1]
     if abs(v1) > 1e-8 * np.abs(vector).max() and ref1 != 0.0:
-        return vector * (ref1 / v1)
-    model = build_spline(grid, vector)
-    rule = gauss_legendre(8)
-    num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
-                           grid.a, grid.b, grid.n, rule)
-    den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
-    return vector * (num / den)
+        scale = float(ref1) / float(v1)
+    else:
+        model = build_spline(grid, vector)
+        rule = gauss_legendre(8)
+        num = integrate_panels(lambda x: model(x) * eval_many(problem.reference, x),
+                               grid.a, grid.b, grid.n, rule)
+        den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
+        scale = num / den
+    vector = vector * scale
+    if not np.isfinite(vector).all():
+        raise InvalidDomainError(f"the eigenvector scaled by {scale!r} to the reference's "
+                                 f"scale on [{grid.a}, {grid.b}] is not finite in doubles")
+    return vector
 
 
 def _eigen(problem: IntegralProblem, grid: Grid, alpha: np.ndarray) -> SolveReport:
@@ -399,8 +387,9 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     before it, up to x_{n-1}, and `rule` applied to K(x, s) S(s) on
     [x_{n-1}, x], its nodes clipped to x so that the kernel is never called
     beyond its limit. The defect's terms in u and w are scaled by one power
-    of two, so K, f or [a, b] scaled by 2^k give the same y_0; raises
-    SingularMatrixError, as the trailing solve does, when they fix no y_0.
+    of two, so K, f or [a, b] scaled by 2^k give the same y_0. Terms that
+    are not finite raise InvalidDomainError, as in solve, and finite ones
+    that fix no y_0 SingularMatrixError, as the trailing solve does.
 
     Usable only for small n: C1 quadratic spline collocation of first-kind
     Volterra equations is unstable (Brunner, Collocation Methods for
@@ -423,6 +412,9 @@ def _volterra1(problem: IntegralProblem, grid: Grid, rule: QuadratureRule,
     Kw = eval_many(problem.kernel, x, s) * (part * rule.weights)
     defect_u = R @ u + (Kw * build_spline(grid, u)(s)).sum(1) - eval_many(problem.forcing, pts)
     defect_w = R @ w + (Kw * build_spline(grid, w)(s)).sum(1)
+    if not np.isfinite([defect_u, defect_w]).all():
+        raise InvalidDomainError(f"the closure's defect for the kernel {problem.kernel!r} on "
+                                 f"[{grid.a}, {grid.b}] at n = {grid.n} is not finite")
     # both scaled by one power of two, so that no square under- or overflows
     e = math.frexp(float(np.abs(defect_w).max()))[1]
     defect_u, defect_w = np.ldexp(defect_u, -e), np.ldexp(defect_w, -e)

@@ -62,12 +62,14 @@ def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
 
     Returns the n-1 interior values, d_1..d_{n-1}. Linear data gives zeros;
     samples of x**2 give the constant 2. Works along axis 0: an (n+1) x m
-    array of samples gives an (n-1) x m result.
+    array of samples gives an (n-1) x m result. The outer samples are
+    halved before they are combined and the sum doubled after, so that no
+    2 y_k overflows for samples above half the largest double.
     """
     y = np.asarray(samples, dtype=float)
     if y.shape[:1] != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    return (y[:-2] - 2.0 * y[1:-1] + y[2:]) / (grid.h * grid.h)
+    return 2.0 * (0.5 * y[:-2] - y[1:-1] + 0.5 * y[2:]) / (grid.h * grid.h)
 
 
 def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:

@@ -92,7 +92,8 @@ MUTANTS = [
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-unsorted_nodes]",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_product_kernel_benchmark"]),
     # the empty mask one piece short: each row's last reached piece zeroed
-    (OPERATOR, "empty = count[:p] > r", "empty = count[:p] >= r",
+    (OPERATOR, "empty = count[:p] > reach[lo:lo + m, None]",
+     "empty = count[:p] >= reach[lo:lo + m, None]",
      [ROWS + "test_rows_match_summed_piece_weights[3-polynomial-causal]",
       "tests/test_properties.py::test_operator_rows_match_summed_piece_weights[volterra]"]),
     # a 1e-9 asymmetry in W: each piece's left-node row scaled, so that the
@@ -101,26 +102,31 @@ MUTANTS = [
      ["tests/test_properties.py::test_solve_conserves_parity[even]",
       "tests/test_properties.py::test_solve_conserves_parity[odd]"]),
     # empty pieces left at their own nodes, beyond the row's limit
-    (OPERATOR, "np.copyto(s, nodes[r], where=empty)", "None",
+    (OPERATOR, "np.copyto(s, limits[lo:lo + m], where=empty)", "None",
      [ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-causal]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-tail]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-unsorted_nodes]"]),
     # a block of rows that reach one piece takes one column, which BLAS's
     # matrix-vector routine rounds differently
-    (OPERATOR, "widest = np.maximum(reach, 2)", "widest = np.maximum(reach, 1)",
+    (OPERATOR, "m, p = len(block), max(2, *block)", "m, p = len(block), max(1, *block)",
      [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
     # the shared node stack copied per row instead of broadcast read-only
-    (OPERATOR, "s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p))",
-     "s = np.broadcast_to(shared[:, :, :p], (q, max_rows, p)).copy()",
+    (OPERATOR, "stack = np.broadcast_to(shared, (q, max_rows, n))",
+     "stack = np.broadcast_to(shared, (q, max_rows, n)).copy()",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       POLICY + "test_kernel_writing_into_shared_node_stack_refused"]),
-    # a shared count of 1 sent down the shared path: its blocks take one
-    # piece, and a block of one row one column, which BLAS's matrix-vector
-    # routine rounds differently
-    (OPERATOR, "per_row = reach.ndim > 0 or reach < 2", "per_row = reach.ndim > 0 or reach < 1",
+    # a block whose rows reach one piece fewer than its p taken as full: a
+    # shared count of 1 gets the broadcast of 2 pieces, and its empty
+    # piece's rows are kept
+    (OPERATOR, "full = min(block) >= p", "full = min(block) >= p - 1",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]"]),
+    # the blocks sized by the first row's reach, not the widest: a block of
+    # causal rows holds more than _OPERATOR_BLOCK doubles
+    (OPERATOR, "widest = max([2, *counts])", "widest = max(2, counts[0])",
+     ["tests/test_integral_eq.py::TestOperatorCalls::test_node_rows_make_one_call_per_block"
+      "[causal]"]),
     # the weights without their h: every row of a piece's width other than 1 wrong
     (OPERATOR, "weights = h * rule._piece_rows", "weights = rule._piece_rows",
      [ROWS + "test_rows_match_summed_piece_weights[8-polynomial-full]",
@@ -129,6 +135,11 @@ MUTANTS = [
     (OPERATOR, "if reach.size and not (reach.min() >= 0 and reach.max() <= n):", "if False:",
      [ROWS + "test_count_outside_0_to_n_is_refused[negative]",
       ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
+    # an eigenvector rescaled beyond the doubles handed to the spline,
+    # which names a sample, not the reference's scale
+    (OPERATOR, "if not np.isfinite(vector).all():", "if False:",
+     ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
+      "test_reference_whose_scale_overflows_is_refused_without_warning"]),
     # a W, or an A = I - lam W, that is not finite passed on to the solve
     (OPERATOR, "if not np.abs(W).sum(axis=1).max() < np.inf:", "if False:",
      [V1 + "test_operator_that_overflows_is_refused_by_name_without_warning",
@@ -173,6 +184,9 @@ MUTANTS = [
     (OPERATOR, "s = np.minimum(last + part * (1.0 + rule.nodes), x)",
      "s = last + part * (1.0 + rule.nodes)",
      [V1 + "test_closure_integrates_its_part_of_the_last_piece[affine-lobatto3]"]),
+    # a closure's defect that overflows named a singular closure
+    (OPERATOR, "if not np.isfinite([defect_u, defect_w]).all():", "if False:",
+     [V1 + "test_closure_that_overflows_is_refused_without_warning[defect_overflows]"]),
     # the closure's absolute cutoff restored: a problem on a short interval
     # is refused
     (OPERATOR, "den > 0.0", "den > 1e-14",
@@ -339,6 +353,12 @@ MUTANTS = [
     (LAGRANGE, "den += t\n                t *= yj", "t *= yj\n                den += t",
      ["tests/test_lagrange.py::test_matches_per_point_reference[10]",
       "tests/test_lagrange.py::test_sums_run_in_node_order_bit_for_bit[20]"]),
+    # second differences formed as y_{k-1} - 2 y_k + y_{k+1}: 2 y_k
+    # overflows for samples above half the largest double
+    (SPLINE, "2.0 * (0.5 * y[:-2] - y[1:-1] + 0.5 * y[2:])", "(y[:-2] - 2.0 * y[1:-1] + y[2:])",
+     ["tests/test_spline.py::TestSecondDifferences::test_samples_above_half_the_largest_double",
+      "tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_forcing_above_half_the_largest_double_solves"]),
     # the closed form without its mean removal
     (SPLINE, "c -= np.add.reduce(c, axis=0) / n", "pass",
      ["tests/test_spline.py::TestCoefficientPaths::test_closed_form_matches_recursion",
@@ -352,6 +372,10 @@ MUTANTS = [
     # quadratic moments go to two of their three nodes
     (SPLINE, "flat[2:] += v[:-2]", "pass",
      [ROWS + "test_rows_match_summed_piece_weights[3-constant-full]"]),
+    # runs that start at piece first - 1: every piece of a sorted input
+    # taken one to its left
+    (SPLINE, "np.arange(first + 1, last + 1)", "np.arange(first, last)",
+     ["tests/test_spline.py::test_sorted_runs_match_scalar_form_and_gather_bit_for_bit"]),
     # a run of pieces starting after its first t = k: a node on a grid of
     # exact t takes the piece on its left
     (SPLINE, "edges[1:-1] = t.searchsorted(np.arange(first + 1, last + 1))",
@@ -385,6 +409,10 @@ MUTANTS = [
      ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",
       "tests/test_properties.py::test_power_rows_are_the_diff_form_bit_for_bit"]),
 
+    # an array too large for memory left to end in numpy's traceback
+    (CLI, "except (SingularMatrixError, OSError, MemoryError) as exc:",
+     "except (SingularMatrixError, OSError) as exc:",
+     ["tests/test_cli.py::TestFailureExitCodes::test_array_too_large_for_memory_exits_one"]),
     # a parser that keeps the last --bracket: each call's bracket becomes the
     # default of the next
     (CLI, "args = build_parser().parse_args(argv)\n",

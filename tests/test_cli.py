@@ -379,6 +379,20 @@ class TestFailureExitCodes:
         assert code == 1
         assert "pivot underflow" in err
 
+    def test_array_too_large_for_memory_exits_one(self, capsys, monkeypatch):
+        # numpy refuses an array beyond memory, such as the operator's at
+        # n = 1e11, with MemoryError; the command fails with one line, not a
+        # traceback. Nothing is allocated: a smaller n could pass the
+        # allocator's check and then exhaust the machine
+        def boom(*a, **k):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(registry, "solve_entry", boom)
+        code, out, err = run_cli(capsys, "solve", "-p", "krasnov1", "--n", "100000000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Unable to allocate 745. GiB for an array\n"
+
     @pytest.mark.parametrize("pid,table", [("krasnov1", 4), ("krasnov2", 5), ("krasnov3", 6),
                                            ("malek1", 7), ("krasnov4", 8)])
     def test_broken_reference_fails_its_table(self, capsys, monkeypatch, pid, table):

@@ -362,11 +362,13 @@ class TestIntegralOperator:
             assert shared.tobytes() == per_row.tobytes()
 
     def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
-        # the kernel sees the (q, rows, p) shape, but for a shared count of
-        # 2 or more its rows are one read-only (q, 1, p) stack, cut to the
-        # first p pieces, not a rebuilt stack; a shared count of 1, whose
-        # blocks take 2 pieces with one empty, and per-row counts get a
-        # writeable stack of p pieces a row, p each block's widest reach
+        # the kernel sees the (q, rows, p) shape, but where every row of a
+        # block reaches all its p >= 2 pieces, as for a shared count of 2 or
+        # more, its rows are one read-only (q, 1, p) stack, cut to the first
+        # p pieces, not a rebuilt stack; a shared count of 1, whose blocks
+        # take 2 pieces with one empty, and blocks of causal rows get a
+        # writeable stack of p pieces a row, p each block's widest reach.
+        # The last causal block is row n alone, which reaches all n pieces
         seen = []
 
         def kernel(x, s):
@@ -385,8 +387,8 @@ class TestIntegralOperator:
         assert seen == [((8, 3, 2), 2 * 8, True)]
         seen.clear()
         _integral_operator(kernel, g, RULE8, g.nodes, np.arange(g.n + 1))
-        assert seen == [((8, 10, 9), 9 * 8, True), ((8, 6, 15), 15 * 8, True),
-                        ((8, 5, 20), 20 * 8, True)]
+        assert seen == ([((8, 5, p), p * 8, True) for p in (4, 9, 14, 19)]
+                        + [((8, 1, 20), 0, False)])
 
     def test_runtime_error_from_array_call_propagates(self):
         calls = []
@@ -495,18 +497,13 @@ class CountingKernel:
 
 def planned_blocks(q, reach, rows, block):
     """(rows, p) of each row block, from the definition: row i reaches r_i
-    pieces, and a block takes p = max(2, max r_i) pieces of each row,
-    growing row by row while q rows p <= block."""
-    reach = [max(2, int(r)) for r in np.broadcast_to(reach, rows)]
-    blocks, lo = [], 0
-    while lo < rows:
-        hi, p = lo + 1, reach[lo]
-        while hi < rows and q * (hi + 1 - lo) * max(p, reach[hi]) <= block:
-            p = max(p, reach[hi])
-            hi += 1
-        blocks.append((hi - lo, p))
-        lo = hi
-    return blocks
+    pieces; every block but the last takes the most rows, at least 1, for
+    which q rows P <= block, P = max(2, max r_i) over all rows, and each
+    takes p = max(2, max r_i) over its own rows pieces of each row."""
+    widest = [max(2, int(r)) for r in np.broadcast_to(reach, rows)]
+    size = max([1] + [m for m in range(1, rows + 1) if q * m * max(widest) <= block])
+    return [(len(widest[lo:lo + size]), max(widest[lo:lo + size]))
+            for lo in range(0, rows, size)]
 
 
 class TestOperatorCalls:
@@ -522,13 +519,14 @@ class TestOperatorCalls:
         "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),
                      np.sort(np.random.default_rng(7).choice(np.arange(N + 1), 50))),
     }
-    # a shared count of N reaches every piece, so its blocks are BLOCK_ROWS
-    # rows of N pieces; row i of the causal rows reaches i pieces, so each
-    # of their blocks takes more rows of fewer pieces, and so do off-node
-    # rows with sorted counts
+    # every block takes BLOCK_ROWS rows, since some row of each kind
+    # reaches all N pieces, and the last the rows left; a shared count of N
+    # gives blocks of N pieces, and row i of the causal rows reaches i
+    # pieces, so each of their blocks takes fewer pieces than the next, as
+    # do off-node rows with sorted counts
     BLOCKS = {"fredholm": [(13, 40)] * 3 + [(2, 40)],
-              "causal": [(23, 22), (14, 36), (4, 40)],
-              "off_node": [(25, 20), (15, 33), (10, 40)]}
+              "causal": [(13, 12), (13, 25), (13, 38), (2, 40)],
+              "off_node": [(13, 11), (13, 22), (13, 33), (11, 40)]}
 
     def run(self, monkeypatch, rows, kernel):
         """Rows in blocks of at most BLOCK_ROWS x N pieces; returns each
@@ -641,6 +639,15 @@ class TestSolveFredholm:
         r = solve(p, 6)
         np.testing.assert_allclose(r.samples, np.exp(r.spline.grid.nodes), rtol=1e-13)
         assert r.error_max < 1e-12
+
+    def test_forcing_above_half_the_largest_double_solves(self):
+        # with lam = 0 the samples are the forcing's, 1e308 at every node,
+        # whose spline's second differences must not overflow
+        p = IntegralProblem("fredholm2", lambda x, s: np.cos(x + s), (0.0, 1.0),
+                            forcing=lambda x: 1e308 + 0.0 * x, lam=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(solve(p, 5).samples, 1e308)
 
     @pytest.mark.parametrize("n,pub_l2,pub_max", [(5, 6.4e-3, 1.6e-3),
                                                   (10, 5.1e-4, 1.9e-5)])
@@ -770,6 +777,16 @@ class TestSolveFredholmEigen:
         assert len(r.eigen) == 1
         assert r.eigen[0][0] == pytest.approx(3.0, abs=1e-6)
         assert r.eigen[0][1].error_max < 1e-8
+
+    def test_reference_whose_scale_overflows_is_refused_without_warning(self):
+        # krasnov2's eigenvector scaled to a reference near the largest
+        # double: ref(x_1) / v_1 overflows, and is refused by name
+        p = replace(get_problem("krasnov2"), reference=lambda x: 1.7e308 * np.cos(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match=r"^the eigenvector scaled by -?inf to "
+                               r"the reference's scale on \[0\.0, 1\.0\] is not finite"):
+                solve(p, 5)
 
     @pytest.mark.parametrize("n,roots", [
         (5, (-3.21785007528, -2.80138069399)),
@@ -1206,20 +1223,24 @@ class TestSolveVolterra1:
             solve(replace(self.make(), kernel=writes), 5)
         assert repr(writes) in str(exc.value)
 
-    @pytest.mark.parametrize("scale,interval,n,match", [
-        (1e308, (0.0, 21.0), 2, "does not determine the endpoint value"),
-        (2.2250738585072014e-308, (-8.555380143128981e+20, 1e-310), 10,
+    @pytest.mark.parametrize("scale,interval,n,error,match", [
+        (1e308, (0.0, 21.0), 2, InvalidDomainError,
+         r"the closure's defect for the kernel .* on \[0\.0, 21\.0\] at n = 2 is not finite"),
+        (2.2250738585072014e-308, (-8.555380143128981e+20, 1e-310), 10, SingularMatrixError,
          "the solution overflows: 11 of its 11 entries"),
     ], ids=["defect_overflows", "endpoint_value_overflows"])
-    def test_closure_that_overflows_is_refused_without_warning(self, scale, interval, n, match):
+    def test_closure_that_overflows_is_refused_without_warning(self, scale, interval, n,
+                                                               error, match):
         # a kernel scaled to the largest double overflows the closure's
-        # defect; a tiny one on a wide interval leaves y_0 beyond the doubles
+        # defect, which is named as the kernel's; a tiny one on a wide
+        # interval leaves y_0 beyond the doubles
         p = IntegralProblem("volterra1", lambda x, s: scale * np.cos(x - s), interval,
                             forcing=lambda x: -4.6e16 * np.cos(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularMatrixError, match=match):
+            with pytest.raises(error, match=match) as exc:
                 solve(p, n)
+        assert type(exc.value) is error
 
     @pytest.mark.parametrize("n", [5, 10])
     def test_narrow_interval_is_solved_or_refused_never_wrong(self, n):

@@ -42,6 +42,16 @@ class TestSecondDifferences:
         d = second_differences(np.array([1, 0.5, 0, 0.5, 1.0]), g)
         np.testing.assert_allclose(d, [0.0, 4.0, 0.0], atol=1e-14)
 
+    def test_samples_above_half_the_largest_double(self):
+        # 2 y_k would overflow for y_k = 1e308; the halved form gives the
+        # zero second differences of constant samples and their flat spline
+        g = make_grid(0, 1, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(second_differences(np.full(5, 1e308), g), 0.0)
+            model = build_spline(g, [1e308] * 5)
+            np.testing.assert_array_equal(model(np.linspace(0, 1, 9)), 1e308)
+
     def test_length_validation(self):
         g = make_grid(0, 1, 4)
         with pytest.raises(ValueError):
