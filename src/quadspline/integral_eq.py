@@ -16,17 +16,12 @@ lives in tests/oracles.py.
 
 Kernels, forcings and references are called through core.eval_many: the
 kernel once per block of operator rows, on x as a (rows, 1) column and s
-as the (q, rows, p) stack of the quadrature nodes of the p <= n pieces
-that the block's rows reach, cut from one stack of every piece's nodes
-built once per call. The nodes of the pieces beyond a row's reach are set
-to its limit, the node that ends its last piece, so the kernel is called
-only at a <= s <= that limit (s = x included, so a kernel infinite on the
-diagonal is not supported). A broadcastable result such as a constant is
-accepted, and a kernel is called per point only when the array call
-raises TypeError or ValueError. A block whose rows all reach its p >= 2
-pieces (every block of the Fredholm kinds and of the Volterra-1 closure's
-rows) sets no node: s is a read-only broadcast of the one stack, and no
-kernel may write into its arguments.
+as a (q, rows, p) stack of quadrature nodes (see _integral_operator), and
+only at a <= s <= the node that ends a row's last piece (s = x included,
+so a kernel infinite on the diagonal is not supported). A broadcastable
+result such as a constant is accepted, and a kernel is called per point
+only when the array call raises TypeError or ValueError. s may be a
+read-only broadcast, and no kernel may write into its arguments.
 
 Sign conventions of the built-in problems: Fredholm second kind is
 y(x) - lam * int_a^b K(x,s) y(s) ds = f(x); Volterra second kind is
@@ -65,9 +60,10 @@ Kernel = Callable[[float, float], float]
 # Doubles in each of _integral_operator's (q, rows, p) buffers, the nodes s and
 # the kernel values, 512 KB at most, so large n needs no more. Operator medians
 # over 5 fresh processes (one BLAS thread, 2-vCPU VM) at 2^15, 2^16 and 2^17:
-# krasnov3 0.34, 0.37, 0.32 ms at n = 64; 1.5, 1.6, 2.0 ms at n = 200; 54, 37,
-# 35 ms at n = 1280; krasnov1 0.35, 0.32, 0.31; 1.7, 1.8, 2.6; 64, 55, 54 ms.
-# 2^15 loses 15-46 % at n = 1280, and 2^17 20-44 % at n = 200.
+# krasnov3 0.35, 0.33, 0.32 ms at n = 64; 1.3, 1.6, 2.1 ms at n = 200; 36, 33,
+# 33 ms at n = 1280; krasnov1 0.33, 0.33, 0.32; 1.8, 2.2, 2.3; 59, 54, 55 ms.
+# 2^15 gains 18-19 % at n = 200 but loses 8-9 % at n = 1280; 2^17 gains
+# nothing at n = 1280 and loses 4-30 % at n = 200.
 _OPERATOR_BLOCK = 1 << 16
 
 # kind: whether it takes (forcing, lam, bracket)
@@ -146,11 +142,11 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     truncated to a count, and a count outside 0..n ValueError, before the
     kernel is called. Row i reaches its first reach_i pieces, and the
     pieces beyond hold nothing.
-    Rows go in blocks of max(1, _OPERATOR_BLOCK // q // P) rows, P the
-    widest reach of any row, the last block the rows left; a block works
-    on the first p pieces of its rows, p their widest reach (P and p at
-    least 2: a product with one column goes to BLAS's matrix-vector
-    routine, which rounds differently).
+    A block of rows works on their first p pieces, p their widest reach
+    (at least 2: a product with one column goes to BLAS's matrix-vector
+    routine, which rounds differently), and grows row by row while
+    q x rows x p stays within _OPERATOR_BLOCK: causal rows, whose reach
+    grows with the row, go in blocks of many short rows, then fewer long.
 
     Every piece k is integrated with `rule` (nodes t, weights w) at the
     nodes (x_k - x_{k-1})/2 (1 + t) + x_{k-1}: the outer product of 1 + t
@@ -200,33 +196,39 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
     starts = nodes[:-1]
     halves = 0.5 * (nodes[1:] - starts)
     weights = h * rule._piece_rows
-    # blocks of equal rows, sized by the widest reach of any row; each works
-    # on its rows' widest reach p, both at least 2 (n >= 2): a product with
-    # one column would go to BLAS's matrix-vector routine, which rounds
-    # differently. Each block takes the leading part of every buffer
-    widest = max([2, *counts])
-    rows = max(1, _OPERATOR_BLOCK // q // widest)
-    max_rows = min(rows, len(xs))
-    s_buf = None
-    m_buf = np.empty(3 * max_rows * widest)
+    # blocks as the docstring plans them, p at least 2 (n >= 2)
+    most, blocks, lo, p = _OPERATOR_BLOCK // q, [], 0, 2
+    for hi, c in enumerate(counts):
+        wide = c if c > p else p
+        if hi > lo and (hi + 1 - lo) * wide > most:
+            blocks.append((lo, hi, p))
+            lo, wide = hi, max(2, c)
+        p = wide
+    if counts:
+        blocks.append((lo, len(counts), p))
+    # each block takes the leading part of every buffer
+    max_rows = max((hi - lo for lo, hi, _ in blocks), default=0)
+    max_size = max(((hi - lo) * p for lo, hi, p in blocks), default=0)
+    stack = s_buf = None  # made when a block first needs them
+    m_buf = np.empty(3 * max_size)
     quad_buf = np.empty(max_rows * n)
     W = np.empty((len(xs), n + 1))
     shared = (np.multiply.outer(1.0 + rule.nodes, halves) + starts).reshape(q, 1, n)
-    stack = np.broadcast_to(shared, (q, max_rows, n))  # read-only, row stride 0
-    for lo in range(0, len(xs), rows):
-        x, block = xs[lo:lo + rows], counts[lo:lo + rows]
-        m, p = len(block), max(2, *block)
-        full = min(block) >= p
+    for lo, hi, p in blocks:
+        x, m = xs[lo:hi], hi - lo
+        full = min(counts[lo:hi]) >= p
         if full:  # every row reaches all p pieces: the read-only stack
+            if stack is None:
+                stack = np.broadcast_to(shared, (q, max_rows, n))  # row stride 0
             s = stack[:, :m, :p]
         else:  # a copy, with the pieces beyond a row's reach empty
             if s_buf is None:
-                s_buf = np.empty(q * max_rows * widest)
-                count, limits = np.arange(1, widest + 1), nodes[reach][:, None]
-            empty = count[:p] > reach[lo:lo + m, None]
+                s_buf = np.empty(q * max_size)
+                count, limits = np.arange(1, n + 1), nodes[reach][:, None]
+            empty = count[:p] > reach[lo:hi, None]
             s = s_buf[:q * m * p].reshape(q, m, p)
-            np.copyto(s, stack[:, :m, :p])
-            np.copyto(s, limits[lo:lo + m], where=empty)
+            np.copyto(s, shared[:, :, :p])
+            np.copyto(s, limits[lo:hi], where=empty)
         K = eval_many(kernel, x, s)
         # each piece's left-node, right-node and quadratic rows
         lrq = np.matmul(weights, K.reshape(q, -1),
@@ -239,7 +241,7 @@ def _integral_operator(kernel: Kernel, grid: Grid, rule: QuadratureRule,
             ext[:, :p] = quad
             ext[:, p:] = 0.0
             quad = ext
-        Wb = W[lo:lo + m]
+        Wb = W[lo:hi]
         _closed_form_adjoint(quad, out=Wb)
         Wb[:, 1:p + 1] += right
         Wb[:, :p] += left
@@ -250,8 +252,9 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
     reference when there is one (conventions in the module docstring).
 
-    A deviation that is NaN or not finite in doubles, or an L2 norm beyond
-    the largest double, raises InvalidDomainError naming the interval.
+    A deviation that is NaN or not finite in doubles, a spline value beyond
+    the largest double, or an L2 norm beyond it, raises InvalidDomainError
+    naming the interval.
     """
     ref = problem.reference
     if ref is None:
@@ -266,8 +269,16 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     # the deviation is scaled by the power of two of its nodal max before
     # it is squared, so that no square overflows a finite norm
     e = math.frexp(e_max)[1]
+
+    def spline(x):  # between the nodes, where finite samples may overflow
+        try:
+            return model(x)
+        except ValueError:
+            raise InvalidDomainError(f"the spline of the solution on [{grid.a}, {grid.b}] "
+                                     f"overflows a double between its nodes") from None
+
     what = "the integral of the squared deviation"
-    e2 = _integral(lambda x: np.ldexp(model(x) - eval_many(ref, x), -e), 2,
+    e2 = _integral(lambda x: np.ldexp(spline(x) - eval_many(ref, x), -e), 2,
                    grid.a, grid.b, grid.n, gauss_legendre(8), what)
     if math.isnan(e2):
         raise InvalidDomainError(f"{what} over [{grid.a}, {grid.b}] is not finite: {e2}")
@@ -277,11 +288,10 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
         raise InvalidDomainError(f"the L2 norm of the deviation over [{grid.a}, {grid.b}] "
                                  f"overflows a double") from None
     if eigen:
-        e_max = max_error(model, ref, grid.a, grid.b)
+        e_max = max_error(spline, ref, grid.a, grid.b)
     return SolveReport(problem, model.samples, model, e_l2, e_max)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
                           vector: np.ndarray, ref1: float) -> np.ndarray:
     """Scale an eigenvector to the reference eigenfunction's normalization.
@@ -292,9 +302,9 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
     back to a least-squares fit when that component is degenerate. A
     vector scaled beyond the doubles raises InvalidDomainError.
     """
-    v1 = vector[1]
-    if abs(v1) > 1e-8 * np.abs(vector).max() and ref1 != 0.0:
-        scale = float(ref1) / float(v1)
+    v1, top = vector[1], float(np.abs(vector).max())
+    if abs(v1) > 1e-8 * top and ref1 != 0.0:
+        scale = float(ref1) / float(v1)  # Python floats: inf, not a warning
     else:
         model = build_spline(grid, vector)
         rule = gauss_legendre(8)
@@ -302,11 +312,10 @@ def _rescale_to_reference(problem: IntegralProblem, grid: Grid,
                                grid.a, grid.b, grid.n, rule)
         den = integrate_panels(lambda x: model(x) ** 2, grid.a, grid.b, grid.n, rule)
         scale = num / den
-    vector = vector * scale
-    if not np.isfinite(vector).all():
+    if not math.isfinite(scale * top):  # no entry overflows unless the largest does
         raise InvalidDomainError(f"the eigenvector scaled by {scale!r} to the reference's "
                                  f"scale on [{grid.a}, {grid.b}] is not finite in doubles")
-    return vector
+    return vector * scale
 
 
 def _eigen(problem: IntegralProblem, grid: Grid, alpha: np.ndarray) -> SolveReport:

@@ -69,7 +69,8 @@ def second_differences(samples: np.ndarray, grid: Grid) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
     if y.shape[:1] != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
-    return 2.0 * (0.5 * y[:-2] - y[1:-1] + 0.5 * y[2:]) / (grid.h * grid.h)
+    half = 0.5 * y
+    return 2.0 * (half[:-2] - y[1:-1] + half[2:]) / (grid.h * grid.h)
 
 
 def coeffs_closed_form(deltas: np.ndarray, n: int) -> np.ndarray:

@@ -92,8 +92,7 @@ MUTANTS = [
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[nan-unsorted_nodes]",
       "tests/test_integral_eq.py::TestSolveVolterra2::test_product_kernel_benchmark"]),
     # the empty mask one piece short: each row's last reached piece zeroed
-    (OPERATOR, "empty = count[:p] > reach[lo:lo + m, None]",
-     "empty = count[:p] >= reach[lo:lo + m, None]",
+    (OPERATOR, "empty = count[:p] > reach[lo:hi, None]", "empty = count[:p] >= reach[lo:hi, None]",
      [ROWS + "test_rows_match_summed_piece_weights[3-polynomial-causal]",
       "tests/test_properties.py::test_operator_rows_match_summed_piece_weights[volterra]"]),
     # a 1e-9 asymmetry in W: each piece's left-node row scaled, so that the
@@ -102,13 +101,18 @@ MUTANTS = [
      ["tests/test_properties.py::test_solve_conserves_parity[even]",
       "tests/test_properties.py::test_solve_conserves_parity[odd]"]),
     # empty pieces left at their own nodes, beyond the row's limit
-    (OPERATOR, "np.copyto(s, limits[lo:lo + m], where=empty)", "None",
+    (OPERATOR, "np.copyto(s, limits[lo:hi], where=empty)", "None",
      [ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-causal]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-tail]",
       ROWS + "test_kernel_is_never_called_beyond_the_row_limit[raises-unsorted_nodes]"]),
     # a block of rows that reach one piece takes one column, which BLAS's
-    # matrix-vector routine rounds differently
-    (OPERATOR, "m, p = len(block), max(2, *block)", "m, p = len(block), max(1, *block)",
+    # matrix-vector routine rounds differently: the first block, and every
+    # block after it
+    (OPERATOR, "most, blocks, lo, p = _OPERATOR_BLOCK // q, [], 0, 2",
+     "most, blocks, lo, p = _OPERATOR_BLOCK // q, [], 0, 1",
+     [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
+      ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
+    (OPERATOR, "lo, wide = hi, max(2, c)", "lo, wide = hi, max(1, c)",
      [ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[8]"]),
     # the shared node stack copied per row instead of broadcast read-only
@@ -119,12 +123,12 @@ MUTANTS = [
     # a block whose rows reach one piece fewer than its p taken as full: a
     # shared count of 1 gets the broadcast of 2 pieces, and its empty
     # piece's rows are kept
-    (OPERATOR, "full = min(block) >= p", "full = min(block) >= p - 1",
+    (OPERATOR, "full = min(counts[lo:hi]) >= p", "full = min(counts[lo:hi]) >= p - 1",
      [ROWS + "test_shared_limit_hands_the_kernel_one_broadcast_stack",
       ROWS + "test_one_piece_rows_are_the_same_alone_or_in_a_wide_block[3]"]),
-    # the blocks sized by the first row's reach, not the widest: a block of
+    # a block sized by its first row's reach, not its widest: a block of
     # causal rows holds more than _OPERATOR_BLOCK doubles
-    (OPERATOR, "widest = max([2, *counts])", "widest = max(2, counts[0])",
+    (OPERATOR, "wide = c if c > p else p", "wide = p",
      ["tests/test_integral_eq.py::TestOperatorCalls::test_node_rows_make_one_call_per_block"
       "[causal]"]),
     # the weights without their h: every row of a piece's width other than 1 wrong
@@ -137,9 +141,15 @@ MUTANTS = [
       ROWS + "test_count_outside_0_to_n_is_refused[above_n_first]"]),
     # an eigenvector rescaled beyond the doubles handed to the spline,
     # which names a sample, not the reference's scale
-    (OPERATOR, "if not np.isfinite(vector).all():", "if False:",
+    (OPERATOR, "if not math.isfinite(scale * top):", "if False:",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
       "test_reference_whose_scale_overflows_is_refused_without_warning"]),
+    # a spline that overflows between the nodes left to raise its own
+    # ValueError from the report, not named as the solution's
+    (OPERATOR, "            return model(x)\n        except ValueError:",
+     "            return model(x)\n        except OverflowError:",
+     ["tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_spline_that_overflows_between_the_nodes_is_refused_by_name"]),
     # a W, or an A = I - lam W, that is not finite passed on to the solve
     (OPERATOR, "if not np.abs(W).sum(axis=1).max() < np.inf:", "if False:",
      [V1 + "test_operator_that_overflows_is_refused_by_name_without_warning",
@@ -355,7 +365,7 @@ MUTANTS = [
       "tests/test_lagrange.py::test_sums_run_in_node_order_bit_for_bit[20]"]),
     # second differences formed as y_{k-1} - 2 y_k + y_{k+1}: 2 y_k
     # overflows for samples above half the largest double
-    (SPLINE, "2.0 * (0.5 * y[:-2] - y[1:-1] + 0.5 * y[2:])", "(y[:-2] - 2.0 * y[1:-1] + y[2:])",
+    (SPLINE, "2.0 * (half[:-2] - y[1:-1] + half[2:])", "(y[:-2] - 2.0 * y[1:-1] + y[2:])",
      ["tests/test_spline.py::TestSecondDifferences::test_samples_above_half_the_largest_double",
       "tests/test_integral_eq.py::TestSolveFredholm::"
       "test_forcing_above_half_the_largest_double_solves"]),

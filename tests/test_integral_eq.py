@@ -363,12 +363,12 @@ class TestIntegralOperator:
 
     def test_shared_limit_hands_the_kernel_one_broadcast_stack(self, monkeypatch):
         # the kernel sees the (q, rows, p) shape, but where every row of a
-        # block reaches all its p >= 2 pieces, as for a shared count of 2 or
-        # more, its rows are one read-only (q, 1, p) stack, cut to the first
-        # p pieces, not a rebuilt stack; a shared count of 1, whose blocks
-        # take 2 pieces with one empty, and blocks of causal rows get a
-        # writeable stack of p pieces a row, p each block's widest reach.
-        # The last causal block is row n alone, which reaches all n pieces
+        # block reaches all its p >= 2 pieces, as for a count of 2 or more
+        # that all rows share, given once or per row, its rows are one
+        # read-only (q, 1, p) stack, cut to the first p pieces, not a
+        # rebuilt stack; a shared count of 1, whose blocks take 2 pieces
+        # with one empty, and blocks of causal rows get a writeable stack of
+        # p pieces a row, p each block's widest reach
         seen = []
 
         def kernel(x, s):
@@ -377,18 +377,19 @@ class TestIntegralOperator:
 
         g = make_grid(0, 1, 20)
         monkeypatch.setattr(integral_eq, "_OPERATOR_BLOCK", 5 * RULE8.order * g.n)
-        for reach in (g.n, g.n - 1):  # 5 rows a block either way
+        for reach in (g.n, g.n - 1, [g.n] * (g.n + 1)):  # 5 rows a block each way
             seen.clear()
             _integral_operator(kernel, g, RULE8, g.nodes, reach)
-            assert [shape for shape, _, _ in seen] == [(8, 5, reach)] * 4 + [(8, 1, reach)]
+            p = max(np.ravel(reach))
+            assert [shape for shape, _, _ in seen] == [(8, 5, p)] * 4 + [(8, 1, p)]
             assert all(stride == 0 and not writeable for _, stride, writeable in seen)
         seen.clear()
         _integral_operator(kernel, g, RULE8, g.nodes[:3], 1)
         assert seen == [((8, 3, 2), 2 * 8, True)]
         seen.clear()
         _integral_operator(kernel, g, RULE8, g.nodes, np.arange(g.n + 1))
-        assert seen == ([((8, 5, p), p * 8, True) for p in (4, 9, 14, 19)]
-                        + [((8, 1, 20), 0, False)])
+        assert seen == [((8, 10, 9), 9 * 8, True), ((8, 6, 15), 15 * 8, True),
+                        ((8, 5, 20), 20 * 8, True)]
 
     def test_runtime_error_from_array_call_propagates(self):
         calls = []
@@ -497,13 +498,18 @@ class CountingKernel:
 
 def planned_blocks(q, reach, rows, block):
     """(rows, p) of each row block, from the definition: row i reaches r_i
-    pieces; every block but the last takes the most rows, at least 1, for
-    which q rows P <= block, P = max(2, max r_i) over all rows, and each
-    takes p = max(2, max r_i) over its own rows pieces of each row."""
-    widest = [max(2, int(r)) for r in np.broadcast_to(reach, rows)]
-    size = max([1] + [m for m in range(1, rows + 1) if q * m * max(widest) <= block])
-    return [(len(widest[lo:lo + size]), max(widest[lo:lo + size]))
-            for lo in range(0, rows, size)]
+    pieces, and a block takes p = max(2, max r_i) pieces of each row,
+    growing row by row while q rows p <= block."""
+    reach = [max(2, int(r)) for r in np.broadcast_to(reach, rows)]
+    blocks, lo = [], 0
+    while lo < rows:
+        hi, p = lo + 1, reach[lo]
+        while hi < rows and q * (hi + 1 - lo) * max(p, reach[hi]) <= block:
+            p = max(p, reach[hi])
+            hi += 1
+        blocks.append((hi - lo, p))
+        lo = hi
+    return blocks
 
 
 class TestOperatorCalls:
@@ -519,14 +525,13 @@ class TestOperatorCalls:
         "off_node": (np.sort(np.random.default_rng(7).uniform(-0.5, 1.5, 50)),
                      np.sort(np.random.default_rng(7).choice(np.arange(N + 1), 50))),
     }
-    # every block takes BLOCK_ROWS rows, since some row of each kind
-    # reaches all N pieces, and the last the rows left; a shared count of N
-    # gives blocks of N pieces, and row i of the causal rows reaches i
-    # pieces, so each of their blocks takes fewer pieces than the next, as
-    # do off-node rows with sorted counts
+    # a shared count of N reaches every piece, so its blocks are BLOCK_ROWS
+    # rows of N pieces; row i of the causal rows reaches i pieces, so each
+    # of their blocks takes more rows of fewer pieces, and so do off-node
+    # rows with sorted counts
     BLOCKS = {"fredholm": [(13, 40)] * 3 + [(2, 40)],
-              "causal": [(13, 12), (13, 25), (13, 38), (2, 40)],
-              "off_node": [(13, 11), (13, 22), (13, 33), (11, 40)]}
+              "causal": [(23, 22), (14, 36), (4, 40)],
+              "off_node": [(25, 20), (15, 33), (10, 40)]}
 
     def run(self, monkeypatch, rows, kernel):
         """Rows in blocks of at most BLOCK_ROWS x N pieces; returns each
@@ -648,6 +653,19 @@ class TestSolveFredholm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(solve(p, 5).samples, 1e308)
+
+    def test_spline_that_overflows_between_the_nodes_is_refused_by_name(self):
+        # finite samples of the largest double times cos(x), whose spline
+        # rises beyond the doubles between the nodes where the report
+        # integrates its deviation from the reference
+        p = IntegralProblem("fredholm2", lambda x, s: np.cos(x - s), (-1.0, 1.0),
+                            forcing=lambda x: 1.7976931348623157e308 * np.cos(x), lam=0.0,
+                            reference=np.cos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match=r"^the spline of the solution on "
+                               r"\[-1\.0, 1\.0\] overflows a double between its nodes$"):
+                solve(p, 3)
 
     @pytest.mark.parametrize("n,pub_l2,pub_max", [(5, 6.4e-3, 1.6e-3),
                                                   (10, 5.1e-4, 1.9e-5)])
