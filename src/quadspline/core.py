@@ -1,7 +1,8 @@
 """Equidistant grids, function sampling, and the one rule for calling user functions.
 
 Everything here is real-valued: the solvers and the benchmark problems are
-all real, so complex-valued data is a documented non-goal.
+all real, so complex-valued data is refused, with a ValueError naming the
+function or the array that gives it, never cast to its real part.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ _log = logging.getLogger("quadspline")
 
 
 class InvalidDomainError(ValueError):
-    """Raised for an unusable interval or subinterval count."""
+    """Raised for an unusable interval or subinterval count, and for a value
+    computed beyond the doubles, naming its range; an input that is not
+    finite is a plain ValueError naming it."""
 
 
 class OutOfDomainError(ValueError):
@@ -95,19 +98,24 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
     f must not write into its arguments, and calling it per point would
     only hide that. A per-point call that also gives an array raises a
     ValueError naming f, the shape its array call gave and the one its
-    arguments broadcast to.
+    arguments broadcast to. Complex values are refused with a ValueError
+    naming f, by the dtype of the array call's result or, per point, of each
+    value, and never cast to their real part or retried per point.
     """
     args = [np.asarray(a, dtype=float) for a in args]
     shape = args[0].shape if len(args) == 1 else np.broadcast(*args).shape
     got = "an exception"
     try:
-        vals = np.asarray(f(*args), dtype=float)
-        if vals.shape == shape:
-            return vals
-        got = f"shape {vals.shape}"
-        if vals.ndim and all(vals.shape != a.shape for a in args):
-            raise ValueError(f"{f!r} gives {got} on arrays whose broadcast shape is {shape}")
-        return np.array(np.broadcast_to(vals, shape))
+        vals = np.asarray(f(*args))
+        if vals.dtype != float and vals.dtype.kind != "c":
+            vals = vals.astype(float)
+        if vals.dtype == float:
+            if vals.shape == shape:
+                return vals
+            got = f"shape {vals.shape}"
+            if vals.ndim and all(vals.shape != a.shape for a in args):
+                raise ValueError(f"{f!r} gives {got} on arrays whose broadcast shape is {shape}")
+            return np.array(np.broadcast_to(vals, shape))
     except (OutOfDomainError, InvalidDomainError):
         raise
     except (TypeError, ValueError) as exc:
@@ -119,8 +127,14 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
                              f"read-only: {exc}") from exc
         _log.debug("%r on arrays of shape %s failed with %r; calling it per point "
                    "(per node when sampling a grid)", f, shape, exc)
+    else:  # only a complex result gets here, and is refused, not retried per point
+        raise ValueError(f"{f!r} gives complex values ({vals.dtype}) on arrays, refused: "
+                         "only real values are taken")
     points = zip(*(a.flat for a in np.broadcast_arrays(*args)))
     values = [f(*p) for p in points]
+    if any(map(np.iscomplexobj, values)):
+        raise ValueError(f"{f!r} gives complex values at single points, refused: only "
+                         "real values are taken")
     try:
         return np.array([float(v) for v in values]).reshape(shape)
     except TypeError:
@@ -131,10 +145,22 @@ def eval_many(f: Callable[..., float], *args) -> np.ndarray:
                          f"gave {got}, where their broadcast shape is {shape}") from None
 
 
+def _real_floats(values, name: str, copy: bool | None = None) -> np.ndarray:
+    """`values` as a float array, copied if `copy`; raises ValueError naming
+    `name` when they are complex, by the dtype of the array made."""
+    y = np.array(values, copy=copy)
+    if y.dtype != float:
+        if y.dtype.kind == "c":
+            raise ValueError(f"complex {name} ({y.dtype}) refused: only real values are taken")
+        y = y.astype(float)
+    return y
+
+
 def checked_samples(grid: Grid, values, finite: bool = True) -> np.ndarray:
     """A float copy of the grid.n + 1 node samples `values`; raises
-    ValueError for another shape and, if `finite`, at the first non-finite one."""
-    y = np.array(values, dtype=float)
+    ValueError for complex values, for another shape and, if `finite`, at
+    the first non-finite one."""
+    y = _real_floats(values, "samples", copy=True)
     if y.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {y.shape}")
     if finite:
@@ -158,7 +184,9 @@ def sample(f: ScalarFunction, grid: Grid) -> np.ndarray:
         error = exc
     for x in grid.nodes:
         try:
-            float(f(x))
+            # complex, not float: complex values are refused by eval_many,
+            # naming f, and no one node is at fault for them
+            complex(f(x))
         except Exception as exc:
             raise ValueError(f"evaluation failed at node x={x}: {exc!r}") from exc
     raise error

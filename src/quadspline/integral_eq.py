@@ -252,9 +252,9 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     """The spline through the solved samples y, with its errors against the
     reference when there is one (conventions in the module docstring).
 
-    A deviation that is NaN or not finite in doubles, a spline value beyond
-    the largest double, or an L2 norm beyond it, raises InvalidDomainError
-    naming the interval.
+    A deviation that is NaN or not finite in doubles, or an L2 norm beyond
+    the largest double, raises InvalidDomainError naming the interval, as
+    the spline itself does for a value that overflows between the nodes.
     """
     ref = problem.reference
     if ref is None:
@@ -269,16 +269,8 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
     # the deviation is scaled by the power of two of its nodal max before
     # it is squared, so that no square overflows a finite norm
     e = math.frexp(e_max)[1]
-
-    def spline(x):  # between the nodes, where finite samples may overflow
-        try:
-            return model(x)
-        except ValueError:
-            raise InvalidDomainError(f"the spline of the solution on [{grid.a}, {grid.b}] "
-                                     f"overflows a double between its nodes") from None
-
     what = "the integral of the squared deviation"
-    e2 = _integral(lambda x: np.ldexp(spline(x) - eval_many(ref, x), -e), 2,
+    e2 = _integral(lambda x: np.ldexp(model(x) - eval_many(ref, x), -e), 2,
                    grid.a, grid.b, grid.n, gauss_legendre(8), what)
     if math.isnan(e2):
         raise InvalidDomainError(f"{what} over [{grid.a}, {grid.b}] is not finite: {e2}")
@@ -288,7 +280,7 @@ def _report(problem: IntegralProblem, grid: Grid, y: np.ndarray) -> SolveReport:
         raise InvalidDomainError(f"the L2 norm of the deviation over [{grid.a}, {grid.b}] "
                                  f"overflows a double") from None
     if eigen:
-        e_max = max_error(spline, ref, grid.a, grid.b)
+        e_max = max_error(model, ref, grid.a, grid.b)
     return SolveReport(problem, model.samples, model, e_l2, e_max)
 
 

@@ -29,6 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .core import InvalidDomainError, _real_floats
+
 RCOND_MIN = 1e-13
 # rounding in solve_dense's certificates: relative, and absolute among
 # subnormals
@@ -206,11 +208,10 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     the gate accepts and refuses the same systems. Raises
     SingularMatrixError when LAPACK finds an exactly singular factor, the
     gate refuses A, or x overflows to a non-finite value on any path, and
-    ValueError for an empty A, a shape mismatch, or naming the first
-    non-finite entry of A or b.
+    ValueError for an empty A, a shape mismatch, a complex A or b, or naming
+    the first non-finite entry of A or b.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _real_floats(A, "A"), _real_floats(b, "b")
     _require_finite("b", b)
     if (A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size
             or b.ndim not in (1, 2) or b.shape[0] != A.shape[0]):
@@ -307,11 +308,12 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
     residual exceeds 1e-8 |lambda| ||alpha||_inf are discarded as spurious.
     As |mu| <= ||alpha||_inf, that tolerance is never below 1e-8, and
     alpha scaled by 2^k gives the same decisions, with roots scaled by 2^-k.
-    Raises ValueError for a bracket end that is not finite, naming it, for
-    lo >= hi, naming the first non-finite entry of alpha, and for an alpha
-    whose ||alpha||_inf overflows.
+    Raises ValueError for a complex alpha, for a bracket end that is not
+    finite, naming it, for lo >= hi, and naming the first non-finite entry
+    of alpha, and InvalidDomainError for an alpha whose ||alpha||_inf
+    overflows.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _real_floats(alpha, "alpha")
     if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError(f"matrix not square: {alpha.shape}")
     for name, end in (("lo", lo), ("hi", hi)):
@@ -325,7 +327,8 @@ def find_real_eigenvalues(alpha: np.ndarray, lo: float, hi: float) -> list[Eigen
         norm = _inf_norm(alpha)
         if not math.isfinite(norm):  # an entry that is not finite is named
             _require_finite("alpha", alpha)
-            raise ValueError(f"||alpha||_inf overflows a double for the {alpha.shape} alpha")
+            raise InvalidDomainError(
+                f"||alpha||_inf overflows a double for the {alpha.shape} alpha")
         mu = np.linalg.eigvals(alpha)
         size = np.abs(mu)
         mu = mu[(size > (len(alpha) + 1) * _EPS * norm) & (np.abs(mu.imag) <= 1e-6 * size)]

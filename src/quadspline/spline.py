@@ -233,18 +233,20 @@ class SplineModel:
                 out = np.full(flat.shape, self.samples[-1])
                 out[inner] = self._eval(flat[inner], 0)
             except ValueError:
-                raise ValueError(f"the spline's {('value', 'slope')[deriv]} overflows a "
-                                 f"double at some x in [{lo}, {hi}]") from None
+                raise InvalidDomainError(f"the spline's {('value', 'slope')[deriv]} overflows "
+                                         f"a double at some x in [{lo}, {hi}] of its interval "
+                                         f"[{g.a}, {g.b}]") from None
         return float(out[0]) if scalar else out.reshape(xs.shape)
 
     def __call__(self, x):
         """Spline value at x (scalar or array); raises OutOfDomainError outside
-        [a, b], and ValueError when a value overflows a double."""
+        [a, b], and InvalidDomainError naming the points' range and [a, b]
+        when a value overflows a double."""
         return self._eval(x, 0)
 
     def derivative(self, x):
         """First derivative at x; continuous across interior nodes. Raises as
-        __call__ does, for a slope that overflows."""
+        __call__ does, InvalidDomainError for a slope that overflows."""
         return self._eval(x, 1)
 
 
@@ -252,8 +254,9 @@ def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
     """Interpolating spline through the samples, coefficients in closed form.
 
     Raises ValueError naming the first non-finite sample, and for finite
-    samples whose second differences or slopes overflow, the first
-    non-finite coefficient a_k, or else power-form slope c1 of piece k.
+    samples whose second differences or slopes overflow InvalidDomainError
+    naming the first non-finite coefficient a_k, or else power-form slope
+    c1 of piece k, with its piece.
     """
     # own copy, as the model freezes it; the one sum below tests finiteness
     y = checked_samples(grid, samples, finite=False)
@@ -273,8 +276,8 @@ def build_spline(grid: Grid, samples: np.ndarray) -> SplineModel:
             bad = np.flatnonzero(~np.isfinite(row))
             if bad.size:
                 k = bad[0] + 1
-                raise ValueError(f"{name}{k} on [{grid.nodes[k - 1]}, {grid.nodes[k]}] "
-                                 f"is not finite: {row[k - 1]}")
+                raise InvalidDomainError(f"{name}{k} on [{grid.nodes[k - 1]}, "
+                                         f"{grid.nodes[k]}] is not finite: {row[k - 1]}")
     return model
 
 
@@ -283,10 +286,25 @@ def fluctuation_energy(model: SplineModel) -> float:
 
     Equals (h^5 / 30) * sum(a_k^2); zero exactly for affine data. Taken as
     (h / 30) * sum((h^2 a_k)^2), so no h^5 or a_k^2 is formed: h^2 a_k is
-    on the scale of the samples, whatever the width of the interval.
+    on the scale of the samples, whatever the width of the interval. The
+    h^2 a_k are scaled by the power of two of their max before they are
+    squared, and the sum scaled back after, so a finite energy is returned
+    finite where a square would overflow, with the same bits where none
+    under- or overflows. Raises InvalidDomainError naming [a, b] for an
+    energy beyond the largest double.
     """
-    h = model.grid.h
-    return float(h / 30.0 * np.sum((h * h * model.coeffs) ** 2))
+    g = model.grid
+    with np.errstate(over="ignore"):  # an h^2 a_k beyond the doubles is refused below
+        ha = g.h * g.h * model.coeffs
+    e = math.frexp(float(np.abs(ha).max()))[1]
+    try:
+        energy = math.ldexp(g.h / 30.0 * float(np.sum(np.ldexp(ha, -e) ** 2)), 2 * e)
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise InvalidDomainError(f"the fluctuation energy of the spline on [{g.a}, {g.b}] "
+                                 "overflows a double")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -356,8 +374,10 @@ def convergence_study(
     as np.linspace(a, b, n + 1), whose points k*step + a, the last set to
     b, are the very floats of make_grid's a + h*k, the last set to b; so
     the result is bit-identical to the unblocked max over mesh and nodes.
-    Raises InvalidDomainError for a non-finite or negative fpp_bound, and
-    (via make_grid) for an n that is not an integer >= 2.
+    Raises InvalidDomainError for a non-finite or negative fpp_bound, (via
+    make_grid) for an n that is not an integer >= 2, and for a bound, its
+    allowance included, beyond the largest double, naming [a, b] and n: a
+    bound of inf would hold vacuously.
     """
     if not (math.isfinite(fpp_bound) and fpp_bound >= 0.0):
         raise InvalidDomainError(f"need a finite fpp_bound >= 0, got {fpp_bound!r}")
@@ -367,8 +387,15 @@ def convergence_study(
         model = build_spline(grid, sample(f, grid))
         d = float(np.maximum(max_error(model, f, a, b, 1000 * grid.n),
                              max_error(model, f, a, b, grid.n + 1)))
-        y = model.samples
-        scale = np.abs(y).max() + max(abs(a), abs(b)) * np.abs(np.diff(y)).max() / grid.h
-        bound = fpp_bound * grid.h * ((b - a) - grid.h / 2.0) + 4 * (grid.n + 1) * _EPS * scale
-        records.append(ConvergenceRecord(grid.n, grid.h, d, float(bound)))
+        # in Python floats, which overflow to inf without a warning; the
+        # samples' differences are finite, as build_spline took their slopes
+        y, h = model.samples, grid.h
+        scale = (float(np.abs(y).max())
+                 + max(abs(grid.a), abs(grid.b)) * float(np.abs(np.diff(y)).max()) / h)
+        bound = (float(fpp_bound) * h * ((grid.b - grid.a) - h / 2.0)
+                 + 4 * (grid.n + 1) * _EPS * scale)
+        if not math.isfinite(bound):
+            raise InvalidDomainError(f"the bound on [{grid.a}, {grid.b}] at n = {grid.n} "
+                                     f"overflows a double: {bound}")
+        records.append(ConvergenceRecord(grid.n, h, d, bound))
     return ConvergenceReport(fpp_bound, tuple(records))

@@ -76,6 +76,29 @@ MUTANTS = [
      ["tests/test_core.py::TestEvalMany::test_array_at_a_single_point_is_named[constant_array]",
       "tests/test_integral_eq.py::TestSolveFredholm::"
       "test_kernel_that_gives_an_array_per_point_is_named"]),
+    # complex values cast to their real part on the array call, with a
+    # ComplexWarning, and on a per-point call left to float()
+    (CORE, 'if vals.dtype != float and vals.dtype.kind != "c":', "if vals.dtype != float:",
+     ["tests/test_core.py::TestComplexValuesRefused::"
+      "test_array_call_refused_without_a_retry_per_point"]),
+    (CORE, "if any(map(np.iscomplexobj, values)):", "if False:",
+     ["tests/test_core.py::TestComplexValuesRefused::test_per_point_call_refused"]),
+    # sample's search for the failing node casting complex values, which
+    # names the first node instead of the function
+    (CORE, "complex(f(x))", "float(f(x))",
+     ["tests/test_core.py::TestComplexValuesRefused::test_sample_names_the_function_not_a_node"]),
+    # complex samples, A, b or alpha cast to their real part: the one check,
+    # and each of its three callers
+    (CORE, 'if y.dtype.kind == "c":', "if False:",
+     ["tests/test_core.py::TestComplexValuesRefused::test_complex_samples_refused",
+      DENSE + "test_complex_system_refused", EIGEN + "test_complex_alpha_refused"]),
+    (CORE, 'y = _real_floats(values, "samples", copy=True)', "y = np.array(values, dtype=float)",
+     ["tests/test_core.py::TestComplexValuesRefused::test_complex_samples_refused"]),
+    (LINSOLVE, 'A, b = _real_floats(A, "A"), _real_floats(b, "b")',
+     "A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)",
+     [DENSE + "test_complex_system_refused"]),
+    (LINSOLVE, 'alpha = _real_floats(alpha, "alpha")', "alpha = np.asarray(alpha, dtype=float)",
+     [EIGEN + "test_complex_alpha_refused"]),
     # a result of the wrong shape taken whenever it broadcasts
     (CORE, "if vals.ndim and all(vals.shape != a.shape for a in args):", "if False:",
      ["tests/test_core.py::TestEvalMany::test_array_at_a_single_point_is_named"
@@ -144,12 +167,6 @@ MUTANTS = [
     (OPERATOR, "if not math.isfinite(scale * top):", "if False:",
      ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
       "test_reference_whose_scale_overflows_is_refused_without_warning"]),
-    # a spline that overflows between the nodes left to raise its own
-    # ValueError from the report, not named as the solution's
-    (OPERATOR, "            return model(x)\n        except ValueError:",
-     "            return model(x)\n        except OverflowError:",
-     ["tests/test_integral_eq.py::TestSolveFredholm::"
-      "test_spline_that_overflows_between_the_nodes_is_refused_by_name"]),
     # a W, or an A = I - lam W, that is not finite passed on to the solve
     (OPERATOR, "if not np.abs(W).sum(axis=1).max() < np.inf:", "if False:",
      [V1 + "test_operator_that_overflows_is_refused_by_name_without_warning",
@@ -158,7 +175,8 @@ MUTANTS = [
     # a finite W whose row sums overflow passed on to the eigen search,
     # which refuses it without naming the problem
     (OPERATOR, "np.abs(W).sum(axis=1).max() < np.inf", "np.isfinite(W).all()",
-     ["tests/test_properties.py::test_scaled_registry_problem_solves_or_names_the_bad_input"]),
+     ["tests/test_integral_eq.py::TestSolveFredholmEigen::"
+      "test_operator_whose_row_sums_overflow_is_refused_by_name"]),
     # a forcing that is not finite left for the solve to name by its row
     (OPERATOR, "f = checked_samples(grid, sample(problem.forcing, grid))",
      "f = sample(problem.forcing, grid)",
@@ -399,8 +417,8 @@ MUTANTS = [
     # the convergence bound's rounding allowance scaled by max|y_k| alone,
     # without the slopes times the ends' size: an affine target on a
     # narrow interval about its root fails it
-    (SPLINE, "scale = np.abs(y).max() + max(abs(a), abs(b)) * np.abs(np.diff(y)).max() / grid.h",
-     "scale = np.abs(y).max()",
+    (SPLINE, "\n                 + max(abs(grid.a), abs(grid.b))"
+     " * float(np.abs(np.diff(y)).max()) / h)", ")",
      ["tests/test_spline.py::TestConvergence::test_affine_rounding_within_allowance"]),
     # the last run's piece left unclipped: sorted points that end at b run
     # one piece beyond the last
@@ -414,6 +432,30 @@ MUTANTS = [
     (SPLINE, "if deriv or inner.all():", "if True:",
      ["tests/test_spline.py::TestSplineModel::"
       "test_value_at_b_is_its_sample_where_the_power_form_rounds_beyond_it"]),
+    # a bound beyond the doubles recorded as inf, within which every
+    # deviation lies
+    (SPLINE, "if not math.isfinite(bound):", "if False:",
+     ["tests/test_spline.py::TestConvergence::test_bound_beyond_the_doubles_refused",
+      "tests/test_properties.py::test_convergence_study_gives_finite_records_or_is_refused"]),
+    # the energy's h^2 a_k squared unscaled: squares that overflow make a
+    # finite energy inf
+    (SPLINE, "e = math.frexp(float(np.abs(ha).max()))[1]", "e = 0",
+     ["tests/test_spline.py::TestFluctuationEnergy::"
+      "test_energy_whose_squares_overflow_is_finite",
+      "tests/test_properties.py::test_fluctuation_energy_is_finite_or_refused"]),
+    # an energy beyond the doubles returned as inf
+    (SPLINE, "if not math.isfinite(energy):", "if False:",
+     ["tests/test_spline.py::TestFluctuationEnergy::test_energy_beyond_the_doubles_refused"]),
+    # the spline's refusals of a coefficient or slope, and of a value or
+    # slope, beyond the doubles raised as a bare ValueError again, which a
+    # solve lets out unnamed by the package's types
+    (SPLINE, 'raise InvalidDomainError(f"{name}{k} on', 'raise ValueError(f"{name}{k} on',
+     ["tests/test_spline.py::TestSplineModel::test_overflowing_coefficients_named",
+      "tests/test_properties.py::test_user_problem_solves_or_names_the_bad_input"]),
+    (SPLINE, "raise InvalidDomainError(f\"the spline's", "raise ValueError(f\"the spline's",
+     ["tests/test_spline.py::TestSplineModel::test_slope_beyond_the_doubles_named",
+      "tests/test_integral_eq.py::TestSolveFredholm::"
+      "test_spline_that_overflows_between_the_nodes_is_refused_by_name"]),
     # the power form's c1 without its - a_k w_k
     (SPLINE, "power[1] -= a * (g.nodes[1:] - g.nodes[:-1])", "pass",
      ["tests/test_properties.py::test_power_form_matches_chord_plus_correction",

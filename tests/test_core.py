@@ -1,5 +1,7 @@
+import cmath
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,47 @@ class TestEvalMany:
             eval_many(f, np.zeros((4, 1)), np.zeros(5))
         assert str(info.value) == (f"{f!r} gives shape {point} at a single point; on arrays "
                                    f"it gave {got}, where their broadcast shape is (4, 5)")
+
+
+class TestComplexValuesRefused:
+    """Complex values are refused by name, never cast to their real part:
+    each call runs with every warning an error, so a ComplexWarning of the
+    cast fails it."""
+
+    def test_array_call_refused_without_a_retry_per_point(self):
+        calls = []
+        f = counting(lambda x: np.exp(1j * x), calls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gives complex values \(complex128\) on "
+                                                 r"arrays, refused"):
+                eval_many(f, np.linspace(0, 1, 5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("f", [cmath.exp, lambda x: np.complex64(math.cos(x))],
+                             ids=["python_complex", "numpy_complex64"])
+    def test_per_point_call_refused(self, f):
+        # cmath.exp and math.cos raise TypeError on an array, so both are
+        # called per point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gives complex values at single points, "
+                                                 r"refused"):
+                eval_many(f, np.linspace(0, 1, 5))
+
+    def test_sample_names_the_function_not_a_node(self):
+        # no one node is at fault, so sample re-raises eval_many's refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gives complex values \(complex128\)"):
+                sample(lambda x: np.exp(1j * x), make_grid(0, 1, 4))
+
+    def test_complex_samples_refused(self):
+        g = make_grid(0, 1, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^complex samples \(complex128\) refused"):
+                build_spline(g, np.exp(1j * g.nodes))
 
 
 def array_hostile(calls, exc_type):

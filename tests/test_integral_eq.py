@@ -663,8 +663,9 @@ class TestSolveFredholm:
                             reference=np.cos)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidDomainError, match=r"^the spline of the solution on "
-                               r"\[-1\.0, 1\.0\] overflows a double between its nodes$"):
+            with pytest.raises(InvalidDomainError, match=r"^the spline's value overflows a "
+                               r"double at some x in \[-0\.98\d*, 0\.98\d*\] of its "
+                               r"interval \[-1\.0, 1\.0\]$"):
                 solve(p, 3)
 
     @pytest.mark.parametrize("n,pub_l2,pub_max", [(5, 6.4e-3, 1.6e-3),
@@ -795,6 +796,17 @@ class TestSolveFredholmEigen:
         assert len(r.eigen) == 1
         assert r.eigen[0][0] == pytest.approx(3.0, abs=1e-6)
         assert r.eigen[0][1].error_max < 1e-8
+
+    def test_operator_whose_row_sums_overflow_is_refused_by_name(self):
+        # krasnov2 on [0, 2^341]: W's entries are finite and its row sums
+        # are not; solve names the kernel, the interval and n, where the
+        # eigen search would name alpha alone
+        p = replace(get_problem("krasnov2"), interval=(0.0, 2.0**341))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match="not finite in its row sums") as exc:
+                solve(p, 2)
+        assert f"{p.kernel!r} on [0.0, {2.0**341}] at n = 2" in str(exc.value)
 
     def test_reference_whose_scale_overflows_is_refused_without_warning(self):
         # krasnov2's eigenvector scaled to a reference near the largest

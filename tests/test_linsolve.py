@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadspline import (IntegralProblem, SingularMatrixError, find_real_eigenvalues,
-                        gauss_legendre, linsolve, make_grid, sample, solve, solve_dense)
+from quadspline import (IntegralProblem, InvalidDomainError, SingularMatrixError,
+                        find_real_eigenvalues, gauss_legendre, linsolve, make_grid, sample,
+                        solve, solve_dense)
 from quadspline.integral_eq import _integral_operator
 from quadspline.linsolve import RCOND_MIN, _inf_norm, _null_vector
 from quadspline.registry import get_problem, solve_entry
@@ -124,6 +125,17 @@ class TestSolveDense:
         b = np.array([1.0, 2.0, bad])
         with pytest.raises(ValueError, match=r"b\[2\] is not finite"):
             solve_dense(np.eye(3), b)
+
+    @pytest.mark.parametrize("A,b,name", [
+        (np.eye(2) * (1 + 1j), np.ones(2), "A"),     # the solution is 0.5 - 0.5j
+        (np.eye(2), np.ones(2) * 1j, "b"),
+    ], ids=["A", "b"])
+    def test_complex_system_refused(self, A, b, name):
+        # refused by name, not cast to its real part with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^complex {name} \(complex128\) refused"):
+                solve_dense(A, b)
 
     @pytest.mark.parametrize("A,refused", [
         # finite: the row sums show it, and A is not scanned again
@@ -774,6 +786,14 @@ class TestFindRealEigenvalues:
         with pytest.raises(ValueError, match=r"alpha\[2, 0\] is not finite"):
             find_real_eigenvalues(alpha, -5, 5)
 
+    def test_complex_alpha_refused(self):
+        # its eigenvalues are +-1j, none real; cast to its real part, alpha
+        # would be 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^complex alpha \(complex128\) refused"):
+                find_real_eigenvalues(np.diag([1j, -1j]), -5, 5)
+
     def test_determinant_oracle_random_symmetric(self):
         rng = np.random.default_rng(11)
         alpha = rng.standard_normal((6, 6))
@@ -816,5 +836,5 @@ class TestFindRealEigenvalues:
         # since det(I) = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"\|\|alpha\|\|_inf overflows"):
+            with pytest.raises(InvalidDomainError, match=r"\|\|alpha\|\|_inf overflows"):
                 find_real_eigenvalues(np.full((3, 3), 1e308), -1e-300, 1e-300)

@@ -9,7 +9,9 @@ problems on [-L, L]. The next ones hold the package's ufunc and array-method
 forms to the bit against the numpy wrappers they replaced
 (tests/oracles.py). The eigen search and the dense solve are fed extreme
 doubles and scaled registry matrices, the grid, the spline and its
-evaluation extreme ends, samples and points, the quadrature functions
+evaluation extreme ends, samples and points, the fluctuation energy
+extreme ends and samples, the convergence study extreme ends and scales
+of its target, the quadrature functions
 extreme ends and values, panel_points extreme ends, and solve user problems
 of every kind whose kernel and forcing scales, lam, interval and bracket
 are extreme; the last properties solve every registry problem with its
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadspline import (IntegralProblem, InvalidDomainError, OutOfDomainError, SingularMatrixError,
-                        build_spline, coeffs_closed_form, find_real_eigenvalues, gauss_legendre,
+                        build_spline, coeffs_closed_form, convergence_study,
+                        find_real_eigenvalues, fluctuation_energy, gauss_legendre,
                         integrate_panels, l2_error, make_grid, max_error, sample, solve,
                         solve_dense)
 from quadspline.integral_eq import _FIELDS as FIELDS, _integral_operator
@@ -514,7 +517,9 @@ def spline_case(draw):
 def test_spline_gives_finite_values_or_names_the_bad_input(case):
     # a grid, a model and finite values and slopes, or a refusal that names
     # the ends, a sample, a coefficient or slope, a point outside [a, b], or
-    # the range of points where a value or slope overflows; no warning escapes
+    # the range of points where a value or slope overflows; a sample that is
+    # not finite is a ValueError, and a value computed beyond the doubles an
+    # InvalidDomainError; no warning escapes
     a, b, n, y, points, fractions, mesh = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -525,9 +530,11 @@ def test_spline_gives_finite_values_or_names_the_bad_input(case):
             return
         try:
             model = build_spline(g, y)
+        except InvalidDomainError as exc:
+            assert str(exc).startswith(("coefficient a", "power-form slope c1")), exc
+            return
         except ValueError as exc:
-            assert type(exc) is ValueError, exc
-            assert str(exc).startswith(("sample ", "coefficient a", "power-form slope c1")), exc
+            assert type(exc) is ValueError and str(exc).startswith("sample "), exc
             return
         inner = np.clip(a + fractions * (b - a), a, b)
         for x in [points, inner] + [np.linspace(a, b, 4096)] * mesh:
@@ -537,11 +544,66 @@ def test_spline_gives_finite_values_or_names_the_bad_input(case):
                 except OutOfDomainError as exc:
                     assert str(exc).startswith("x=") and f"[{a}, {b}]" in str(exc), exc
                     continue
-                except ValueError as exc:  # a value or slope beyond the doubles
-                    where = f"overflows a double at some x in [{x.min()}, {x.max()}]"
+                except InvalidDomainError as exc:  # a value or slope beyond the doubles
+                    where = (f"overflows a double at some x in [{x.min()}, {x.max()}] "
+                             f"of its interval [{a}, {b}]")
                     assert where in str(exc), exc
                     continue
                 assert np.isfinite(values).all(), (x, values)
+
+
+@given(st.lists(EXTREMES, min_size=2, max_size=2),
+       st.sampled_from([2, 3, 10]).flatmap(lambda n: arrays(np.float64, n + 1,
+                                                            elements=EXTREMES)))
+@example([0.0, 4e-70], np.array([0, 1e160, 0, 1e160, 0]))    # squares overflow, not the sum
+@example([0.0, 1.0], np.array([0, 1e160, 0, 1e160, 0]))      # the energy is 0.0053 x 2^1068
+@settings(max_examples=300, deadline=None)
+def test_fluctuation_energy_is_finite_or_refused(ends, y):
+    # the energy of a spline of extreme samples on extreme ends: finite and
+    # within rounding of (h/30) sum((h^2 a_k)^2) over its h^2 a_k, or a
+    # refusal by the package's types, one beyond the doubles naming [a, b];
+    # no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = build_spline(make_grid(*ends, len(y) - 1), y)
+        except InvalidDomainError:
+            return
+        except ValueError as exc:
+            assert type(exc) is ValueError and str(exc).startswith("sample "), exc
+            return
+        try:
+            energy, refused = fluctuation_energy(model), None
+        except InvalidDomainError as exc:
+            refused = exc
+    g = model.grid
+    with np.errstate(over="ignore"):
+        ha = g.h * g.h * model.coeffs
+    exact = None
+    if np.isfinite(ha).all():
+        exact = Fraction(g.h) / 30 * sum(Fraction(v) ** 2 for v in ha.tolist())
+    if refused is not None:
+        assert f"[{g.a}, {g.b}]" in str(refused), refused
+        assert exact is None or exact * (1 + Fraction(1, 10**12)) >= Fraction(np.finfo(float).max)
+    else:
+        assert exact is not None and math.isfinite(energy)
+        assert abs(Fraction(energy) - exact) <= exact / 10**12 + Fraction(2) ** -1074
+
+
+@given(EXTREMES, st.lists(EXTREMES, min_size=2, max_size=2), st.sampled_from([2, 3, 10]))
+@example(1e300, [0.0, 1e10], 10)    # M h (b - a - h/2) overflows
+@settings(max_examples=300, deadline=None)
+def test_convergence_study_gives_finite_records_or_is_refused(c, ends, n):
+    # f = c sin(x), with M = |c| and extreme c and ends: finite deviations
+    # and bounds, or a refusal by the package's types; no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = convergence_study(lambda x: c * np.sin(x), abs(c), *ends, [n])
+        except (InvalidDomainError, OutOfDomainError):
+            return
+    for r in report.records:
+        assert math.isfinite(r.max_deviation) and math.isfinite(r.bound), r
 
 
 # the finite doubles of EXTREMES: ±0, subnormals, ±1e±308 and the largest
@@ -700,11 +762,14 @@ def user_problem(draw):
 # finite samples whose spline overflows between the nodes, where the
 # report integrates it against the reference
 @example(("fredholm2", 1.0, 1.7976931348623157e308, 0.0, (-1.0, 1.0), None, 3, 1.0))
+# the closure's spline of u, which the user never made, overflows its
+# coefficients
+@example(("volterra1", 1.0, 1e305, None, (0.0, 1.0), None, 10, None))
 @settings(max_examples=300, deadline=None)
 def test_user_problem_solves_or_names_the_bad_input(case):
     # finite samples, or a refusal: the problem's, the package's own error
-    # types, or a ValueError naming a forcing sample or the spline
-    # coefficient that is not finite; never numpy's LinAlgError or a warning
+    # types, or a ValueError naming a forcing sample that is not finite;
+    # never numpy's LinAlgError or a warning
     kind, c, d, lam, interval, bracket, n, r = case
     takes_forcing, takes_lam, takes_bracket = FIELDS[kind]
     with warnings.catch_warnings():
@@ -721,7 +786,7 @@ def test_user_problem_solves_or_names_the_bad_input(case):
         except ValueError as exc:
             # numpy's LinAlgError is a ValueError too, and must not escape
             assert not isinstance(exc, np.linalg.LinAlgError), exc
-            assert str(exc).startswith(("sample ", "coefficient a", "power-form slope c1")), exc
+            assert str(exc).startswith("sample "), exc
             return
     for sub in [report] + [sub for _, sub in report.eigen or ()]:
         assert sub.samples is None or np.isfinite(sub.samples).all()

@@ -308,21 +308,21 @@ class TestSplineModel:
          r"power-form slope c1 of piece 1 on \[0\.0, 1e-10\] is not finite: inf"),
     ], ids=["coefficient", "slope"])
     def test_overflowing_coefficients_named(self, grid, y, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(InvalidDomainError, match=match):
             build_spline(grid, y)
 
     @pytest.mark.filterwarnings("error")
     def test_slope_beyond_the_doubles_named(self):
         # finite samples, coefficients and power form, but the last piece's
-        # slope passes the largest double from about x = 3.54 on: a
-        # ValueError names the points' range, and no overflow warning
-        # escapes; the values stay finite
+        # slope passes the largest double from about x = 3.54 on: an
+        # InvalidDomainError names the points' range and the interval, and
+        # no overflow warning escapes; the values stay finite
         m = build_spline(make_grid(0, 4, 4), [0, 0, 0, 0, 1.7e308])
         xs = np.linspace(0, 4, 101)
         for x in (xs, np.linspace(0, 4, 2 * _RUN_MIN_POINTS)):  # by points and by runs
             assert np.isfinite(m(x)).all()
-            with pytest.raises(ValueError, match=r"the spline's slope overflows a double at "
-                                                 r"some x in \[0\.0, 4\.0\]"):
+            with pytest.raises(InvalidDomainError, match=r"the spline's slope overflows a double "
+                               r"at some x in \[0\.0, 4\.0\] of its interval \[0\.0, 4\.0\]$"):
                 m.derivative(x)
         assert np.isfinite(m.derivative(3.5))
 
@@ -340,8 +340,9 @@ class TestSplineModel:
             values = m(x)
             assert (values[at_b] == big).all() and np.isfinite(values).all()
             assert values[~at_b].tobytes() == m(x[~at_b]).tobytes()
-        with pytest.raises(ValueError, match=r"slope overflows a double at some x in "
-                                             r"\[12\.0, 12\.0\]"):
+        with pytest.raises(InvalidDomainError, match=r"slope overflows a double at some x in "
+                                                     r"\[12\.0, 12\.0\] of its interval "
+                                                     r"\[0\.0, 12\.0\]$"):
             m.derivative(12.0)
 
     @pytest.mark.parametrize("count", [4, 6])
@@ -449,6 +450,24 @@ class TestFluctuationEnergy:
                 scaled = build_spline(make_grid(0.0, 2.0**j, 7), z)
                 assert fluctuation_energy(scaled) == math.ldexp(unit, j), j
 
+    def test_energy_whose_squares_overflow_is_finite(self):
+        # h^2 a_k = (-3, 1, 1, -3) 1e160, whose squares overflow, but the
+        # energy (h/30) 20e320 is 6.7e249 at h = 1e-70
+        y = [0, 1e160, 0, 1e160, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy = fluctuation_energy(build_spline(make_grid(0, 4e-70, 4), y))
+        assert energy == pytest.approx(2e251 / 30, rel=1e-14)
+
+    def test_energy_beyond_the_doubles_refused(self):
+        # the same samples at h = 0.25: 0.0053 x 2^1068
+        m = build_spline(make_grid(0, 1, 4), [0, 1e160, 0, 1e160, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match=r"^the fluctuation energy of the "
+                               r"spline on \[0\.0, 1\.0\] overflows a double$"):
+                fluctuation_energy(m)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-1, 1.0])
     def test_variational_minimality(self, eps):
         rng = np.random.default_rng(11)
@@ -512,6 +531,15 @@ class TestConvergence:
     def test_rejects_unusable_fpp_bound(self, bound):
         with pytest.raises(ValueError, match="fpp_bound"):
             convergence_study(np.sin, bound, 0, 1, [4])
+
+    def test_bound_beyond_the_doubles_refused(self):
+        # M h (b - a - h/2) is 1e300 1e9 (1e10 - 5e8): recorded as inf, every
+        # deviation would be within it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomainError, match=r"^the bound on \[0\.0, 10000000000\.0\]"
+                                                         r" at n = 10 overflows a double: inf$"):
+                convergence_study(lambda x: 1e300 * np.sin(x), 1e300, 0.0, 1e10, [10])
 
     @pytest.mark.parametrize("n", [10.5, 10.0])
     def test_non_integer_n_refused(self, n):
